@@ -46,6 +46,17 @@ def report_format(check_name: str, header: list[tuple[str, str]],
     return "\n".join(lines) + "\n"
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts: a zero or negative count is a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def _load_presentation(path: str) -> textio.ParsedInput:
     return textio.parse_presentation(Path(path).read_text(encoding="utf-8"))
 
@@ -313,7 +324,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_sampling(p):
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--samples", type=int, default=200)
+        p.add_argument("--samples", type=_positive_int, default=200)
 
     p = sub.add_parser("parse", help="parse and normalize a presentation file")
     p.add_argument("--input", required=True)

@@ -18,13 +18,20 @@ homogenization pipeline:
 The result generates the initial ideal of the original ideal for the given
 weights.  Monomial containment is decided by saturating at the product of
 all variables via the extra-variable trick.
+
+Orders compare monomials by flat integer keys: rational weights are scaled
+once per order by the LCM of their denominators, so no key computation in
+division or Buchberger touches a `Fraction`.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add, mul, neg, sub
 
 from .poly import (
     ExponentVector,
@@ -44,18 +51,29 @@ class ZeroPolynomialError(ValueError):
 
 @dataclass(frozen=True)
 class MonomialOrder:
-    """A total multiplicative order: weight dot product, then a tie-break."""
+    """A total multiplicative order: weight dot product, then a tie-break.
+
+    ``weights`` stays the public rational vector.  ``int_weights`` is that
+    vector times ``scale``, the positive LCM of its denominators; scaling by a
+    positive constant does not change the order, so keys are integers.
+    """
 
     weights: tuple[Fraction, ...] | None = None
     tie_break: str = GREVLEX
+    int_weights: tuple[int, ...] | None = field(
+        default=None, init=False, repr=False, compare=False)
+    scale: int = field(default=1, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.tie_break not in (GREVLEX, LEX):
             raise ValueError(f"unknown tie break {self.tie_break!r}")
         if self.weights is not None:
-            object.__setattr__(
-                self, "weights", tuple(Fraction(w) for w in self.weights)
-            )
+            weights = tuple(Fraction(w) for w in self.weights)
+            scale = math.lcm(*(w.denominator for w in weights))
+            object.__setattr__(self, "weights", weights)
+            object.__setattr__(self, "scale", scale)
+            object.__setattr__(self, "int_weights", tuple(
+                w.numerator * (scale // w.denominator) for w in weights))
 
     @classmethod
     def grevlex(cls) -> "MonomialOrder":
@@ -71,28 +89,42 @@ class MonomialOrder:
 
     def is_global(self) -> bool:
         """True when every variable is larger than 1 (termination guarantee)."""
-        return self.weights is None or all(w >= 0 for w in self.weights)
+        return self.int_weights is None or all(w >= 0 for w in self.int_weights)
 
-    def sort_key(self, e: ExponentVector):
-        """Key whose natural ordering realizes the monomial order."""
+    def _descending_key(self, e: ExponentVector) -> tuple[int, ...]:
+        """Flat int tuple that is smaller exactly when the monomial is larger.
+
+        This is the negation of `sort_key`, computed directly so that heaps
+        and ``min`` can pick the largest monomial without negating keys.
+        """
         if self.tie_break == GREVLEX:
-            tie = (sum(e), tuple(-x for x in reversed(e)))
+            tie = (-sum(e), *e[::-1])
         else:
-            tie = e
-        if self.weights is None:
+            tie = tuple(map(neg, e))
+        ws = self.int_weights
+        if ws is None:
             return tie
-        if len(self.weights) != len(e):
+        if len(ws) != len(e):
             raise ValueError("dimension mismatch between order and exponent vector")
-        return (sum((w * x for w, x in zip(self.weights, e)), Fraction(0)), tie)
+        return (-sum(map(mul, ws, e)), *tie)
+
+    def sort_key(self, e: ExponentVector) -> tuple[int, ...]:
+        """Key whose natural ordering realizes the monomial order.
+
+        A flat int tuple: the integer weight dot product (when weighted), then
+        the degree and reversed negated exponents (grevlex) or the exponents
+        themselves (lex).
+        """
+        return tuple(map(neg, self._descending_key(e)))
 
     def compare(self, e1: ExponentVector, e2: ExponentVector) -> int:
         """-1, 0, or 1; zero only for identical exponent vectors."""
         if len(e1) != len(e2):
             raise ValueError("dimension mismatch in monomial comparison")
-        k1, k2 = self.sort_key(e1), self.sort_key(e2)
-        if k1 < k2:
-            return -1
+        k1, k2 = self._descending_key(e1), self._descending_key(e2)
         if k1 > k2:
+            return -1
+        if k1 < k2:
             return 1
         return 0
 
@@ -100,7 +132,7 @@ class MonomialOrder:
 def leading_term(f: Polynomial, order: MonomialOrder) -> tuple[ExponentVector, Fraction]:
     if f.is_zero:
         raise ZeroPolynomialError("the zero polynomial has no leading term")
-    e = max(f.terms, key=order.sort_key)
+    e = min(f.terms, key=order._descending_key)
     return e, f.terms[e]
 
 
@@ -114,12 +146,37 @@ class GroebnerBasis:
 
     gens: tuple[Polynomial, ...]
     order: MonomialOrder
-    reduced: bool = True
     _leads: tuple = field(default=(), repr=False, compare=False)
 
     def __post_init__(self):
-        leads = tuple(leading_term(g, self.order) for g in self.gens)
-        object.__setattr__(self, "_leads", leads)
+        if len(self._leads) != len(self.gens):
+            leads = tuple(leading_term(g, self.order) for g in self.gens)
+            object.__setattr__(self, "_leads", leads)
+
+
+class _LeadTable:
+    """A basis under construction with the leading term of each element.
+
+    `normal_form` reads only ``gens``, ``order`` and ``_leads``, so one
+    Buchberger run reduces against its table directly; each element's
+    leading term is computed once, when it joins.
+    """
+
+    __slots__ = ("gens", "order", "_leads")
+
+    def __init__(self, order: MonomialOrder, gens=(), leads=()):
+        self.order = order
+        self.gens: list[Polynomial] = list(gens)
+        self._leads: list[tuple[ExponentVector, Fraction]] = list(leads)
+
+    def append_monic(self, g: Polynomial) -> None:
+        """Append g scaled to leading coefficient 1, unless already present."""
+        lm, lc = leading_term(g, self.order)
+        if lc != 1:
+            g = g.scale(Fraction(1) / lc)
+        if g not in self.gens:
+            self.gens.append(g)
+            self._leads.append((lm, Fraction(1)))
 
 
 def _check_termination(order: MonomialOrder, polys) -> None:
@@ -133,7 +190,7 @@ def _check_termination(order: MonomialOrder, polys) -> None:
     )
 
 
-def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:
+def normal_form(f: Polynomial, gb: GroebnerBasis | _LeadTable) -> Polynomial:
     """Remainder of multivariate division of f by the basis.
 
     No term of the result is divisible by a leading monomial of the basis,
@@ -146,111 +203,111 @@ def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:
     # Non-global orders are safe only against homogeneous bases: every
     # reduction then stays inside the finitely many monomials of one degree.
     _check_termination(gb.order, gb.gens)
-    key = gb.order.sort_key
+    key = gb.order._descending_key
+    divisors = list(zip(gb.gens, gb._leads))
     work = dict(f.terms)
+    # Max-heap of pending terms by order key.  A term that cancels stays in
+    # the heap and is skipped when popped; every term a reduction step adds
+    # is smaller than the term being reduced, so a popped term never returns.
+    heap = [(key(e), e) for e in work]
+    heapq.heapify(heap)
     remainder: dict[ExponentVector, Fraction] = {}
-    while work:
-        e = max(work, key=key)
-        c = work.pop(e)
-        for g, (lm, lc) in zip(gb.gens, gb._leads):
+    while heap:
+        e = heapq.heappop(heap)[1]
+        c = work.pop(e, None)
+        if c is None:
+            continue
+        for g, (lm, lc) in divisors:
             if _divides(lm, e):
-                shift = tuple(a - b for a, b in zip(e, lm))
+                shift = tuple(map(sub, e, lm))
                 factor = c / lc
                 for eg, cg in g.terms.items():
                     if eg == lm:
                         continue
-                    target = tuple(a + b for a, b in zip(eg, shift))
-                    s = work.get(target, Fraction(0)) - factor * cg
-                    if s == 0:
-                        work.pop(target, None)
+                    target = tuple(map(add, eg, shift))
+                    old = work.get(target)
+                    if old is None:
+                        work[target] = -(factor * cg)
+                        heapq.heappush(heap, (key(target), target))
                     else:
-                        work[target] = s
+                        s = old - factor * cg
+                        if s == 0:
+                            del work[target]
+                        else:
+                            work[target] = s
                 break
         else:
             remainder[e] = c
-    return Polynomial(f.ring, remainder)
+    return Polynomial._trusted(f.ring, remainder)
 
 
-def _monic(f: Polynomial, order: MonomialOrder) -> Polynomial:
-    _, lc = leading_term(f, order)
-    return f if lc == 1 else f.scale(Fraction(1) / lc)
-
-
-def _s_poly(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
-    (ef, cf), (eg, cg) = leading_term(f, order), leading_term(g, order)
-    lcm = tuple(max(a, b) for a, b in zip(ef, eg))
-    mf = Polynomial.monomial(f.ring, tuple(a - b for a, b in zip(lcm, ef)),
-                             Fraction(1) / cf)
-    mg = Polynomial.monomial(g.ring, tuple(a - b for a, b in zip(lcm, eg)),
-                             Fraction(1) / cg)
-    return mf * f - mg * g
+def _s_poly(f: Polynomial, ef: ExponentVector,
+            g: Polynomial, eg: ExponentVector) -> Polynomial:
+    """S-polynomial of two monic polynomials with leading monomials ef, eg."""
+    lcm = tuple(map(max, ef, eg))
+    return (Polynomial.monomial(f.ring, tuple(map(sub, lcm, ef))) * f
+            - Polynomial.monomial(g.ring, tuple(map(sub, lcm, eg))) * g)
 
 
 def buchberger(gens: list[Polynomial], order: MonomialOrder) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal the generators span.
 
     Deterministic for a fixed input: pairs are processed in normal strategy
-    (smallest lcm first), and the final basis is interreduced, made monic,
-    and sorted by descending leading monomial.
+    (smallest lcm first, ties by index), and the final basis is
+    interreduced, made monic, and sorted by descending leading monomial.
     """
     for g in gens:
         if g.is_zero:
             raise ZeroPolynomialError("ideal generators must be nonzero")
     _check_termination(order, gens)
-    basis: list[Polynomial] = []
+    table = _LeadTable(order)
     for g in gens:
-        g = _monic(g, order)
-        if g not in basis:
-            basis.append(g)
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
+        table.append_monic(g)
+    basis, leads = table.gens, table._leads
+    pairs: list[tuple[tuple[int, ...], int, int]] = []
 
-    def pair_key(pair):
-        i, j = pair
-        ei, _ = leading_term(basis[i], order)
-        ej, _ = leading_term(basis[j], order)
-        lcm = tuple(max(a, b) for a, b in zip(ei, ej))
-        return (order.sort_key(lcm), i, j)
+    def add_pairs(k: int) -> None:
+        ek = leads[k][0]
+        for i in range(k):
+            lcm = tuple(map(max, leads[i][0], ek))
+            heapq.heappush(pairs, (order.sort_key(lcm), i, k))
 
+    for k in range(1, len(basis)):
+        add_pairs(k)
     while pairs:
-        i, j = min(pairs, key=pair_key)
-        pairs.discard((i, j))
-        ei, _ = leading_term(basis[i], order)
-        ej, _ = leading_term(basis[j], order)
+        _, i, j = heapq.heappop(pairs)
+        ei, ej = leads[i][0], leads[j][0]
         if all(a == 0 or b == 0 for a, b in zip(ei, ej)):
             continue  # coprime leading monomials: s-poly reduces to zero
-        s = _s_poly(basis[i], basis[j], order)
-        r = normal_form(s, GroebnerBasis(tuple(basis), order, reduced=False))
+        r = normal_form(_s_poly(basis[i], ei, basis[j], ej), table)
         if not r.is_zero:
-            basis.append(_monic(r, order))
-            k = len(basis) - 1
-            pairs.update((i2, k) for i2 in range(k))
+            table.append_monic(r)
+            add_pairs(len(basis) - 1)
 
     # Minimalize: drop generators whose lead is divisible by another lead.
-    leads = [leading_term(g, order)[0] for g in basis]
-    keep: list[int] = []
-    for i, lm in enumerate(leads):
-        if any(j != i and _divides(leads[j], lm) and (leads[j] != lm or j < i)
-               for j in range(len(basis))):
-            continue
-        keep.append(i)
+    lms = [lm for lm, _ in leads]
+    keep = [i for i, lm in enumerate(lms)
+            if not any(j != i and _divides(lms[j], lm) and (lms[j] != lm or j < i)
+                       for j in range(len(basis)))]
     minimal = [basis[i] for i in keep]
+    min_leads = [leads[i] for i in keep]
 
-    # Interreduce tails until stable.
-    changed = True
+    # Interreduce tails until stable.  No lead of a minimal basis divides
+    # another, so each element keeps its monic leading term under reduction.
+    changed = len(minimal) > 1
     while changed:
         changed = False
         for i in range(len(minimal)):
-            others = GroebnerBasis(
-                tuple(minimal[:i] + minimal[i + 1:]), order, reduced=False
-            ) if len(minimal) > 1 else None
-            if others is None:
-                continue
-            r = _monic(normal_form(minimal[i], others), order)
+            others = _LeadTable(order, minimal[:i] + minimal[i + 1:],
+                                min_leads[:i] + min_leads[i + 1:])
+            r = normal_form(minimal[i], others)
             if r != minimal[i]:
                 minimal[i] = r
                 changed = True
-    minimal.sort(key=lambda g: order.sort_key(leading_term(g, order)[0]), reverse=True)
-    return GroebnerBasis(tuple(minimal), order, reduced=True)
+    ranked = sorted(zip(minimal, min_leads),
+                    key=lambda item: order._descending_key(item[1][0]))
+    return GroebnerBasis(tuple(g for g, _ in ranked), order,
+                         tuple(lead for _, lead in ranked))
 
 
 # -- initial forms and initial ideals -----------------------------------------
@@ -290,18 +347,20 @@ def _extended_ring(ring: RingContext) -> RingContext:
 
 def _homogenize(f: Polynomial, ext: RingContext) -> Polynomial:
     d = f.total_degree()
-    return Polynomial(ext, {e + (d - sum(e),): c for e, c in f.terms.items()})
+    return Polynomial._trusted(ext, {e + (d - sum(e),): c for e, c in f.terms.items()})
 
 
 def _dehomogenize(f: Polynomial, ring: RingContext) -> Polynomial:
-    return Polynomial(ring, {e[:-1]: c for e, c in f.terms.items()})
+    # Inputs are homogeneous, so dropping the last exponent merges no terms.
+    return Polynomial._trusted(ring, {e[:-1]: c for e, c in f.terms.items()})
 
 
 def _strip_last_variable(f: Polynomial, ext: RingContext) -> Polynomial:
     k = min(e[-1] for e in f.terms)
     if k == 0:
         return f
-    return Polynomial(ext, {e[:-1] + (e[-1] - k,): c for e, c in f.terms.items()})
+    return Polynomial._trusted(
+        ext, {e[:-1] + (e[-1] - k,): c for e, c in f.terms.items()})
 
 
 def weight_refined_basis(P: Presentation, w: WeightVector) -> tuple[GroebnerBasis, RingContext]:
@@ -316,7 +375,7 @@ def weight_refined_basis(P: Presentation, w: WeightVector) -> tuple[GroebnerBasi
     ext = _extended_ring(P.ring)
     if not P.ideal_gens:
         order = MonomialOrder.weighted(WeightVector(weff.weights + (Fraction(0),)))
-        return GroebnerBasis((), order, reduced=True), ext
+        return GroebnerBasis((), order), ext
     homogenized = [_homogenize(g, ext) for g in P.ideal_gens]
     g1 = buchberger(homogenized, MonomialOrder.grevlex())
     saturated = [_strip_last_variable(g, ext) for g in g1.gens]

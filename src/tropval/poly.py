@@ -77,6 +77,21 @@ class Polynomial:
         self.terms = clean
         self._key: tuple | None = None
 
+    @classmethod
+    def _trusted(cls, ring: RingContext,
+                 terms: dict[ExponentVector, Fraction]) -> "Polynomial":
+        """Wrap terms that are already clean, without copying or validating.
+
+        The caller guarantees int-tuple exponents of length ``ring.dim``, no
+        negative entries, and nonzero `Fraction` coefficients; the dict is
+        taken over, not copied.
+        """
+        out = cls.__new__(cls)
+        out.ring = ring
+        out.terms = terms
+        out._key = None
+        return out
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -119,9 +134,6 @@ class Polynomial:
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
 
-    def constant_coefficient(self) -> Fraction:
-        return self.terms.get((0,) * self.ring.dim, Fraction(0))
-
     def key(self) -> tuple:
         """Canonical hashable form (sorted terms), for dict keys and caches."""
         if self._key is None:
@@ -147,18 +159,10 @@ class Polynomial:
                 res.pop(e, None)
             else:
                 res[e] = s
-        out = Polynomial.__new__(Polynomial)
-        out.ring = self.ring
-        out.terms = res
-        out._key = None
-        return out
+        return Polynomial._trusted(self.ring, res)
 
     def __neg__(self) -> "Polynomial":
-        out = Polynomial.__new__(Polynomial)
-        out.ring = self.ring
-        out.terms = {e: -c for e, c in self.terms.items()}
-        out._key = None
-        return out
+        return Polynomial._trusted(self.ring, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
@@ -174,21 +178,13 @@ class Polynomial:
                     res.pop(e, None)
                 else:
                     res[e] = s
-        out = Polynomial.__new__(Polynomial)
-        out.ring = self.ring
-        out.terms = res
-        out._key = None
-        return out
+        return Polynomial._trusted(self.ring, res)
 
     def scale(self, c: Fraction | int) -> "Polynomial":
         c = Fraction(c)
         if c == 0:
             return Polynomial.zero(self.ring)
-        out = Polynomial.__new__(Polynomial)
-        out.ring = self.ring
-        out.terms = {e: c * v for e, v in self.terms.items()}
-        out._key = None
-        return out
+        return Polynomial._trusted(self.ring, {e: c * v for e, v in self.terms.items()})
 
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:

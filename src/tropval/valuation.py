@@ -16,6 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .groebner import (
     GroebnerBasis,
@@ -57,27 +58,21 @@ class CandidateValuation:
 
     def __init__(self, kind: str, presentation: Presentation, *,
                  weights: WeightVector | None = None,
-                 overrides: dict | None = None,
                  images: tuple[Polynomial, ...] | None = None,
                  source: "CandidateValuation | None" = None,
                  parts: tuple = (),
-                 factor: Fraction | None = None,
-                 injectivity_asserted: bool = True):
+                 factor: Fraction | None = None):
         self.kind = kind
         self.presentation = presentation
         self.weights = weights
-        self.overrides = dict(overrides or {})
         self.images = images
         self.source = source
         self.parts = parts
         self.factor = factor
-        self.injectivity_asserted = injectivity_asserted
         self._cache: dict = {}
         self._gb: GroebnerBasis | None = None
         self._ext: RingContext | None = None
-        self._weff: WeightVector | None = None
         if kind == WEIGHT_INDUCED:
-            self._weff = presentation.effective_weights(weights)
             self._gb, self._ext = weight_refined_basis(presentation, weights)
 
     def normal_form_of(self, f: Polynomial) -> Polynomial:
@@ -95,8 +90,6 @@ class CandidateValuation:
         if f.is_zero:
             return BOTTOM
         key = f.key()
-        if key in self.overrides:
-            return self.overrides[key]
         cached = self._cache.get(key)
         if cached is not None:
             return cached
@@ -109,12 +102,9 @@ class CandidateValuation:
             reduced = normal_form(_homogenize(f, self._ext), self._gb)
             if reduced.is_zero:
                 return BOTTOM
-            weights = self._weff.weights + (Fraction(0),)
-            best = max(
-                sum((w * x for w, x in zip(weights, e)), Fraction(0))
-                for e in reduced.terms
-            )
-            return TropicalValue(best)
+            order = self._gb.order
+            best = max(sum(map(mul, order.int_weights, e)) for e in reduced.terms)
+            return TropicalValue(Fraction(best, order.scale))
         if self.kind == PULLBACK:
             return self.source.evaluate(f.substitute(list(self.images)))
         if self.kind == POINTWISE_SUM:
@@ -244,12 +234,12 @@ def check_trop_membership(P: Presentation, w: WeightVector,
 
 
 def pullback(images: list[Polynomial], v: CandidateValuation,
-             P_sub: Presentation, *, assert_injective: bool = True) -> CandidateValuation:
+             P_sub: Presentation) -> CandidateValuation:
     """Pull a valuation back along a subalgebra inclusion.
 
     The images (elements of v's algebra) must send every relation of the
     subalgebra presentation to zero; injectivity of the induced map is the
-    caller's assertion and is only recorded.
+    caller's assertion and is not checked.
     """
     ambient = v.presentation
     if len(images) != P_sub.ring.dim:
@@ -268,10 +258,7 @@ def pullback(images: list[Polynomial], v: CandidateValuation,
             raise NotAHomomorphismError(
                 f"relation {g} maps to {reduced}, not zero"
             )
-    return CandidateValuation(
-        PULLBACK, P_sub, images=tuple(images), source=v,
-        injectivity_asserted=assert_injective,
-    )
+    return CandidateValuation(PULLBACK, P_sub, images=tuple(images), source=v)
 
 
 @dataclass(frozen=True)

@@ -91,4 +91,11 @@ CASES = [
 USAGE_CASES = [
     ("unknown_verb", ["definitely-not-a-verb"], 2),
     ("missing_flag", ["initial", "--ideal", fixture("line.ideal")], 2),
+    # a zero-sample run used to report "verdict: valuation" with exit 0
+    ("samples_zero",
+     ["val-check", "--ideal", fixture("hyperbola.ideal"), "--weight", "1 0",
+      "--samples", "0"], 2),
+    ("samples_negative",
+     ["val-check", "--ideal", fixture("hyperbola.ideal"), "--weight", "1 0",
+      "--samples", "-5"], 2),
 ]
