@@ -18,7 +18,7 @@ rational row cannot totally order a higher-rank monoid.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .linalg import solve_linear
@@ -52,7 +52,11 @@ def grade_sum(g1: Grade, g2: Grade) -> Grade:
 
 
 class GradedAlgebra:
-    """Commutative algebra given by grading components and structure constants."""
+    """Commutative algebra given by grading components and structure constants.
+
+    Associativity is checked on construction unless ``validate`` is False,
+    which is for builders whose table is read off an associative ring.
+    """
 
     def __init__(self, monoid_dim: int, components: dict, structure: dict,
                  truncation: int, validate: bool = True):
@@ -184,13 +188,6 @@ def element_add(a: Element, b: Element) -> Element:
     return out
 
 
-def element_scale(a: Element, c: Fraction | int) -> Element:
-    c = Fraction(c)
-    if c == 0:
-        return {}
-    return {ref: c * v for ref, v in a.items()}
-
-
 @dataclass(frozen=True)
 class LexFunctional:
     """Rational linear functionals on grades, compared lexicographically.
@@ -201,6 +198,9 @@ class LexFunctional:
     """
 
     rows: tuple[tuple[Fraction, ...], ...]
+    # grade -> value(grade); a cache, so it takes no part in == or hash
+    _values: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False, hash=False)
 
     def __post_init__(self):
         object.__setattr__(self, "rows", tuple(
@@ -218,14 +218,17 @@ class LexFunctional:
         return len(self.rows[0])
 
     def value(self, grade: Grade) -> tuple[Fraction, ...]:
-        return tuple(
-            sum((r * g for r, g in zip(row, grade)), Fraction(0))
-            for row in self.rows
-        )
+        hit = self._values.get(grade)
+        if hit is None:
+            hit = tuple(
+                sum((r * g for r, g in zip(row, grade)), Fraction(0))
+                for row in self.rows
+            )
+            self._values[grade] = hit
+        return hit
 
     def first(self, grade: Grade) -> Fraction:
-        row = self.rows[0]
-        return sum((r * g for r, g in zip(row, grade)), Fraction(0))
+        return self.value(grade)[0]
 
     def separates(self, grades) -> tuple[Grade, Grade] | None:
         """Return a colliding pair of distinct grades, or None when injective."""
@@ -290,7 +293,7 @@ def graded_value(A: GradedAlgebra, gv: GradedValuation,
     return TropicalValue(max(gv.functional.first(ref[0]) for ref in element))
 
 
-def value_lex(A: GradedAlgebra, functional: LexFunctional,
+def value_lex(functional: LexFunctional,
               element: Element) -> tuple[Fraction, ...] | None:
     """Lex-tuple value (None for zero), for totally ordered codomains."""
     if not element:
@@ -519,8 +522,8 @@ def check_monoid_theorem(A: GradedAlgebra, w: LexFunctional,
         except TruncationError:
             continue
         checked += 1
-        lhs = value_lex(A, w, product)
-        va, vb = value_lex(A, w, a), value_lex(A, w, b)
+        lhs = value_lex(w, product)
+        va, vb = value_lex(w, a), value_lex(w, b)
         rhs = tuple_sum(va, vb) if va is not None and vb is not None else None
         if lhs != rhs:
             conclusion_failures.append((a, b, lhs, rhs))
@@ -581,7 +584,8 @@ def monomial_poly_ring(n_vars: int, truncation: int) -> GradedAlgebra:
         for g2 in grades:
             if g1 <= g2 and sum(g1) + sum(g2) <= truncation:
                 structure[((g1, 0), (g2, 0))] = (((grade_sum(g1, g2), 0), Fraction(1)),)
-    return GradedAlgebra(n_vars, components, structure, truncation)
+    return GradedAlgebra(n_vars, components, structure, truncation,
+                         validate=False)
 
 
 def coarsen(A: GradedAlgebra, matrix: tuple[tuple[int, ...], ...]) -> GradedAlgebra:

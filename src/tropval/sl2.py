@@ -58,7 +58,7 @@ def sl2_rep_ring(truncation: int) -> GradedAlgebra:
                     if right < left:
                         left, right = right, left
                     structure[(left, right)] = ((((n + m,), i + j), Fraction(1)),)
-    return GradedAlgebra(1, components, structure, truncation)
+    return GradedAlgebra(1, components, structure, truncation, validate=False)
 
 
 def straightening_basis() -> GroebnerBasis:
@@ -140,7 +140,7 @@ def sl2_branching_algebra(truncation: int) -> GradedAlgebra:
                 ((grade_of_exponents(m), 0), c) for m, c in reduced.terms.items()
             ))
             structure[((grade_of[e1], 0), (grade_of[e2], 0))] = expansion
-    return GradedAlgebra(5, components, structure, truncation)
+    return GradedAlgebra(5, components, structure, truncation, validate=False)
 
 
 def ambient_degree(grade: Grade) -> int:

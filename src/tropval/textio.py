@@ -120,6 +120,14 @@ class _Cursor:
                              tok.line, tok.col)
         return self.next()
 
+    def expect_int(self, message: str) -> int:
+        """Consume a non-negative integer literal, else fail with message."""
+        tok = self.peek()
+        if tok.kind != "number" or "/" in tok.text:
+            raise ParseError(message, tok.line, tok.col)
+        self.next()
+        return int(tok.text)
+
     def expect_ident(self, word: str | None = None) -> Token:
         tok = self.peek()
         if tok.kind != "ident" or (word is not None and tok.text != word):
@@ -171,11 +179,7 @@ def _parse_factor(cur: _Cursor, ring: RingContext) -> Polynomial:
     base = _parse_atom(cur, ring)
     if cur.at_sym("^"):
         cur.next()
-        tok = cur.peek()
-        if tok.kind != "number" or "/" in tok.text:
-            raise ParseError("exponent must be a non-negative integer", tok.line, tok.col)
-        cur.next()
-        base = base ** int(tok.text)
+        base = base ** cur.expect_int("exponent must be a non-negative integer")
     return base
 
 
@@ -422,12 +426,7 @@ def graded_algebra_to_str(algebra) -> str:
 def _parse_grade(cur: _Cursor, dim: int) -> tuple[int, ...]:
     entries: list[int] = []
     while True:
-        tok = cur.peek()
-        if tok.kind != "number" or "/" in tok.text:
-            raise ParseError("grade entries must be non-negative integers",
-                             tok.line, tok.col)
-        cur.next()
-        entries.append(int(tok.text))
+        entries.append(cur.expect_int("grade entries must be non-negative integers"))
         if cur.at_sym(","):
             cur.next()
             continue
@@ -443,12 +442,9 @@ def _parse_basis_ref(cur: _Cursor, dim: int):
     cur.expect_sym("(")
     grade = _parse_grade(cur, dim)
     cur.expect_sym(":")
-    tok = cur.peek()
-    if tok.kind != "number" or "/" in tok.text:
-        raise ParseError("basis index must be an integer", tok.line, tok.col)
-    cur.next()
+    idx = cur.expect_int("basis index must be an integer")
     cur.expect_sym(")")
-    return (grade, int(tok.text))
+    return (grade, idx)
 
 
 def parse_graded_algebra(text: str):
@@ -464,27 +460,19 @@ def parse_graded_algebra(text: str):
         head = cur.expect_ident()
         if head.text == "monoid":
             cur.expect_ident("dim")
-            tok = cur.peek()
-            if tok.kind != "number" or "/" in tok.text:
-                raise ParseError("monoid dim must be an integer", tok.line, tok.col)
-            cur.next()
-            dim = int(tok.text)
+            dim = cur.expect_int("monoid dim must be an integer")
             cur.expect_sym(";")
             continue
         if dim is None:
             raise ParseError("the monoid dim statement must come first",
                              head.line, head.col)
         if head.text == "truncation":
-            tok = cur.peek()
-            cur.next()
-            truncation = int(tok.text)
+            truncation = cur.expect_int("truncation must be an integer")
             cur.expect_sym(";")
         elif head.text == "component":
             grade = _parse_grade(cur, dim)
             cur.expect_ident("size")
-            tok = cur.peek()
-            cur.next()
-            size = int(tok.text)
+            size = cur.expect_int("component size must be an integer")
             cur.expect_sym(";")
             if grade in components:
                 raise ParseError(f"component {_grade_str(grade)} listed twice",

@@ -45,3 +45,18 @@ def test_gr_emits_readable_algebra_file():
     body = text.split("END-RESULT\n", 1)[1]
     algebra = textio.parse_graded_algebra(body)
     assert all(len(exp) == 1 for exp in algebra.structure.values())
+
+
+@pytest.mark.parametrize("body,message", [
+    ("monoid dim x;", "line 1, col 12: monoid dim must be an integer"),
+    ("monoid dim 1;\ntruncation x;", "line 2, col 12: truncation must be an integer"),
+    ("monoid dim 1;\ntruncation 3/2;", "line 2, col 12: truncation must be an integer"),
+    ("monoid dim 1;\ntruncation ;", "line 2, col 12: truncation must be an integer"),
+    ("monoid dim 1;\ncomponent 0 size x;",
+     "line 2, col 18: component size must be an integer"),
+])
+def test_graded_file_integer_fields_fail_with_position(tmp_path, body, message):
+    path = tmp_path / "bad.gr"
+    path.write_text(body + "\n")
+    code, text = run_case(["monoid-check", "--algebra", str(path), "--functional", "1"])
+    assert (code, text) == (2, f"parse_error: {message}\n")

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,8 @@ from tropval.graded import (
     monomial_poly_ring,
     zero_divisor_search,
 )
+from tropval.sl2 import ambient_degree, sl2_branching_algebra, sl2_rep_ring
+from tropval.textio import graded_algebra_to_str, parse_graded_algebra
 from tropval.trop import BOTTOM, trop
 
 F = Fraction
@@ -52,6 +55,68 @@ def test_associativity_violation_is_detected():
     with pytest.raises(AssociativityError) as err:
         GradedAlgebra(1, components, structure, 4)
     assert err.value.triple == (((1,), 0), ((1,), 0), ((2,), 0))
+
+
+BUILTINS = (
+    [(sl2_rep_ring, (n,)) for n in range(2, 9)]
+    + [(sl2_branching_algebra, (n,)) for n in range(2, 5)]
+    + [(monomial_poly_ring, (2, 5)), (monomial_poly_ring, (3, 4))]
+)
+
+
+@pytest.mark.parametrize("builder,args", BUILTINS,
+                         ids=[f"{b.__name__}{a}" for b, a in BUILTINS])
+def test_builtin_algebras_are_associative(builder, args):
+    # builders skip the construction-time check: their tables are read off
+    # an associative ring, and this test is what holds them to that
+    builder(*args)._validate_associativity()
+
+
+def test_parsed_files_keep_the_associativity_check():
+    A = sl2_branching_algebra(3)
+    assert parse_graded_algebra(graded_algebra_to_str(A)).key() == A.key()
+    pair = next(p for p in sorted(A.structure)
+                if ambient_degree(p[0][0]) == ambient_degree(p[1][0]) == 1
+                and A.structure[p])
+    A.structure[pair] = tuple((t, 2 * c) for t, c in A.structure[pair])
+    with pytest.raises(AssociativityError):
+        parse_graded_algebra(graded_algebra_to_str(A))
+
+
+def _random_functional_case(rng):
+    dim = rng.randint(1, 5)
+    rows = tuple(
+        tuple(F(rng.randint(-9, 9), rng.choice((1, 2, 3, 5, 7))) for _ in range(dim))
+        for _ in range(rng.randint(1, 5))
+    )
+    grades = [tuple(rng.randint(0, 6) for _ in range(dim)) for _ in range(8)]
+    return rows, grades
+
+
+def test_functional_values_match_a_fresh_recomputation():
+    rng = random.Random(11)
+    for _ in range(60):
+        rows, grades = _random_functional_case(rng)
+        h = LexFunctional(rows)
+        for _ in range(2):
+            for g in grades:
+                expected = tuple(sum((r * x for r, x in zip(row, g)), F(0))
+                                 for row in rows)
+                assert h.first(g) == expected[0]
+                assert h.value(g) == expected
+
+
+def test_functional_equality_ignores_evaluated_grades():
+    rng = random.Random(12)
+    for _ in range(20):
+        rows, grades = _random_functional_case(rng)
+        used, fresh = LexFunctional(rows), LexFunctional(rows)
+        for g in grades:
+            used.value(g)
+        assert used == fresh and hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh)
+        gv_used, gv_fresh = GradedValuation(used), GradedValuation(fresh)
+        assert gv_used == gv_fresh and hash(gv_used) == hash(gv_fresh)
 
 
 def test_graded_value_examples():
