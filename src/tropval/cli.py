@@ -405,11 +405,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def run(argv: list[str]) -> int:
     """Entry point used by tests: parse argv, run, return the exit code."""
-    parser = _build_parser()
+    global _parser
+    if _parser is None:  # built on first use, so importing stays cheap
+        _parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return USAGE if exc.code else PASS
     try:

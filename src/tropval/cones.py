@@ -17,8 +17,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .groebner import canonical_initial_key, buchberger, initial_ideal, \
-    MonomialOrder, same_initial_ideal
+from .groebner import HomogenizedIdeal, classify_weights, same_initial_ideal
 from .poly import Polynomial, Presentation, WeightVector
 from .valuation import (
     POINTWISE_SUM,
@@ -186,22 +185,13 @@ def scale(v: CandidateValuation, R: Fraction | int) -> CandidateValuation:
     return CandidateValuation(SCALED, v.presentation, parts=(v,), factor=R)
 
 
-def _canonical_basis(P: Presentation, w: WeightVector) -> tuple[Polynomial, ...]:
-    gens = initial_ideal(P, w)
-    if not gens:
-        return ()
-    return buchberger(gens, MonomialOrder.grevlex()).gens
-
-
 def arrow_check(P: Presentation, v: WeightVector, w: WeightVector) -> RelationVerdict:
     """Per-presentation check that in_v(in_w(I)) equals in_v(I)."""
-    inner = initial_ideal(P, w)
-    if inner:
-        P_inner = Presentation(P.ring, tuple(inner), P.coeff_valuation)
-        left = _canonical_basis(P_inner, v)
-    else:
-        left = ()
-    right = _canonical_basis(P, v)
+    H = HomogenizedIdeal(P)
+    inner, _ = H.initial(w)
+    P_inner = Presentation(P.ring, tuple(inner), P.coeff_valuation)
+    left = HomogenizedIdeal(P_inner).canonical_basis(v)
+    right = H.canonical_basis(v)
     if left == right:
         return RelationVerdict("arrow", HOLDS_CERTIFIED,
                                note="iterated initial ideal matches")
@@ -234,12 +224,8 @@ class FacetPartition:
 
 def facet_classes(P: Presentation, ws: list[WeightVector]) -> FacetPartition:
     """Partition weight vectors by equality of their initial ideals."""
-    buckets: dict[tuple, list[WeightVector]] = {}
-    for w in ws:
-        key = canonical_initial_key(P, w)
-        buckets.setdefault(key, []).append(w)
     classes = []
-    for members in buckets.values():
+    for _, members in classify_weights(P, ws):
         members.sort(key=lambda x: x.weights)
         classes.append(FacetClass(members[0], tuple(members)))
     classes.sort(key=lambda c: c.representative.weights)

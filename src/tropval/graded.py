@@ -73,10 +73,12 @@ class GradedAlgebra:
         for (b1, b2), expansion in structure.items():
             self._check_ref(b1)
             self._check_ref(b2)
-            clean = tuple(sorted(
-                ((tuple(int(x) for x in g), int(k)), Fraction(c))
-                for (g, k), c in expansion if Fraction(c) != 0
-            ))
+            terms = []
+            for (g, k), c in expansion:
+                c = Fraction(c)
+                if c != 0:
+                    terms.append(((tuple(int(x) for x in g), int(k)), c))
+            clean = tuple(sorted(terms))
             for target, _ in clean:
                 self._check_ref(target)
             self.structure[_pair_key(b1, b2)] = clean

@@ -13,11 +13,27 @@ homogenization pipeline:
   2. strip the common powers of the homogenizing variable (this saturates,
      yielding a basis of the homogenized ideal),
   3. recompute a basis for the weight-refined order, all input homogeneous,
-  4. take top-weight forms and set the homogenizing variable to 1.
+  4. take top-weight forms and set the homogenizing variable to 1,
+  5. group weights by Groebner cone.  Let G be the reduced (w,0)-refined
+     basis of the homogeneous ideal J from step 2.  If, for every g in G,
+     a second weight w' selects the same top-weight exponents of g as w,
+     then G has the same leading terms under the (w',0)-refined order, a
+     degree-wise dimension count (J is homogeneous) makes G a Groebner
+     basis for that order too, and in_(w',0)(J) = in_(w,0)(J); so the
+     initial ideals of the original ideal agree (Mora & Robbiano, "The
+     Groebner fan of an ideal", JSC 6, 1988; Fukuda, Jensen & Thomas,
+     "Computing Groebner fans", Math. Comp. 76, 2007; Sturmfels, "Groebner
+     Bases and Convex Polytopes", chs. 1-2).  `classify_weights` tests each
+     weight against the cones found so far with integer dot products and
+     runs steps 3-4 only for a weight outside all of them.  The test is
+     sufficient, not necessary: a weight that misses every cone takes the
+     full path, and equal initial ideals still merge classes.
 
-The result generates the initial ideal of the original ideal for the given
-weights.  Monomial containment is decided by saturating at the product of
-all variables via the extra-variable trick.
+Steps 1-4 yield generators of the initial ideal of the original ideal for
+the given weights.  Steps 1-2 do not depend on the weight:
+`HomogenizedIdeal` does them once per call of an entry point and keeps
+nothing across calls.  Monomial containment is decided by saturating at the
+product of all variables via the extra-variable trick.
 
 Orders compare monomials by flat integer keys: rational weights are scaled
 once per order by the LCM of their denominators, so no key computation in
@@ -363,6 +379,89 @@ def _strip_last_variable(f: Polynomial, ext: RingContext) -> Polynomial:
         ext, {e[:-1] + (e[-1] - k,): c for e, c in f.terms.items()})
 
 
+# A face of one weight-refined basis element: the exponents attaining its top
+# weight, and the remaining exponents.
+_Face = tuple[tuple[ExponentVector, ...], tuple[ExponentVector, ...]]
+
+
+def _top_split(g: Polynomial, ws: tuple[int, ...]) -> _Face:
+    """Exponents of g of top weight under the integer weights ws, and the rest."""
+    dots = {e: sum(map(mul, ws, e)) for e in g.terms}
+    best = max(dots.values())
+    return (tuple(e for e, d in dots.items() if d == best),
+            tuple(e for e, d in dots.items() if d != best))
+
+
+def _in_cone(faces: list[_Face], ws: tuple[int, ...]) -> bool:
+    """Does every basis element keep exactly its top exponents under ws?"""
+    for top, rest in faces:
+        best = sum(map(mul, ws, top[0]))
+        if any(sum(map(mul, ws, e)) != best for e in top[1:]):
+            return False
+        if any(sum(map(mul, ws, e)) >= best for e in rest):
+            return False
+    return True
+
+
+def _canonical_basis(gens: list[Polynomial]) -> tuple[Polynomial, ...]:
+    """Reduced grevlex basis of an initial ideal: its canonical form."""
+    if not gens:
+        return ()
+    return buchberger(gens, MonomialOrder.grevlex()).gens
+
+
+class HomogenizedIdeal:
+    """Steps 1 and 2 of the pipeline for one presentation, done once.
+
+    The saturated homogenized grevlex basis does not depend on the weight,
+    so an entry point that handles several weights of one presentation
+    builds one instance and reads every weight off it.  Instances live for
+    one call of such an entry point; nothing is cached across calls.
+    """
+
+    __slots__ = ("presentation", "ext", "saturated")
+
+    def __init__(self, P: Presentation):
+        self.presentation = P
+        self.ext = _extended_ring(P.ring)
+        self.saturated: list[Polynomial] = []
+        if P.ideal_gens:
+            homogenized = [_homogenize(g, self.ext) for g in P.ideal_gens]
+            g1 = buchberger(homogenized, MonomialOrder.grevlex())
+            self.saturated = [_strip_last_variable(g, self.ext) for g in g1.gens]
+
+    def order(self, w: WeightVector) -> MonomialOrder:
+        """The (w, 0)-refined order on the extended ring, w made effective."""
+        weff = self.presentation.effective_weights(w)
+        return MonomialOrder.weighted(WeightVector(weff.weights + (Fraction(0),)))
+
+    def refined_basis(self, w: WeightVector) -> GroebnerBasis:
+        """Step 3: the reduced basis for the (w, 0)-refined order."""
+        order = self.order(w)
+        if not self.saturated:
+            return GroebnerBasis((), order)
+        return buchberger(self.saturated, order)
+
+    def initial(self, w: WeightVector) -> tuple[list[Polynomial], list[_Face]]:
+        """Step 4: generators of the initial ideal at w, sorted by key.
+
+        Also returns the face of each refined basis element, the data of
+        the Groebner cone of w (step 5).
+        """
+        gb = self.refined_basis(w)
+        faces = [_top_split(g, gb.order.int_weights) for g in gb.gens]
+        gens = []
+        for g, (top, _) in zip(gb.gens, faces):
+            top_form = Polynomial._trusted(self.ext, {e: g.terms[e] for e in top})
+            gens.append(_dehomogenize(top_form, self.presentation.ring))
+        gens.sort(key=Polynomial.key)
+        return gens, faces
+
+    def canonical_basis(self, w: WeightVector) -> tuple[Polynomial, ...]:
+        """Reduced grevlex basis of the initial ideal at w."""
+        return _canonical_basis(self.initial(w)[0])
+
+
 def weight_refined_basis(P: Presentation, w: WeightVector) -> tuple[GroebnerBasis, RingContext]:
     """Basis of the homogenized ideal for the weight-refined order.
 
@@ -371,16 +470,8 @@ def weight_refined_basis(P: Presentation, w: WeightVector) -> tuple[GroebnerBasi
     realize division by a w-refined basis of the original ideal for any
     rational w, including vectors with negative entries.
     """
-    weff = P.effective_weights(w)
-    ext = _extended_ring(P.ring)
-    if not P.ideal_gens:
-        order = MonomialOrder.weighted(WeightVector(weff.weights + (Fraction(0),)))
-        return GroebnerBasis((), order), ext
-    homogenized = [_homogenize(g, ext) for g in P.ideal_gens]
-    g1 = buchberger(homogenized, MonomialOrder.grevlex())
-    saturated = [_strip_last_variable(g, ext) for g in g1.gens]
-    order = MonomialOrder.weighted(WeightVector(weff.weights + (Fraction(0),)))
-    return buchberger(saturated, order), ext
+    H = HomogenizedIdeal(P)
+    return H.refined_basis(w), H.ext
 
 
 def initial_ideal(P: Presentation, w: WeightVector) -> list[Polynomial]:
@@ -389,17 +480,7 @@ def initial_ideal(P: Presentation, w: WeightVector) -> list[Polynomial]:
     Computed as the top-weight forms of a weight-refined basis; the empty
     list is returned for the zero ideal.
     """
-    gb, ext = weight_refined_basis(P, w)
-    if not gb.gens:
-        return []
-    weff = P.effective_weights(w)
-    w_ext = WeightVector(weff.weights + (Fraction(0),))
-    out = []
-    for g in gb.gens:
-        top = initial_form(g, w_ext)
-        out.append(_dehomogenize(top, P.ring))
-    out.sort(key=lambda p: p.key())
-    return out
+    return HomogenizedIdeal(P).initial(w)[0]
 
 
 def contains_monomial(gens: list[Polynomial], ring: RingContext) -> tuple[bool, Polynomial | None]:
@@ -449,16 +530,38 @@ def _aux_name(ring: RingContext) -> str:
 
 def canonical_initial_key(P: Presentation, w: WeightVector) -> tuple:
     """Hashable canonical form of the initial ideal: its reduced grevlex basis."""
-    gens = initial_ideal(P, w)
-    if not gens:
-        return ()
-    gb = buchberger(gens, MonomialOrder.grevlex())
-    return tuple(g.key() for g in gb.gens)
+    return tuple(g.key() for g in HomogenizedIdeal(P).canonical_basis(w))
 
 
 def same_initial_ideal(P: Presentation, w1: WeightVector, w2: WeightVector) -> bool:
     """Equality of initial ideals, via reduced bases under a fixed order."""
-    return canonical_initial_key(P, w1) == canonical_initial_key(P, w2)
+    H = HomogenizedIdeal(P)
+    return H.canonical_basis(w1) == H.canonical_basis(w2)
+
+
+def classify_weights(
+    P: Presentation, ws: list[WeightVector],
+) -> list[tuple[tuple[Polynomial, ...], list[WeightVector]]]:
+    """Group weight vectors by their initial ideal, one Buchberger run per cone.
+
+    Returns one (initial-ideal generators, members) pair per class, in order
+    of first appearance; members keep input order, and the generators are
+    those of the class's first member.  A weight inside a Groebner cone
+    already found joins that cone's class without a Buchberger run (step 5).
+    """
+    H = HomogenizedIdeal(P)
+    cones: list[tuple[tuple, list[_Face]]] = []
+    classes: dict[tuple, tuple[tuple[Polynomial, ...], list[WeightVector]]] = {}
+    for w in ws:
+        ws_int = H.order(w).int_weights
+        key = next((k for k, faces in cones if _in_cone(faces, ws_int)), None)
+        if key is None:
+            gens, faces = H.initial(w)
+            key = tuple(g.key() for g in _canonical_basis(gens))
+            cones.append((key, faces))
+            classes.setdefault(key, (tuple(gens), []))
+        classes[key][1].append(w)
+    return list(classes.values())
 
 
 @dataclass(frozen=True)
@@ -479,20 +582,12 @@ def enumerate_fan(P: Presentation, box: int, denominator: int = 1) -> list[FanCl
     """
     if box < 0 or denominator <= 0:
         raise ValueError("box must be non-negative and denominator positive")
-    n = P.ring.dim
     steps = range(-box * denominator, box * denominator + 1)
-    buckets: dict[tuple, list[WeightVector]] = {}
-    canon_gens: dict[tuple, tuple[Polynomial, ...]] = {}
-    for point in itertools.product(steps, repeat=n):
-        w = WeightVector(tuple(Fraction(p, denominator) for p in point))
-        key = canonical_initial_key(P, w)
-        buckets.setdefault(key, []).append(w)
-        if key not in canon_gens:
-            canon_gens[key] = tuple(initial_ideal(P, w))
+    grid = [WeightVector(tuple(Fraction(p, denominator) for p in point))
+            for point in itertools.product(steps, repeat=P.ring.dim)]
     classes = []
-    for key, members in buckets.items():
+    for gens, members in classify_weights(P, grid):
         members.sort(key=lambda v: v.weights)
-        gens = canon_gens[key]
         free, _ = contains_monomial(list(gens), P.ring) if gens else (False, None)
         classes.append(FanClass(members[0], gens, not free, tuple(members)))
     classes.sort(key=lambda c: c.representative.weights)

@@ -2,7 +2,8 @@ from pathlib import Path
 
 import pytest
 
-from cli_corpus import CASES, USAGE_CASES, run_case
+import tropval.cli as cli
+from cli_corpus import CASES, USAGE_CASES, fixture, run_case
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -60,3 +61,26 @@ def test_graded_file_integer_fields_fail_with_position(tmp_path, body, message):
     path.write_text(body + "\n")
     code, text = run_case(["monoid-check", "--algebra", str(path), "--functional", "1"])
     assert (code, text) == (2, f"parse_error: {message}\n")
+
+
+ARGV = {name: argv for name, argv, _ in CASES + USAGE_CASES}
+VAL_DEFAULT_SAMPLES = ["val-check", "--ideal", fixture("hyperbola.ideal"),
+                       "--weight", "1 0"]
+
+
+@pytest.mark.parametrize("first,second,codes,marker", [
+    (ARGV["graded_full_counterexample"], ARGV["graded_full_counterexample"], (1, 1),
+     "witness_value: 1\n"),
+    (ARGV["unknown_verb"], ARGV["fan_line"], (2, 0), "class_count: 7"),
+    (ARGV["samples_zero"], VAL_DEFAULT_SAMPLES, (2, 1), "pairs_checked: 200"),
+], ids=["append_action_twice", "usage_error_then_valid", "samples_zero_then_default"])
+def test_reused_parser_matches_a_fresh_one(monkeypatch, first, second, codes, marker):
+    """One parser serves every call in a process; no call leaks into the next."""
+    fresh = []
+    for argv in (first, second):
+        monkeypatch.setattr(cli, "_parser", None)
+        fresh.append(run_case(argv))
+    assert tuple(code for code, _ in fresh) == codes
+    assert marker in fresh[1][1]
+    for _ in range(2):
+        assert [run_case(first), run_case(second)] == fresh

@@ -4,25 +4,36 @@ The reference order compares `Fraction` weight dot products and then the
 tie-break as nested tuples; the reference division picks the largest
 pending term with ``max`` on every step.  Both are deliberately slow and
 share no code with `tropval.groebner` beyond the data types, so they check
-the integer keys and the heap-driven normal form term for term.
+the integer keys and the heap-driven normal form term for term.  The
+reference fan classifier computes every weight's initial ideal on its own,
+so it checks that the Groebner-cone cover only skips work.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import W, load
+from conftest import FIXTURES, W, load
+from cli_corpus import run_case
+from tropval import groebner
+from tropval.cones import facet_classes
 from tropval.groebner import (
     GREVLEX,
     LEX,
     MonomialOrder,
     buchberger,
+    canonical_initial_key,
+    contains_monomial,
+    enumerate_fan,
+    initial_ideal,
     leading_term,
     normal_form,
     weight_refined_basis,
 )
-from tropval.poly import Polynomial, RingContext
+from tropval.poly import Polynomial, Presentation, RingContext
+from tropval.textio import parse_presentation
 from tropval.valuation import random_polynomial
 
 FIXTURES_WITH_RELATIONS = ("line.ideal", "hyperbola.ideal", "cubic.ideal",
@@ -173,3 +184,96 @@ def test_reduced_bases_match_sympy():
                 theirs = sympy.groebner(exprs, *symbols, order=order.tie_break)
                 assert ours == {_monic_key(_from_sympy(e, symbols, ring), order)
                                 for e in theirs.exprs}
+
+
+# -- Groebner-cone cover -----------------------------------------------------------
+
+FAN_PRESENTATIONS = sorted(p.name for p in FIXTURES.glob("*.ideal") if p.name != "bad.ideal")
+XYZ_PAIR = "ring x y z;\nideal x^2*y - z^3 + x, y^2 - x*z;\n"
+
+
+def _presentation(name: str) -> Presentation:
+    if name == "xyz_pair":
+        return parse_presentation(XYZ_PAIR).presentation
+    return load(name)
+
+
+def ref_buckets(P: Presentation, ws) -> dict[tuple, list]:
+    """Per-point classifier: every weight's canonical key on its own."""
+    buckets: dict[tuple, list] = {}
+    for w in ws:
+        buckets.setdefault(canonical_initial_key(P, w), []).append(w)
+    return buckets
+
+
+def ref_fan(P: Presentation, box: int, denominator: int) -> list[tuple]:
+    steps = range(-box * denominator, box * denominator + 1)
+    grid = [W(*(Fraction(p, denominator) for p in point))
+            for point in itertools.product(steps, repeat=P.ring.dim)]
+    classes = []
+    for members in ref_buckets(P, grid).values():
+        members.sort(key=lambda v: v.weights)
+        gens = tuple(initial_ideal(P, members[0]))
+        free = not contains_monomial(list(gens), P.ring)[0] if gens else True
+        classes.append((members[0], gens, free, tuple(members)))
+    classes.sort(key=lambda c: c[0].weights)
+    return classes
+
+
+@pytest.mark.parametrize("name", [*FAN_PRESENTATIONS, "xyz_pair"])
+def test_fan_matches_per_point_classifier(name):
+    P = _presentation(name)
+    for box, denominator in itertools.product((1, 2), (1, 2, 3)):
+        if P.ring.dim >= 3 and box * denominator > 2:
+            continue
+        got = [(c.representative, c.initial_gens, c.monomial_free, c.members)
+               for c in enumerate_fan(P, box, denominator)]
+        assert got == ref_fan(P, box, denominator), (box, denominator)
+    if name == "xyz_pair":
+        assert [len(enumerate_fan(P, 1, d)) for d in (1, 2)] == [18, 36]
+
+
+@pytest.mark.parametrize("name", [*FAN_PRESENTATIONS, "xyz_pair"])
+def test_facets_match_per_point_classifier(name):
+    P = _presentation(name)
+    rng = random.Random(name)
+    for _ in range(6):
+        ws = [W(*(Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+                  for _ in range(P.ring.dim))) for _ in range(10)]
+        ws += [ws[0], ws[1].scale(3)]  # a repeat and a scaled copy
+        rng.shuffle(ws)
+        expected = sorted(sorted(m.weights for m in members)
+                          for members in ref_buckets(P, ws).values())
+        got = sorted(sorted(m.weights for m in c.members)
+                     for c in facet_classes(P, ws).classes)
+        assert got == expected
+
+
+def _count_buchberger(monkeypatch) -> list:
+    calls = []
+    original = groebner.buchberger
+
+    def counting(gens, order):
+        calls.append(order)
+        return original(gens, order)
+
+    monkeypatch.setattr(groebner, "buchberger", counting)
+    return calls
+
+
+def test_fan_runs_buchberger_per_cone_not_per_point(cubic, monkeypatch):
+    calls = _count_buchberger(monkeypatch)
+    classes = enumerate_fan(cubic, 2, 1)
+    assert sum(len(c.members) for c in classes) == 125
+    assert len(classes) == 13
+    refined = sum(1 for order in calls if order.weights is not None)
+    assert refined < 125 // 4
+
+
+def test_repeated_fan_call_repeats_all_work(monkeypatch):
+    calls = _count_buchberger(monkeypatch)
+    argv = ["fan", "--ideal", "fixtures/cubic.ideal", "--box", "1"]
+    first = run_case(argv)
+    n_first = len(calls)
+    assert run_case(argv) == first
+    assert n_first > 0 and len(calls) == 2 * n_first
