@@ -17,6 +17,7 @@ rational row cannot totally order a higher-rank monoid.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -125,20 +126,6 @@ class GradedAlgebra:
 
     # -- validation --------------------------------------------------------
 
-    def _expansion_times_basis(self, expansion, b3: BasisRef):
-        out: Element = {}
-        for target, coeff in expansion:
-            inner = self.basis_product(target, b3)
-            if inner is None:
-                return None
-            for t2, c2 in inner:
-                s = out.get(t2, Fraction(0)) + coeff * c2
-                if s == 0:
-                    out.pop(t2, None)
-                else:
-                    out[t2] = s
-        return out
-
     def _partners(self) -> dict:
         partners: dict[BasisRef, set] = {}
         for b1, b2 in self.structure:
@@ -152,20 +139,44 @@ class GradedAlgebra:
         # Only triples whose three pairwise products are defined can be
         # checked; candidates come from partner-set intersections rather
         # than a scan over all basis triples.
-        partners = self._partners()
-        for b1, b2 in sorted(self.structure):
-            common = partners.get(b1, set()) & partners.get(b2, set())
-            e12 = self.structure[(b1, b2)]
-            for b3 in sorted(c for c in common if c >= b2):
-                e23 = self.basis_product(b2, b3)
-                e13 = self.basis_product(b1, b3)
-                p12_3 = self._expansion_times_basis(e12, b3)
-                p23_1 = self._expansion_times_basis(e23, b1)
-                p13_2 = self._expansion_times_basis(e13, b2)
-                if p12_3 is None or p23_1 is None or p13_2 is None:
-                    continue
-                if p12_3 != p23_1 or p12_3 != p13_2:
-                    raise AssociativityError((b1, b2, b3))
+        #
+        # Each side is a sum of products of two structure constants, so the
+        # check runs on a local copy of the table with basis elements
+        # numbered in sorted order and every constant scaled by D, the lcm
+        # of their denominators: every side is then scaled by D^2, which
+        # keeps the comparison exact with integer arithmetic only.
+        refs = self.basis()
+        number = {ref: i for i, ref in enumerate(refs)}
+        scale = math.lcm(*{c.denominator for exp in self.structure.values()
+                           for _, c in exp})
+        table: list[dict[int, tuple]] = [{} for _ in refs]
+        for (b1, b2), expansion in self.structure.items():
+            i, j = number[b1], number[b2]
+            row = tuple((number[t], c.numerator * (scale // c.denominator))
+                        for t, c in expansion)
+            table[i][j] = table[j][i] = row
+
+        def times(expansion: tuple, b: int) -> dict | None:
+            out: dict[int, int] = {}
+            for t, c in expansion:
+                inner = table[t].get(b)
+                if inner is None:
+                    return None
+                for t2, c2 in inner:
+                    out[t2] = out.get(t2, 0) + c * c2
+            return {t: c for t, c in out.items() if c}
+
+        for b1, row in enumerate(table):
+            for b2 in sorted(j for j in row if j >= b1):
+                common = row.keys() & table[b2].keys()
+                for b3 in sorted(k for k in common if k >= b2):
+                    p12_3 = times(row[b2], b3)
+                    p23_1 = times(table[b2][b3], b1)
+                    p13_2 = times(row[b3], b2)
+                    if p12_3 is None or p23_1 is None or p13_2 is None:
+                        continue
+                    if not p12_3 == p23_1 == p13_2:
+                        raise AssociativityError((refs[b1], refs[b2], refs[b3]))
 
     def key(self) -> tuple:
         return (

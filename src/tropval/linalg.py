@@ -11,6 +11,9 @@ def solve_linear(columns: list[dict], target: dict) -> list[Fraction] | None:
     Columns and target are sparse vectors (mapping -> Fraction) over any
     hashable row index set.  Free variables are set to zero.
     """
+    support = {k for col in columns for k, v in col.items() if v != 0}
+    if any(v != 0 and k not in support for k, v in target.items()):
+        return None  # that coordinate's equation reads 0 = nonzero
     rows = sorted({k for col in columns for k in col} | set(target),
                   key=lambda k: (repr(type(k)), repr(k)))
     row_index = {k: i for i, k in enumerate(rows)}

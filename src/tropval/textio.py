@@ -23,6 +23,12 @@ statement::
 
 Structure entries are stored symmetrically; a pair may be written in either
 order, and ``= 0;`` records a vanishing product.
+
+A token is its matched string, found by one regex scan; ``""`` marks end
+of input and the kind follows from the first character.  Tokens carry no
+position: when a `ParseError` is raised, the text is rescanned up to the
+failing token to give its line and column.  Parenthesized expressions
+nest at most 200 levels deep.
 """
 
 from __future__ import annotations
@@ -57,93 +63,117 @@ class UnknownVariableError(ParseError):
 
 
 _TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<comment>\#[^\n]*)
-  | (?P<number>\d+(?:/\d+)?)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<sym>[-+*^();,:=])
-    """,
-    re.VERBOSE,
+    r"\#[^\n]*"                     # comment, dropped after the scan
+    r"|\d+(?:/\d+)?"                # number
+    r"|[A-Za-z_][A-Za-z0-9_]*"      # ident
+    r"|[-+*^();,:=]"                # sym
+    r"|\S"                          # anything else is an unexpected character
 )
+_SYMS = frozenset("-+*^();,:=")
+_IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+_MAX_NESTING = 200
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # number | ident | sym | eof
-    text: str
-    line: int
-    col: int
+def _offset(text: str, index: int) -> int:
+    """Character offset of token ``index`` of ``tokenize(text)``."""
+    k = 0
+    for m in _TOKEN_RE.finditer(text):
+        if m.group()[0] == "#":
+            continue
+        if k == index:
+            return m.start()
+        k += 1
+    return len(text)  # the end-of-input token
 
 
-def tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        chunk = m.group(0)
-        kind = m.lastgroup
-        if kind not in ("ws", "comment"):
-            tokens.append(Token(kind, chunk, line, col))
-        newlines = chunk.count("\n")
-        if newlines:
-            line += newlines
-            col = len(chunk) - chunk.rfind("\n")
-        else:
-            col += len(chunk)
-        pos = m.end()
-    tokens.append(Token("eof", "", line, col))
+def _located(cls, message: str, text: str, index: int) -> ParseError:
+    pos = _offset(text, index)
+    return cls(message, text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos))
+
+
+def tokenize(text: str) -> list[str]:
+    """Token strings of ``text``, ending with ``""`` for end of input.
+
+    A token's kind follows from its first character: a decimal digit
+    starts a number, a symbol character is a sym, anything else is an
+    identifier.  Positions are not kept; `_offset` rescans on error.
+    """
+    tokens = _TOKEN_RE.findall(text)
+    if "#" in text:
+        tokens = [tok for tok in tokens if tok[0] != "#"]
+    bad = {tok for tok in set(tokens) if len(tok) == 1 and tok not in _SYMS
+           and tok not in _IDENT_START and not tok.isdecimal()}
+    if bad:
+        i = next(i for i, tok in enumerate(tokens) if tok in bad)
+        raise _located(ParseError, f"unexpected character {tokens[i]!r}", text, i)
+    tokens.append("")
     return tokens
 
 
-class _Cursor:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
-        self.i = 0
+def _found(tok: str) -> str:
+    return repr(tok or "end of input")
 
-    def peek(self) -> Token:
+
+class _Cursor:
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = tokenize(text)
+        self.i = 0
+        self.depth = 0  # open parentheses in the current expression
+
+    def peek(self) -> str:
         return self.tokens[self.i]
 
-    def next(self) -> Token:
+    def next(self) -> str:
         tok = self.tokens[self.i]
-        if tok.kind != "eof":
+        if tok:
             self.i += 1
         return tok
 
-    def expect_sym(self, sym: str) -> Token:
-        tok = self.peek()
-        if tok.kind != "sym" or tok.text != sym:
-            raise ParseError(f"expected {sym!r}, found {tok.text or 'end of input'!r}",
-                             tok.line, tok.col)
-        return self.next()
+    def error(self, message: str, at: int | None = None,
+              cls: type[ParseError] = ParseError) -> ParseError:
+        """A ParseError located at token ``at`` (default: the current one)."""
+        return _located(cls, message, self.text, self.i if at is None else at)
+
+    def expect_sym(self, sym: str) -> str:
+        tok = self.tokens[self.i]
+        if tok != sym:
+            raise self.error(f"expected {sym!r}, found {_found(tok)}")
+        self.i += 1
+        return tok
 
     def expect_int(self, message: str) -> int:
         """Consume a non-negative integer literal, else fail with message."""
-        tok = self.peek()
-        if tok.kind != "number" or "/" in tok.text:
-            raise ParseError(message, tok.line, tok.col)
-        self.next()
-        return int(tok.text)
+        tok = self.tokens[self.i]
+        if not tok.isdecimal():
+            raise self.error(message)
+        self.i += 1
+        return int(tok)
 
-    def expect_ident(self, word: str | None = None) -> Token:
-        tok = self.peek()
-        if tok.kind != "ident" or (word is not None and tok.text != word):
-            want = word or "identifier"
-            raise ParseError(f"expected {want!r}, found {tok.text or 'end of input'!r}",
-                             tok.line, tok.col)
-        return self.next()
+    def expect_ident(self, word: str | None = None) -> str:
+        tok = self.tokens[self.i]
+        if tok[:1] not in _IDENT_START or (word is not None and tok != word):
+            raise self.error(f"expected {word or 'identifier'!r}, found {_found(tok)}")
+        self.i += 1
+        return tok
 
     def at_sym(self, sym: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "sym" and tok.text == sym
+        return self.tokens[self.i] == sym
+
+    def at_number(self) -> bool:
+        return self.tokens[self.i][:1].isdecimal()
+
+    def at_ident(self) -> bool:
+        return self.tokens[self.i][:1] in _IDENT_START
+
+    def lookahead(self) -> str:
+        """The token after the current one (not at end of input)."""
+        return self.tokens[self.i + 1]
 
     def expect_eof(self) -> None:
-        tok = self.peek()
-        if tok.kind != "eof":
-            raise ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.col)
+        tok = self.tokens[self.i]
+        if tok:
+            raise self.error(f"unexpected trailing input {tok!r}")
 
 
 # -- polynomial expressions --------------------------------------------------
@@ -159,7 +189,7 @@ def _parse_expr(cur: _Cursor, ring: RingContext) -> Polynomial:
     if negate:
         acc = -acc
     while cur.at_sym("+") or cur.at_sym("-"):
-        op = cur.next().text
+        op = cur.next()
         term = _parse_term(cur, ring)
         acc = acc + (-term if op == "-" else term)
     return acc
@@ -185,26 +215,31 @@ def _parse_factor(cur: _Cursor, ring: RingContext) -> Polynomial:
 
 def _parse_atom(cur: _Cursor, ring: RingContext) -> Polynomial:
     tok = cur.peek()
-    if tok.kind == "number":
+    if cur.at_number():
         cur.next()
-        return Polynomial.constant(ring, Fraction(tok.text))
-    if tok.kind == "ident":
-        if tok.text not in ring.variables:
-            raise UnknownVariableError(f"unknown variable {tok.text!r}", tok.line, tok.col)
+        return Polynomial.constant(ring, Fraction(tok))
+    if cur.at_ident():
+        if tok not in ring.variables:
+            raise cur.error(f"unknown variable {tok!r}", cls=UnknownVariableError)
         cur.next()
-        return Polynomial.variable(ring, tok.text)
-    if tok.kind == "sym" and tok.text == "(":
+        return Polynomial.variable(ring, tok)
+    if tok == "(":
+        # Each level costs four stack frames; the bound keeps deep input
+        # a located parse error instead of a RecursionError.
+        if cur.depth == _MAX_NESTING:
+            raise cur.error(f"parentheses nested deeper than {_MAX_NESTING} levels")
+        cur.depth += 1
         cur.next()
         inner = _parse_expr(cur, ring)
         cur.expect_sym(")")
+        cur.depth -= 1
         return inner
-    raise ParseError(f"expected a polynomial atom, found {tok.text or 'end of input'!r}",
-                     tok.line, tok.col)
+    raise cur.error(f"expected a polynomial atom, found {_found(tok)}")
 
 
 def parse_poly(ring: RingContext, text: str) -> Polynomial:
     """Parse a polynomial expression over a known ring."""
-    cur = _Cursor(tokenize(text))
+    cur = _Cursor(text)
     p = _parse_expr(cur, ring)
     cur.expect_eof()
     return p
@@ -212,7 +247,7 @@ def parse_poly(ring: RingContext, text: str) -> Polynomial:
 
 def parse_ring(text: str) -> RingContext:
     """Parse a full ``ring x y z ;`` statement."""
-    cur = _Cursor(tokenize(text))
+    cur = _Cursor(text)
     ring = _parse_ring_statement(cur)
     cur.expect_eof()
     return ring
@@ -221,15 +256,13 @@ def parse_ring(text: str) -> RingContext:
 def _parse_ring_statement(cur: _Cursor) -> RingContext:
     cur.expect_ident("ring")
     names: list[str] = []
-    while cur.peek().kind == "ident":
-        tok = cur.next()
-        if tok.text in names:
-            raise DuplicateVariableError(f"duplicate variable {tok.text!r}",
-                                         tok.line, tok.col)
-        names.append(tok.text)
-    if not names:
+    while cur.at_ident():
         tok = cur.peek()
-        raise ParseError("ring statement needs at least one variable", tok.line, tok.col)
+        if tok in names:
+            raise cur.error(f"duplicate variable {tok!r}", cls=DuplicateVariableError)
+        names.append(cur.next())
+    if not names:
+        raise cur.error("ring statement needs at least one variable")
     cur.expect_sym(";")
     return RingContext(tuple(names))
 
@@ -241,19 +274,16 @@ def _parse_signed_rational(cur: _Cursor) -> Fraction:
         sign = -1
     elif cur.at_sym("+"):
         cur.next()
-    tok = cur.peek()
-    if tok.kind != "number":
-        raise ParseError(f"expected a rational number, found {tok.text or 'end of input'!r}",
-                         tok.line, tok.col)
-    cur.next()
-    return sign * Fraction(tok.text)
+    if not cur.at_number():
+        raise cur.error(f"expected a rational number, found {_found(cur.peek())}")
+    return sign * Fraction(cur.next())
 
 
 def parse_weights(text: str) -> WeightVector:
     """Parse a bare whitespace-separated list of rationals."""
-    cur = _Cursor(tokenize(text))
+    cur = _Cursor(text)
     ws: list[Fraction] = []
-    while cur.peek().kind != "eof":
+    while cur.peek():
         ws.append(_parse_signed_rational(cur))
     if not ws:
         raise ParseError("empty weight vector", 1, 1)
@@ -276,22 +306,21 @@ class ParsedInput:
 
 def parse_presentation(text: str) -> ParsedInput:
     """Parse a presentation file: ring, ideal, weight, coeffval statements."""
-    cur = _Cursor(tokenize(text))
+    cur = _Cursor(text)
     ring: RingContext | None = None
     gens: list[Polynomial] = []
     weights: list[WeightVector] = []
     coeffs = TRIVIAL_COEFFS
-    while cur.peek().kind != "eof":
-        tok = cur.peek()
-        if tok.kind != "ident":
-            raise ParseError(f"expected a statement keyword, found {tok.text!r}",
-                             tok.line, tok.col)
-        if tok.text == "ring":
+    while cur.peek():
+        tok, at = cur.peek(), cur.i
+        if not cur.at_ident():
+            raise cur.error(f"expected a statement keyword, found {tok!r}")
+        if tok == "ring":
             ring = _parse_ring_statement(cur)
             continue
         if ring is None:
-            raise ParseError("a ring statement must come first", tok.line, tok.col)
-        if tok.text == "ideal":
+            raise cur.error("a ring statement must come first")
+        if tok == "ideal":
             cur.next()
             while True:
                 gens.append(_parse_expr(cur, ring))
@@ -300,35 +329,33 @@ def parse_presentation(text: str) -> ParsedInput:
                     continue
                 break
             cur.expect_sym(";")
-        elif tok.text == "weight":
+        elif tok == "weight":
             cur.next()
             ws: list[Fraction] = []
             while not cur.at_sym(";"):
                 ws.append(_parse_signed_rational(cur))
             cur.expect_sym(";")
             if len(ws) != ring.dim:
-                raise ParseError(
-                    f"weight vector has {len(ws)} entries, ring has {ring.dim}",
-                    tok.line, tok.col)
+                raise cur.error(
+                    f"weight vector has {len(ws)} entries, ring has {ring.dim}", at)
             weights.append(WeightVector(tuple(ws)))
-        elif tok.text == "coeffval":
+        elif tok == "coeffval":
             cur.next()
             head = cur.expect_ident()
-            if head.text == "trivial":
+            if head == "trivial":
                 coeffs = TRIVIAL_COEFFS
-            elif head.text == "tadic":
+            elif head == "tadic":
                 var = cur.expect_ident()
-                if var.text not in ring.variables:
-                    raise UnknownVariableError(f"unknown variable {var.text!r}",
-                                               var.line, var.col)
+                if var not in ring.variables:
+                    raise cur.error(f"unknown variable {var!r}", cur.i - 1,
+                                    UnknownVariableError)
                 weight = _parse_signed_rational(cur)
-                coeffs = CoeffValuation("tadic", ring.index(var.text), weight)
+                coeffs = CoeffValuation("tadic", ring.index(var), weight)
             else:
-                raise ParseError(f"unknown coefficient valuation {head.text!r}",
-                                 head.line, head.col)
+                raise cur.error(f"unknown coefficient valuation {head!r}", cur.i - 1)
             cur.expect_sym(";")
         else:
-            raise ParseError(f"unknown statement {tok.text!r}", tok.line, tok.col)
+            raise cur.error(f"unknown statement {tok!r}")
     if ring is None:
         raise ParseError("input contains no ring statement", 1, 1)
     return ParsedInput(ring, tuple(gens), tuple(weights), coeffs)
@@ -432,9 +459,7 @@ def _parse_grade(cur: _Cursor, dim: int) -> tuple[int, ...]:
             continue
         break
     if len(entries) != dim:
-        tok = cur.peek()
-        raise ParseError(f"grade has {len(entries)} entries, monoid dim is {dim}",
-                         tok.line, tok.col)
+        raise cur.error(f"grade has {len(entries)} entries, monoid dim is {dim}")
     return tuple(entries)
 
 
@@ -451,70 +476,66 @@ def parse_graded_algebra(text: str):
     """Parse the graded-algebra file format and validate the result."""
     from .graded import GradedAlgebra
 
-    cur = _Cursor(tokenize(text))
+    cur = _Cursor(text)
     dim: int | None = None
     truncation: int | None = None
     components: dict[tuple[int, ...], int] = {}
     structure: dict = {}
-    while cur.peek().kind != "eof":
+    while cur.peek():
+        at = cur.i
         head = cur.expect_ident()
-        if head.text == "monoid":
+        if head == "monoid":
             cur.expect_ident("dim")
             dim = cur.expect_int("monoid dim must be an integer")
             cur.expect_sym(";")
             continue
         if dim is None:
-            raise ParseError("the monoid dim statement must come first",
-                             head.line, head.col)
-        if head.text == "truncation":
+            raise cur.error("the monoid dim statement must come first", at)
+        if head == "truncation":
             truncation = cur.expect_int("truncation must be an integer")
             cur.expect_sym(";")
-        elif head.text == "component":
+        elif head == "component":
             grade = _parse_grade(cur, dim)
             cur.expect_ident("size")
             size = cur.expect_int("component size must be an integer")
             cur.expect_sym(";")
             if grade in components:
-                raise ParseError(f"component {_grade_str(grade)} listed twice",
-                                 head.line, head.col)
+                raise cur.error(f"component {_grade_str(grade)} listed twice", at)
             components[grade] = size
-        elif head.text == "mult":
+        elif head == "mult":
             left = _parse_basis_ref(cur, dim)
             cur.expect_sym("*")
             right = _parse_basis_ref(cur, dim)
             cur.expect_sym("=")
             expansion: list = []
-            if cur.peek().kind == "number" and cur.peek().text == "0" and \
-                    cur.tokens[cur.i + 1].kind == "sym" and cur.tokens[cur.i + 1].text == ";":
+            if cur.peek() == "0" and cur.lookahead() == ";":
                 cur.next()
             else:
-                sign = Fraction(1)
+                sign = 1
                 if cur.at_sym("-"):
                     cur.next()
-                    sign = Fraction(-1)
+                    sign = -1
                 while True:
-                    tok = cur.peek()
-                    if tok.kind != "number":
-                        raise ParseError("expected a coefficient", tok.line, tok.col)
-                    cur.next()
-                    coeff = sign * Fraction(tok.text)
+                    if not cur.at_number():
+                        raise cur.error("expected a coefficient")
+                    coeff = sign * Fraction(cur.next())
                     cur.expect_sym("*")
                     target = _parse_basis_ref(cur, dim)
                     expansion.append((target, coeff))
                     if cur.at_sym("+"):
                         cur.next()
-                        sign = Fraction(1)
+                        sign = 1
                         continue
                     if cur.at_sym("-"):
                         cur.next()
-                        sign = Fraction(-1)
+                        sign = -1
                         continue
                     break
             cur.expect_sym(";")
             key = (left, right) if left <= right else (right, left)
             structure[key] = tuple(sorted(expansion))
         else:
-            raise ParseError(f"unknown statement {head.text!r}", head.line, head.col)
+            raise cur.error(f"unknown statement {head!r}", at)
     if dim is None:
         raise ParseError("input contains no monoid statement", 1, 1)
     if truncation is None:
@@ -543,31 +564,30 @@ def parse_functional(text: str, dim: int):
 
 def parse_graded_element(algebra, text: str):
     """Parse ``c*(g1,..,gk:i) + ...`` into an element mapping of the algebra."""
-    cur = _Cursor(tokenize(text))
+    cur = _Cursor(text)
     element: dict = {}
-    sign = Fraction(1)
+    sign = 1
     if cur.at_sym("-"):
         cur.next()
-        sign = Fraction(-1)
+        sign = -1
     while True:
-        tok = cur.peek()
-        if tok.kind == "number":
-            cur.next()
-            coeff = sign * Fraction(tok.text)
+        at = cur.i
+        if cur.at_number():
+            coeff = sign * Fraction(cur.next())
             cur.expect_sym("*")
         else:
-            coeff = sign
+            coeff = Fraction(sign)
         ref = _parse_basis_ref(cur, algebra.monoid_dim)
         if ref[0] not in algebra.components or not (0 <= ref[1] < algebra.components[ref[0]]):
-            raise ParseError(f"unknown basis element {_basis_str(ref)}", tok.line, tok.col)
+            raise cur.error(f"unknown basis element {_basis_str(ref)}", at)
         element[ref] = element.get(ref, Fraction(0)) + coeff
         if cur.at_sym("+"):
             cur.next()
-            sign = Fraction(1)
+            sign = 1
             continue
         if cur.at_sym("-"):
             cur.next()
-            sign = Fraction(-1)
+            sign = -1
             continue
         break
     cur.expect_eof()

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -61,6 +64,19 @@ def test_graded_file_integer_fields_fail_with_position(tmp_path, body, message):
     path.write_text(body + "\n")
     code, text = run_case(["monoid-check", "--algebra", str(path), "--functional", "1"])
     assert (code, text) == (2, f"parse_error: {message}\n")
+
+
+def test_deeply_nested_ideal_is_a_located_parse_error(tmp_path):
+    path = tmp_path / "deep.ideal"
+    path.write_text("ring x y;\nideal " + "(" * 3000 + "x" + ")" * 3000 + ";\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-m", "tropval", "parse", "--input", str(path)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    # The 201st "(" opens at col 6 + 201 of line 2.
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "parse_error: line 2, col 207: parentheses nested deeper than 200 levels\n", "")
 
 
 ARGV = {name: argv for name, argv, _ in CASES + USAGE_CASES}

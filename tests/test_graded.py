@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from tropval.graded import (
     monomial_poly_ring,
     zero_divisor_search,
 )
+from tropval.linalg import solve_linear
 from tropval.sl2 import ambient_degree, sl2_branching_algebra, sl2_rep_ring
 from tropval.textio import graded_algebra_to_str, parse_graded_algebra
 from tropval.trop import BOTTOM, trop
@@ -81,6 +83,198 @@ def test_parsed_files_keep_the_associativity_check():
     A.structure[pair] = tuple((t, 2 * c) for t, c in A.structure[pair])
     with pytest.raises(AssociativityError):
         parse_graded_algebra(graded_algebra_to_str(A))
+
+
+def _fraction_first_failure(A):
+    """The associativity check in Fraction arithmetic: first failing triple."""
+    def times(expansion, b):
+        out = {}
+        for t, c in expansion:
+            inner = A.basis_product(t, b)
+            if inner is None:
+                return None
+            for t2, c2 in inner:
+                out[t2] = out.get(t2, F(0)) + c * c2
+        return {t: c for t, c in out.items() if c != 0}
+
+    partners = {}
+    for b1, b2 in A.structure:
+        partners.setdefault(b1, set()).add(b2)
+        partners.setdefault(b2, set()).add(b1)
+    for b1, b2 in sorted(A.structure):
+        for b3 in sorted(c for c in partners[b1] & partners[b2] if c >= b2):
+            sides = [times(A.basis_product(x, y), z)
+                     for x, y, z in ((b1, b2, b3), (b2, b3, b1), (b1, b3, b2))]
+            if None not in sides and not sides[0] == sides[1] == sides[2]:
+                return (b1, b2, b3)
+    return None
+
+
+def _integer_check_failure(A):
+    try:
+        A._validate_associativity()
+    except AssociativityError as err:
+        return err.triple
+    return None
+
+
+def _changed_basis_ring(rng, truncation):
+    """k[x, y] graded by degree, in a random upper-triangular rational basis.
+
+    Basis element k of degree d is sum_m B_d[k][m] * x^m y^(d-m); the table
+    is associative, and its constants have denominators other than 1.
+    """
+    def entry():
+        return F(rng.choice((-5, -3, -2, -1, 1, 2, 4)), rng.choice((1, 2, 3, 5, 6)))
+
+    change = {d: [{m: (entry() if m == k else rng.choice((F(0), entry())))
+                   for m in range(k, d + 1)} for k in range(d + 1)]
+              for d in range(truncation + 1)}
+
+    def coordinates(d, monomial_vector):
+        # back-substitution: v_m = sum_{k <= m} c_k * B_d[k][m]
+        c = []
+        for m in range(d + 1):
+            rest = monomial_vector.get(m, F(0)) - sum(
+                (c[k] * change[d][k][m] for k in range(m)), F(0))
+            c.append(rest / change[d][m][m])
+        return c
+
+    structure = {}
+    for a in range(truncation + 1):
+        for b in range(a, truncation + 1 - a):
+            for i in range(a + 1):
+                for j in range(b + 1):
+                    v = {}
+                    for m, cm in change[a][i].items():
+                        for n, cn in change[b][j].items():
+                            v[m + n] = v.get(m + n, F(0)) + cm * cn
+                    coords = coordinates(a + b, v)
+                    structure[(((a,), i), ((b,), j))] = tuple(
+                        (((a + b,), k), c) for k, c in enumerate(coords) if c != 0)
+    components = {(d,): d + 1 for d in range(truncation + 1)}
+    return components, structure
+
+
+def _perturbed(rng, structure):
+    structure = dict(structure)
+    key = rng.choice(sorted(structure))
+    expansion = list(structure[key])
+    move = rng.randrange(3)
+    if move == 0 and expansion:
+        k = rng.randrange(len(expansion))
+        expansion[k] = (expansion[k][0], 2 * expansion[k][1])
+    elif move == 1:
+        grade = tuple(x + y for x, y in zip(key[0][0], key[1][0]))
+        target = (grade, rng.randrange(grade[0] + 1))
+        expansion = [(t, c) for t, c in expansion if t != target]
+        expansion.append((target, F(rng.choice((-1, 1)), rng.choice((2, 3)))))
+    else:
+        expansion = []
+    structure[key] = tuple(sorted(expansion))
+    return structure
+
+
+def _random_table(rng, truncation):
+    components = {(d,): rng.randint(1, 2) for d in range(truncation + 1)}
+    structure = {}
+    for a in range(truncation + 1):
+        for b in range(a, truncation + 1 - a):
+            for i in range(components[(a,)]):
+                for j in range(components[(b,)]):
+                    if a == b and j < i:
+                        continue
+                    targets = [((a + b,), k) for k in range(components[(a + b,)])]
+                    structure[(((a,), i), ((b,), j))] = tuple(
+                        (t, F(rng.randint(-3, 3), rng.choice((1, 2, 4))))
+                        for t in targets if rng.random() < 0.7)
+    return components, structure
+
+
+def test_integer_associativity_check_matches_fraction_arithmetic():
+    rng = random.Random(5)
+    verdicts, scaled = [], 0
+    for n in range(90):
+        truncation = rng.randint(2, 4)
+        if n % 3 == 2:
+            components, structure = _random_table(rng, truncation)
+        else:
+            components, structure = _changed_basis_ring(rng, truncation)
+            if n % 3 == 1:
+                structure = _perturbed(rng, structure)
+        A = GradedAlgebra(1, components, structure, truncation, validate=False)
+        denominators = {c.denominator for exp in A.structure.values() for _, c in exp}
+        scaled += max(denominators, default=1) > 1
+        expected = _fraction_first_failure(A)
+        assert _integer_check_failure(A) == expected
+        if n % 3 == 0:
+            assert expected is None
+        verdicts.append(expected is None)
+    assert 20 < sum(verdicts) < 80 and scaled > 80
+
+
+def _ref_str(ref):
+    grade, idx = ref
+    return f"({','.join(map(str, grade))}:{idx})"
+
+
+def test_doubled_entry_in_an_emitted_file_is_rejected():
+    A = sl2_branching_algebra(3)
+    pair = next(p for p in sorted(A.structure)
+                if ambient_degree(p[0][0]) == ambient_degree(p[1][0]) == 1
+                and A.structure[p])
+    head = f"mult {_ref_str(pair[0])}*{_ref_str(pair[1])} ="
+    lines = graded_algebra_to_str(A).splitlines()
+    k = next(i for i, line in enumerate(lines) if line.startswith(head))
+    lines[k] = head + re.sub(r"(\d+(?:/\d+)?)\*\(",
+                             lambda m: f"{2 * F(m.group(1))}*(", lines[k][len(head):])
+    with pytest.raises(AssociativityError) as err:
+        parse_graded_algebra("\n".join(lines) + "\n")
+    structure = dict(A.structure)
+    structure[pair] = tuple((t, 2 * c) for t, c in structure[pair])
+    oracle = GradedAlgebra(A.monoid_dim, A.components, structure, A.truncation,
+                           validate=False)
+    assert err.value.triple == _fraction_first_failure(oracle) is not None
+
+
+def _rank(rows):
+    rows = [list(r) for r in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col] != 0:
+                f = rows[r][col] / rows[rank][col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def test_solve_linear_matches_a_rank_test():
+    rng = random.Random(8)
+    keys = [((g,), i) for g in range(3) for i in range(2)]
+    outcomes = set()
+    for _ in range(300):
+        columns = [{k: F(rng.randint(-3, 3), rng.choice((1, 2)))
+                    for k in rng.sample(keys[:4], rng.randint(0, 3))}
+                   for _ in range(rng.randint(0, 3))]
+        target = {k: F(rng.randint(-2, 2)) for k in rng.sample(keys, rng.randint(0, 3))}
+        solution = solve_linear(columns, target)
+        matrix = [[col.get(k, F(0)) for col in columns] for k in keys]
+        augmented = [row + [target.get(k, F(0))] for row, k in zip(matrix, keys)]
+        solvable = _rank(matrix) == _rank(augmented)
+        assert (solution is not None) == solvable
+        if solution is not None:
+            for k in keys:
+                assert sum((x * col.get(k, F(0)) for x, col in zip(solution, columns)),
+                           F(0)) == target.get(k, F(0))
+        outside = any(v != 0 and all(col.get(k, 0) == 0 for col in columns)
+                      for k, v in target.items())
+        outcomes.add((solvable, outside))
+    assert outcomes == {(True, False), (False, False), (False, True)}
 
 
 def _random_functional_case(rng):

@@ -1,15 +1,22 @@
+import random
+import re
+from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tropval.textio as textio
 from tropval.poly import Polynomial, Presentation, RingContext, RingMismatchError
 from tropval.textio import (
     DuplicateVariableError,
     ParseError,
     UnknownVariableError,
     ParsedInput,
+    parse_graded_algebra,
+    parse_graded_element,
     parse_poly,
     parse_presentation,
     parse_ring,
@@ -53,6 +60,14 @@ def test_parse_error_carries_position():
         parse_poly(XY, "x +\n* y")
     assert err.value.line == 2
     assert err.value.col == 1
+
+
+def test_parenthesis_nesting_is_bounded():
+    deepest = "(" * 200 + "x" + ")" * 200
+    assert parse_poly(XY, deepest) == parse_poly(XY, "x")
+    with pytest.raises(ParseError) as err:
+        parse_poly(XY, "x +\n" + "(" * 201 + "y" + ")" * 201)
+    assert str(err.value) == "line 2, col 201: parentheses nested deeper than 200 levels"
 
 
 def test_arithmetic_examples():
@@ -141,3 +156,201 @@ def test_ring_axioms(f, g, h):
     assert (f + g) + h == f + (g + h)
     assert (f * g) * h == f * (g * h)
     assert f * (g + h) == f * g + f * h
+
+
+# -- differential test against the previous tokenizer -------------------------
+#
+# The parser used to run on frozen Token objects that carried their kind,
+# line and column.  This copy of that tokenizer and cursor serves the
+# cursor interface the parser uses now, so every input can be parsed with
+# both and the results (or exception classes and messages) compared.
+
+_OLD_TOKEN_RE = re.compile(
+    r"""
+    (?P<ws>\s+)
+  | (?P<comment>\#[^\n]*)
+  | (?P<number>\d+(?:/\d+)?)
+  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<sym>[-+*^();,:=])
+    """,
+    re.VERBOSE,
+)
+
+
+@dataclass(frozen=True)
+class OldToken:
+    kind: str  # number | ident | sym | eof
+    text: str
+    line: int
+    col: int
+
+
+def old_tokenize(text: str) -> list[OldToken]:
+    tokens: list[OldToken] = []
+    line, col = 1, 1
+    pos = 0
+    while pos < len(text):
+        m = _OLD_TOKEN_RE.match(text, pos)
+        if m is None:
+            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+        chunk = m.group(0)
+        kind = m.lastgroup
+        if kind not in ("ws", "comment"):
+            tokens.append(OldToken(kind, chunk, line, col))
+        newlines = chunk.count("\n")
+        if newlines:
+            line += newlines
+            col = len(chunk) - chunk.rfind("\n")
+        else:
+            col += len(chunk)
+        pos = m.end()
+    tokens.append(OldToken("eof", "", line, col))
+    return tokens
+
+
+class OldCursor:
+    def __init__(self, text: str):
+        self.tokens = old_tokenize(text)
+        self.i = 0
+        self.depth = 0
+
+    def peek(self) -> str:
+        return self.tokens[self.i].text
+
+    def next(self) -> str:
+        tok = self.tokens[self.i]
+        if tok.kind != "eof":
+            self.i += 1
+        return tok.text
+
+    def lookahead(self) -> str:
+        return self.tokens[self.i + 1].text
+
+    def error(self, message, at=None, cls=ParseError):
+        tok = self.tokens[self.i if at is None else at]
+        return cls(message, tok.line, tok.col)
+
+    def expect_sym(self, sym: str) -> str:
+        tok = self.tokens[self.i]
+        if tok.kind != "sym" or tok.text != sym:
+            raise self.error(f"expected {sym!r}, found {tok.text or 'end of input'!r}")
+        return self.next()
+
+    def expect_int(self, message: str) -> int:
+        tok = self.tokens[self.i]
+        if tok.kind != "number" or "/" in tok.text:
+            raise self.error(message)
+        self.next()
+        return int(tok.text)
+
+    def expect_ident(self, word=None) -> str:
+        tok = self.tokens[self.i]
+        if tok.kind != "ident" or (word is not None and tok.text != word):
+            want = word or "identifier"
+            raise self.error(f"expected {want!r}, found {tok.text or 'end of input'!r}")
+        return self.next()
+
+    def at_sym(self, sym: str) -> bool:
+        tok = self.tokens[self.i]
+        return tok.kind == "sym" and tok.text == sym
+
+    def at_number(self) -> bool:
+        return self.tokens[self.i].kind == "number"
+
+    def at_ident(self) -> bool:
+        return self.tokens[self.i].kind == "ident"
+
+    def expect_eof(self) -> None:
+        tok = self.tokens[self.i]
+        if tok.kind != "eof":
+            raise self.error(f"unexpected trailing input {tok.text!r}")
+
+
+SMALL_GRADED = (
+    "# x graded by degree, truncated at 2\n"
+    "monoid dim 1;\n"
+    "truncation 2;\n"
+    "component 0 size 1;\n"
+    "component 1 size 1;\n"
+    "component 2 size 1;\n"
+    "mult (0:0)*(0:0) = 1*(0:0);\n"
+    "mult (0:0)*(1:0) = 1*(1:0);\n"
+    "mult (2:0)*(0:0) = 1*(2:0);\n"
+    "mult (1:0)*(1:0) = -1/2*(2:0);\n"
+    "mult (1:0)*(2:0) = 0;\n"
+)
+SMALL_ALGEBRA = parse_graded_algebra(SMALL_GRADED)
+
+
+def _algebra_key(text: str):
+    algebra = parse_graded_algebra(text)
+    return (algebra.monoid_dim, algebra.truncation, algebra.key())
+
+
+def _element(text: str):
+    return sorted(parse_graded_element(SMALL_ALGEBRA, text).items())
+
+
+PARSERS = {
+    "presentation": parse_presentation,
+    "weights": lambda text: parse_weights(text).weights,
+    "poly": lambda text: parse_poly(XY, text),
+    "graded": _algebra_key,
+    "element": _element,
+}
+FIXTURE_DIR = Path(__file__).parent / "fixtures"
+BASES = {
+    "presentation": [path.read_text() for path in sorted(FIXTURE_DIR.glob("*.ideal"))],
+    "weights": ["1 0 -7/3", "-1 1", "0 0", "1/2 -3 +4"],
+    "poly": ["x^2*y - 3*(y + 1/2)", "-(x - y)^2 + 1"],
+    "graded": [SMALL_GRADED],
+    "element": ["2*(1:0) - (0:0) + 1/2*(2:0)"],
+}
+PIECES = ("\r\n", "\t", "#", "@", "\u00e9", "\u0663", " ", "\n", "(", ")", ",", ";",
+          ":", "*", "+", "-", "^", "/", "=", "0", "1", "7/3", "-1/2", "x", "y", "t",
+          "ring", "ideal", "weight", "coeffval", "tadic", "trivial", "monoid", "dim",
+          "truncation", "component", "size", "mult", "# note\n", "\u00b2")
+
+
+def _mutate(text: str, rng: random.Random) -> str:
+    for _ in range(rng.randint(1, 3)):
+        pos = rng.randrange(len(text) + 1)
+        op = rng.randrange(4)
+        if op == 0:
+            text = text[:pos] + rng.choice(PIECES) + text[pos:]
+        elif op == 1:
+            text = text[:pos] + text[pos + rng.randint(1, 4):]
+        elif op == 2:
+            text = text[:pos] + rng.choice(PIECES) + text[pos + 1:]
+        else:
+            end = min(len(text), pos + rng.randint(1, 12))
+            text = text[:end] + text[pos:end] + text[end:]
+    return text
+
+
+def _outcome(parse, text: str):
+    try:
+        return ("ok", parse(text))
+    except Exception as exc:  # compared by class and message
+        return ("error", type(exc), str(exc))
+
+
+def test_string_tokens_parse_like_the_token_objects(monkeypatch):
+    rng = random.Random(20260418)
+    inputs = [(kind, text) for kind, texts in BASES.items() for text in texts]
+    while len(inputs) < 6000:
+        kind = rng.choice(sorted(BASES))
+        text = _mutate(rng.choice(BASES[kind]), rng)
+        # Skip exponents of two or more digits: expanding such a power
+        # costs time and says nothing about the tokenizer.
+        if not re.search(r"\^\s*\d\d", text):
+            inputs.append((kind, text))
+    new = [_outcome(PARSERS[kind], text) for kind, text in inputs]
+    monkeypatch.setattr(textio, "_Cursor", OldCursor)
+    old = [_outcome(PARSERS[kind], text) for kind, text in inputs]
+    differences = [(inputs[i], old[i], new[i]) for i in range(len(inputs)) if old[i] != new[i]]
+    assert differences == []
+    errors = sum(outcome[0] == "error" for outcome in new)
+    unexpected = sum(outcome[0] == "error" and "unexpected character" in outcome[2]
+                     for outcome in new)
+    assert 500 < errors < len(inputs) - 300 and unexpected > 100
