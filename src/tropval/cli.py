@@ -30,7 +30,6 @@ from .graded import (
 )
 from .groebner import enumerate_fan, initial_ideal
 from .sl2 import sl2_branching_algebra, sl2_rep_ring
-from .trop import TropicalValue
 from .valuation import check_axioms, check_trop_membership, make_weight_valuation
 
 PASS, FAIL, USAGE, PRECONDITION = 0, 1, 2, 3
@@ -233,7 +232,8 @@ def _cmd_graded_check(args) -> int:
     for text in args.override or []:
         element_text, _, value_text = text.partition("=")
         element = textio.parse_graded_element(algebra, element_text.strip())
-        overrides[tuple(sorted(element.items()))] = TropicalValue.from_str(value_text.strip())
+        overrides[tuple(sorted(element.items()))] = textio.parse_tropical_value(
+            value_text.strip())
     gv = GradedValuation.build(algebra, functional, overrides)
     if args.mode == "graded":
         report = check_graded_axioms(algebra, gv, seed=args.seed,

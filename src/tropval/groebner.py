@@ -37,7 +37,11 @@ product of all variables via the extra-variable trick.
 
 Orders compare monomials by flat integer keys: rational weights are scaled
 once per order by the LCM of their denominators, so no key computation in
-division or Buchberger touches a `Fraction`.
+division or Buchberger touches a `Fraction`.  Division (`_remainder_terms`)
+yields the remainder's terms largest first and keeps integral coefficients
+as Python ints, making a `Fraction` only where a rational tail or a leading
+coefficient other than 1 needs one; `normal_form` collects every term as a
+`Fraction`, and `leading_normal_exponent` stops at the first.
 """
 
 from __future__ import annotations
@@ -206,55 +210,84 @@ def _check_termination(order: MonomialOrder, polys) -> None:
     )
 
 
-def normal_form(f: Polynomial, gb: GroebnerBasis | _LeadTable) -> Polynomial:
-    """Remainder of multivariate division of f by the basis.
+def _remainder_terms(f: Polynomial, gb: GroebnerBasis | _LeadTable):
+    """Terms (exponent, coefficient) of the remainder of f by the basis.
 
-    No term of the result is divisible by a leading monomial of the basis,
-    and f minus the result lies in the ideal the basis generates.
+    They come largest first under the basis order.  Integral coefficients
+    are reduced as Python ints; a coefficient is a `Fraction` only once a
+    division or a rational tail makes it one.
     """
-    if not gb.gens or f.is_zero:
-        return f
-    if f.ring != gb.gens[0].ring:
+    if gb.gens and f.ring != gb.gens[0].ring:
         raise ValueError("polynomial and basis live in different rings")
     # Non-global orders are safe only against homogeneous bases: every
     # reduction then stays inside the finitely many monomials of one degree.
     _check_termination(gb.order, gb.gens)
     key = gb.order._descending_key
-    divisors = list(zip(gb.gens, gb._leads))
-    work = dict(f.terms)
+    # Per basis element: leading monomial, leading coefficient (None when it
+    # is 1) and negated tail, built once per call.
+    divisors = [
+        (lm, None if lc == 1 else lc,
+         [(eg, -(cg.numerator if cg.denominator == 1 else cg))
+          for eg, cg in g.terms.items() if eg != lm])
+        for g, (lm, lc) in zip(gb.gens, gb._leads)]
+    work = {e: c.numerator if c.denominator == 1 else c for e, c in f.terms.items()}
     # Max-heap of pending terms by order key.  A term that cancels stays in
     # the heap and is skipped when popped; every term a reduction step adds
-    # is smaller than the term being reduced, so a popped term never returns.
+    # is smaller than the term being reduced, so a popped term never returns
+    # and the terms are yielded in descending order.
     heap = [(key(e), e) for e in work]
     heapq.heapify(heap)
-    remainder: dict[ExponentVector, Fraction] = {}
     while heap:
         e = heapq.heappop(heap)[1]
         c = work.pop(e, None)
         if c is None:
             continue
-        for g, (lm, lc) in divisors:
+        for lm, lc, tail in divisors:
             if _divides(lm, e):
                 shift = tuple(map(sub, e, lm))
-                factor = c / lc
-                for eg, cg in g.terms.items():
-                    if eg == lm:
-                        continue
+                factor = c if lc is None else Fraction(c) / lc
+                for eg, cg in tail:
                     target = tuple(map(add, eg, shift))
                     old = work.get(target)
                     if old is None:
-                        work[target] = -(factor * cg)
+                        work[target] = factor * cg
                         heapq.heappush(heap, (key(target), target))
                     else:
-                        s = old - factor * cg
+                        s = old + factor * cg
                         if s == 0:
                             del work[target]
                         else:
                             work[target] = s
                 break
         else:
-            remainder[e] = c
-    return Polynomial._trusted(f.ring, remainder)
+            yield e, c
+
+
+def normal_form(f: Polynomial, gb: GroebnerBasis | _LeadTable) -> Polynomial:
+    """Remainder of multivariate division of f by the basis.
+
+    No term of the result is divisible by a leading monomial of the basis,
+    and f minus the result lies in the ideal the basis generates.  Every
+    coefficient of the result is a `Fraction`.
+    """
+    if not gb.gens or f.is_zero:
+        return f
+    return Polynomial._trusted(f.ring, {
+        e: c if type(c) is Fraction else Fraction(c)
+        for e, c in _remainder_terms(f, gb)})
+
+
+def leading_normal_exponent(f: Polynomial,
+                            gb: GroebnerBasis | _LeadTable) -> ExponentVector | None:
+    """Leading exponent of `normal_form(f, gb)` under the basis order.
+
+    None when the normal form is zero.  Division stops at the first
+    irreducible term, which leads the remainder, so the rest is never
+    computed.
+    """
+    for e, _ in _remainder_terms(f, gb):
+        return e
+    return None
 
 
 def _s_poly(f: Polynomial, ef: ExponentVector,

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping
 
 ExponentVector = tuple[int, ...]
@@ -154,11 +155,15 @@ class Polynomial:
         _check_same_ring(self, other)
         res = dict(self.terms)
         for e, c in other.terms.items():
-            s = res.get(e, Fraction(0)) + c
-            if s == 0:
-                res.pop(e, None)
+            old = res.get(e)
+            if old is None:
+                res[e] = c
             else:
-                res[e] = s
+                s = old + c
+                if s == 0:
+                    del res[e]
+                else:
+                    res[e] = s
         return Polynomial._trusted(self.ring, res)
 
     def __neg__(self) -> "Polynomial":
@@ -172,12 +177,16 @@ class Polynomial:
         res: dict[ExponentVector, Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = res.get(e, Fraction(0)) + c1 * c2
-                if s == 0:
-                    res.pop(e, None)
+                e = tuple(map(add, e1, e2))
+                old = res.get(e)
+                if old is None:
+                    res[e] = c1 * c2
                 else:
-                    res[e] = s
+                    s = old + c1 * c2
+                    if s == 0:
+                        del res[e]
+                    else:
+                        res[e] = s
         return Polynomial._trusted(self.ring, res)
 
     def scale(self, c: Fraction | int) -> "Polynomial":

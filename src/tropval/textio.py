@@ -28,7 +28,8 @@ A token is its matched string, found by one regex scan; ``""`` marks end
 of input and the kind follows from the first character.  Tokens carry no
 position: when a `ParseError` is raised, the text is rescanned up to the
 failing token to give its line and column.  Parenthesized expressions
-nest at most 200 levels deep.
+nest at most 200 levels deep, and a rational literal with denominator zero
+is a parse error at that literal.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from .poly import (
     TRIVIAL_COEFFS,
     WeightVector,
 )
+from .trop import BOTTOM, TropicalValue
 
 
 class ParseError(ValueError):
@@ -86,9 +88,27 @@ def _offset(text: str, index: int) -> int:
     return len(text)  # the end-of-input token
 
 
-def _located(cls, message: str, text: str, index: int) -> ParseError:
-    pos = _offset(text, index)
+def _at(cls, message: str, text: str, pos: int) -> ParseError:
+    """A ParseError located at character offset ``pos`` of ``text``."""
     return cls(message, text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos))
+
+
+def _located(cls, message: str, text: str, index: int) -> ParseError:
+    return _at(cls, message, text, _offset(text, index))
+
+
+def _fraction_field(text: str, start: int, end: int) -> Fraction:
+    """``Fraction(text[start:end])``; a zero denominator is a located ParseError.
+
+    Other malformed fields raise `Fraction`'s own ValueError.
+    """
+    field = text[start:end]
+    try:
+        return Fraction(field.strip())
+    except ZeroDivisionError:
+        pos = start + len(field) - len(field.lstrip())
+        raise _at(ParseError, f"zero denominator in {field.strip()!r}",
+                  text, pos) from None
 
 
 def tokenize(text: str) -> list[str]:
@@ -141,6 +161,16 @@ class _Cursor:
             raise self.error(f"expected {sym!r}, found {_found(tok)}")
         self.i += 1
         return tok
+
+    def rational(self) -> Fraction:
+        """Consume a number token; a zero denominator is a parse error."""
+        tok = self.tokens[self.i]
+        try:
+            value = Fraction(tok)
+        except ZeroDivisionError:
+            raise self.error(f"zero denominator in {tok!r}") from None
+        self.i += 1
+        return value
 
     def expect_int(self, message: str) -> int:
         """Consume a non-negative integer literal, else fail with message."""
@@ -216,8 +246,7 @@ def _parse_factor(cur: _Cursor, ring: RingContext) -> Polynomial:
 def _parse_atom(cur: _Cursor, ring: RingContext) -> Polynomial:
     tok = cur.peek()
     if cur.at_number():
-        cur.next()
-        return Polynomial.constant(ring, Fraction(tok))
+        return Polynomial.constant(ring, cur.rational())
     if cur.at_ident():
         if tok not in ring.variables:
             raise cur.error(f"unknown variable {tok!r}", cls=UnknownVariableError)
@@ -276,7 +305,7 @@ def _parse_signed_rational(cur: _Cursor) -> Fraction:
         cur.next()
     if not cur.at_number():
         raise cur.error(f"expected a rational number, found {_found(cur.peek())}")
-    return sign * Fraction(cur.next())
+    return sign * cur.rational()
 
 
 def parse_weights(text: str) -> WeightVector:
@@ -518,7 +547,7 @@ def parse_graded_algebra(text: str):
                 while True:
                     if not cur.at_number():
                         raise cur.error("expected a coefficient")
-                    coeff = sign * Fraction(cur.next())
+                    coeff = sign * cur.rational()
                     cur.expect_sym("*")
                     target = _parse_basis_ref(cur, dim)
                     expansion.append((target, coeff))
@@ -548,18 +577,29 @@ def parse_functional(text: str, dim: int):
     from .graded import LexFunctional
 
     rows: list[tuple[Fraction, ...]] = []
+    start = 0  # offset of the current row in text
     for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        row = tuple(Fraction(entry.strip()) for entry in chunk.split(","))
-        if len(row) != dim:
-            raise ValueError(f"functional row {chunk!r} has {len(row)} entries, "
-                             f"monoid dim is {dim}")
-        rows.append(row)
+        if chunk.strip():
+            row = []
+            at = start
+            for entry in chunk.split(","):
+                row.append(_fraction_field(text, at, at + len(entry)))
+                at += len(entry) + 1
+            if len(row) != dim:
+                raise ValueError(f"functional row {chunk.strip()!r} has {len(row)} "
+                                 f"entries, monoid dim is {dim}")
+            rows.append(tuple(row))
+        start += len(chunk) + 1
     if not rows:
         raise ValueError("functional needs at least one row")
     return LexFunctional(tuple(rows))
+
+
+def parse_tropical_value(text: str) -> TropicalValue:
+    """Parse ``-inf`` or a rational in `Fraction`'s string syntax."""
+    if text.strip() == "-inf":
+        return BOTTOM
+    return TropicalValue(_fraction_field(text, 0, len(text)))
 
 
 def parse_graded_element(algebra, text: str):
@@ -573,7 +613,7 @@ def parse_graded_element(algebra, text: str):
     while True:
         at = cur.i
         if cur.at_number():
-            coeff = sign * Fraction(cur.next())
+            coeff = sign * cur.rational()
             cur.expect_sym("*")
         else:
             coeff = Fraction(sign)

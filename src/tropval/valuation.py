@@ -2,10 +2,13 @@
 
 A weight vector w on the generators of A = K[X]/I induces a candidate
 valuation: the value of f is the top weight among the terms of the normal
-form of f against a w-refined basis of I (bottom for elements of I).  This
-is always subadditive and submultiplicative; whether multiplicativity holds
-exactly is what `check_axioms` probes by seeded sampling.  The report never
-claims more than "no counterexample among the sampled pairs".
+form of f against a w-refined basis of I (bottom for elements of I).  The
+order compares that weight first, so the value is the weight of the normal
+form's leading term, and evaluation divides only until that term appears
+(`leading_normal_exponent`).  This is always subadditive and
+submultiplicative; whether multiplicativity holds exactly is what
+`check_axioms` probes by seeded sampling.  The report never claims more
+than "no counterexample among the sampled pairs".
 
 Pullbacks along injections, pointwise sums, and scalings are represented by
 the same class with different evaluation strategies.
@@ -27,6 +30,7 @@ from .groebner import (
     contains_monomial,
     initial_form,
     initial_ideal,
+    leading_normal_exponent,
     normal_form,
     weight_refined_basis,
 )
@@ -99,12 +103,11 @@ class CandidateValuation:
 
     def _evaluate(self, f: Polynomial) -> TropicalValue:
         if self.kind == WEIGHT_INDUCED:
-            reduced = normal_form(_homogenize(f, self._ext), self._gb)
-            if reduced.is_zero:
+            e = leading_normal_exponent(_homogenize(f, self._ext), self._gb)
+            if e is None:
                 return BOTTOM
             order = self._gb.order
-            best = max(sum(map(mul, order.int_weights, e)) for e in reduced.terms)
-            return TropicalValue(Fraction(best, order.scale))
+            return TropicalValue(Fraction(sum(map(mul, order.int_weights, e)), order.scale))
         if self.kind == PULLBACK:
             return self.source.evaluate(f.substitute(list(self.images)))
         if self.kind == POINTWISE_SUM:
@@ -155,7 +158,7 @@ def random_polynomial(rng: random.Random, ring: RingContext,
                     break
             c = rng.choice((-3, -2, -1, 1, 2, 3))
             terms[e] = terms.get(e, 0) + c
-        p = Polynomial(ring, {e: Fraction(c) for e, c in terms.items() if c})
+        p = Polynomial._trusted(ring, {e: Fraction(c) for e, c in terms.items() if c})
         if not p.is_zero:
             return p
 

@@ -99,3 +99,43 @@ USAGE_CASES = [
      ["val-check", "--ideal", fixture("hyperbola.ideal"), "--weight", "1 0",
       "--samples", "-5"], 2),
 ]
+
+# A zero denominator in any literal is a located parse error (exit 2); it
+# used to escape as a ZeroDivisionError traceback with exit 1.  Each entry
+# is (name, argv, expected stdout).
+PARSE_ERROR_CASES = [
+    ("zero_den_weight_statement",
+     ["parse", "--input", fixture("zero_denominator/weight.ideal")],
+     "parse_error: line 3, col 8: zero denominator in '7/0'\n"),
+    ("zero_den_ideal_coefficient",
+     ["trop-check", "--ideal", fixture("zero_denominator/coefficient.ideal"),
+      "--weight", "0 0"],
+     "parse_error: line 2, col 11: zero denominator in '1/0'\n"),
+    ("zero_den_weight_flag",
+     ["val-check", "--ideal", fixture("line.ideal"), "--weight", "1/0 1"],
+     "parse_error: line 1, col 1: zero denominator in '1/0'\n"),
+    ("zero_den_signed_weight_flag",
+     ["initial", "--ideal", fixture("line.ideal"), "--weight", "1 -2/00"],
+     "parse_error: line 1, col 4: zero denominator in '2/00'\n"),
+    ("zero_den_tadic_weight",
+     ["initial", "--ideal", fixture("tadic.ideal"), "--weight", "0 0/0"],
+     "parse_error: line 1, col 3: zero denominator in '0/0'\n"),
+    ("zero_den_mult_coefficient",
+     ["monoid-check", "--algebra", fixture("zero_denominator/mult.alg"),
+      "--functional", "1"],
+     "parse_error: line 6, col 20: zero denominator in '3/0'\n"),
+    ("zero_den_functional",
+     ["monoid-check", "--algebra", "sl2-branching:3", "--functional", "1/0,1,1"],
+     "parse_error: line 1, col 1: zero denominator in '1/0'\n"),
+    ("zero_den_functional_second_row",
+     ["gr", "--algebra", "polyring:2:3", "--functional", "1,1; 0, 1/0"],
+     "parse_error: line 1, col 9: zero denominator in '1/0'\n"),
+    ("zero_den_element_coefficient",
+     ["graded-check", "--algebra", "polyring:3:4", "--functional", "1,1,1",
+      "--override", "1*(1,1,0:0) + 1/0*(1,0,1:0) = 1"],
+     "parse_error: line 1, col 15: zero denominator in '1/0'\n"),
+    ("zero_den_override_value",
+     ["graded-check", "--algebra", "polyring:3:4", "--functional", "1,1,1",
+      "--override", "1*(1,1,0:0) + 1*(1,0,1:0) = 5/0"],
+     "parse_error: line 1, col 1: zero denominator in '5/0'\n"),
+]

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import tropval.cli as cli
-from cli_corpus import CASES, USAGE_CASES, fixture, run_case
+from cli_corpus import CASES, PARSE_ERROR_CASES, USAGE_CASES, fixture, run_case
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -31,6 +31,23 @@ def test_usage_errors(name, argv, expected):
     code, text = run_case(argv)
     assert code == expected
     assert text == ""
+
+
+@pytest.mark.parametrize("name,argv,expected", PARSE_ERROR_CASES,
+                         ids=[c[0] for c in PARSE_ERROR_CASES])
+def test_zero_denominators_are_located_parse_errors(name, argv, expected):
+    assert run_case(argv) == (2, expected)
+
+
+def test_zero_denominator_prints_no_traceback():
+    """Through the installed entry point: one stdout line, empty stderr."""
+    _, argv, expected = PARSE_ERROR_CASES[0]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-m", "tropval", *argv], cwd=Path(__file__).parent,
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, expected, "")
 
 
 def test_refutation_witness_is_printed():

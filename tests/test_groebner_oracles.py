@@ -5,6 +5,8 @@ tie-break as nested tuples; the reference division picks the largest
 pending term with ``max`` on every step.  Both are deliberately slow and
 share no code with `tropval.groebner` beyond the data types, so they check
 the integer keys and the heap-driven normal form term for term.  The
+top-reduction references read the leading term off the full remainder, so
+they check that stopping at the first irreducible term loses nothing.  The
 reference fan classifier computes every weight's initial ideal on its own,
 so it checks that the Groebner-cone cover only skips work.
 """
@@ -22,19 +24,22 @@ from tropval.cones import facet_classes
 from tropval.groebner import (
     GREVLEX,
     LEX,
+    GroebnerBasis,
     MonomialOrder,
     buchberger,
     canonical_initial_key,
     contains_monomial,
     enumerate_fan,
     initial_ideal,
+    leading_normal_exponent,
     leading_term,
     normal_form,
     weight_refined_basis,
 )
 from tropval.poly import Polynomial, Presentation, RingContext
-from tropval.textio import parse_presentation
-from tropval.valuation import random_polynomial
+from tropval.textio import parse_poly, parse_presentation
+from tropval.trop import BOTTOM, TropicalValue
+from tropval.valuation import make_weight_valuation, random_polynomial
 
 FIXTURES_WITH_RELATIONS = ("line.ideal", "hyperbola.ideal", "cubic.ideal",
                            "cone.ideal", "plane.ideal", "tadic.ideal")
@@ -153,6 +158,118 @@ def test_normal_form_matches_max_based_division(name):
                 f = _homogenize(f, ext)
             expected = ref_normal_form(f, gb.gens, gb.order)
             assert normal_form(f, gb).key() == expected.key()
+
+
+# -- top-reduction ------------------------------------------------------------------
+
+# Every fixture presentation with weights on and off its tropical variety,
+# negative and rational entries included.
+TOP_REDUCTION_WEIGHTS = {
+    "line.ideal": [(1, 1), (0, 0), (0, -1), (-1, 0), ("7/3", "7/3"), (1, 0), (0, 2)],
+    "hyperbola.ideal": [(1, -1), ("-5/2", "5/2"), (0, 0), (1, 0), (2, 1)],
+    "cubic.ideal": [(1, 2, 3), (-1, -2, -3), ("1/2", 1, "3/2"), (1, 0, 0), (0, -1, 2)],
+    "cone.ideal": [(0, 0, 0), (2, 1, 0), (1, 0, -1), (-1, -1, -1), (1, 0, 0), (0, 1, 0)],
+    "plane.ideal": [(1, 1, 0), (2, 2, -1), (-1, 3, 3), (1, 0, 0), (0, "-1/2", 1)],
+    "tadic.ideal": [(0, 1), (5, -1), (0, 0), (3, 2)],
+    "free_xy.ideal": [(2, 1), (-1, 3), (0, 0)],
+    "free_t.ideal": [(2,), ("-1/2",)],
+}
+
+
+def _samples(rng: random.Random, P: Presentation) -> list[Polynomial]:
+    """Seeded elements: random ones, products, and multiples of the relations."""
+    out = []
+    for _ in range(30):
+        a = random_polynomial(rng, P.ring, 3, max_terms=4)
+        out.append(a)
+        out.append(a * random_polynomial(rng, P.ring, 2))
+    for g in P.ideal_gens:
+        out.append(g * random_polynomial(rng, P.ring, 2))
+    return out
+
+
+def _ref_leading_normal_exponent(f: Polynomial, gb):
+    r = normal_form(f, gb)
+    return None if r.is_zero else leading_term(r, gb.order)[0]
+
+
+def _ref_value(v, f: Polynomial) -> TropicalValue:
+    """The top weight over every term of the full remainder, in Fractions."""
+    reduced = normal_form(_homogenize(f, v._ext), v._gb)
+    if reduced.is_zero:
+        return BOTTOM
+    weights = v._gb.order.weights
+    return TropicalValue(max(sum((w * x for w, x in zip(weights, e)), Fraction(0))
+                             for e in reduced.terms))
+
+
+@pytest.mark.parametrize("name", sorted(TOP_REDUCTION_WEIGHTS))
+def test_top_reduction_matches_the_full_remainder(name):
+    P = load(name)
+    rng = random.Random(f"top-reduction/{name}")
+    bottoms = 0
+    for w in TOP_REDUCTION_WEIGHTS[name]:
+        gb, ext = weight_refined_basis(P, W(*w))
+        v = make_weight_valuation(P, W(*w))
+        for f in _samples(rng, P):
+            h = _homogenize(f, ext)
+            assert leading_normal_exponent(h, gb) == _ref_leading_normal_exponent(h, gb)
+            value = v.evaluate(f)
+            assert value == _ref_value(v, f)
+            bottoms += value.is_bottom
+    assert (bottoms > 0) == bool(P.ideal_gens)
+
+
+# Bases built directly, not by Buchberger: leading coefficients other than 1
+# and rational tails.  Division by any list is defined, reduced or not.
+DIRECT_BASES = [
+    (("2*x^2 + 1/3*y", "-3/2*x*y^2 + x - 5"), MonomialOrder.grevlex()),
+    (("2*x^2 + 1/3*y", "-3/2*x*y^2 + x - 5"), MonomialOrder.lex()),
+    (("3*x*y - 1/2", "5/4*y^3 + 2*x"), MonomialOrder((Fraction(1, 2), Fraction(2)), LEX)),
+    # homogeneous, so a negative weight is allowed
+    (("2*x^2 - 3/5*x*y", "-7/2*y^3 + x*y^2"), MonomialOrder((Fraction(-1), Fraction(1, 3)))),
+    (("x^2 + 1/2*y", "x*y^2 - 2/3*x"), MonomialOrder.grevlex()),  # monic
+]
+XY = RingContext(("x", "y"))
+
+
+def _direct_samples(rng: random.Random, homogeneous: bool) -> list[Polynomial]:
+    out = []
+    while len(out) < 60:
+        f = random_polynomial(rng, XY, 5, max_terms=6)
+        if len(out) % 2:  # non-integral coefficients too
+            f = f.scale(Fraction(rng.randint(1, 9), rng.randint(2, 7)))
+        if not homogeneous or f.is_homogeneous():
+            out.append(f)
+    return out
+
+
+@pytest.mark.parametrize("gens,order", DIRECT_BASES, ids=range(len(DIRECT_BASES)))
+def test_top_reduction_against_bases_built_directly(gens, order):
+    gb = GroebnerBasis(tuple(parse_poly(XY, g) for g in gens), order)
+    rng = random.Random(f"direct/{gens}")
+    samples = _direct_samples(rng, not order.is_global())
+    samples += [g * s for g, s in zip(gb.gens, samples)]  # some reduce to zero
+    zeros = 0
+    for f in samples:
+        assert leading_normal_exponent(f, gb) == _ref_leading_normal_exponent(f, gb)
+        zeros += normal_form(f, gb).is_zero
+    assert zeros > 0
+
+
+@pytest.mark.parametrize("gens,order", DIRECT_BASES, ids=range(len(DIRECT_BASES)))
+def test_normal_form_coefficients_are_fractions(gens, order):
+    """Reduction runs on ints where it can; none may leak into a Polynomial."""
+    gb = GroebnerBasis(tuple(parse_poly(XY, g) for g in gens), order)
+    rng = random.Random(f"types/{gens}")
+    integral = non_integral = 0
+    for f in _direct_samples(rng, not order.is_global()):
+        r = normal_form(f, gb)
+        assert r.key() == ref_normal_form(f, gb.gens, gb.order).key()
+        assert all(type(c) is Fraction for c in r.terms.values())
+        integral += any(c.denominator == 1 for c in r.terms.values())
+        non_integral += any(c.denominator != 1 for c in r.terms.values())
+    assert integral > 0 and non_integral > 0
 
 
 def _from_sympy(expr, symbols, ring: RingContext) -> Polynomial:

@@ -236,6 +236,14 @@ class OldCursor:
             raise self.error(f"expected {sym!r}, found {tok.text or 'end of input'!r}")
         return self.next()
 
+    def rational(self) -> Fraction:
+        tok = self.tokens[self.i]
+        _, _, den = tok.text.partition("/")
+        if den and int(den) == 0:
+            raise self.error(f"zero denominator in {tok.text!r}")
+        self.next()
+        return Fraction(tok.text)
+
     def expect_int(self, message: str) -> int:
         tok = self.tokens[self.i]
         if tok.kind != "number" or "/" in tok.text:
