@@ -1,7 +1,8 @@
 """Command-line front end with a stable exit-code and report contract.
 
 Exit codes: 0 = check passed / holds, 1 = refuted or fails (a witness is
-printed), 2 = usage or parse error, 3 = internal precondition violation.
+printed), 2 = usage or parse error, 3 = precondition violation (including
+a check that would have checked nothing) or internal error, on one line.
 Every report starts with a ``check:`` provenance line and contains a
 machine-readable block fenced by BEGIN-RESULT / END-RESULT; all numbers are
 exact rationals and output is byte-identical across runs for fixed
@@ -20,6 +21,7 @@ from .graded import (
     AssociativityError,
     GradedValuation,
     NotLowerTriangularError,
+    NothingCheckedError,
     associated_graded,
     check_graded_axioms,
     check_lower_triangular,
@@ -425,12 +427,17 @@ def run(argv: list[str]) -> int:
     except FileNotFoundError as exc:
         sys.stdout.write(f"input_error: {exc}\n")
         return USAGE
-    except (HypothesisFailsError, NotLowerTriangularError, AssociativityError) as exc:
+    except (HypothesisFailsError, NotLowerTriangularError, AssociativityError,
+            NothingCheckedError) as exc:
         sys.stdout.write(f"precondition_violation: {exc}\n")
         return PRECONDITION
     except (ValueError, KeyError) as exc:
         sys.stdout.write(f"input_error: {exc}\n")
         return USAGE
+    except Exception as exc:  # last resort: a bug, reported on one line
+        message = " ".join(str(exc).split())
+        sys.stdout.write(f"internal_error: {type(exc).__name__}: {message}\n")
+        return PRECONDITION
 
 
 def main() -> None:

@@ -12,7 +12,12 @@ total-order checkers measure.
 
 Values of graded valuations are rationals-or-bottom; orderings of grades
 use full lexicographic tuples of rational functionals, since a single
-rational row cannot totally order a higher-rank monoid.
+rational row cannot totally order a higher-rank monoid.  Every order test
+compares integer keys (`LexFunctional.key`: each row scaled by the lcm of
+its denominators), and a `Fraction` value is built only where it leaves
+the module: a graded value, `LexFunctional.value`/`first`, a witness.
+A check over a table that defines no products raises
+`NothingCheckedError` instead of passing vacuously.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 
 from .linalg import solve_linear
 from .trop import BOTTOM, TropicalValue, trop_add, trop_mul
@@ -42,6 +48,16 @@ class AssociativityError(ValueError):
 
 class NotLowerTriangularError(ValueError):
     pass
+
+
+class NothingCheckedError(ValueError):
+    """A check would report a verdict without having checked anything."""
+
+
+def _require_products(A: "GradedAlgebra") -> None:
+    if not A.structure:
+        raise NothingCheckedError(
+            "the structure table defines no products; there is nothing to check")
 
 
 def _pair_key(b1: BasisRef, b2: BasisRef) -> tuple[BasisRef, BasisRef]:
@@ -71,18 +87,34 @@ class GradedAlgebra:
                 self.components[g] = int(size)
         self.truncation = int(truncation)
         self.structure = {}
+        # Every valid ref, keyed by itself in its stored int form: a ref
+        # that compares equal to a key is stored as that key, which is what
+        # converting its fields with int() would give.  Anything else takes
+        # the full conversion and check.
+        canon = {ref: ref for ref in self.basis()}
         for (b1, b2), expansion in structure.items():
-            self._check_ref(b1)
-            self._check_ref(b2)
+            if b1 not in canon:
+                self._check_ref(b1)
+            if b2 not in canon:
+                self._check_ref(b2)
             terms = []
-            for (g, k), c in expansion:
-                c = Fraction(c)
-                if c != 0:
-                    terms.append(((tuple(int(x) for x in g), int(k)), c))
-            clean = tuple(sorted(terms))
-            for target, _ in clean:
-                self._check_ref(target)
-            self.structure[_pair_key(b1, b2)] = clean
+            misses = []
+            for target, c in expansion:
+                if type(c) is not Fraction:
+                    c = Fraction(c)
+                if c:
+                    try:
+                        ref = canon.get(target)
+                    except TypeError:  # unhashable, e.g. a list grade
+                        ref = None
+                    if ref is None:
+                        g, k = target
+                        ref = (tuple(int(x) for x in g), int(k))
+                        misses.append(ref)
+                    terms.append((ref, c))
+            for ref in sorted(misses):
+                self._check_ref(ref)
+            self.structure[_pair_key(b1, b2)] = tuple(sorted(terms))
         if validate:
             self._validate_associativity()
 
@@ -208,19 +240,31 @@ class LexFunctional:
     The first row is the scalar value of a graded valuation; further rows
     only break ties, which is how total orders on higher-rank monoids are
     realized with exact arithmetic.
+
+    Order tests use `key`: each row is scaled once by the lcm of its
+    denominators, a positive factor, so integer keys compare (``<``,
+    ``==``) exactly as the rational values do, and the key of a grade sum
+    is the sum of the keys.  `value` and `first` give the exact Fractions.
     """
 
     rows: tuple[tuple[Fraction, ...], ...]
-    # grade -> value(grade); a cache, so it takes no part in == or hash
-    _values: dict = field(default_factory=dict, init=False, repr=False,
-                          compare=False, hash=False)
+    # Derived from rows, so they take no part in == or hash: each row times
+    # its scale (the lcm of its denominators), and the memoized key per grade.
+    _int_rows: tuple = field(default=(), init=False, repr=False, compare=False)
+    _scales: tuple = field(default=(), init=False, repr=False, compare=False)
+    _keys: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False, hash=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(
-            tuple(Fraction(x) for x in row) for row in self.rows
-        ))
-        if not self.rows:
+        rows = tuple(tuple(Fraction(x) for x in row) for row in self.rows)
+        object.__setattr__(self, "rows", rows)
+        if not rows:
             raise ValueError("a functional needs at least one row")
+        scales = tuple(math.lcm(*(x.denominator for x in row)) for row in rows)
+        object.__setattr__(self, "_scales", scales)
+        object.__setattr__(self, "_int_rows", tuple(
+            tuple(x.numerator * (scale // x.denominator) for x in row)
+            for row, scale in zip(rows, scales)))
 
     @classmethod
     def single(cls, row) -> "LexFunctional":
@@ -230,24 +274,29 @@ class LexFunctional:
     def dim(self) -> int:
         return len(self.rows[0])
 
-    def value(self, grade: Grade) -> tuple[Fraction, ...]:
-        hit = self._values.get(grade)
+    def key(self, grade: Grade) -> tuple[int, ...]:
+        """Integer sort key of a grade: its value, row i times the i-th scale."""
+        hit = self._keys.get(grade)
         if hit is None:
-            hit = tuple(
-                sum((r * g for r, g in zip(row, grade)), Fraction(0))
-                for row in self.rows
-            )
-            self._values[grade] = hit
+            hit = tuple(sum(map(mul, row, grade)) for row in self._int_rows)
+            self._keys[grade] = hit
         return hit
 
+    def _fractions(self, key: tuple[int, ...]) -> tuple[Fraction, ...]:
+        """The exact value tuple that an integer key (or a sum of keys) stands for."""
+        return tuple(Fraction(k, scale) for k, scale in zip(key, self._scales))
+
+    def value(self, grade: Grade) -> tuple[Fraction, ...]:
+        return self._fractions(self.key(grade))
+
     def first(self, grade: Grade) -> Fraction:
-        return self.value(grade)[0]
+        return Fraction(self.key(grade)[0], self._scales[0])
 
     def separates(self, grades) -> tuple[Grade, Grade] | None:
         """Return a colliding pair of distinct grades, or None when injective."""
         seen: dict[tuple, Grade] = {}
         for g in sorted(grades):
-            key = self.value(g)
+            key = self.key(g)
             if key in seen and seen[key] != g:
                 return (seen[key], g)
             seen.setdefault(key, g)
@@ -300,18 +349,28 @@ def graded_value(A: GradedAlgebra, gv: GradedValuation,
     """Value of an element: override if present, else max over its grades."""
     if not element:
         return BOTTOM
-    hit = gv.override_value(element)
-    if hit is not None:
-        return hit
-    return TropicalValue(max(gv.functional.first(ref[0]) for ref in element))
+    if gv.overrides:
+        hit = gv.override_value(element)
+        if hit is not None:
+            return hit
+    h = gv.functional
+    key = h.key
+    return TropicalValue(Fraction(max(key(ref[0])[0] for ref in element),
+                                  h._scales[0]))
+
+
+def _top_key(key, element: Element) -> tuple[int, ...] | None:
+    """Largest grade key of an element (None for zero), `key` a LexFunctional.key."""
+    if not element:
+        return None
+    return max(key(ref[0]) for ref in element)
 
 
 def value_lex(functional: LexFunctional,
               element: Element) -> tuple[Fraction, ...] | None:
     """Lex-tuple value (None for zero), for totally ordered codomains."""
-    if not element:
-        return None
-    return max(functional.value(ref[0]) for ref in element)
+    top = _top_key(functional.key, element)
+    return None if top is None else functional._fractions(top)
 
 
 # -- samplers ------------------------------------------------------------------
@@ -404,6 +463,7 @@ def check_graded_axioms(A: GradedAlgebra, gv: GradedValuation,
     Homogeneous basis pairs are checked exhaustively over the defined
     products; subadditivity is sampled on inhomogeneous combinations.
     """
+    _require_products(A)
     if not graded_value(A, gv, {}).is_bottom:
         raise AssertionError("the zero element must have value -inf")
     sampler = _PairSampler(A, random.Random(seed))
@@ -420,17 +480,21 @@ def _override_factor_probe(A: GradedAlgebra, gv: GradedValuation) -> list:
     probed deterministically against every basis element.
     """
     failures = []
-    basis = A.basis()
+    if not gv.overrides:
+        return failures
+    # Per basis element a: the elements b with a * b defined, in sorted basis
+    # order, and the products as columns.  The column order picks the
+    # returned solution, hence the printed witness.
+    partners = A._partners()
+    probes = []
+    for a_ref in sorted(partners):
+        candidates = sorted(partners[a_ref])
+        probes.append((a_ref, candidates,
+                       [dict(A.basis_product(a_ref, b)) for b in candidates]))
     for key, _ in gv.overrides:
         target = {ref: c for ref, c in key}
-        for a_ref in basis:
-            candidates = [b for b in basis if A.basis_product(a_ref, b) is not None]
-            if not candidates:
-                continue
-            columns = []
-            for b in candidates:
-                expansion = A.basis_product(a_ref, b)
-                columns.append({t: c for t, c in expansion})
+        lhs = graded_value(A, gv, target)
+        for a_ref, candidates, columns in probes:
             solution = solve_linear(columns, target)
             if solution is None:
                 continue
@@ -438,7 +502,6 @@ def _override_factor_probe(A: GradedAlgebra, gv: GradedValuation) -> list:
             if not factor:
                 continue
             a_el = A.basis_element(a_ref)
-            lhs = graded_value(A, gv, target)
             rhs = trop_mul(graded_value(A, gv, a_el), graded_value(A, gv, factor))
             if lhs != rhs:
                 failures.append((a_el, factor, lhs, rhs))
@@ -453,6 +516,7 @@ def check_valuation_axioms(A: GradedAlgebra, gv: GradedValuation,
     (where inhomogeneous multiplicativity can break), then samples random
     inhomogeneous pairs.
     """
+    _require_products(A)
     sampler = _PairSampler(A, random.Random(seed))
     mult = _homogeneous_pair_failures(A, gv)
     mult.extend(_override_factor_probe(A, gv))
@@ -475,10 +539,11 @@ def check_valuation_axioms(A: GradedAlgebra, gv: GradedValuation,
 
 def check_lower_triangular(A: GradedAlgebra, h: LexFunctional):
     """Every product grade must weigh at most the sum of the factor grades."""
+    key = h.key
     for (b1, b2), expansion in sorted(A.structure.items()):
-        cap = tuple_sum(h.value(b1[0]), h.value(b2[0]))
+        cap = tuple_sum(key(b1[0]), key(b2[0]))
         for (g3, k), _ in expansion:
-            if h.value(g3) > cap:
+            if key(g3) > cap:
                 return False, (b1, b2, (g3, k))
     return True, None
 
@@ -511,15 +576,17 @@ def check_monoid_theorem(A: GradedAlgebra, w: LexFunctional,
     lex-tuple value is fully multiplicative.  Conclusion failures would
     contradict the theorem and are reported separately.
     """
+    _require_products(A)
+    key = w.key
     cartan_missing = []
     order_violations = []
     for (b1, b2), expansion in sorted(A.structure.items()):
         top_grade = grade_sum(b1[0], b2[0])
         if not any(t[0] == top_grade for t, c in expansion):
             cartan_missing.append((b1, b2, top_grade))
-        top_value = w.value(top_grade)
+        top = key(top_grade)
         for (g3, k), _ in expansion:
-            if g3 != top_grade and w.value(g3) >= top_value:
+            if g3 != top_grade and key(g3) >= top:
                 order_violations.append((b1, b2, (g3, k)))
     collision = w.separates(A.components)
     collisions = (collision,) if collision else ()
@@ -535,11 +602,14 @@ def check_monoid_theorem(A: GradedAlgebra, w: LexFunctional,
         except TruncationError:
             continue
         checked += 1
-        lhs = value_lex(w, product)
-        va, vb = value_lex(w, a), value_lex(w, b)
-        rhs = tuple_sum(va, vb) if va is not None and vb is not None else None
-        if lhs != rhs:
-            conclusion_failures.append((a, b, lhs, rhs))
+        # a and b are nonzero, so their top keys are never None
+        if _top_key(key, product) != tuple_sum(_top_key(key, a), _top_key(key, b)):
+            conclusion_failures.append((
+                a, b, value_lex(w, product),
+                tuple_sum(value_lex(w, a), value_lex(w, b))))
+    if not checked:
+        raise NothingCheckedError(
+            "no sampled pair had a defined product; the conclusion is unchecked")
     return MonoidTheoremReport(tuple(cartan_missing), tuple(order_violations),
                                collisions, tuple(conclusion_failures), checked)
 
@@ -550,15 +620,14 @@ def associated_graded(A: GradedAlgebra, h: LexFunctional) -> GradedAlgebra:
     if not ok:
         raise NotLowerTriangularError(
             f"multiplication is not lower-triangular for this functional: {witness}")
+    key = h.key
     structure = {}
     for pair, expansion in A.structure.items():
         if not expansion:
             structure[pair] = ()
             continue
-        top = max(h.value(t[0]) for t, _ in expansion)
-        structure[pair] = tuple(
-            (t, c) for t, c in expansion if h.value(t[0]) == top
-        )
+        top = max(key(t[0]) for t, _ in expansion)
+        structure[pair] = tuple((t, c) for t, c in expansion if key(t[0]) == top)
     return GradedAlgebra(A.monoid_dim, A.components, structure, A.truncation)
 
 
@@ -581,6 +650,10 @@ def zero_divisor_search(A: GradedAlgebra, bound: int):
 
 def monomial_poly_ring(n_vars: int, truncation: int) -> GradedAlgebra:
     """Polynomial ring graded by its own monomials (one-dimensional pieces)."""
+    if n_vars < 1 or truncation < 0:
+        raise ValueError(
+            f"a polynomial ring needs at least one variable and a truncation "
+            f"of at least 0, got {n_vars} variables and truncation {truncation}")
     grades = []
 
     def extend(prefix, remaining, budget):

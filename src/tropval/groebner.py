@@ -41,7 +41,9 @@ division or Buchberger touches a `Fraction`.  Division (`_remainder_terms`)
 yields the remainder's terms largest first and keeps integral coefficients
 as Python ints, making a `Fraction` only where a rational tail or a leading
 coefficient other than 1 needs one; `normal_form` collects every term as a
-`Fraction`, and `leading_normal_exponent` stops at the first.
+`Fraction`, and `leading_normal_exponent` stops at the first.  A
+`GroebnerBasis` builds its division table (and runs the termination check
+for non-global orders) once, on its first reduction.
 """
 
 from __future__ import annotations
@@ -167,19 +169,29 @@ class GroebnerBasis:
     gens: tuple[Polynomial, ...]
     order: MonomialOrder
     _leads: tuple = field(default=(), repr=False, compare=False)
+    # The division table, built on the first reduction (see `_divisors`).
+    _table: list | None = field(default=None, init=False, repr=False,
+                                compare=False)
 
     def __post_init__(self):
         if len(self._leads) != len(self.gens):
             leads = tuple(leading_term(g, self.order) for g in self.gens)
             object.__setattr__(self, "_leads", leads)
 
+    def _divisors(self) -> list:
+        if self._table is None:
+            object.__setattr__(self, "_table",
+                               _divisor_table(self.order, self.gens, self._leads))
+        return self._table
+
 
 class _LeadTable:
     """A basis under construction with the leading term of each element.
 
-    `normal_form` reads only ``gens``, ``order`` and ``_leads``, so one
-    Buchberger run reduces against its table directly; each element's
-    leading term is computed once, when it joins.
+    Division reads it like a `GroebnerBasis`, so one Buchberger run reduces
+    against its table directly; each element's leading term is computed
+    once, when it joins.  The table grows between reductions, so its
+    division table is built anew for each one.
     """
 
     __slots__ = ("gens", "order", "_leads")
@@ -198,6 +210,9 @@ class _LeadTable:
             self.gens.append(g)
             self._leads.append((lm, Fraction(1)))
 
+    def _divisors(self) -> list:
+        return _divisor_table(self.order, self.gens, self._leads)
+
 
 def _check_termination(order: MonomialOrder, polys) -> None:
     if order.is_global():
@@ -210,6 +225,22 @@ def _check_termination(order: MonomialOrder, polys) -> None:
     )
 
 
+def _divisor_table(order: MonomialOrder, gens, leads) -> list:
+    """Per basis element: leading monomial, leading coefficient (None when
+    it is 1) and negated tail, integral coefficients as ints.
+
+    Non-global orders are safe only against homogeneous bases: every
+    reduction then stays inside the finitely many monomials of one degree.
+    So the termination check runs here, before the first reduction.
+    """
+    _check_termination(order, gens)
+    return [
+        (lm, None if lc == 1 else lc,
+         [(eg, -(cg.numerator if cg.denominator == 1 else cg))
+          for eg, cg in g.terms.items() if eg != lm])
+        for g, (lm, lc) in zip(gens, leads)]
+
+
 def _remainder_terms(f: Polynomial, gb: GroebnerBasis | _LeadTable):
     """Terms (exponent, coefficient) of the remainder of f by the basis.
 
@@ -219,17 +250,8 @@ def _remainder_terms(f: Polynomial, gb: GroebnerBasis | _LeadTable):
     """
     if gb.gens and f.ring != gb.gens[0].ring:
         raise ValueError("polynomial and basis live in different rings")
-    # Non-global orders are safe only against homogeneous bases: every
-    # reduction then stays inside the finitely many monomials of one degree.
-    _check_termination(gb.order, gb.gens)
+    divisors = gb._divisors()
     key = gb.order._descending_key
-    # Per basis element: leading monomial, leading coefficient (None when it
-    # is 1) and negated tail, built once per call.
-    divisors = [
-        (lm, None if lc == 1 else lc,
-         [(eg, -(cg.numerator if cg.denominator == 1 else cg))
-          for eg, cg in g.terms.items() if eg != lm])
-        for g, (lm, lc) in zip(gb.gens, gb._leads)]
     work = {e: c.numerator if c.denominator == 1 else c for e, c in f.terms.items()}
     # Max-heap of pending terms by order key.  A term that cancels stays in
     # the heap and is skipped when popped; every term a reduction step adds

@@ -139,3 +139,35 @@ PARSE_ERROR_CASES = [
       "--override", "1*(1,1,0:0) + 1*(1,0,1:0) = 5/0"],
      "parse_error: line 1, col 1: zero denominator in '5/0'\n"),
 ]
+
+# A check over nothing is not a pass.  An algebra with no defined products
+# (a built-in truncated below degree 0, or a parsed file without `mult`
+# lines) used to print `verdict: passes` or `samples: 0 ... conclusion:
+# holds` with exit 0.  Each entry is (name, argv, expected exit, expected
+# stdout).
+NO_PRODUCT_TABLE = ("precondition_violation: the structure table defines no "
+                    "products; there is nothing to check\n")
+VACUOUS_CASES = [
+    ("polyring_negative_truncation_full",
+     ["graded-check", "--algebra", "polyring:2:-1", "--functional", "1,2",
+      "--mode", "full"], 2,
+     "input_error: a polynomial ring needs at least one variable and a truncation "
+     "of at least 0, got 2 variables and truncation -1\n"),
+    ("polyring_negative_truncation_monoid",
+     ["monoid-check", "--algebra", "polyring:2:-1", "--functional", "1,2"], 2,
+     "input_error: a polynomial ring needs at least one variable and a truncation "
+     "of at least 0, got 2 variables and truncation -1\n"),
+    ("polyring_no_variables",
+     ["graded-check", "--algebra", "polyring:0:3", "--functional", ""], 2,
+     "input_error: a polynomial ring needs at least one variable and a truncation "
+     "of at least 0, got 0 variables and truncation 3\n"),
+    ("no_products_graded",
+     ["graded-check", "--algebra", fixture("no_products.alg"), "--functional", "1"],
+     3, NO_PRODUCT_TABLE),
+    ("no_products_full",
+     ["graded-check", "--algebra", fixture("no_products.alg"), "--functional", "1",
+      "--mode", "full"], 3, NO_PRODUCT_TABLE),
+    ("no_products_monoid",
+     ["monoid-check", "--algebra", fixture("no_products.alg"), "--functional", "1"],
+     3, NO_PRODUCT_TABLE),
+]

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import os
 import subprocess
 import sys
@@ -6,7 +8,14 @@ from pathlib import Path
 import pytest
 
 import tropval.cli as cli
-from cli_corpus import CASES, PARSE_ERROR_CASES, USAGE_CASES, fixture, run_case
+from cli_corpus import (
+    CASES,
+    PARSE_ERROR_CASES,
+    USAGE_CASES,
+    VACUOUS_CASES,
+    fixture,
+    run_case,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -37,6 +46,31 @@ def test_usage_errors(name, argv, expected):
                          ids=[c[0] for c in PARSE_ERROR_CASES])
 def test_zero_denominators_are_located_parse_errors(name, argv, expected):
     assert run_case(argv) == (2, expected)
+
+
+@pytest.mark.parametrize("name,argv,expected_code,expected", VACUOUS_CASES,
+                         ids=[c[0] for c in VACUOUS_CASES])
+def test_checks_over_nothing_are_not_passes(name, argv, expected_code, expected):
+    assert run_case(argv) == (expected_code, expected)
+
+
+def test_unexpected_exception_is_one_line_with_exit_3(monkeypatch):
+    """The last-resort path: an internal error is one stdout line, not a traceback."""
+    import tropval.valuation
+
+    def fail(*args, **kwargs):
+        raise RuntimeError("saturation witness not found\nwithin the power bound")
+
+    monkeypatch.setattr(tropval.valuation, "contains_monomial", fail)
+    monkeypatch.chdir(Path(__file__).parent)
+    argv = ["trop-check", "--ideal", fixture("line.ideal"), "--weight", "0 0",
+            "--mode", "certified"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    assert (code, out.getvalue(), err.getvalue()) == (
+        3, "internal_error: RuntimeError: saturation witness not found "
+           "within the power bound\n", "")
 
 
 def test_zero_denominator_prints_no_traceback():

@@ -9,6 +9,7 @@ from tropval.graded import (
     GradedAlgebra,
     GradedValuation,
     LexFunctional,
+    NothingCheckedError,
     TruncationError,
     associated_graded,
     check_graded_axioms,
@@ -311,6 +312,27 @@ def test_functional_equality_ignores_evaluated_grades():
         assert repr(used) == repr(fresh)
         gv_used, gv_fresh = GradedValuation(used), GradedValuation(fresh)
         assert gv_used == gv_fresh and hash(gv_used) == hash(gv_fresh)
+
+
+def test_checks_over_nothing_raise():
+    empty = GradedAlgebra(1, {(0,): 1, (1,): 1}, {}, 1)
+    gv = GradedValuation.build(empty, LexFunctional.single((F(1),)))
+    for check in (check_graded_axioms, check_valuation_axioms):
+        with pytest.raises(NothingCheckedError, match="defines no products"):
+            check(empty, gv)
+    with pytest.raises(NothingCheckedError, match="defines no products"):
+        check_monoid_theorem(empty, gv.functional)
+    A = sl2_rep_ring(3)
+    with pytest.raises(NothingCheckedError, match="conclusion is unchecked"):
+        check_monoid_theorem(A, gv.functional, n_samples=0)
+    assert check_monoid_theorem(A, gv.functional, n_samples=1).samples == 1
+
+
+def test_polynomial_ring_needs_a_variable_and_a_truncation():
+    for n_vars, truncation in ((0, 2), (2, -1), (-1, 0)):
+        with pytest.raises(ValueError, match="at least one variable"):
+            monomial_poly_ring(n_vars, truncation)
+    assert len(monomial_poly_ring(1, 0).structure) == 1
 
 
 def test_graded_value_examples():

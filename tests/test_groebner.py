@@ -103,6 +103,27 @@ def test_nonglobal_order_needs_homogeneous_input():
     assert leading_term(gb.gens[0], order)[0] == (0, 1)
 
 
+def test_nonhomogeneous_basis_fails_at_reduction_not_construction():
+    order = MonomialOrder.weighted(W(-1, 0))
+    gb = GroebnerBasis((parse_poly(XY, "y + 1"),), order)  # built without a check
+    f = parse_poly(XY, "y^2")
+    for _ in range(2):  # a failed check leaves nothing cached
+        with pytest.raises(ValueError, match="needs homogeneous input"):
+            normal_form(f, gb)
+
+
+def test_basis_builds_its_division_table_once():
+    gb = gb_of(XY, MonomialOrder.grevlex(), "x^2 + y^2 - 1", "x*y - 2")
+    fresh = GroebnerBasis(gb.gens, gb.order)
+    assert gb._table is None
+    first = normal_form(parse_poly(XY, "x^3 + y^3"), gb)
+    table = gb._table
+    assert table is not None and gb._divisors() is table
+    assert normal_form(parse_poly(XY, "x^3 + y^3"), gb) == first
+    assert gb._table is table
+    assert gb == fresh and hash(gb) == hash(fresh) and repr(gb) == repr(fresh)
+
+
 def test_initial_form_examples():
     f = parse_poly(XY, "x + y + 1")
     assert initial_form(f, W(0, 0)) == f
