@@ -22,6 +22,7 @@ from .graded import (
     GradedValuation,
     NotLowerTriangularError,
     NothingCheckedError,
+    _require_products,
     associated_graded,
     check_graded_axioms,
     check_lower_triangular,
@@ -30,9 +31,14 @@ from .graded import (
     monomial_poly_ring,
     zero_divisor_search,
 )
-from .groebner import enumerate_fan, initial_ideal
+from .groebner import HomogenizedIdeal, enumerate_fan, initial_ideal
 from .sl2 import sl2_branching_algebra, sl2_rep_ring
-from .valuation import check_axioms, check_trop_membership, make_weight_valuation
+from .valuation import (
+    WeightValuation,
+    check_axioms,
+    check_trop_membership,
+    make_weight_valuation,
+)
 
 PASS, FAIL, USAGE, PRECONDITION = 0, 1, 2, 3
 
@@ -162,10 +168,10 @@ def _cmd_val_check(args) -> int:
 
 def _cmd_cone(args) -> int:
     parsed = _load_presentation(args.ideal)
-    P = parsed.presentation
-    v = make_weight_valuation(P, textio.parse_weights(args.v))
-    w1 = make_weight_valuation(P, textio.parse_weights(args.w1))
-    w2 = make_weight_valuation(P, textio.parse_weights(args.w2))
+    H = HomogenizedIdeal(parsed.presentation)
+    v = WeightValuation(H, textio.parse_weights(args.v))
+    w1 = WeightValuation(H, textio.parse_weights(args.w1))
+    w2 = WeightValuation(H, textio.parse_weights(args.w2))
     outcome = cone_sum(v, w1, w2, seed=args.seed, n_samples=args.samples,
                        exact_mode=args.exact)
     result = [
@@ -289,6 +295,7 @@ def _cmd_monoid_check(args) -> int:
 def _cmd_gr(args) -> int:
     algebra = _load_algebra(args.algebra)
     functional = textio.parse_functional(args.functional, algebra.monoid_dim)
+    _require_products(algebra)
     graded = associated_graded(algebra, functional)
     lower, _ = check_lower_triangular(algebra, functional)
     witness = zero_divisor_search(graded, graded.truncation)

@@ -31,9 +31,10 @@ homogenization pipeline:
 
 Steps 1-4 yield generators of the initial ideal of the original ideal for
 the given weights.  Steps 1-2 do not depend on the weight:
-`HomogenizedIdeal` does them once per call of an entry point and keeps
-nothing across calls.  Monomial containment is decided by saturating at the
-product of all variables via the extra-variable trick.
+`HomogenizedIdeal` does them once for its owner, an entry-point call or
+the weight valuations that hold it; nothing is cached at module level.
+Monomial containment is decided by saturating at the product of all
+variables via the extra-variable trick.
 
 Orders compare monomials by flat integer keys: rational weights are scaled
 once per order by the LCM of their denominators, so no key computation in
@@ -470,8 +471,10 @@ class HomogenizedIdeal:
 
     The saturated homogenized grevlex basis does not depend on the weight,
     so an entry point that handles several weights of one presentation
-    builds one instance and reads every weight off it.  Instances live for
-    one call of such an entry point; nothing is cached across calls.
+    builds one instance and reads every weight off it.  An instance lives
+    for one such call, or as long as the weight valuations that share it.
+    Normal forms against ``refined_basis(w)`` in ``ext`` realize division
+    by a w-refined basis of the original ideal, for any rational w.
     """
 
     __slots__ = ("presentation", "ext", "saturated")
@@ -515,18 +518,6 @@ class HomogenizedIdeal:
     def canonical_basis(self, w: WeightVector) -> tuple[Polynomial, ...]:
         """Reduced grevlex basis of the initial ideal at w."""
         return _canonical_basis(self.initial(w)[0])
-
-
-def weight_refined_basis(P: Presentation, w: WeightVector) -> tuple[GroebnerBasis, RingContext]:
-    """Basis of the homogenized ideal for the weight-refined order.
-
-    Returns the basis (over the extended ring, homogenizing variable last
-    with weight 0) together with the extended ring.  Normal forms against it
-    realize division by a w-refined basis of the original ideal for any
-    rational w, including vectors with negative entries.
-    """
-    H = HomogenizedIdeal(P)
-    return H.refined_basis(w), H.ext
 
 
 def initial_ideal(P: Presentation, w: WeightVector) -> list[Polynomial]:

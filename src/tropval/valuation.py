@@ -10,8 +10,10 @@ submultiplicative; whether multiplicativity holds exactly is what
 `check_axioms` probes by seeded sampling.  The report never claims more
 than "no counterexample among the sampled pairs".
 
-Pullbacks along injections, pointwise sums, and scalings are represented by
-the same class with different evaluation strategies.
+`CandidateValuation` owns `evaluate`; its subclasses `WeightValuation`,
+`Pullback`, `PointwiseSum` and `Scaled` each supply `_evaluate`.  Weight
+valuations of one presentation can share one `HomogenizedIdeal`.  No memo:
+nearly every sampled element is new, so keying each cost more than it saved.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from fractions import Fraction
 from operator import mul
 
 from .groebner import (
-    GroebnerBasis,
+    HomogenizedIdeal,
     MonomialOrder,
     _dehomogenize,
     _homogenize,
@@ -32,7 +34,6 @@ from .groebner import (
     initial_ideal,
     leading_normal_exponent,
     normal_form,
-    weight_refined_basis,
 )
 from .poly import Polynomial, Presentation, RingContext, WeightVector
 from .trop import BOTTOM, TropicalValue, trop_add, trop_mul
@@ -46,89 +47,93 @@ class NotAHomomorphismError(ValueError):
     """The proposed generator images do not kill the subalgebra's relations."""
 
 
-WEIGHT_INDUCED = "weight_induced"
-PULLBACK = "pullback"
-POINTWISE_SUM = "pointwise_sum"
-SCALED = "scaled"
-
-
 class CandidateValuation:
     """A candidate valuation on a presented algebra.
 
-    Construct through `make_weight_valuation`, `pullback`, or the cone
-    operations; instances are immutable after construction and safe to
-    evaluate concurrently.
+    Each subclass supplies `_evaluate(f)` for nonzero f.  Construct one, or
+    use `make_weight_valuation`, `pullback` or the cone operations;
+    instances are immutable after construction and safe to evaluate
+    concurrently.
     """
 
-    def __init__(self, kind: str, presentation: Presentation, *,
-                 weights: WeightVector | None = None,
-                 images: tuple[Polynomial, ...] | None = None,
-                 source: "CandidateValuation | None" = None,
-                 parts: tuple = (),
-                 factor: Fraction | None = None):
-        self.kind = kind
+    def __init__(self, presentation: Presentation):
         self.presentation = presentation
-        self.weights = weights
-        self.images = images
-        self.source = source
-        self.parts = parts
-        self.factor = factor
-        self._cache: dict = {}
-        self._gb: GroebnerBasis | None = None
-        self._ext: RingContext | None = None
-        if kind == WEIGHT_INDUCED:
-            self._gb, self._ext = weight_refined_basis(presentation, weights)
-
-    def normal_form_of(self, f: Polynomial) -> Polynomial:
-        """Canonical coset representative used by weight-induced evaluation."""
-        if self.kind != WEIGHT_INDUCED:
-            raise ValueError("normal forms exist only for weight-induced valuations")
-        if f.is_zero:
-            return f
-        reduced = normal_form(_homogenize(f, self._ext), self._gb)
-        return _dehomogenize(reduced, self.presentation.ring)
 
     def evaluate(self, f: Polynomial) -> TropicalValue:
         if f.ring != self.presentation.ring:
             raise ValueError("element from a different ring")
         if f.is_zero:
             return BOTTOM
-        key = f.key()
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        value = self._evaluate(f)
-        self._cache[key] = value
-        return value
+        return self._evaluate(f)
+
+
+class WeightValuation(CandidateValuation):
+    """The valuation induced by `weights`, on a possibly shared `homogenized`."""
+
+    def __init__(self, homogenized: HomogenizedIdeal, weights: WeightVector):
+        super().__init__(homogenized.presentation)
+        self.homogenized = homogenized
+        self.weights = weights
+        self.basis = homogenized.refined_basis(weights)
+
+    def normal_form_of(self, f: Polynomial) -> Polynomial:
+        """Canonical coset representative: the normal form against `basis`."""
+        if f.is_zero:
+            return f
+        reduced = normal_form(_homogenize(f, self.homogenized.ext), self.basis)
+        return _dehomogenize(reduced, self.presentation.ring)
 
     def _evaluate(self, f: Polynomial) -> TropicalValue:
-        if self.kind == WEIGHT_INDUCED:
-            e = leading_normal_exponent(_homogenize(f, self._ext), self._gb)
-            if e is None:
-                return BOTTOM
-            order = self._gb.order
-            return TropicalValue(Fraction(sum(map(mul, order.int_weights, e)), order.scale))
-        if self.kind == PULLBACK:
-            return self.source.evaluate(f.substitute(list(self.images)))
-        if self.kind == POINTWISE_SUM:
-            a, b = self.parts
-            return trop_mul(a.evaluate(f), b.evaluate(f))
-        if self.kind == SCALED:
-            inner = self.parts[0].evaluate(f)
-            if inner.is_bottom:
-                return BOTTOM
-            return TropicalValue(inner.value * self.factor)
-        raise AssertionError(f"unknown valuation kind {self.kind}")
-
-    def __repr__(self) -> str:
-        if self.kind == WEIGHT_INDUCED:
-            return f"CandidateValuation(weights=({self.weights}))"
-        return f"CandidateValuation(kind={self.kind!r})"
+        e = leading_normal_exponent(_homogenize(f, self.homogenized.ext), self.basis)
+        if e is None:
+            return BOTTOM
+        order = self.basis.order
+        return TropicalValue(Fraction(sum(map(mul, order.int_weights, e)), order.scale))
 
 
-def make_weight_valuation(P: Presentation, w: WeightVector) -> CandidateValuation:
-    """Weight-induced candidate valuation, its refined basis cached eagerly."""
-    return CandidateValuation(WEIGHT_INDUCED, P, weights=w)
+class Pullback(CandidateValuation):
+    """A valuation read through generator images: f goes to source(f(images))."""
+
+    def __init__(self, presentation: Presentation, images: list[Polynomial],
+                 source: CandidateValuation):
+        super().__init__(presentation)
+        self.images = tuple(images)
+        self.source = source
+
+    def _evaluate(self, f: Polynomial) -> TropicalValue:
+        return self.source.evaluate(f.substitute(self.images))
+
+
+class PointwiseSum(CandidateValuation):
+    """The tropical product of two valuations on one algebra, pointwise."""
+
+    def __init__(self, first: CandidateValuation, second: CandidateValuation):
+        super().__init__(first.presentation)
+        self.first = first
+        self.second = second
+
+    def _evaluate(self, f: Polynomial) -> TropicalValue:
+        return trop_mul(self.first.evaluate(f), self.second.evaluate(f))
+
+
+class Scaled(CandidateValuation):
+    """A valuation multiplied by a rational factor; bottom stays bottom."""
+
+    def __init__(self, source: CandidateValuation, factor: Fraction):
+        super().__init__(source.presentation)
+        self.source = source
+        self.factor = factor
+
+    def _evaluate(self, f: Polynomial) -> TropicalValue:
+        inner = self.source.evaluate(f)
+        if inner.is_bottom:
+            return BOTTOM
+        return TropicalValue(inner.value * self.factor)
+
+
+def make_weight_valuation(P: Presentation, w: WeightVector) -> WeightValuation:
+    """Weight-induced candidate valuation on a homogenized ideal of its own."""
+    return WeightValuation(HomogenizedIdeal(P), w)
 
 
 @dataclass(frozen=True)
@@ -250,18 +255,14 @@ def pullback(images: list[Polynomial], v: CandidateValuation,
     for img in images:
         if img.ring != ambient.ring:
             raise ValueError("images must live in the ambient algebra's ring")
-    if ambient.ideal_gens:
-        gb = buchberger(list(ambient.ideal_gens), MonomialOrder.grevlex())
-    else:
-        gb = None
+    gb = buchberger(list(ambient.ideal_gens), MonomialOrder.grevlex())
     for g in P_sub.ideal_gens:
-        mapped = g.substitute(list(images))
-        reduced = normal_form(mapped, gb) if gb is not None else mapped
+        reduced = normal_form(g.substitute(list(images)), gb)
         if not reduced.is_zero:
             raise NotAHomomorphismError(
                 f"relation {g} maps to {reduced}, not zero"
             )
-    return CandidateValuation(PULLBACK, P_sub, images=tuple(images), source=v)
+    return Pullback(P_sub, images, v)
 
 
 @dataclass(frozen=True)
@@ -281,15 +282,7 @@ def cross_presentation_consistency(
     count as "the same" when their images agree modulo the ambient ideal,
     and then their tropicalization components must match.
     """
-    ambient = v.presentation
-    if ambient.ideal_gens:
-        gb = buchberger(list(ambient.ideal_gens), MonomialOrder.grevlex())
-    else:
-        gb = None
-
-    def reduce(p: Polynomial) -> Polynomial:
-        return normal_form(p, gb) if gb is not None else p
-
+    gb = buchberger(list(v.presentation.ideal_gens), MonomialOrder.grevlex())
     tuples = []
     flat: list[tuple[tuple, TropicalValue]] = []
     for presentation, images in entries:
@@ -298,7 +291,7 @@ def cross_presentation_consistency(
         row = tuple(v.evaluate(img) for img in images)
         tuples.append(row)
         for img, val in zip(images, row):
-            flat.append((reduce(img).key(), val))
+            flat.append((normal_form(img, gb).key(), val))
     seen: dict[tuple, TropicalValue] = {}
     ok = True
     for key, val in flat:

@@ -170,4 +170,7 @@ VACUOUS_CASES = [
     ("no_products_monoid",
      ["monoid-check", "--algebra", fixture("no_products.alg"), "--functional", "1"],
      3, NO_PRODUCT_TABLE),
+    ("no_products_gr",
+     ["gr", "--algebra", fixture("no_products.alg"), "--functional", "1"],
+     3, NO_PRODUCT_TABLE),
 ]

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -30,3 +31,22 @@ def hyperbola():
 @pytest.fixture
 def cubic():
     return load("cubic.ideal")
+
+
+@pytest.fixture
+def buchberger_calls(monkeypatch):
+    """The order of every Buchberger run, counted at each tropval binding."""
+    from tropval import groebner
+
+    calls = []
+    original = groebner.buchberger
+
+    def counting(gens, order):
+        calls.append(order)
+        return original(gens, order)
+
+    for name, module in list(sys.modules.items()):
+        if ((name == "tropval" or name.startswith("tropval."))
+                and vars(module).get("buchberger") is original):
+            monkeypatch.setattr(module, "buchberger", counting)
+    return calls

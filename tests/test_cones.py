@@ -1,8 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from cli_corpus import fixture, run_case
 from conftest import W, load
 from tropval.cones import (
     HypothesisFailsError,
@@ -12,10 +14,17 @@ from tropval.cones import (
     implies_check,
     scale,
 )
+from tropval.groebner import HomogenizedIdeal, MonomialOrder, buchberger, initial_form
 from tropval.poly import Presentation, RingContext
 from tropval.textio import parse_poly, poly_to_str
-from tropval.trop import trop
-from tropval.valuation import make_weight_valuation
+from tropval.trop import trop, trop_mul
+from tropval.valuation import (
+    PointwiseSum,
+    Scaled,
+    make_weight_valuation,
+    pullback,
+    random_polynomial,
+)
 
 XY = RingContext(("x", "y"))
 FREE_XY = Presentation(XY, ())
@@ -98,6 +107,39 @@ def test_cone_sum_on_quotient(line):
     assert not res.implies_verdict.refuted
 
 
+def test_cone_job_shares_one_homogenization(buchberger_calls):
+    # one weight-independent run, then one refined run each for v, w1, w2
+    # and the sum (3, 3); building each on its own homogenization made 8
+    code, out = run_case(["cone", "--ideal", fixture("line.ideal"), "--v", "1 1",
+                          "--w1", "1 1", "--w2", "2 2"])
+    assert code == 0 and "sum_weights: 3 3" in out
+    assert len(buchberger_calls) == 5
+
+
+def test_cone_sum_of_pullbacks_is_pointwise():
+    t_ring = RingContext(("t",))
+    ambient = Presentation(t_ring, ())
+    u_ring = RingContext(("u",))
+    sub = Presentation(u_ring, ())
+    t2, t3 = parse_poly(t_ring, "t^2"), parse_poly(t_ring, "t^3")
+    v = pullback([t2], make_weight_valuation(ambient, W(1)), sub)
+    w1 = pullback([t2], make_weight_valuation(ambient, W(2)), sub)
+    w2 = pullback([t3], make_weight_valuation(ambient, W(1)), sub)
+    res = cone_sum(v, w1, w2, seed=0, n_samples=100)
+    total = res.valuation
+    assert isinstance(total, PointwiseSum)
+    assert res.axiom_report.verdict == "valuation"
+    assert not res.implies_verdict.refuted
+    tripled = scale(total, 3)
+    assert isinstance(tripled, Scaled)
+    rng = random.Random(16)
+    for _ in range(40):
+        f = random_polynomial(rng, u_ring, 5)
+        assert total.evaluate(f) == trop_mul(w1.evaluate(f), w2.evaluate(f))
+        assert total.evaluate(f) == trop(7 * f.total_degree())
+        assert tripled.evaluate(f) == trop(21 * f.total_degree())
+
+
 def test_cone_sum_hypothesis_failure():
     with pytest.raises(HypothesisFailsError):
         cone_sum(val(FREE_XY, 2, 1), val(FREE_XY, 1, 0), val(FREE_XY, 2, 1),
@@ -119,8 +161,6 @@ def test_scale_preserves_facet_and_values(line):
 
 
 def test_scale_wraps_pullback_valuations():
-    from tropval.valuation import pullback
-
     t_ring = RingContext(("t",))
     ambient = Presentation(t_ring, ())
     v = make_weight_valuation(ambient, W(2))
@@ -144,6 +184,53 @@ def test_arrow_refuted(line):
     verdict = arrow_check(line, W(0, -1), W(1, 0))
     assert verdict.refuted
     assert verdict.witness is not None
+
+
+def _arrow_reference(H: HomogenizedIdeal, v, w) -> bool:
+    """Both sides of the arrow relation, each from its own Groebner bases."""
+    P = H.presentation
+    inner, _ = H.initial(w)
+    P_inner = Presentation(P.ring, tuple(inner), P.coeff_valuation)
+    return HomogenizedIdeal(P_inner).canonical_basis(v) == H.canonical_basis(v)
+
+
+@pytest.mark.parametrize("name", ["line.ideal", "hyperbola.ideal", "cubic.ideal",
+                                  "cone.ideal", "plane.ideal", "tadic.ideal",
+                                  "free_xy.ideal", "free_t.ideal"])
+def test_arrow_shortcut_matches_both_sides(name):
+    # When every generator is w-homogeneous, arrow_check answers without a
+    # Groebner basis; the reference computes in_w(I) and both sides anyway.
+    P = load(name)
+    H = HomogenizedIdeal(P)
+    ideal_basis = buchberger(list(P.ideal_gens), MonomialOrder.grevlex()).gens
+    n = P.ring.dim
+    shortcuts = 0
+    for w in itertools.product((-1, 0, 1), repeat=n):
+        w = W(*w)
+        weff = P.effective_weights(w)
+        shortcut = all(initial_form(g, weff) == g for g in P.ideal_gens)
+        if shortcut:
+            shortcuts += 1
+            assert H.canonical_basis(w) == ideal_basis  # in_w(I) = I
+        for v in itertools.product((-1, 1), repeat=n):
+            v = W(*v)
+            verdict = arrow_check(P, v, w)
+            assert (not verdict.refuted) == _arrow_reference(H, v, w)
+            if shortcut:
+                assert verdict.note == "iterated initial ideal matches"
+    assert shortcuts > 0
+
+
+def test_arrow_on_an_initial_ideal_equal_to_the_ideal_runs_no_buchberger(
+        buchberger_calls):
+    code, out = run_case(["arrow", "--ideal", fixture("line.ideal"),
+                          "--v", "1 1", "--w", "0 0"])
+    assert code == 0 and "status: holds_certified" in out
+    assert buchberger_calls == []
+    # the shortcut still rejects a v of the wrong dimension
+    assert run_case(["arrow", "--ideal", fixture("line.ideal"),
+                     "--v", "1 1 1", "--w", "0 0"]) == (
+        2, "input_error: weight vector has wrong dimension for this ring\n")
 
 
 def test_facet_classes(line):

@@ -19,12 +19,12 @@ import pytest
 
 from conftest import FIXTURES, W, load
 from cli_corpus import run_case
-from tropval import groebner
 from tropval.cones import facet_classes
 from tropval.groebner import (
     GREVLEX,
     LEX,
     GroebnerBasis,
+    HomogenizedIdeal,
     MonomialOrder,
     buchberger,
     canonical_initial_key,
@@ -34,7 +34,6 @@ from tropval.groebner import (
     leading_normal_exponent,
     leading_term,
     normal_form,
-    weight_refined_basis,
 )
 from tropval.poly import Polynomial, Presentation, RingContext
 from tropval.textio import parse_poly, parse_presentation
@@ -144,12 +143,13 @@ def test_normal_form_matches_max_based_division(name):
     gens = list(P.ideal_gens)
     nonneg = W(*(Fraction(rng.randint(0, 6), rng.randint(1, 4)) for _ in range(n)))
     signed = W(*(Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n)))
+    H = HomogenizedIdeal(P)
     cases = [
         (buchberger(gens, MonomialOrder.grevlex()), None),
         (buchberger(gens, MonomialOrder.lex()), None),
         (buchberger(gens, MonomialOrder.weighted(nonneg, LEX)), None),
-        weight_refined_basis(P, signed),
-        weight_refined_basis(P, W(*([-1] * n))),
+        (H.refined_basis(signed), H.ext),
+        (H.refined_basis(W(*([-1] * n))), H.ext),
     ]
     for gb, ext in cases:
         for _ in range(25):
@@ -195,10 +195,10 @@ def _ref_leading_normal_exponent(f: Polynomial, gb):
 
 def _ref_value(v, f: Polynomial) -> TropicalValue:
     """The top weight over every term of the full remainder, in Fractions."""
-    reduced = normal_form(_homogenize(f, v._ext), v._gb)
+    reduced = normal_form(_homogenize(f, v.homogenized.ext), v.basis)
     if reduced.is_zero:
         return BOTTOM
-    weights = v._gb.order.weights
+    weights = v.basis.order.weights
     return TropicalValue(max(sum((w * x for w, x in zip(weights, e)), Fraction(0))
                              for e in reduced.terms))
 
@@ -209,7 +209,8 @@ def test_top_reduction_matches_the_full_remainder(name):
     rng = random.Random(f"top-reduction/{name}")
     bottoms = 0
     for w in TOP_REDUCTION_WEIGHTS[name]:
-        gb, ext = weight_refined_basis(P, W(*w))
+        H = HomogenizedIdeal(P)
+        gb, ext = H.refined_basis(W(*w)), H.ext
         v = make_weight_valuation(P, W(*w))
         for f in _samples(rng, P):
             h = _homogenize(f, ext)
@@ -366,31 +367,17 @@ def test_facets_match_per_point_classifier(name):
         assert got == expected
 
 
-def _count_buchberger(monkeypatch) -> list:
-    calls = []
-    original = groebner.buchberger
-
-    def counting(gens, order):
-        calls.append(order)
-        return original(gens, order)
-
-    monkeypatch.setattr(groebner, "buchberger", counting)
-    return calls
-
-
-def test_fan_runs_buchberger_per_cone_not_per_point(cubic, monkeypatch):
-    calls = _count_buchberger(monkeypatch)
+def test_fan_runs_buchberger_per_cone_not_per_point(cubic, buchberger_calls):
     classes = enumerate_fan(cubic, 2, 1)
     assert sum(len(c.members) for c in classes) == 125
     assert len(classes) == 13
-    refined = sum(1 for order in calls if order.weights is not None)
+    refined = sum(1 for order in buchberger_calls if order.weights is not None)
     assert refined < 125 // 4
 
 
-def test_repeated_fan_call_repeats_all_work(monkeypatch):
-    calls = _count_buchberger(monkeypatch)
+def test_repeated_fan_call_repeats_all_work(buchberger_calls):
     argv = ["fan", "--ideal", "fixtures/cubic.ideal", "--box", "1"]
     first = run_case(argv)
-    n_first = len(calls)
+    n_first = len(buchberger_calls)
     assert run_case(argv) == first
-    assert n_first > 0 and len(calls) == 2 * n_first
+    assert n_first > 0 and len(buchberger_calls) == 2 * n_first

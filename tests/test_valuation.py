@@ -8,8 +8,13 @@ from tropval.poly import Polynomial, Presentation, RingContext
 from tropval.textio import parse_poly, poly_to_str
 from tropval.trop import BOTTOM, trop
 from tropval.valuation import (
+    CandidateValuation,
     NonfiniteGeneratorValueError,
     NotAHomomorphismError,
+    PointwiseSum,
+    Pullback,
+    Scaled,
+    WeightValuation,
     check_axioms,
     check_trop_membership,
     cross_presentation_consistency,
@@ -214,3 +219,17 @@ def test_cross_presentation_dictionary_mismatch():
         cross_presentation_consistency(
             [(Presentation(RingContext(("g", "h")), ()), [parse_poly(T_RING, "t")])],
             v)
+
+
+def test_evaluate_is_defined_once_on_the_base_class():
+    # perfbench/tracing.py wraps vars(CandidateValuation)["evaluate"]; a
+    # subclass override would escape that wrapper.
+    assert "evaluate" in vars(CandidateValuation)
+    subclasses, stack = set(), [CandidateValuation]
+    while stack:
+        for cls in stack.pop().__subclasses__():
+            subclasses.add(cls)
+            stack.append(cls)
+    assert {WeightValuation, Pullback, PointwiseSum, Scaled} <= subclasses
+    for cls in subclasses:
+        assert "evaluate" not in vars(cls)
