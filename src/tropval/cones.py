@@ -179,7 +179,7 @@ def scale(v: CandidateValuation, R: Fraction | int) -> CandidateValuation:
     if isinstance(v, WeightValuation):
         H = v.homogenized
         scaled = WeightValuation(H, v.weights.scale(R))
-        if H.canonical_basis(v.weights) != H.canonical_basis(scaled.weights):
+        if H.canonical_basis_of(v.basis) != H.canonical_basis_of(scaled.basis):
             raise RuntimeError("scaling changed the initial ideal; this is a bug")
         return scaled
     return Scaled(v, R)

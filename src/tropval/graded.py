@@ -64,6 +64,17 @@ def _pair_key(b1: BasisRef, b2: BasisRef) -> tuple[BasisRef, BasisRef]:
     return (b1, b2) if b1 <= b2 else (b2, b1)
 
 
+def _merge_like_terms(terms: list) -> list:
+    """Sorted (ref, coefficient) terms with equal refs summed, zero sums dropped."""
+    out: list = []
+    for ref, c in terms:
+        if out and out[-1][0] == ref:
+            c += out.pop()[1]
+        if c:
+            out.append((ref, c))
+    return out
+
+
 def grade_sum(g1: Grade, g2: Grade) -> Grade:
     return tuple(a + b for a, b in zip(g1, g2))
 
@@ -71,8 +82,10 @@ def grade_sum(g1: Grade, g2: Grade) -> Grade:
 class GradedAlgebra:
     """Commutative algebra given by grading components and structure constants.
 
-    Associativity is checked on construction unless ``validate`` is False,
-    which is for builders whose table is read off an associative ring.
+    Like terms of each expansion are summed and zero sums dropped, so a
+    product that cancels is stored as zero.  Associativity is checked on
+    construction unless ``validate`` is False, which is for builders whose
+    table is read off an associative ring.
     """
 
     def __init__(self, monoid_dim: int, components: dict, structure: dict,
@@ -112,9 +125,13 @@ class GradedAlgebra:
                         ref = (tuple(int(x) for x in g), int(k))
                         misses.append(ref)
                     terms.append((ref, c))
-            for ref in sorted(misses):
-                self._check_ref(ref)
-            self.structure[_pair_key(b1, b2)] = tuple(sorted(terms))
+            if misses:
+                for ref in sorted(misses):
+                    self._check_ref(ref)
+            terms.sort()
+            if len(terms) > 1:
+                terms = _merge_like_terms(terms)
+            self.structure[_pair_key(b1, b2)] = tuple(terms)
         if validate:
             self._validate_associativity()
 

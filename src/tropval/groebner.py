@@ -506,7 +506,10 @@ class HomogenizedIdeal:
         Also returns the face of each refined basis element, the data of
         the Groebner cone of w (step 5).
         """
-        gb = self.refined_basis(w)
+        return self.initial_of(self.refined_basis(w))
+
+    def initial_of(self, gb: GroebnerBasis) -> tuple[list[Polynomial], list[_Face]]:
+        """`initial` at the weight of ``gb``, a basis from `refined_basis`."""
         faces = [_top_split(g, gb.order.int_weights) for g in gb.gens]
         gens = []
         for g, (top, _) in zip(gb.gens, faces):
@@ -517,7 +520,11 @@ class HomogenizedIdeal:
 
     def canonical_basis(self, w: WeightVector) -> tuple[Polynomial, ...]:
         """Reduced grevlex basis of the initial ideal at w."""
-        return _canonical_basis(self.initial(w)[0])
+        return self.canonical_basis_of(self.refined_basis(w))
+
+    def canonical_basis_of(self, gb: GroebnerBasis) -> tuple[Polynomial, ...]:
+        """`canonical_basis` at the weight of ``gb``, a basis from `refined_basis`."""
+        return _canonical_basis(self.initial_of(gb)[0])
 
 
 def initial_ideal(P: Presentation, w: WeightVector) -> list[Polynomial]:

@@ -22,7 +22,9 @@ statement::
     mult (1,0:0)*(0,1:0) = 1*(1,1:0);
 
 Structure entries are stored symmetrically; a pair may be written in either
-order, and ``= 0;`` records a vanishing product.
+order, and ``= 0;`` records a vanishing product.  Each of ``monoid dim``,
+``truncation``, a component and a pair is listed once: a second one is a
+parse error at the repeated statement ("... listed twice").
 
 A token is its matched string, found by one regex scan; ``""`` marks end
 of input and the kind follows from the first character.  Tokens carry no
@@ -30,6 +32,13 @@ position: when a `ParseError` is raised, the text is rescanned up to the
 failing token to give its line and column.  Parenthesized expressions
 nest at most 200 levels deep, and a rational literal with denominator zero
 is a parse error at that literal.
+
+Graded files are read one statement per regex match (`_scan_graded`),
+with each basis ref and coefficient literal converted once per file.  The
+token-level cursor loop (`_parse_graded_cursor`) is the grammar's
+reference and its only error reporter: any text the scanner does not
+accept, valid or not, is read again by the cursor loop, which gives the
+same result or the first error with its position.
 """
 
 from __future__ import annotations
@@ -455,6 +464,7 @@ def _basis_str(b) -> str:
 
 def graded_algebra_to_str(algebra) -> str:
     """Render a GradedAlgebra in the graded-algebra file format."""
+    names = {ref: _basis_str(ref) for ref in algebra.basis()}
     lines = [f"monoid dim {algebra.monoid_dim};", f"truncation {algebra.truncation};"]
     for grade in sorted(algebra.components):
         lines.append(f"component {_grade_str(grade)} size {algebra.components[grade]};")
@@ -463,20 +473,124 @@ def graded_algebra_to_str(algebra) -> str:
         if right < left:
             continue  # symmetric partner printed once
         expansion = algebra.structure[pair]
-        lhs = f"mult {_basis_str(left)}*{_basis_str(right)} ="
+        lhs = f"mult {names[left]}*{names[right]} ="
         if not expansion:
             lines.append(f"{lhs} 0;")
             continue
         body = []
         for j, (target, coeff) in enumerate(sorted(expansion)):
             mag = abs(coeff)
-            text = f"{mag}*{_basis_str(target)}"
+            text = f"{mag}*{names[target]}"
             if j == 0:
                 body.append(text if coeff > 0 else f"-{text}")
             else:
                 body.append(f"+ {text}" if coeff > 0 else f"- {text}")
         lines.append(f"{lhs} " + " ".join(body) + ";")
     return "\n".join(lines) + "\n"
+
+
+# The statement scanner reads a graded file one statement per regex match.
+# Its patterns are stricter than the token grammar: every statement they
+# accept reads the same under the cursor loop below, and anything else
+# (including a comment inside a statement) sends the whole text there.
+_INT = r"[0-9]+"
+_NUM = r"[0-9]+(?:/[0-9]+)?"
+_GRADE = rf"{_INT}(?:\s*,\s*{_INT})*"
+_REF = rf"\(\s*{_GRADE}\s*:\s*{_INT}\s*\)"
+_TERM = rf"{_NUM}\s*\*\s*{_REF}"
+# Whitespace and comments between statements.  A comment runs to the end
+# of its line, so a gap splits into them one way only; a comment allowed
+# to stop early would let a line of n '#' split 2^(n-1) ways, each tried
+# again on every failed match.
+_GAP = r"(?:\s|\#[^\n]*(?![^\n]))*"
+_STATEMENT_RE = re.compile(
+    rf"{_GAP}(?:"
+    rf"mult\s*({_REF})\s*\*\s*({_REF})\s*=\s*"
+    rf"(?:(-?\s*{_TERM}(?:\s*[-+]\s*{_TERM})*)|0)"
+    rf"|component\s+({_GRADE})\s+size\s+({_INT})"
+    rf"|truncation\s+({_INT})"
+    rf"|monoid\s+dim\s+({_INT})"
+    r")\s*;")
+_TERM_RE = re.compile(rf"\s*([-+]?)\s*({_NUM})\s*\*\s*({_REF})")
+_TAIL_RE = re.compile(rf"{_GAP}\Z")
+_INT_RE = re.compile(_INT)
+
+
+class _Rejected(Exception):
+    """The statement scanner cannot accept the text; the cursor loop decides."""
+
+
+class _Memo(dict):
+    """A dict that builds a missing value once, as ``build(key)``."""
+
+    def __init__(self, build):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, key):
+        self[key] = value = self.build(key)
+        return value
+
+
+def _scan_graded(text: str):
+    """The fields of a graded file, read one statement per regex match.
+
+    Returns ``(dim, truncation, components, structure)``, with truncation
+    None when the file gives none.  Raises `_Rejected` on every text it does not accept: a statement its
+    pattern does not match (a comment inside a statement, say), a grade of
+    the wrong length, a statement before ``monoid dim``, a repeated
+    statement or a zero denominator.  Within one call each basis ref is
+    built once per matched ref string and each coefficient literal becomes
+    a `Fraction` once.
+    """
+    dim = truncation = None
+    components: dict[tuple[int, ...], int] = {}
+    structure: dict = {}
+
+    def new_ref(ref: str):
+        *entries, idx = map(int, ints(ref))  # the grade's entries, then the index
+        if len(entries) != dim:
+            raise _Rejected
+        return (tuple(entries), idx)
+
+    def new_coeff(literal: str) -> Fraction:
+        try:
+            return Fraction(literal)
+        except ZeroDivisionError:
+            raise _Rejected from None
+
+    refs, coeffs = _Memo(new_ref), _Memo(new_coeff)
+
+    match, terms_of, ints = _STATEMENT_RE.match, _TERM_RE.findall, _INT_RE.findall
+    pos = 0
+    while m := match(text, pos):
+        pos = m.end()
+        left, right, body, grade, size, trunc, dim_field = m.groups()
+        if left is not None:
+            if dim is None:
+                raise _Rejected
+            left, right = refs[left], refs[right]
+            key = (left, right) if left <= right else (right, left)
+            if key in structure:
+                raise _Rejected
+            structure[key] = [] if body is None else [
+                (refs[ref], coeffs[sign + num]) for sign, num, ref in terms_of(body)]
+        elif grade is not None:
+            entries = tuple(map(int, ints(grade)))
+            if dim is None or len(entries) != dim or entries in components:
+                raise _Rejected
+            components[entries] = int(size)
+        elif trunc is not None:
+            if dim is None or truncation is not None:
+                raise _Rejected
+            truncation = int(trunc)
+        else:
+            if dim is not None:
+                raise _Rejected
+            dim = int(dim_field)
+    if dim is None or not _TAIL_RE.match(text, pos):
+        raise _Rejected
+    return dim, truncation, components, structure
 
 
 def _parse_grade(cur: _Cursor, dim: int) -> tuple[int, ...]:
@@ -502,9 +616,27 @@ def _parse_basis_ref(cur: _Cursor, dim: int):
 
 
 def parse_graded_algebra(text: str):
-    """Parse the graded-algebra file format and validate the result."""
+    """Parse the graded-algebra file format and validate the result.
+
+    The statement scanner reads the text; where it cannot accept it, the
+    cursor loop reads it again and reports the first error with its position.
+    """
     from .graded import GradedAlgebra
 
+    try:
+        dim, truncation, components, structure = _scan_graded(text)
+    except _Rejected:
+        dim, truncation, components, structure = _parse_graded_cursor(text)
+    if truncation is None:
+        truncation = max((sum(g) for g in components), default=0)
+    return GradedAlgebra(dim, components, structure, truncation)
+
+
+def _parse_graded_cursor(text: str):
+    """The token-level reference reader of the graded file grammar.
+
+    Returns what `_scan_graded` returns, or raises a located ParseError.
+    """
     cur = _Cursor(text)
     dim: int | None = None
     truncation: int | None = None
@@ -515,14 +647,20 @@ def parse_graded_algebra(text: str):
         head = cur.expect_ident()
         if head == "monoid":
             cur.expect_ident("dim")
-            dim = cur.expect_int("monoid dim must be an integer")
+            value = cur.expect_int("monoid dim must be an integer")
             cur.expect_sym(";")
+            if dim is not None:
+                raise cur.error("monoid dim listed twice", at)
+            dim = value
             continue
         if dim is None:
             raise cur.error("the monoid dim statement must come first", at)
         if head == "truncation":
-            truncation = cur.expect_int("truncation must be an integer")
+            value = cur.expect_int("truncation must be an integer")
             cur.expect_sym(";")
+            if truncation is not None:
+                raise cur.error("truncation listed twice", at)
+            truncation = value
         elif head == "component":
             grade = _parse_grade(cur, dim)
             cur.expect_ident("size")
@@ -562,14 +700,15 @@ def parse_graded_algebra(text: str):
                     break
             cur.expect_sym(";")
             key = (left, right) if left <= right else (right, left)
-            structure[key] = tuple(sorted(expansion))
+            if key in structure:
+                raise cur.error(
+                    f"mult {_basis_str(left)}*{_basis_str(right)} listed twice", at)
+            structure[key] = expansion
         else:
             raise cur.error(f"unknown statement {head!r}", at)
     if dim is None:
         raise ParseError("input contains no monoid statement", 1, 1)
-    if truncation is None:
-        truncation = max((sum(g) for g in components), default=0)
-    return GradedAlgebra(dim, components, structure, truncation)
+    return dim, truncation, components, structure
 
 
 def parse_functional(text: str, dim: int):

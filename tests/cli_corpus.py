@@ -174,3 +174,60 @@ VACUOUS_CASES = [
      ["gr", "--algebra", fixture("no_products.alg"), "--functional", "1"],
      3, NO_PRODUCT_TABLE),
 ]
+
+# Each statement of a graded file appears once.  A second `mult` for the
+# same pair (in either order) or a second `truncation` used to replace the
+# first silently, and a second `monoid dim` ended as an unlocated
+# `input_error`.  Each entry is (name, argv, expected stdout); exit code 2.
+REPEATED_STATEMENT_CASES = [
+    (name, ["monoid-check", "--algebra", fixture(f"repeated/{name}.alg"),
+            "--functional", "1"], f"parse_error: {message}\n")
+    for name, message in (
+        ("mult", "line 10, col 1: mult (1:0)*(1:0) listed twice"),
+        ("mult_swapped", "line 10, col 1: mult (1:0)*(0:0) listed twice"),
+        ("truncation", "line 5, col 1: truncation listed twice"),
+        ("monoid_dim", "line 4, col 1: monoid dim listed twice"),
+    )
+]
+
+# Like terms of a `mult` expansion are summed: in cancelling_terms.alg the
+# product (1:0)*(1:0) = 1*(2:0) - 1*(2:0) is zero.  With both terms kept,
+# monoid-check read the top component as present, reported `hypotheses:
+# hold` and then a contradiction of the theorem, and gr found no zero
+# divisor.  Each entry is (name, argv, expected exit, expected stdout).
+CANCELLING_CASES = [
+    ("cancelling_terms_monoid",
+     ["monoid-check", "--algebra", fixture("cancelling_terms.alg"),
+      "--functional", "1", "--seed", "0", "--samples", "20"], 1,
+     "check: monoid-total-order-theorem\n"
+     "algebra: fixtures/cancelling_terms.alg\n"
+     "functional: 1\n"
+     "seed: 0\n"
+     "BEGIN-RESULT\n"
+     "cartan_missing: 1\n"
+     "order_violations: 0\n"
+     "grade_collisions: 0\n"
+     "hypotheses: fail\n"
+     "samples: 20\n"
+     "conclusion_failures: 7\n"
+     "conclusion: FAILS (contradicts the top-component theorem)\n"
+     "END-RESULT\n"),
+    ("cancelling_terms_gr",
+     ["gr", "--algebra", fixture("cancelling_terms.alg"), "--functional", "1"], 0,
+     "check: associated-graded\n"
+     "algebra: fixtures/cancelling_terms.alg\n"
+     "functional: 1\n"
+     "BEGIN-RESULT\n"
+     "lower_triangular: yes\n"
+     "zero_divisors_to_bound: (((1,), 0), ((1,), 0))\n"
+     "END-RESULT\n"
+     "monoid dim 1;\n"
+     "truncation 2;\n"
+     "component 0 size 1;\n"
+     "component 1 size 1;\n"
+     "component 2 size 1;\n"
+     "mult (0:0)*(0:0) = 1*(0:0);\n"
+     "mult (0:0)*(1:0) = 1*(1:0);\n"
+     "mult (0:0)*(2:0) = 1*(2:0);\n"
+     "mult (1:0)*(1:0) = 0;\n"),
+]

@@ -9,8 +9,10 @@ import pytest
 
 import tropval.cli as cli
 from cli_corpus import (
+    CANCELLING_CASES,
     CASES,
     PARSE_ERROR_CASES,
+    REPEATED_STATEMENT_CASES,
     USAGE_CASES,
     VACUOUS_CASES,
     fixture,
@@ -51,6 +53,18 @@ def test_zero_denominators_are_located_parse_errors(name, argv, expected):
 @pytest.mark.parametrize("name,argv,expected_code,expected", VACUOUS_CASES,
                          ids=[c[0] for c in VACUOUS_CASES])
 def test_checks_over_nothing_are_not_passes(name, argv, expected_code, expected):
+    assert run_case(argv) == (expected_code, expected)
+
+
+@pytest.mark.parametrize("name,argv,expected", REPEATED_STATEMENT_CASES,
+                         ids=[c[0] for c in REPEATED_STATEMENT_CASES])
+def test_repeated_graded_statements_are_located_parse_errors(name, argv, expected):
+    assert run_case(argv) == (2, expected)
+
+
+@pytest.mark.parametrize("name,argv,expected_code,expected", CANCELLING_CASES,
+                         ids=[c[0] for c in CANCELLING_CASES])
+def test_cancelling_terms_make_a_zero_product(name, argv, expected_code, expected):
     assert run_case(argv) == (expected_code, expected)
 
 

@@ -116,6 +116,17 @@ def test_cone_job_shares_one_homogenization(buchberger_calls):
     assert len(buchberger_calls) == 5
 
 
+def test_scale_reuses_the_refined_bases(line, buchberger_calls):
+    v = val(line, 1, 1)
+    before = len(buchberger_calls)
+    scaled = scale(v, 3)
+    # one refined run for the scaled weight, then one grevlex run for each
+    # side of the initial-ideal check; rerunning both refined bases made 5
+    assert len(buchberger_calls) - before == 3
+    assert scaled.weights == W(3, 3)
+    assert scaled.homogenized is v.homogenized
+
+
 def test_cone_sum_of_pullbacks_is_pointwise():
     t_ring = RingContext(("t",))
     ambient = Presentation(t_ring, ())

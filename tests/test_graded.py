@@ -414,6 +414,31 @@ def test_monoid_theorem_detects_missing_top_component():
     assert report.cartan_missing
 
 
+def test_like_terms_are_merged_and_cancelling_terms_vanish():
+    x, x2, x3 = ((1,), 0), ((2,), 0), ((3,), 0)
+    components = {(0,): 1, (1,): 1, (2,): 1, (3,): 1}
+    structure = {
+        (((0,), 0), ((0,), 0)): ((((0,), 0), F(1)),),
+        (((0,), 0), x): ((x, F(1)),),
+        (((0,), 0), x2): ((x2, F(1)),),
+        (((0,), 0), x3): ((x3, F(1)),),
+        # the square of x cancels; x * x^2 lists x^3 three times, out of order
+        (x, x): ((x2, F(1)), (x2, F(-1))),
+        (x, x2): ((x3, F(1, 2)), (x2, F(0)), (x3, F(-1)), (x3, 3)),
+    }
+    A = GradedAlgebra(1, components, structure, 3)
+    assert A.structure[(x, x)] == ()
+    assert A.structure[(x, x2)] == ((x3, F(5, 2)),)
+    # one cancelling pair among other terms leaves the others in place
+    B = GradedAlgebra(1, components, {(x, x): ((x3, 1), (x2, 2), (x3, -1))}, 3,
+                      validate=False)
+    assert B.structure[(x, x)] == ((x2, F(2)),)
+    # the zero product makes the top component of x * x missing
+    report = check_monoid_theorem(A, unit_rows(1), seed=0, n_samples=50)
+    assert not report.hypotheses_hold
+    assert report.cartan_missing
+
+
 def test_associated_graded_monoid_algebra_unchanged():
     A = monomial_poly_ring(2, 4)
     h = LexFunctional.single((F(1), F(1)))

@@ -205,7 +205,11 @@ def test_functional_rows_with_ties_only_in_later_rows():
 
 
 def ref_structure(components, structure):
-    """The old constructor loop: convert every field, check every ref."""
+    """The old constructor loop: convert every field, check every ref.
+
+    Like terms are then summed and zero sums dropped, as the constructor
+    now does.
+    """
     comps = {tuple(int(x) for x in g): int(s) for g, s in components.items() if s > 0}
 
     def check(ref):
@@ -226,7 +230,11 @@ def ref_structure(components, structure):
         clean = tuple(sorted(terms))
         for target, _ in clean:
             check(target)
-        out[(b1, b2) if b1 <= b2 else (b2, b1)] = clean
+        sums = {}
+        for target, c in clean:
+            sums[target] = sums.get(target, 0) + c
+        out[(b1, b2) if b1 <= b2 else (b2, b1)] = tuple(
+            (target, c) for target, c in sums.items() if c)
     return out
 
 

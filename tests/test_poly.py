@@ -1,5 +1,6 @@
 import random
 import re
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -9,12 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tropval.textio as textio
+from tropval.graded import LexFunctional, associated_graded, monomial_poly_ring
 from tropval.poly import Polynomial, Presentation, RingContext, RingMismatchError
+from tropval.sl2 import sl2_branching_algebra, sl2_rep_ring, strict_branching_functional
 from tropval.textio import (
     DuplicateVariableError,
     ParseError,
     UnknownVariableError,
     ParsedInput,
+    graded_algebra_to_str,
     parse_graded_algebra,
     parse_graded_element,
     parse_poly,
@@ -164,6 +168,8 @@ def test_ring_axioms(f, g, h):
 # line and column.  This copy of that tokenizer and cursor serves the
 # cursor interface the parser uses now, so every input can be parsed with
 # both and the results (or exception classes and messages) compared.
+# Graded files are read by the statement scanner first; their old side
+# runs the cursor loop alone, so the scanner is compared against it too.
 
 _OLD_TOKEN_RE = re.compile(
     r"""
@@ -314,6 +320,10 @@ BASES = {
     "graded": [SMALL_GRADED],
     "element": ["2*(1:0) - (0:0) + 1/2*(2:0)"],
 }
+# Emitted files, read as they are and after a few relayouts; mutating
+# them would only repeat, at far more cost, what SMALL_GRADED's edits test.
+LARGE_GRADED = [graded_algebra_to_str(sl2_branching_algebra(2)),
+                graded_algebra_to_str(sl2_rep_ring(4))]
 PIECES = ("\r\n", "\t", "#", "@", "\u00e9", "\u0663", " ", "\n", "(", ")", ",", ";",
           ":", "*", "+", "-", "^", "/", "=", "0", "1", "7/3", "-1/2", "x", "y", "t",
           "ring", "ideal", "weight", "coeffval", "tadic", "trivial", "monoid", "dim",
@@ -336,11 +346,44 @@ def _mutate(text: str, rng: random.Random) -> str:
     return text
 
 
+LAYOUT = (" ", "\t", "\n", "\r\n", "  \n\n", "# note\n", "\n# * ; = mult\n",
+          "\n## # banner ##\n")
+
+
+def _relayout(text: str, rng: random.Random) -> str:
+    """Insert whitespace or a comment line; most inputs stay valid."""
+    for _ in range(rng.randint(1, 3)):
+        pos = rng.randrange(len(text) + 1)
+        text = text[:pos] + rng.choice(LAYOUT) + text[pos:]
+    return text
+
+
+# Forms at the edge of the graded statement scanner's patterns, each one
+# edit of SMALL_GRADED: read by both paths, by the cursor loop only, or an
+# error.
+GRADED_EDGES = [
+    ("= -1/2*(2:0)", "= +1/2*(2:0)"), ("= -1/2*(2:0)", "= - 1/2 * ( 2 : 0 )"),
+    ("= -1/2*(2:0)", "= -1 /2*(2:0)"), ("= -1/2*(2:0)", "= -1/0*(2:0)"),
+    ("= -1/2*(2:0)", "= -1/2*(2:0) - 0*(1:0)"), ("1*(2:0)", "1*(2:0) + 1*(2:0)"),
+    ("= 0;", "= 0 ;"), ("= 0;", "= 00;"), ("= 0;", "= 0*(0:0);"), ("= 0;", "= -0;"),
+    ("component 1 size", "component 1size"), ("component 1 size", "component 1 size1"),
+    ("component 2 size 1", "component \u0662 size 1"), ("(1:0)*(2:0)", "(1,0:0)*(2:0)"),
+    ("mult (0:0)*(1:0)", "mult(0:0)*(1:0)"), ("mult (0:0)*(1:0)", "mult (0:0) # note\n*(1:0)"),
+    ("truncation 2;", "truncation 2;truncation 2;"), ("truncation 2;\n", ""),
+    ("monoid dim 1;", "monoid dim 1;monoid dim 1;"), ("monoid dim 1;\n", ""),
+    ("mult (1:0)*(2:0) = 0;", "mult (1:0)*(2:0) = 0;\nmult (2:0)*(1:0) = 0;"),
+]
+
+
 def _outcome(parse, text: str):
     try:
         return ("ok", parse(text))
     except Exception as exc:  # compared by class and message
         return ("error", type(exc), str(exc))
+
+
+def _cursor_only(text: str):
+    raise textio._Rejected
 
 
 def test_string_tokens_parse_like_the_token_objects(monkeypatch):
@@ -353,8 +396,21 @@ def test_string_tokens_parse_like_the_token_objects(monkeypatch):
         # costs time and says nothing about the tokenizer.
         if not re.search(r"\^\s*\d\d", text):
             inputs.append((kind, text))
+    inputs += [("graded", SMALL_GRADED.replace(old, new, 1)) for old, new in GRADED_EDGES]
+    inputs += [("graded", text) for text in LARGE_GRADED]
+    inputs += [("graded", _relayout(SMALL_GRADED, rng)) for _ in range(600)]
+    inputs += [("graded", _relayout(text, rng)) for text in LARGE_GRADED for _ in range(5)]
+    read, cursor_reads = textio._parse_graded_cursor, []
+
+    def counted_read(text):
+        cursor_reads.append(text)
+        return read(text)
+
+    monkeypatch.setattr(textio, "_parse_graded_cursor", counted_read)
     new = [_outcome(PARSERS[kind], text) for kind, text in inputs]
+    fallbacks = len(cursor_reads)
     monkeypatch.setattr(textio, "_Cursor", OldCursor)
+    monkeypatch.setattr(textio, "_scan_graded", _cursor_only)
     old = [_outcome(PARSERS[kind], text) for kind, text in inputs]
     differences = [(inputs[i], old[i], new[i]) for i in range(len(inputs)) if old[i] != new[i]]
     assert differences == []
@@ -362,3 +418,45 @@ def test_string_tokens_parse_like_the_token_objects(monkeypatch):
     unexpected = sum(outcome[0] == "error" and "unexpected character" in outcome[2]
                      for outcome in new)
     assert 500 < errors < len(inputs) - 300 and unexpected > 100
+    # both graded paths were taken, each on many inputs
+    graded = sum(kind == "graded" for kind, _ in inputs)
+    assert graded - fallbacks > 200 and fallbacks > 300
+
+
+def test_hash_banners_are_read_in_linear_time():
+    banner = "#" * 60 + "\n"
+    text = graded_algebra_to_str(sl2_rep_ring(4))
+    start = time.perf_counter()
+    assert parse_graded_algebra(text + banner).key() == sl2_rep_ring(4).key()
+    # a banner just before a statement the scanner's pattern rejects
+    bad = SMALL_GRADED.replace("mult (1:0)*(2:0) = 0;", banner + "mult (1:0)*(2:0) = 0 0;")
+    with pytest.raises(ParseError) as raised:
+        parse_graded_algebra(bad)
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(ParseError) as expected:
+        textio._parse_graded_cursor(bad)
+    assert str(raised.value) == str(expected.value)
+
+
+def _emitted_builtin_files():
+    strict = strict_branching_functional()
+    for A in (monomial_poly_ring(1, 4), monomial_poly_ring(2, 3), monomial_poly_ring(3, 4),
+              sl2_rep_ring(1), sl2_rep_ring(4), sl2_rep_ring(7)):
+        yield A
+        yield associated_graded(A, LexFunctional.single((1,) * A.monoid_dim))
+    for n in (2, 3):
+        A = sl2_branching_algebra(n)
+        yield A
+        yield associated_graded(A, strict)
+
+
+def test_emitted_builtin_files_never_reach_the_cursor_loop(monkeypatch):
+    def fail(text):
+        raise AssertionError("the statement scanner rejected an emitted file")
+
+    monkeypatch.setattr(textio, "_parse_graded_cursor", fail)
+    for A in _emitted_builtin_files():
+        text = graded_algebra_to_str(A)
+        B = parse_graded_algebra(text)
+        assert B.key() == A.key() and B.truncation == A.truncation
+        assert graded_algebra_to_str(B) == text
