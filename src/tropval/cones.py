@@ -223,12 +223,6 @@ class FacetClass:
 class FacetPartition:
     classes: tuple[FacetClass, ...]
 
-    def class_of(self, w: WeightVector) -> int:
-        for i, cls in enumerate(self.classes):
-            if w in cls.members:
-                return i
-        raise KeyError(f"{w} was not part of the partition input")
-
 
 def facet_classes(P: Presentation, ws: list[WeightVector]) -> FacetPartition:
     """Partition weight vectors by equality of their initial ideals."""

@@ -632,19 +632,23 @@ def check_monoid_theorem(A: GradedAlgebra, w: LexFunctional,
 
 
 def associated_graded(A: GradedAlgebra, h: LexFunctional) -> GradedAlgebra:
-    """Keep only the h-maximal grades of every product (ties all kept)."""
+    """The associated graded algebra of the filtration by h.
+
+    The product of b1 and b2 keeps exactly the terms whose key is
+    key(b1) + key(b2), the top the filtration allows; a product with no
+    term there lies in a lower filtration piece and is zero in gr.  Raises
+    `NotLowerTriangularError` when some product has a term above that key.
+    """
     ok, witness = check_lower_triangular(A, h)
     if not ok:
         raise NotLowerTriangularError(
             f"multiplication is not lower-triangular for this functional: {witness}")
     key = h.key
     structure = {}
-    for pair, expansion in A.structure.items():
-        if not expansion:
-            structure[pair] = ()
-            continue
-        top = max(key(t[0]) for t, _ in expansion)
-        structure[pair] = tuple((t, c) for t, c in expansion if key(t[0]) == top)
+    for (b1, b2), expansion in A.structure.items():
+        top = tuple_sum(key(b1[0]), key(b2[0]))
+        structure[(b1, b2)] = tuple(
+            (t, c) for t, c in expansion if key(t[0]) == top)
     return GradedAlgebra(A.monoid_dim, A.components, structure, A.truncation)
 
 

@@ -42,9 +42,17 @@ division or Buchberger touches a `Fraction`.  Division (`_remainder_terms`)
 yields the remainder's terms largest first and keeps integral coefficients
 as Python ints, making a `Fraction` only where a rational tail or a leading
 coefficient other than 1 needs one; `normal_form` collects every term as a
-`Fraction`, and `leading_normal_exponent` stops at the first.  A
-`GroebnerBasis` builds its division table (and runs the termination check
-for non-global orders) once, on its first reduction.
+`Fraction`, and `leading_normal_exponent` stops at the first.
+
+Division reads one table per basis, a `GroebnerBasis`, with one entry per
+element (leading monomial and coefficient, negated tail).  A basis built
+from generators alone builds its table, and runs the termination check
+for non-global orders, once, on its first reduction.  `buchberger` builds
+each element's entry once, when the element joins, and checks termination
+once, at entry: homogeneous input gives homogeneous S-polynomials and
+remainders.  It interreduces the minimal basis in one pass: each remainder
+is monic, keeps its lead and has no term divisible by any lead, and the
+reduced-basis element with a given lead is unique.
 """
 
 from __future__ import annotations
@@ -170,9 +178,9 @@ class GroebnerBasis:
     gens: tuple[Polynomial, ...]
     order: MonomialOrder
     _leads: tuple = field(default=(), repr=False, compare=False)
-    # The division table, built on the first reduction (see `_divisors`).
-    _table: list | None = field(default=None, init=False, repr=False,
-                                compare=False)
+    # The division table, one `_divisor` entry per element.  When it is not
+    # given, the first reduction builds it (see `_divisors`).
+    _table: list | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self._leads) != len(self.gens):
@@ -180,39 +188,17 @@ class GroebnerBasis:
             object.__setattr__(self, "_leads", leads)
 
     def _divisors(self) -> list:
+        """The division table, built once with the termination check.
+
+        Non-global orders are safe only against homogeneous bases: every
+        reduction then stays inside the finitely many monomials of one
+        degree.  So the check runs here, before the first reduction.
+        """
         if self._table is None:
-            object.__setattr__(self, "_table",
-                               _divisor_table(self.order, self.gens, self._leads))
+            _check_termination(self.order, self.gens)
+            object.__setattr__(self, "_table", [
+                _divisor(g, lm, lc) for g, (lm, lc) in zip(self.gens, self._leads)])
         return self._table
-
-
-class _LeadTable:
-    """A basis under construction with the leading term of each element.
-
-    Division reads it like a `GroebnerBasis`, so one Buchberger run reduces
-    against its table directly; each element's leading term is computed
-    once, when it joins.  The table grows between reductions, so its
-    division table is built anew for each one.
-    """
-
-    __slots__ = ("gens", "order", "_leads")
-
-    def __init__(self, order: MonomialOrder, gens=(), leads=()):
-        self.order = order
-        self.gens: list[Polynomial] = list(gens)
-        self._leads: list[tuple[ExponentVector, Fraction]] = list(leads)
-
-    def append_monic(self, g: Polynomial) -> None:
-        """Append g scaled to leading coefficient 1, unless already present."""
-        lm, lc = leading_term(g, self.order)
-        if lc != 1:
-            g = g.scale(Fraction(1) / lc)
-        if g not in self.gens:
-            self.gens.append(g)
-            self._leads.append((lm, Fraction(1)))
-
-    def _divisors(self) -> list:
-        return _divisor_table(self.order, self.gens, self._leads)
 
 
 def _check_termination(order: MonomialOrder, polys) -> None:
@@ -226,23 +212,16 @@ def _check_termination(order: MonomialOrder, polys) -> None:
     )
 
 
-def _divisor_table(order: MonomialOrder, gens, leads) -> list:
-    """Per basis element: leading monomial, leading coefficient (None when
-    it is 1) and negated tail, integral coefficients as ints.
-
-    Non-global orders are safe only against homogeneous bases: every
-    reduction then stays inside the finitely many monomials of one degree.
-    So the termination check runs here, before the first reduction.
-    """
-    _check_termination(order, gens)
-    return [
-        (lm, None if lc == 1 else lc,
-         [(eg, -(cg.numerator if cg.denominator == 1 else cg))
-          for eg, cg in g.terms.items() if eg != lm])
-        for g, (lm, lc) in zip(gens, leads)]
+def _divisor(g: Polynomial, lm: ExponentVector, lc: Fraction) -> tuple:
+    """Division-table entry of one basis element: leading monomial, leading
+    coefficient (None when it is 1) and negated tail, integral coefficients
+    as ints."""
+    return (lm, None if lc == 1 else lc,
+            [(eg, -(cg.numerator if cg.denominator == 1 else cg))
+             for eg, cg in g.terms.items() if eg != lm])
 
 
-def _remainder_terms(f: Polynomial, gb: GroebnerBasis | _LeadTable):
+def _remainder_terms(f: Polynomial, gb: GroebnerBasis):
     """Terms (exponent, coefficient) of the remainder of f by the basis.
 
     They come largest first under the basis order.  Integral coefficients
@@ -286,7 +265,7 @@ def _remainder_terms(f: Polynomial, gb: GroebnerBasis | _LeadTable):
             yield e, c
 
 
-def normal_form(f: Polynomial, gb: GroebnerBasis | _LeadTable) -> Polynomial:
+def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:
     """Remainder of multivariate division of f by the basis.
 
     No term of the result is divisible by a leading monomial of the basis,
@@ -301,7 +280,7 @@ def normal_form(f: Polynomial, gb: GroebnerBasis | _LeadTable) -> Polynomial:
 
 
 def leading_normal_exponent(f: Polynomial,
-                            gb: GroebnerBasis | _LeadTable) -> ExponentVector | None:
+                            gb: GroebnerBasis) -> ExponentVector | None:
     """Leading exponent of `normal_form(f, gb)` under the basis order.
 
     None when the normal form is zero.  Division stops at the first
@@ -331,71 +310,67 @@ def buchberger(gens: list[Polynomial], order: MonomialOrder) -> GroebnerBasis:
     for g in gens:
         if g.is_zero:
             raise ZeroPolynomialError("ideal generators must be nonzero")
+    # Homogeneous input gives homogeneous S-polynomials and remainders, so
+    # one check here covers every reduction below.
     _check_termination(order, gens)
-    table = _LeadTable(order)
-    for g in gens:
-        table.append_monic(g)
-    basis, leads = table.gens, table._leads
+    basis: list[Polynomial] = []
+    leads: list[tuple[ExponentVector, Fraction]] = []
+    table: list = []
     pairs: list[tuple[tuple[int, ...], int, int]] = []
 
-    def add_pairs(k: int) -> None:
-        ek = leads[k][0]
-        for i in range(k):
-            lcm = tuple(map(max, leads[i][0], ek))
-            heapq.heappush(pairs, (order.sort_key(lcm), i, k))
+    def join(g: Polynomial) -> None:
+        """Append g scaled to leading coefficient 1, unless already present."""
+        lm, lc = leading_term(g, order)
+        if lc != 1:
+            g = g.scale(Fraction(1) / lc)
+        if g in basis:
+            return
+        for i, (ei, _) in enumerate(leads):
+            heapq.heappush(pairs, (order.sort_key(tuple(map(max, ei, lm))),
+                                   i, len(basis)))
+        basis.append(g)
+        leads.append((lm, Fraction(1)))
+        table.append(_divisor(g, lm, 1))
 
-    for k in range(1, len(basis)):
-        add_pairs(k)
+    for g in gens:
+        join(g)
     while pairs:
         _, i, j = heapq.heappop(pairs)
         ei, ej = leads[i][0], leads[j][0]
         if all(a == 0 or b == 0 for a, b in zip(ei, ej)):
             continue  # coprime leading monomials: s-poly reduces to zero
-        r = normal_form(_s_poly(basis[i], ei, basis[j], ej), table)
+        r = normal_form(_s_poly(basis[i], ei, basis[j], ej),
+                        GroebnerBasis(tuple(basis), order, tuple(leads), table))
         if not r.is_zero:
-            table.append_monic(r)
-            add_pairs(len(basis) - 1)
+            join(r)
 
     # Minimalize: drop generators whose lead is divisible by another lead.
     lms = [lm for lm, _ in leads]
     keep = [i for i, lm in enumerate(lms)
             if not any(j != i and _divides(lms[j], lm) and (lms[j] != lm or j < i)
                        for j in range(len(basis)))]
-    minimal = [basis[i] for i in keep]
-    min_leads = [leads[i] for i in keep]
-
-    # Interreduce tails until stable.  No lead of a minimal basis divides
-    # another, so each element keeps its monic leading term under reduction.
-    changed = len(minimal) > 1
-    while changed:
-        changed = False
-        for i in range(len(minimal)):
-            others = _LeadTable(order, minimal[:i] + minimal[i + 1:],
-                                min_leads[:i] + min_leads[i + 1:])
-            r = normal_form(minimal[i], others)
-            if r != minimal[i]:
-                minimal[i] = r
-                changed = True
-    ranked = sorted(zip(minimal, min_leads),
-                    key=lambda item: order._descending_key(item[1][0]))
-    return GroebnerBasis(tuple(g for g, _ in ranked), order,
-                         tuple(lead for _, lead in ranked))
+    keep.sort(key=lambda i: order._descending_key(lms[i]))
+    reduced = [basis[i] for i in keep]
+    # Interreduce in one pass.  No lead of a minimal basis divides another,
+    # so each remainder is monic with the same lead, and no term of it is
+    # divisible by any lead.  The reduced-basis element with that lead is
+    # unique, so the partners' own tails do not matter.
+    if len(keep) > 1:
+        reduced = [normal_form(basis[i], GroebnerBasis(
+                       tuple(basis[j] for j in keep if j != i), order,
+                       tuple(leads[j] for j in keep if j != i),
+                       [table[j] for j in keep if j != i]))
+                   for i in keep]
+    return GroebnerBasis(tuple(reduced), order, tuple(leads[i] for i in keep))
 
 
 # -- initial forms and initial ideals -----------------------------------------
 
 
-def initial_form(f: Polynomial, w: WeightVector,
-                 presentation: Presentation | None = None) -> Polynomial:
-    """Sum of the terms of f attaining the maximum weight.
-
-    When a presentation with a t-adic coefficient valuation is supplied, the
-    uniformizer component of the weights is pinned first.
-    """
+def initial_form(f: Polynomial, w: WeightVector) -> Polynomial:
+    """Sum of the terms of f attaining the maximum weight."""
     if f.is_zero:
         raise ZeroPolynomialError("the zero polynomial has no initial form")
-    if presentation is not None:
-        w = presentation.effective_weights(w)
     if len(w.weights) != f.ring.dim:
         raise ValueError("weight vector has wrong dimension for this ring")
     best: Fraction | None = None
@@ -410,8 +385,9 @@ def initial_form(f: Polynomial, w: WeightVector,
     return Polynomial(f.ring, top)
 
 
-def _extended_ring(ring: RingContext) -> RingContext:
-    name = "h0"
+def _extended_ring(ring: RingContext, stem: str) -> RingContext:
+    """The ring with one more variable last, named stem plus underscores."""
+    name = stem
     while name in ring.variables:
         name += "_"
     return RingContext(ring.variables + (name,))
@@ -481,7 +457,7 @@ class HomogenizedIdeal:
 
     def __init__(self, P: Presentation):
         self.presentation = P
-        self.ext = _extended_ring(P.ring)
+        self.ext = _extended_ring(P.ring, "h0")
         self.saturated: list[Polynomial] = []
         if P.ideal_gens:
             homogenized = [_homogenize(g, self.ext) for g in P.ideal_gens]
@@ -555,7 +531,7 @@ def contains_monomial(gens: list[Polynomial], ring: RingContext) -> tuple[bool, 
         if g.is_monomial():
             e, _ = next(iter(g.terms.items()))
             return True, Polynomial.monomial(ring, e)
-    ext = RingContext(ring.variables + (_aux_name(ring),))
+    ext = _extended_ring(ring, "u0")
     lifted = [Polynomial(ext, {e + (0,): c for e, c in g.terms.items()}) for g in gens]
     product_exps = (1,) * ring.dim + (1,)
     lifted.append(Polynomial(ext, {product_exps: Fraction(1),
@@ -572,13 +548,6 @@ def contains_monomial(gens: list[Polynomial], ring: RingContext) -> tuple[bool, 
             return True, power
         power = power * product
     raise RuntimeError("saturation witness not found within the power bound")
-
-
-def _aux_name(ring: RingContext) -> str:
-    name = "u0"
-    while name in ring.variables:
-        name += "_"
-    return name
 
 
 def canonical_initial_key(P: Presentation, w: WeightVector) -> tuple:

@@ -195,13 +195,12 @@ def check_axioms(v: CandidateValuation, seed: int = 0, n_pairs: int = 200,
     return AxiomReport(n_pairs, tuple(mult_failures), tuple(cancellation_failures))
 
 
-def tropicalize(v: CandidateValuation,
-                P: Presentation | None = None) -> WeightVector:
+def tropicalize(v: CandidateValuation) -> WeightVector:
     """The tuple of generator values; every generator must be finite."""
-    P = P or v.presentation
+    ring = v.presentation.ring
     values = []
-    for name in P.ring.variables:
-        t = v.evaluate(Polynomial.variable(P.ring, name))
+    for name in ring.variables:
+        t = v.evaluate(Polynomial.variable(ring, name))
         if t.is_bottom:
             raise NonfiniteGeneratorValueError(
                 f"generator {name!r} has value -inf; no tropical point exists"

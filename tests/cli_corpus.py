@@ -194,7 +194,9 @@ REPEATED_STATEMENT_CASES = [
 # product (1:0)*(1:0) = 1*(2:0) - 1*(2:0) is zero.  With both terms kept,
 # monoid-check read the top component as present, reported `hypotheses:
 # hold` and then a contradiction of the theorem, and gr found no zero
-# divisor.  Each entry is (name, argv, expected exit, expected stdout).
+# divisor.  A conclusion failure under failed hypotheses is no counterexample
+# to the theorem; monoid-check used to call it a contradiction.  Each entry
+# is (name, argv, expected exit, expected stdout).
 CANCELLING_CASES = [
     ("cancelling_terms_monoid",
      ["monoid-check", "--algebra", fixture("cancelling_terms.alg"),
@@ -210,12 +212,38 @@ CANCELLING_CASES = [
      "hypotheses: fail\n"
      "samples: 20\n"
      "conclusion_failures: 7\n"
-     "conclusion: FAILS (contradicts the top-component theorem)\n"
+     "conclusion: fails (hypotheses fail; not a counterexample to the theorem)\n"
      "END-RESULT\n"),
     ("cancelling_terms_gr",
      ["gr", "--algebra", fixture("cancelling_terms.alg"), "--functional", "1"], 0,
      "check: associated-graded\n"
      "algebra: fixtures/cancelling_terms.alg\n"
+     "functional: 1\n"
+     "BEGIN-RESULT\n"
+     "lower_triangular: yes\n"
+     "zero_divisors_to_bound: (((1,), 0), ((1,), 0))\n"
+     "END-RESULT\n"
+     "monoid dim 1;\n"
+     "truncation 2;\n"
+     "component 0 size 1;\n"
+     "component 1 size 1;\n"
+     "component 2 size 1;\n"
+     "mult (0:0)*(0:0) = 1*(0:0);\n"
+     "mult (0:0)*(1:0) = 1*(1:0);\n"
+     "mult (0:0)*(2:0) = 1*(2:0);\n"
+     "mult (1:0)*(1:0) = 0;\n"),
+]
+
+# gr keeps the terms of b1*b2 whose key is key(b1) + key(b2).  In
+# idempotent.alg the product (1:0)*(1:0) = 1*(1:0) lies below that key, so it
+# is zero in gr.  gr used to keep each product's own top terms, printed the
+# product unchanged and found no zero divisor.  Each entry is (name, argv,
+# expected exit, expected stdout).
+GRADE_SUM_CASES = [
+    ("idempotent_gr",
+     ["gr", "--algebra", fixture("idempotent.alg"), "--functional", "1"], 0,
+     "check: associated-graded\n"
+     "algebra: fixtures/idempotent.alg\n"
      "functional: 1\n"
      "BEGIN-RESULT\n"
      "lower_triangular: yes\n"

@@ -11,6 +11,7 @@ import tropval.cli as cli
 from cli_corpus import (
     CANCELLING_CASES,
     CASES,
+    GRADE_SUM_CASES,
     PARSE_ERROR_CASES,
     REPEATED_STATEMENT_CASES,
     USAGE_CASES,
@@ -65,6 +66,13 @@ def test_repeated_graded_statements_are_located_parse_errors(name, argv, expecte
 @pytest.mark.parametrize("name,argv,expected_code,expected", CANCELLING_CASES,
                          ids=[c[0] for c in CANCELLING_CASES])
 def test_cancelling_terms_make_a_zero_product(name, argv, expected_code, expected):
+    assert run_case(argv) == (expected_code, expected)
+
+
+@pytest.mark.parametrize("name,argv,expected_code,expected", GRADE_SUM_CASES,
+                         ids=[c[0] for c in GRADE_SUM_CASES])
+def test_products_below_the_grade_sum_vanish_in_gr(name, argv, expected_code,
+                                                   expected):
     assert run_case(argv) == (expected_code, expected)
 
 

@@ -448,6 +448,22 @@ def test_associated_graded_monoid_algebra_unchanged():
     assert associated_graded(A, zero).structure == A.structure
 
 
+def test_associated_graded_keeps_only_terms_at_the_grade_sum():
+    # x*x = x lies below the grade sum 2, so x*x is zero in gr
+    x = ((1,), 0)
+    components = {(0,): 1, (1,): 1, (2,): 1}
+    structure = {
+        (((0,), 0), ((0,), 0)): ((((0,), 0), F(1)),),
+        (((0,), 0), x): ((x, F(1)),),
+        (((0,), 0), ((2,), 0)): ((((2,), 0), F(1)),),
+        (x, x): ((x, F(1)),),
+    }
+    A = GradedAlgebra(1, components, structure, 2)
+    gr = associated_graded(A, LexFunctional.single((F(1),)))
+    assert gr.structure == {**structure, (x, x): ()}
+    assert zero_divisor_search(gr, 2) == (x, x)
+
+
 def test_zero_divisor_search():
     assert zero_divisor_search(monomial_poly_ring(2, 4), 4) is None
     # coordinate-axes algebra: x*y = 0

@@ -137,7 +137,7 @@ def test_initial_form_respects_uniformizer_weight():
     P = load("tadic.ideal")  # ring t x, ideal t*x - 1, t pinned to -1
     f = parse_poly(P.ring, "t*x - 1")
     # requested weight for t is ignored; the pinned value makes both terms top
-    assert initial_form(f, W(5, 1), P) == f
+    assert initial_form(f, P.effective_weights(W(5, 1))) == f
 
 
 def test_initial_ideal_line(line):
