@@ -12,13 +12,12 @@ decided exactly there.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .groebner import HomogenizedIdeal, MonomialOrder, classify_weights
+from .groebner import HomogenizedIdeal, classify_weights, integer_weights
 from .poly import Polynomial, Presentation, WeightVector
 from .valuation import (
     AxiomReport,
@@ -84,10 +83,7 @@ def _halfspace_witness(v: WeightVector, w: WeightVector) -> tuple[int, ...]:
     if all(x == 0 for x in u):
         # w is a non-positive multiple of v; go straight against v.
         u = [-x for x in v.weights]
-    denom = 1
-    for x in u:
-        denom = denom * x.denominator // math.gcd(denom, x.denominator)
-    return tuple(int(x * denom) for x in u)
+    return integer_weights(u)[0]
 
 
 def _direction_to_pair(P: Presentation, d: tuple[int, ...]) -> tuple[Polynomial, Polynomial]:
@@ -190,7 +186,7 @@ def arrow_check(P: Presentation, v: WeightVector, w: WeightVector) -> RelationVe
 
     If every generator is w-homogeneous, in_w(I) = I: no basis is needed.
     """
-    ws = MonomialOrder.weighted(P.effective_weights(w)).int_weights
+    ws = integer_weights(P.effective_weights(w).weights)[0]
     P.effective_weights(v)  # rejects a v of the wrong dimension
     if all(len({sum(map(mul, ws, e)) for e in g.terms}) == 1 for g in P.ideal_gens):
         return RelationVerdict("arrow", HOLDS_CERTIFIED,

@@ -24,25 +24,31 @@ homogenization pipeline:
      Groebner fan of an ideal", JSC 6, 1988; Fukuda, Jensen & Thomas,
      "Computing Groebner fans", Math. Comp. 76, 2007; Sturmfels, "Groebner
      Bases and Convex Polytopes", chs. 1-2).  `classify_weights` tests each
-     weight against the cones found so far with integer dot products and
-     runs steps 3-4 only for a weight outside all of them.  The test is
-     sufficient, not necessary: a weight that misses every cone takes the
-     full path, and equal initial ideals still merge classes.
+     weight against the cones found so far with integer dot products on
+     the weight's `integer_weights`, building no order, and runs steps 3-4
+     (and builds the refined order) only for a weight outside all of them.
+     The test is sufficient, not necessary: a weight that misses every cone
+     takes the full path, and equal initial ideals still merge classes.
 
 Steps 1-4 yield generators of the initial ideal of the original ideal for
 the given weights.  Steps 1-2 do not depend on the weight:
 `HomogenizedIdeal` does them once for its owner, an entry-point call or
 the weight valuations that hold it; nothing is cached at module level.
 Monomial containment is decided by saturating at the product of all
-variables via the extra-variable trick.
+variables via the extra-variable trick.  A single non-monomial generator
+needs no saturation: Q[x] is a UFD, so a divisor of a monomial is a
+monomial times a constant, and a principal ideal on a non-monomial holds
+no monomial.  The witness power is found by reducing powers of the product
+one multiplication at a time, with no bound on the exponent.
 
 Orders compare monomials by flat integer keys: rational weights are scaled
-once per order by the LCM of their denominators, so no key computation in
-division or Buchberger touches a `Fraction`.  Division (`_remainder_terms`)
-yields the remainder's terms largest first and keeps integral coefficients
-as Python ints, making a `Fraction` only where a rational tail or a leading
-coefficient other than 1 needs one; `normal_form` collects every term as a
-`Fraction`, and `leading_normal_exponent` stops at the first.
+once per order by the LCM of their denominators (`integer_weights`), so no
+key computation in division or Buchberger touches a `Fraction`.  Division
+(`_remainder_terms`) yields the remainder's terms largest first and keeps
+integral coefficients as Python ints, making a `Fraction` only where a
+rational tail or a leading coefficient other than 1 needs one;
+`normal_form` collects every term as a `Fraction`, and
+`leading_normal_exponent` stops at the first.
 
 Division reads one table per basis, a `GroebnerBasis`, with one entry per
 element (leading monomial and coefficient, negated tail).  A basis built
@@ -60,6 +66,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add, mul, neg, sub
@@ -80,13 +87,22 @@ class ZeroPolynomialError(ValueError):
     """Raised when an operation needs a nonzero polynomial."""
 
 
+def integer_weights(weights: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
+    """The weights times the positive LCM of their denominators, and that LCM.
+
+    Scaling by a positive constant keeps every comparison of weight dot
+    products, so the integer tuple can stand in for the weights.
+    """
+    scale = math.lcm(*(w.denominator for w in weights))
+    return tuple(w.numerator * (scale // w.denominator) for w in weights), scale
+
+
 @dataclass(frozen=True)
 class MonomialOrder:
     """A total multiplicative order: weight dot product, then a tie-break.
 
-    ``weights`` stays the public rational vector.  ``int_weights`` is that
-    vector times ``scale``, the positive LCM of its denominators; scaling by a
-    positive constant does not change the order, so keys are integers.
+    ``weights`` stays the public rational vector.  ``int_weights`` and
+    ``scale`` are its `integer_weights`, so keys are integers.
     """
 
     weights: tuple[Fraction, ...] | None = None
@@ -99,12 +115,12 @@ class MonomialOrder:
         if self.tie_break not in (GREVLEX, LEX):
             raise ValueError(f"unknown tie break {self.tie_break!r}")
         if self.weights is not None:
-            weights = tuple(Fraction(w) for w in self.weights)
-            scale = math.lcm(*(w.denominator for w in weights))
+            weights = tuple(w if type(w) is Fraction else Fraction(w)
+                            for w in self.weights)
+            int_weights, scale = integer_weights(weights)
             object.__setattr__(self, "weights", weights)
             object.__setattr__(self, "scale", scale)
-            object.__setattr__(self, "int_weights", tuple(
-                w.numerator * (scale // w.denominator) for w in weights))
+            object.__setattr__(self, "int_weights", int_weights)
 
     @classmethod
     def grevlex(cls) -> "MonomialOrder":
@@ -466,8 +482,8 @@ class HomogenizedIdeal:
 
     def order(self, w: WeightVector) -> MonomialOrder:
         """The (w, 0)-refined order on the extended ring, w made effective."""
-        weff = self.presentation.effective_weights(w)
-        return MonomialOrder.weighted(WeightVector(weff.weights + (Fraction(0),)))
+        return MonomialOrder(
+            self.presentation.effective_weights(w).weights + (Fraction(0),))
 
     def refined_basis(self, w: WeightVector) -> GroebnerBasis:
         """Step 3: the reduced basis for the (w, 0)-refined order."""
@@ -531,6 +547,10 @@ def contains_monomial(gens: list[Polynomial], ring: RingContext) -> tuple[bool, 
         if g.is_monomial():
             e, _ = next(iter(g.terms.items()))
             return True, Polynomial.monomial(ring, e)
+    if len(gens) == 1:
+        # Q[x] is a UFD: a divisor of a monomial is a monomial times a
+        # constant, so a principal ideal on a non-monomial holds none.
+        return False, None
     ext = _extended_ring(ring, "u0")
     lifted = [Polynomial(ext, {e + (0,): c for e, c in g.terms.items()}) for g in gens]
     product_exps = (1,) * ring.dim + (1,)
@@ -540,14 +560,15 @@ def contains_monomial(gens: list[Polynomial], ring: RingContext) -> tuple[bool, 
     is_unit = len(gb.gens) == 1 and gb.gens[0] == Polynomial.constant(ext, 1)
     if not is_unit:
         return False, None
+    # Some power of the product lies in the ideal.  Normal forms are unique
+    # modulo the ideal, so reducing r * product keeps r the normal form of
+    # product^k, which is zero exactly when product^k lies in the ideal.
     base = buchberger(gens, MonomialOrder.grevlex())
     product = Polynomial.monomial(ring, (1,) * ring.dim)
-    power = Polynomial.constant(ring, 1)
-    for _ in range(500):
-        if normal_form(power, base).is_zero:
-            return True, power
-        power = power * product
-    raise RuntimeError("saturation witness not found within the power bound")
+    r, k = normal_form(Polynomial.constant(ring, 1), base), 0
+    while not r.is_zero:
+        r, k = normal_form(r * product, base), k + 1
+    return True, Polynomial.monomial(ring, (k,) * ring.dim)
 
 
 def canonical_initial_key(P: Presentation, w: WeightVector) -> tuple:
@@ -575,7 +596,8 @@ def classify_weights(
     cones: list[tuple[tuple, list[_Face]]] = []
     classes: dict[tuple, tuple[tuple[Polynomial, ...], list[WeightVector]]] = {}
     for w in ws:
-        ws_int = H.order(w).int_weights
+        # `H.order(w).int_weights`, read without building the order.
+        ws_int = integer_weights(P.effective_weights(w).weights)[0] + (0,)
         key = next((k for k, faces in cones if _in_cone(faces, ws_int)), None)
         if key is None:
             gens, faces = H.initial(w)
@@ -604,9 +626,10 @@ def enumerate_fan(P: Presentation, box: int, denominator: int = 1) -> list[FanCl
     """
     if box < 0 or denominator <= 0:
         raise ValueError("box must be non-negative and denominator positive")
-    steps = range(-box * denominator, box * denominator + 1)
-    grid = [WeightVector(tuple(Fraction(p, denominator) for p in point))
-            for point in itertools.product(steps, repeat=P.ring.dim)]
+    values = [Fraction(p, denominator)
+              for p in range(-box * denominator, box * denominator + 1)]
+    grid = [WeightVector(point)
+            for point in itertools.product(values, repeat=P.ring.dim)]
     classes = []
     for gens, members in classify_weights(P, grid):
         members.sort(key=lambda v: v.weights)

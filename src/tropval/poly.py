@@ -254,9 +254,8 @@ class WeightVector:
     weights: tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "weights", tuple(Fraction(w) for w in self.weights)
-        )
+        object.__setattr__(self, "weights", tuple(
+            w if type(w) is Fraction else Fraction(w) for w in self.weights))
 
     @property
     def dim(self) -> int:

@@ -178,6 +178,37 @@ def test_contains_monomial_hidden_witness():
     assert normal_form(witness, gb).is_zero
 
 
+def test_contains_monomial_witness_beyond_power_500():
+    # The ideal is (x^501, x^501*y): the smallest power of x*y in it is the
+    # 501st, which a search bounded at 500 powers never reaches.
+    gens = [parse_poly(XY, "x^501*y + x^501"), parse_poly(XY, "x^501*y + 2*x^501")]
+    found, witness = contains_monomial(gens, XY)
+    assert found
+    assert witness == Polynomial.monomial(XY, (501, 501))
+
+
+def test_principal_shortcut_matches_the_saturation_path():
+    # A single non-monomial generator answers without the saturation run;
+    # listing x*f next to f spans the same ideal and forces that run.
+    rng = random.Random(23)
+    cases = 0
+    for dim in (2, 3, 4):
+        ring = RingContext(("x", "y", "z", "w")[:dim])
+        x = Polynomial.variable(ring, "x")
+        while cases < 6 * (dim - 1):
+            g = random_polynomial(rng, ring, 2, max_terms=3)
+            if g.is_monomial():
+                continue
+            f = x ** rng.randint(0, 3) * g
+            assert contains_monomial([f], ring) == (False, None)
+            assert contains_monomial([f, x * f], ring) == (False, None)
+            cases += 1
+    # Two non-monomial generators whose ideal does hold a monomial.
+    found, witness = contains_monomial(
+        [parse_poly(XY, "x^3*(y + 1)"), parse_poly(XY, "x^3*(y + 2)")], XY)
+    assert found and witness == Polynomial.monomial(XY, (3, 3))
+
+
 def test_same_initial_ideal(line):
     assert same_initial_ideal(line, W(1, 0), W(1, 0))
     assert same_initial_ideal(line, W(1, 1), W(2, 2))

@@ -31,11 +31,12 @@ from tropval.groebner import (
     contains_monomial,
     enumerate_fan,
     initial_ideal,
+    integer_weights,
     leading_normal_exponent,
     leading_term,
     normal_form,
 )
-from tropval.poly import Polynomial, Presentation, RingContext
+from tropval.poly import Polynomial, Presentation, RingContext, WeightVector
 from tropval.textio import parse_poly, parse_presentation
 from tropval.trop import BOTTOM, TropicalValue
 from tropval.valuation import make_weight_valuation, random_polynomial
@@ -375,6 +376,50 @@ def test_fan_runs_buchberger_per_cone_not_per_point(cubic, buchberger_calls):
     assert len(classes) == 13
     refined = sum(1 for order in buchberger_calls if order.weights is not None)
     assert refined < 125 // 4
+
+
+def test_fan_builds_a_weighted_order_per_refined_run_only(
+        cubic, buchberger_calls, monkeypatch):
+    built = []
+    post_init = MonomialOrder.__post_init__
+
+    def counting(order):
+        post_init(order)
+        if order.weights is not None:
+            built.append(order)
+
+    monkeypatch.setattr(MonomialOrder, "__post_init__", counting)
+    enumerate_fan(cubic, 2, 1)
+    refined = [order for order in buchberger_calls if order.weights is not None]
+    assert len(built) == len(refined) == 17
+
+
+@pytest.mark.parametrize("name", ["tadic.ideal", "cubic.ideal"])
+def test_integer_weights_match_the_order(name):
+    P = load(name)
+    H = HomogenizedIdeal(P)
+    rng = random.Random(name)
+    ws = [W(*(Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+              for _ in range(P.ring.dim))) for _ in range(30)]
+    ws.append(W(*([0] * P.ring.dim)))
+    if name == "tadic.ideal":  # the uniformizer t is pinned to -1
+        assert any(w.weights[0] != -1 for w in ws)
+    for w in ws:
+        ints, scale = integer_weights(P.effective_weights(w).weights)
+        order = MonomialOrder.weighted(P.effective_weights(w))
+        assert (ints, scale) == (order.int_weights, order.scale)
+        assert ints + (0,) == H.order(w).int_weights
+
+
+def test_weights_hold_exact_fractions_whatever_the_entry_type():
+    for entries in ((1, "-2/3", Fraction(5, 4)), ("3", Fraction(0), -2),
+                    (Fraction(-6, 4), "7", 0)):
+        exact = tuple(Fraction(e) for e in entries)
+        for cls in (WeightVector, MonomialOrder):
+            got, ref = cls(entries), cls(exact)
+            assert got.weights == exact
+            assert all(type(x) is Fraction for x in got.weights)
+            assert got == ref and hash(got) == hash(ref)
 
 
 def test_repeated_fan_call_repeats_all_work(buchberger_calls):
