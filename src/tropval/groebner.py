@@ -52,13 +52,25 @@ rational tail or a leading coefficient other than 1 needs one;
 
 Division reads one table per basis, a `GroebnerBasis`, with one entry per
 element (leading monomial and coefficient, negated tail).  A basis built
-from generators alone builds its table, and runs the termination check
-for non-global orders, once, on its first reduction.  `buchberger` builds
-each element's entry once, when the element joins, and checks termination
-once, at entry: homogeneous input gives homogeneous S-polynomials and
-remainders.  It interreduces the minimal basis in one pass: each remainder
-is monic, keeps its lead and has no term divisible by any lead, and the
-reduced-basis element with a given lead is unique.
+from generators alone, such as a `buchberger` result, builds its table, and
+runs the termination check for non-global orders, once, on its first
+reduction.  Such a finished basis is divided by many times, so it also
+memoizes two things per monomial: its order key, and its one-step rewrite
+(the first dividing element's tail shifted onto it, or "irreducible").
+`_remainder_terms` stays the only division loop and reads both through
+`GroebnerBasis._lookups`.  `buchberger` hands its working bases their
+table and they get no memo: each S-polynomial is reduced once against a
+growing basis, so its entries would rarely be read again.  `buchberger`
+builds each element's entry once, when the element joins, and checks
+termination once, at entry: homogeneous input gives homogeneous
+S-polynomials and remainders.  It interreduces the minimal basis in one
+pass: each remainder is monic, keeps its lead and has no term divisible by
+any lead, and the reduced-basis element with a given lead is unique.
+
+A table of whole monomial normal forms would also be correct, since the
+normal form is linear in f, but it gives up the early stop of
+`leading_normal_exponent`: at a high degree bound it computes full
+remainders that evaluation never reads.
 """
 
 from __future__ import annotations
@@ -69,7 +81,8 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import add, mul, neg, sub
+from functools import partial
+from operator import add, le, mul, neg, sub
 
 from .poly import (
     ExponentVector,
@@ -184,7 +197,21 @@ def leading_term(f: Polynomial, order: MonomialOrder) -> tuple[ExponentVector, F
 
 
 def _divides(d: ExponentVector, e: ExponentVector) -> bool:
-    return all(a <= b for a, b in zip(d, e))
+    return all(map(le, d, e))
+
+
+class _Memo(dict):
+    """A dict that fills each missing entry once, from ``fill(key)``."""
+
+    __slots__ = ("fill",)
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
 
 
 @dataclass(frozen=True)
@@ -197,6 +224,12 @@ class GroebnerBasis:
     # The division table, one `_divisor` entry per element.  When it is not
     # given, the first reduction builds it (see `_divisors`).
     _table: list | None = field(default=None, repr=False, compare=False)
+    # A basis that builds its own table is finished and is divided by again
+    # and again, so it memoizes each monomial's order key and one-step
+    # rewrite (see `_lookups`).  Entries are written once and depend only
+    # on the monomial.
+    _memo: tuple[_Memo, _Memo] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self._leads) != len(self.gens):
@@ -212,9 +245,23 @@ class GroebnerBasis:
         """
         if self._table is None:
             _check_termination(self.order, self.gens)
-            object.__setattr__(self, "_table", [
-                _divisor(g, lm, lc) for g, (lm, lc) in zip(self.gens, self._leads)])
+            table = [_divisor(g, lm, lc) for g, (lm, lc) in zip(self.gens, self._leads)]
+            object.__setattr__(self, "_table", table)
+            object.__setattr__(self, "_memo", (
+                _Memo(self.order._descending_key), _Memo(partial(_rewrite, table))))
         return self._table
+
+    def _lookups(self) -> tuple:
+        """The order key and the one-step rewrite of a monomial, as functions.
+
+        Memoized for a basis that built its own table; plain for
+        `buchberger`'s working bases, which are handed theirs.
+        """
+        table = self._divisors()
+        if self._memo is not None:
+            keys, steps = self._memo
+            return keys.__getitem__, steps.__getitem__
+        return self.order._descending_key, partial(_rewrite, table)
 
 
 def _check_termination(order: MonomialOrder, polys) -> None:
@@ -237,6 +284,20 @@ def _divisor(g: Polynomial, lm: ExponentVector, lc: Fraction) -> tuple:
              for eg, cg in g.terms.items() if eg != lm])
 
 
+def _rewrite(table: list, e: ExponentVector) -> tuple | None:
+    """One division step on the monomial e against a division table.
+
+    The leading coefficient (None when it is 1) and the negated tail,
+    shifted onto e, of the first element whose lead divides e; None when
+    no lead divides e.
+    """
+    for lm, lc, tail in table:
+        if all(map(le, lm, e)):  # `_divides`, inlined on the hot path
+            shift = tuple(map(sub, e, lm))
+            return lc, [(tuple(map(add, eg, shift)), cg) for eg, cg in tail]
+    return None
+
+
 def _remainder_terms(f: Polynomial, gb: GroebnerBasis):
     """Terms (exponent, coefficient) of the remainder of f by the basis.
 
@@ -246,8 +307,7 @@ def _remainder_terms(f: Polynomial, gb: GroebnerBasis):
     """
     if gb.gens and f.ring != gb.gens[0].ring:
         raise ValueError("polynomial and basis live in different rings")
-    divisors = gb._divisors()
-    key = gb.order._descending_key
+    key, step = gb._lookups()
     work = {e: c.numerator if c.denominator == 1 else c for e, c in f.terms.items()}
     # Max-heap of pending terms by order key.  A term that cancels stays in
     # the heap and is skipped when popped; every term a reduction step adds
@@ -260,25 +320,23 @@ def _remainder_terms(f: Polynomial, gb: GroebnerBasis):
         c = work.pop(e, None)
         if c is None:
             continue
-        for lm, lc, tail in divisors:
-            if _divides(lm, e):
-                shift = tuple(map(sub, e, lm))
-                factor = c if lc is None else Fraction(c) / lc
-                for eg, cg in tail:
-                    target = tuple(map(add, eg, shift))
-                    old = work.get(target)
-                    if old is None:
-                        work[target] = factor * cg
-                        heapq.heappush(heap, (key(target), target))
-                    else:
-                        s = old + factor * cg
-                        if s == 0:
-                            del work[target]
-                        else:
-                            work[target] = s
-                break
-        else:
+        rewrite = step(e)
+        if rewrite is None:
             yield e, c
+            continue
+        lc, tail = rewrite
+        factor = c if lc is None else Fraction(c) / lc
+        for target, cg in tail:
+            old = work.get(target)
+            if old is None:
+                work[target] = factor * cg
+                heapq.heappush(heap, (key(target), target))
+            else:
+                s = old + factor * cg
+                if s == 0:
+                    del work[target]
+                else:
+                    work[target] = s
 
 
 def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:

@@ -12,8 +12,11 @@ than "no counterexample among the sampled pairs".
 
 `CandidateValuation` owns `evaluate`; its subclasses `WeightValuation`,
 `Pullback`, `PointwiseSum` and `Scaled` each supply `_evaluate`.  Weight
-valuations of one presentation can share one `HomogenizedIdeal`.  No memo:
-nearly every sampled element is new, so keying each cost more than it saved.
+valuations of one presentation can share one `HomogenizedIdeal`.  Values
+are not memoized per element, since nearly every sampled element is new.
+The refined basis a `WeightValuation` holds memoizes per monomial instead
+(`GroebnerBasis`): the few hundred monomials the samples share meet the
+same order keys and division steps again and again.
 """
 
 from __future__ import annotations
@@ -51,9 +54,11 @@ class CandidateValuation:
     """A candidate valuation on a presented algebra.
 
     Each subclass supplies `_evaluate(f)` for nonzero f.  Construct one, or
-    use `make_weight_valuation`, `pullback` or the cone operations;
-    instances are immutable after construction and safe to evaluate
-    concurrently.
+    use `make_weight_valuation`, `pullback` or the cone operations.  Values
+    do not change after construction; the only state written later is the
+    division memo of a held basis, whose entries are written once and
+    depend only on the monomial, so evaluating concurrently gives the same
+    values.
     """
 
     def __init__(self, presentation: Presentation):
@@ -151,18 +156,51 @@ class AxiomReport:
         return "valuation"
 
 
+_COEFFICIENTS = (-3, -2, -1, 1, 2, 3)
+
+
 def random_polynomial(rng: random.Random, ring: RingContext,
                       degree_bound: int, max_terms: int = 3) -> Polynomial:
-    """Nonzero polynomial with small integer coefficients, seeded."""
+    """Nonzero polynomial with small integer coefficients, seeded.
+
+    The term count is ``randint(1, max_terms)``, each exponent
+    ``randint(0, degree_bound)`` (the vector redrawn while its degree
+    exceeds the bound) and each coefficient ``choice(_COEFFICIENTS)``.
+    Each draw is written out as CPython's rejection rule for those calls:
+    for a range of n values, draw ``getrandbits(n.bit_length())`` until the
+    draw is below n.  So the polynomial and the generator's state afterwards
+    are those of the calls themselves, one C call per draw instead of three
+    Python calls.
+    """
+    if degree_bound < 0 or max_terms < 1:
+        raise ValueError(f"a random polynomial needs degree_bound >= 0 and "
+                         f"max_terms >= 1, got {degree_bound} and {max_terms}")
+    bits = rng.getrandbits
+    span = degree_bound + 1
+    k_exp, k_terms = span.bit_length(), max_terms.bit_length()
+    n_coeffs = len(_COEFFICIENTS)
+    k_coeff = n_coeffs.bit_length()
+    dims = range(ring.dim)
     while True:
         terms: dict = {}
-        for _ in range(rng.randint(1, max_terms)):
+        count = bits(k_terms)
+        while count >= max_terms:
+            count = bits(k_terms)
+        for _ in range(count + 1):
             while True:
-                e = tuple(rng.randint(0, degree_bound) for _ in range(ring.dim))
+                e = []
+                for _ in dims:
+                    x = bits(k_exp)
+                    while x >= span:
+                        x = bits(k_exp)
+                    e.append(x)
                 if sum(e) <= degree_bound:
                     break
-            c = rng.choice((-3, -2, -1, 1, 2, 3))
-            terms[e] = terms.get(e, 0) + c
+            i = bits(k_coeff)
+            while i >= n_coeffs:
+                i = bits(k_coeff)
+            e = tuple(e)
+            terms[e] = terms.get(e, 0) + _COEFFICIENTS[i]
         p = Polynomial._trusted(ring, {e: Fraction(c) for e, c in terms.items() if c})
         if not p.is_zero:
             return p

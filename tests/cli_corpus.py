@@ -98,6 +98,10 @@ USAGE_CASES = [
     ("samples_negative",
      ["val-check", "--ideal", fixture("hyperbola.ideal"), "--weight", "1 0",
       "--samples", "-5"], 2),
+    # a negative degree bound used to end as an unexplained `input_error`
+    ("degree_bound_negative",
+     ["val-check", "--ideal", fixture("line.ideal"), "--weight", "1 1",
+      "--degree-bound", "-1"], 2),
 ]
 
 # A zero denominator in any literal is a located parse error (exit 2); it

@@ -95,15 +95,28 @@ def test_unexpected_exception_is_one_line_with_exit_3(monkeypatch):
            "within the power bound\n", "")
 
 
-def test_zero_denominator_prints_no_traceback():
-    """Through the installed entry point: one stdout line, empty stderr."""
-    _, argv, expected = PARSE_ERROR_CASES[0]
+def _run_entry_point(argv) -> subprocess.CompletedProcess:
+    """``python -m tropval`` on this checkout's source, from the tests directory."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    proc = subprocess.run([sys.executable, "-m", "tropval", *argv], cwd=Path(__file__).parent,
+    return subprocess.run([sys.executable, "-m", "tropval", *argv], cwd=Path(__file__).parent,
                           capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_zero_denominator_prints_no_traceback():
+    """Through the installed entry point: one stdout line, empty stderr."""
+    _, argv, expected = PARSE_ERROR_CASES[0]
+    proc = _run_entry_point(argv)
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, expected, "")
+
+
+def test_negative_degree_bound_is_a_usage_error_in_a_fresh_process():
+    """Through the entry point with a timeout: a sampler that loops fails here."""
+    _, argv, expected = next(c for c in USAGE_CASES if c[0] == "degree_bound_negative")
+    proc = _run_entry_point(argv)
+    assert (proc.returncode, proc.stdout) == (expected, "")
+    assert "--degree-bound: must be a non-negative integer, got '-1'" in proc.stderr
 
 
 def test_refutation_witness_is_printed():
@@ -142,11 +155,7 @@ def test_graded_file_integer_fields_fail_with_position(tmp_path, body, message):
 def test_deeply_nested_ideal_is_a_located_parse_error(tmp_path):
     path = tmp_path / "deep.ideal"
     path.write_text("ring x y;\nideal " + "(" * 3000 + "x" + ")" * 3000 + ";\n")
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    proc = subprocess.run([sys.executable, "-m", "tropval", "parse", "--input", str(path)],
-                          capture_output=True, text=True, env=env, timeout=60)
+    proc = _run_entry_point(["parse", "--input", str(path)])
     # The 201st "(" opens at col 6 + 201 of line 2.
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         2, "parse_error: line 2, col 207: parentheses nested deeper than 200 levels\n", "")

@@ -14,6 +14,7 @@ so it checks that the Groebner-cone cover only skips work.
 import itertools
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -36,6 +37,7 @@ from tropval.groebner import (
     leading_term,
     normal_form,
 )
+from tropval.groebner import _Memo, _rewrite
 from tropval.poly import Polynomial, Presentation, RingContext, WeightVector
 from tropval.textio import parse_poly, parse_presentation
 from tropval.trop import BOTTOM, TropicalValue
@@ -428,3 +430,87 @@ def test_repeated_fan_call_repeats_all_work(buchberger_calls):
     n_first = len(buchberger_calls)
     assert run_case(argv) == first
     assert n_first > 0 and len(buchberger_calls) == 2 * n_first
+
+
+# -- division memo ------------------------------------------------------------------
+
+# A basis that builds its own division table memoizes each monomial's order
+# key and one-step rewrite.  The same basis handed its table takes the plain
+# lookups, so it is the memo-free reference.
+
+
+def _unmemoized(gb: GroebnerBasis) -> GroebnerBasis:
+    return GroebnerBasis(gb.gens, gb.order, gb._leads, list(gb._divisors()))
+
+
+def _check_warm_memo(gb: GroebnerBasis, samples: list[Polynomial]) -> None:
+    for f in samples:  # warm the memo
+        normal_form(f, gb)
+        leading_normal_exponent(f, gb)
+    keys, steps = gb._memo
+    assert len(keys) > 0 and len(steps) > 0
+    plain = _unmemoized(gb)
+    for f in reversed(samples):
+        assert normal_form(f, gb).key() == normal_form(f, plain).key()
+        e = leading_normal_exponent(f, gb)
+        assert e == leading_normal_exponent(f, plain)
+        assert e == _ref_leading_normal_exponent(f, plain)
+    assert plain._memo is None
+
+
+@pytest.mark.parametrize("name", sorted(TOP_REDUCTION_WEIGHTS))
+def test_warm_memo_matches_memo_free_division_on_refined_bases(name):
+    P = load(name)
+    rng = random.Random(f"memo/{name}")
+    H = HomogenizedIdeal(P)
+    for w in TOP_REDUCTION_WEIGHTS[name]:
+        gb = H.refined_basis(W(*w))
+        if not gb.gens:
+            continue
+        _check_warm_memo(gb, [_homogenize(f, H.ext) for f in _samples(rng, P)])
+
+
+@pytest.mark.parametrize("gens,order", DIRECT_BASES, ids=range(len(DIRECT_BASES)))
+def test_warm_memo_matches_memo_free_division_on_direct_bases(gens, order):
+    gb = GroebnerBasis(tuple(parse_poly(XY, g) for g in gens), order)
+    rng = random.Random(f"memo-direct/{gens}")
+    samples = _direct_samples(rng, not order.is_global())
+    samples += [g * s for g, s in zip(gb.gens, samples)]
+    _check_warm_memo(gb, samples)
+    for f in samples[:10]:  # the independent max-based division agrees too
+        assert normal_form(f, gb).key() == ref_normal_form(f, gb.gens, gb.order).key()
+
+
+def test_buchberger_working_bases_take_no_memo(monkeypatch):
+    """Only finished bases memoize.  A memo on every working basis too
+    leaves every reduced basis unchanged."""
+    rng = random.Random(47)
+    runs = []
+    for dim in (2, 3):
+        ring = RingContext(("x", "y", "z")[:dim])
+        for _ in range(15):
+            gens = [random_polynomial(rng, ring, 2, max_terms=3)
+                    for _ in range(rng.randint(2, 3))]
+            runs += [(gens, MonomialOrder.grevlex()), (gens, MonomialOrder.lex())]
+    lookups = GroebnerBasis._lookups
+    memoized = []
+
+    def spy(gb):
+        out = lookups(gb)
+        memoized.append(gb._memo is not None)
+        return out
+
+    def memo_everywhere(gb):
+        table = gb._divisors()
+        if gb._memo is None:
+            object.__setattr__(gb, "_memo", (
+                _Memo(gb.order._descending_key), _Memo(partial(_rewrite, table))))
+        return lookups(gb)
+
+    results = []
+    for patch in (spy, memo_everywhere):
+        monkeypatch.setattr(GroebnerBasis, "_lookups", patch)
+        results.append([[g.key() for g in buchberger(gens, order).gens]
+                        for gens, order in runs])
+    assert results[0] == results[1]
+    assert memoized and not any(memoized)

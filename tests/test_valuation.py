@@ -233,3 +233,41 @@ def test_evaluate_is_defined_once_on_the_base_class():
     assert {WeightValuation, Pullback, PointwiseSum, Scaled} <= subclasses
     for cls in subclasses:
         assert "evaluate" not in vars(cls)
+
+
+def _randint_choice_sampler(rng, ring, degree_bound, max_terms=3):
+    """The sampler as first written, on `randint` and `choice`."""
+    while True:
+        terms: dict = {}
+        for _ in range(rng.randint(1, max_terms)):
+            while True:
+                e = tuple(rng.randint(0, degree_bound) for _ in range(ring.dim))
+                if sum(e) <= degree_bound:
+                    break
+            c = rng.choice((-3, -2, -1, 1, 2, 3))
+            terms[e] = terms.get(e, 0) + c
+        p = Polynomial._trusted(ring, {e: Fraction(c) for e, c in terms.items() if c})
+        if not p.is_zero:
+            return p
+
+
+def test_sampler_draws_the_randint_choice_stream():
+    """Same polynomials and the same generator state after them; CI runs
+    this on every supported Python, which pins the stream on each."""
+    for dim in range(1, 6):
+        ring = RingContext(tuple(f"v{i}" for i in range(dim)))
+        for degree_bound in range(7):
+            for max_terms in range(1, 7):
+                for seed in range(4):
+                    ours, theirs = random.Random(seed), random.Random(seed)
+                    for _ in range(3):
+                        assert (random_polynomial(ours, ring, degree_bound, max_terms)
+                                == _randint_choice_sampler(theirs, ring, degree_bound,
+                                                           max_terms))
+                    assert ours.getrandbits(64) == theirs.getrandbits(64)
+
+
+@pytest.mark.parametrize("degree_bound,max_terms", [(-1, 3), (-5, 3), (3, 0), (3, -2)])
+def test_sampler_rejects_empty_ranges(degree_bound, max_terms):
+    with pytest.raises(ValueError, match="degree_bound >= 0 and max_terms >= 1"):
+        random_polynomial(random.Random(0), T_RING, degree_bound, max_terms)
