@@ -1,8 +1,10 @@
 """Command-line front end with a stable exit-code and report contract.
 
 Exit codes: 0 = check passed / holds, 1 = refuted or fails (a witness is
-printed), 2 = usage or parse error, 3 = precondition violation (including
-a check that would have checked nothing) or internal error, on one line.
+printed), 2 = usage, parse or input error, 3 = precondition violation
+(including a check over nothing) or internal error.  An error is one line:
+each `errors.TropvalError` class carries its label and exit code, and any
+other exception is a bug, reported as ``internal_error``.
 Every report starts with a ``check:`` provenance line and contains a
 machine-readable block fenced by BEGIN-RESULT / END-RESULT; all numbers are
 exact rationals and output is byte-identical across runs for fixed
@@ -16,12 +18,10 @@ import sys
 from pathlib import Path
 
 from . import textio
-from .cones import HypothesisFailsError, arrow_check, cone_sum, facet_classes
+from .cones import arrow_check, cone_sum, facet_classes
+from .errors import PRECONDITION, USAGE, TropvalError
 from .graded import (
-    AssociativityError,
     GradedValuation,
-    NotLowerTriangularError,
-    NothingCheckedError,
     _require_products,
     associated_graded,
     check_graded_axioms,
@@ -39,7 +39,8 @@ from .valuation import (
     make_weight_valuation,
 )
 
-PASS, FAIL, USAGE, PRECONDITION = 0, 1, 2, 3
+PASS, FAIL = 0, 1
+BUILTIN_ALGEBRAS = "polyring:N:T, sl2-rep-ring:N, sl2-branching:N"
 
 
 def report_format(check_name: str, header: list[tuple[str, str]],
@@ -72,19 +73,36 @@ def _non_negative_int(text: str) -> int:
     return _int_at_least(text, 0, "non-negative")
 
 
+def _read(path: str) -> str:
+    """The text of a UTF-8 file; a file that cannot be read is an input error."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise TropvalError(str(exc)) from None
+
+
 def _load_presentation(path: str) -> textio.ParsedInput:
-    return textio.parse_presentation(Path(path).read_text(encoding="utf-8"))
+    return textio.parse_presentation(_read(path))
 
 
 def _load_algebra(source: str):
-    if source.startswith("polyring:"):
-        _, n_vars, trunc = source.split(":")
-        return monomial_poly_ring(int(n_vars), int(trunc))
-    if source.startswith("sl2-rep-ring:"):
-        return sl2_rep_ring(int(source.split(":")[1]))
-    if source.startswith("sl2-branching:"):
-        return sl2_branching_algebra(int(source.split(":")[1]))
-    return textio.parse_graded_algebra(Path(source).read_text(encoding="utf-8"))
+    """A built-in spec (`BUILTIN_ALGEBRAS`) or, without one's prefix, a file."""
+    kind, colon, fields = source.partition(":")
+    if not colon or kind not in ("polyring", "sl2-rep-ring", "sl2-branching"):
+        return textio.parse_graded_algebra(_read(source))
+    try:
+        sizes = [int(field) for field in fields.split(":")]
+    except ValueError:
+        sizes = []
+    # the builders are called by their names here, so tracing sees each call
+    if kind == "polyring" and len(sizes) == 2:
+        return monomial_poly_ring(*sizes)
+    if kind == "sl2-rep-ring" and len(sizes) == 1:
+        return sl2_rep_ring(*sizes)
+    if kind == "sl2-branching" and len(sizes) == 1:
+        return sl2_branching_algebra(*sizes)
+    raise TropvalError(f"malformed built-in algebra {source!r}; "
+                       f"the forms are {BUILTIN_ALGEBRAS}")
 
 
 def _witness_pair_lines(witness) -> list[tuple[str, str]]:
@@ -400,7 +418,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("graded-check", help="graded or full valuation axioms")
     p.add_argument("--algebra", required=True,
-                   help="file path or builtin (polyring:N:T, sl2-rep-ring:N, sl2-branching:N)")
+                   help=f"file path or builtin ({BUILTIN_ALGEBRAS})")
     p.add_argument("--functional", required=True,
                    help="semicolon-separated rows of comma-separated rationals")
     p.add_argument("--override", action="append",
@@ -442,19 +460,9 @@ def run(argv: list[str]) -> int:
         return USAGE if exc.code else PASS
     try:
         return args.func(args)
-    except textio.ParseError as exc:
-        sys.stdout.write(f"parse_error: {exc}\n")
-        return USAGE
-    except FileNotFoundError as exc:
-        sys.stdout.write(f"input_error: {exc}\n")
-        return USAGE
-    except (HypothesisFailsError, NotLowerTriangularError, AssociativityError,
-            NothingCheckedError) as exc:
-        sys.stdout.write(f"precondition_violation: {exc}\n")
-        return PRECONDITION
-    except (ValueError, KeyError) as exc:
-        sys.stdout.write(f"input_error: {exc}\n")
-        return USAGE
+    except TropvalError as exc:
+        sys.stdout.write(f"{exc.label}: {exc}\n")
+        return exc.exit_code
     except Exception as exc:  # last resort: a bug, reported on one line
         message = " ".join(str(exc).split())
         sys.stdout.write(f"internal_error: {type(exc).__name__}: {message}\n")

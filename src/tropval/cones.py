@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
+from .errors import PreconditionError
 from .groebner import HomogenizedIdeal, classify_weights, integer_weights
 from .poly import Polynomial, Presentation, WeightVector
 from .valuation import (
@@ -34,7 +35,7 @@ HOLDS_NO_COUNTEREXAMPLE = "holds_no_counterexample"
 REFUTED = "refuted"
 
 
-class HypothesisFailsError(ValueError):
+class HypothesisFailsError(PreconditionError):
     """A cone operation was invoked with a refuted hypothesis."""
 
 

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 
+from .errors import PreconditionError, TropvalError
 from .linalg import solve_linear
 from .trop import BOTTOM, TropicalValue, trop_add, trop_mul
 
@@ -36,21 +37,21 @@ BasisRef = tuple[Grade, int]
 Element = dict  # BasisRef -> Fraction
 
 
-class TruncationError(ValueError):
+class TruncationError(TropvalError):
     """A product left the window where structure constants are defined."""
 
 
-class AssociativityError(ValueError):
+class AssociativityError(PreconditionError):
     def __init__(self, triple):
         super().__init__(f"multiplication is not associative on {triple}")
         self.triple = triple
 
 
-class NotLowerTriangularError(ValueError):
+class NotLowerTriangularError(PreconditionError):
     pass
 
 
-class NothingCheckedError(ValueError):
+class NothingCheckedError(PreconditionError):
     """A check would report a verdict without having checked anything."""
 
 
@@ -139,7 +140,7 @@ class GradedAlgebra:
         grade, idx = ref
         size = self.components.get(tuple(grade))
         if size is None or not (0 <= idx < size):
-            raise ValueError(f"unknown basis element {ref}")
+            raise TropvalError(f"unknown basis element {ref}")
 
     def basis(self) -> list[BasisRef]:
         out = []
@@ -340,14 +341,14 @@ class GradedValuation:
                 element = element_key(element)
             grades = {ref[0] for ref, _ in element}
             if len(grades) <= 1:
-                raise ValueError(
+                raise TropvalError(
                     "overrides are for inhomogeneous elements; homogeneous "
                     "values are fixed by the functional")
             cap = max(functional.first(g) for g in grades)
             if not isinstance(value, TropicalValue):
                 value = TropicalValue(value)
             if not value.is_bottom and value.value > cap:
-                raise ValueError(
+                raise TropvalError(
                     f"override value {value.to_str()} exceeds the component "
                     f"maximum {cap}")
             items.append((element, value))
@@ -672,7 +673,7 @@ def zero_divisor_search(A: GradedAlgebra, bound: int):
 def monomial_poly_ring(n_vars: int, truncation: int) -> GradedAlgebra:
     """Polynomial ring graded by its own monomials (one-dimensional pieces)."""
     if n_vars < 1 or truncation < 0:
-        raise ValueError(
+        raise TropvalError(
             f"a polynomial ring needs at least one variable and a truncation "
             f"of at least 0, got {n_vars} variables and truncation {truncation}")
     grades = []

@@ -84,6 +84,7 @@ from fractions import Fraction
 from functools import partial
 from operator import add, le, mul, neg, sub
 
+from .errors import TropvalError
 from .poly import (
     ExponentVector,
     Polynomial,
@@ -96,7 +97,7 @@ GREVLEX = "grevlex"
 LEX = "lex"
 
 
-class ZeroPolynomialError(ValueError):
+class ZeroPolynomialError(TropvalError):
     """Raised when an operation needs a nonzero polynomial."""
 
 
@@ -683,7 +684,7 @@ def enumerate_fan(P: Presentation, box: int, denominator: int = 1) -> list[FanCl
     lexicographically smallest representative.  Intended for small instances.
     """
     if box < 0 or denominator <= 0:
-        raise ValueError("box must be non-negative and denominator positive")
+        raise TropvalError("box must be non-negative and denominator positive")
     values = [Fraction(p, denominator)
               for p in range(-box * denominator, box * denominator + 1)]
     grid = [WeightVector(point)

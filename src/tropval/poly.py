@@ -18,10 +18,12 @@ from fractions import Fraction
 from operator import add
 from typing import Iterable, Mapping
 
+from .errors import TropvalError
+
 ExponentVector = tuple[int, ...]
 
 
-class RingMismatchError(ValueError):
+class RingMismatchError(TropvalError):
     """Raised when combining values from different ring contexts."""
 
 
@@ -326,7 +328,7 @@ class Presentation:
             if g.ring != self.ring:
                 raise RingMismatchError("ideal generator from a different ring")
             if g.is_zero:
-                raise ValueError("ideal generators must be nonzero")
+                raise TropvalError("ideal generators must be nonzero")
         cv = self.coeff_valuation
         if cv.kind == T_ADIC and not (0 <= cv.t_index < self.ring.dim):
             raise ValueError("uniformizer index outside the ring")
@@ -334,7 +336,7 @@ class Presentation:
     def effective_weights(self, w: WeightVector) -> WeightVector:
         """Pin the uniformizer component of ``w`` when the presentation is t-adic."""
         if len(w.weights) != self.ring.dim:
-            raise ValueError("weight vector has wrong dimension for this ring")
+            raise TropvalError("weight vector has wrong dimension for this ring")
         cv = self.coeff_valuation
         if cv.kind != T_ADIC or w.weights[cv.t_index] == cv.t_weight:
             return w

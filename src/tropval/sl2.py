@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import TropvalError
 from .graded import GradedAlgebra, Grade, LexFunctional
 from .groebner import GroebnerBasis, MonomialOrder, buchberger, normal_form
 from .poly import Polynomial, RingContext, WeightVector
@@ -47,7 +48,7 @@ def sl2_rep_ring(truncation: int) -> GradedAlgebra:
     term.
     """
     if truncation < 1:
-        raise ValueError("truncation must be at least 1")
+        raise TropvalError("truncation must be at least 1")
     components = {(n,): n + 1 for n in range(truncation + 1)}
     structure = {}
     for n in range(truncation + 1):
@@ -107,7 +108,7 @@ def _standard_monomials(max_degree: int) -> list[tuple[int, ...]]:
 def sl2_branching_algebra(truncation: int) -> GradedAlgebra:
     """Triple-tensor branching algebra on standard monomials of degree <= N."""
     if truncation < 2:
-        raise ValueError("truncation must be at least 2")
+        raise TropvalError("truncation must be at least 2")
     gb = straightening_basis()
     monomials = _standard_monomials(truncation)
     grade_of: dict[tuple[int, ...], Grade] = {}

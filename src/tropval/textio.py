@@ -47,6 +47,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import TropvalError
+from .groebner import _Memo
 from .poly import (
     CoeffValuation,
     Polynomial,
@@ -58,7 +60,9 @@ from .poly import (
 from .trop import BOTTOM, TropicalValue
 
 
-class ParseError(ValueError):
+class ParseError(TropvalError):
+    label = "parse_error"
+
     def __init__(self, message: str, line: int, col: int):
         super().__init__(f"line {line}, col {col}: {message}")
         self.line = line
@@ -109,7 +113,7 @@ def _located(cls, message: str, text: str, index: int) -> ParseError:
 def _fraction_field(text: str, start: int, end: int) -> Fraction:
     """``Fraction(text[start:end])``; a zero denominator is a located ParseError.
 
-    Other malformed fields raise `Fraction`'s own ValueError.
+    Other malformed fields raise a `TropvalError` with `Fraction`'s message.
     """
     field = text[start:end]
     try:
@@ -118,6 +122,8 @@ def _fraction_field(text: str, start: int, end: int) -> Fraction:
         pos = start + len(field) - len(field.lstrip())
         raise _at(ParseError, f"zero denominator in {field.strip()!r}",
                   text, pos) from None
+    except ValueError as exc:
+        raise TropvalError(str(exc)) from None
 
 
 def tokenize(text: str) -> list[str]:
@@ -520,18 +526,6 @@ class _Rejected(Exception):
     """The statement scanner cannot accept the text; the cursor loop decides."""
 
 
-class _Memo(dict):
-    """A dict that builds a missing value once, as ``build(key)``."""
-
-    def __init__(self, build):
-        super().__init__()
-        self.build = build
-
-    def __missing__(self, key):
-        self[key] = value = self.build(key)
-        return value
-
-
 def _scan_graded(text: str):
     """The fields of a graded file, read one statement per regex match.
 
@@ -725,12 +719,12 @@ def parse_functional(text: str, dim: int):
                 row.append(_fraction_field(text, at, at + len(entry)))
                 at += len(entry) + 1
             if len(row) != dim:
-                raise ValueError(f"functional row {chunk.strip()!r} has {len(row)} "
-                                 f"entries, monoid dim is {dim}")
+                raise TropvalError(f"functional row {chunk.strip()!r} has {len(row)} "
+                                   f"entries, monoid dim is {dim}")
             rows.append(tuple(row))
         start += len(chunk) + 1
     if not rows:
-        raise ValueError("functional needs at least one row")
+        raise TropvalError("functional needs at least one row")
     return LexFunctional(tuple(rows))
 
 

@@ -21,8 +21,8 @@ class TropicalValue:
 
     def __init__(self, value: Fraction | int | str | None = None):
         self.value: Fraction | None
-        if value is None:
-            self.value = None
+        if value is None or type(value) is Fraction:
+            self.value = value
         else:
             self.value = Fraction(value)
 

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
+from .errors import TropvalError
 from .groebner import (
     HomogenizedIdeal,
     MonomialOrder,
@@ -42,11 +43,11 @@ from .poly import Polynomial, Presentation, RingContext, WeightVector
 from .trop import BOTTOM, TropicalValue, trop_add, trop_mul
 
 
-class NonfiniteGeneratorValueError(ValueError):
+class NonfiniteGeneratorValueError(TropvalError):
     """A generator evaluated to bottom where a finite value is required."""
 
 
-class NotAHomomorphismError(ValueError):
+class NotAHomomorphismError(TropvalError):
     """The proposed generator images do not kill the subalgebra's relations."""
 
 

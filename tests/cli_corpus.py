@@ -17,8 +17,11 @@ def fixture(name: str) -> str:
     return f"fixtures/{name}"
 
 
-def run_case(argv) -> tuple[int, str]:
-    """Run one CLI invocation in-process from the tests directory."""
+def run_case_streams(argv) -> tuple[int, str, str]:
+    """Run one CLI invocation in-process from the tests directory.
+
+    Returns the exit code, stdout and stderr.
+    """
     from tropval.cli import run
 
     cwd = os.getcwd()
@@ -29,7 +32,12 @@ def run_case(argv) -> tuple[int, str]:
             code = run(list(argv))
     finally:
         os.chdir(cwd)
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+def run_case(argv) -> tuple[int, str]:
+    """The exit code and stdout of `run_case_streams`."""
+    return run_case_streams(argv)[:2]
 
 
 STRICT_FUNCTIONAL = "0,0,0,1,0;1,0,0,0,0;0,1,0,0,0;0,0,1,0,0;0,0,0,0,1"
@@ -262,4 +270,29 @@ GRADE_SUM_CASES = [
      "mult (0:0)*(1:0) = 1*(1:0);\n"
      "mult (0:0)*(2:0) = 1*(2:0);\n"
      "mult (1:0)*(1:0) = 0;\n"),
+]
+
+# An input the tool cannot read is one `input_error` line with exit 2.  A
+# directory given as a file used to end as an `internal_error` with exit 3,
+# and a malformed built-in algebra spec printed Python's own message, such
+# as "not enough values to unpack".  Each entry is (name, argv, expected
+# exit, expected stdout).
+BUILTIN_FORMS = "the forms are polyring:N:T, sl2-rep-ring:N, sl2-branching:N"
+INPUT_ERROR_CASES = [
+    ("input_is_a_directory", ["parse", "--input", "fixtures"], 2,
+     "input_error: [Errno 21] Is a directory: 'fixtures'\n"),
+    ("algebra_is_a_directory",
+     ["monoid-check", "--algebra", "fixtures", "--functional", "1"], 2,
+     "input_error: [Errno 21] Is a directory: 'fixtures'\n"),
+    ("input_missing", ["parse", "--input", fixture("missing.ideal")], 2,
+     "input_error: [Errno 2] No such file or directory: 'fixtures/missing.ideal'\n"),
+] + [
+    (name, ["monoid-check", "--algebra", spec, "--functional", "1"], 2,
+     f"input_error: malformed built-in algebra {spec!r}; {BUILTIN_FORMS}\n")
+    for name, spec in (
+        ("polyring_one_size", "polyring:2"),
+        ("polyring_three_sizes", "polyring:2:3:4"),
+        ("sl2_branching_not_a_number", "sl2-branching:x"),
+        ("sl2_branching_no_size", "sl2-branching:"),
+    )
 ]

@@ -6,18 +6,23 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tropval.cli as cli
 from cli_corpus import (
     CANCELLING_CASES,
     CASES,
     GRADE_SUM_CASES,
+    INPUT_ERROR_CASES,
     PARSE_ERROR_CASES,
     REPEATED_STATEMENT_CASES,
+    STRICT_FUNCTIONAL,
     USAGE_CASES,
     VACUOUS_CASES,
     fixture,
     run_case,
+    run_case_streams,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -74,6 +79,20 @@ def test_cancelling_terms_make_a_zero_product(name, argv, expected_code, expecte
 def test_products_below_the_grade_sum_vanish_in_gr(name, argv, expected_code,
                                                    expected):
     assert run_case(argv) == (expected_code, expected)
+
+
+@pytest.mark.parametrize("name,argv,expected_code,expected", INPUT_ERROR_CASES,
+                         ids=[c[0] for c in INPUT_ERROR_CASES])
+def test_unusable_inputs_are_one_input_error_line(name, argv, expected_code, expected):
+    assert run_case(argv) == (expected_code, expected)
+
+
+def test_non_utf8_file_is_one_input_error_line(tmp_path):
+    path = tmp_path / "latin1.ideal"
+    path.write_bytes(b"ring x\xff;\n")
+    assert run_case(["parse", "--input", str(path)]) == (
+        2, "input_error: 'utf-8' codec can't decode byte 0xff in position 6: "
+           "invalid start byte\n")
 
 
 def test_unexpected_exception_is_one_line_with_exit_3(monkeypatch):
@@ -182,3 +201,105 @@ def test_reused_parser_matches_a_fresh_one(monkeypatch, first, second, codes, ma
     assert marker in fresh[1][1]
     for _ in range(2):
         assert [run_case(first), run_case(second)] == fresh
+
+
+# -- argv fuzz -------------------------------------------------------------------
+#
+# Every verb over fixture paths (valid, unparsable, missing, a directory, the
+# wrong kind of file), built-in algebra specs (valid and malformed, sizes at
+# most 3) and short strings over a token alphabet.  A required flag is left
+# out now and then, which is a usage error; `--samples` is always given, so
+# no case falls back to the default 200 samples.
+
+TOKENS = ("1", "-1", "0", "2", "1/2", "1/0", "x", " ", ";", ",", "(", ")", ":",
+          "=", "+", "-inf", "1*(1:0)", "1*(1,0:0)", "(0,1:0)")
+GARBAGE = st.lists(st.sampled_from(TOKENS), max_size=6).map("".join)
+
+
+def _mostly(valid: tuple[str, ...], other):
+    """One of ``valid`` about five times in six, else a draw from ``other``."""
+    return st.integers(0, 5).flatmap(
+        lambda k: other if k == 5 else st.sampled_from(valid))
+
+
+def _words(valid: str, invalid: str = "-1 x"):
+    """`_mostly` over space-separated words."""
+    return _mostly(tuple(valid.split()), st.sampled_from(invalid.split()))
+
+
+IDEALS = _mostly(tuple(fixture(name) for name in (
+    "line.ideal", "tadic.ideal", "hyperbola.ideal", "free_t.ideal", "cone.ideal")),
+    st.sampled_from([fixture(name) for name in (
+        "bad.ideal", "zero_denominator/coefficient.ideal", "missing.ideal",
+        "idempotent.alg")] + ["fixtures"]))
+ALGEBRAS = _mostly(
+    (fixture("idempotent.alg"), fixture("cancelling_terms.alg"), "polyring:1:3",
+     "polyring:2:2", "polyring:3:1", "sl2-rep-ring:1", "sl2-rep-ring:3",
+     "sl2-branching:2", "sl2-branching:3"),
+    st.sampled_from([fixture(name) for name in (
+        "no_products.alg", "repeated/mult.alg", "zero_denominator/mult.alg",
+        "line.ideal", "missing.alg")] + [
+        "fixtures", "polyring:2:-1", "polyring:0:3", "polyring:2", "polyring:2:3:4",
+        "polyring:x:1", "polyring:", "sl2-rep-ring:0", "sl2-rep-ring:",
+        "sl2-branching:1", "sl2-branching:x", "sl2-branching:"]))
+WEIGHTS = _mostly(("1 1", "0 0", "1 0", "0 -1", "2", "1 1 1", "1/2 -1"), GARBAGE)
+# most built-in and fixture algebras have a one-entry monoid
+FUNCTIONALS = _mostly(("1", "1", "2", "1,1", "1,1,1", "0,1;1,0", STRICT_FUNCTIONAL),
+                      GARBAGE)
+OVERRIDES = _mostly(("1*(1,1,0:0) + 1*(1,0,1:0) = 1", "1*(1:0) + 1*(2:0) = 0",
+                     "(1:0) - (2:0) = -inf"), GARBAGE)
+SAMPLING = [("--seed", _words("0 1 2 -1", "x")), ("--samples", _words("1 2 3", "0 -1 x"))]
+FLAG = st.none()  # a flag that takes no value
+# verb -> (flag, values) in argv order; flag None is a positional argument
+VERBS = {
+    "parse": [("--input", IDEALS)],
+    "initial": [("--ideal", IDEALS), ("--weight", WEIGHTS)],
+    "trop-check": [("--ideal", IDEALS), ("--weight", WEIGHTS),
+                   ("--mode", _words("prevariety certified", "x"))],
+    "val-check": [("--ideal", IDEALS), ("--weight", WEIGHTS), *SAMPLING,
+                  ("--degree-bound", _words("0 1 2 3"))],
+    "cone": [("--ideal", IDEALS), ("--v", WEIGHTS), ("--w1", WEIGHTS),
+             ("--w2", WEIGHTS), ("--exact", FLAG), *SAMPLING],
+    "arrow": [("--ideal", IDEALS), ("--v", WEIGHTS), ("--w", WEIGHTS)],
+    "facets": [("--ideal", IDEALS),
+               ("--weights", _mostly(("1 1; 2 2; 0 0; 1 0", "1 0;0 1"), GARBAGE))],
+    "fan": [("--ideal", IDEALS), ("--box", _words("0 1")),
+            ("--denominator", _words("1 2", "0 -1 x"))],
+    "graded-check": [("--algebra", ALGEBRAS), ("--functional", FUNCTIONALS),
+                     ("--override", OVERRIDES), ("--mode", _words("graded full", "x")),
+                     *SAMPLING],
+    "monoid-check": [("--algebra", ALGEBRAS), ("--functional", FUNCTIONALS),
+                     *SAMPLING],
+    "gr": [("--algebra", ALGEBRAS), ("--functional", FUNCTIONALS)],
+    "sl2lab": [(None, _words("rep-ring branching", "x")), (None, _words("1 2 3", "0 -1 x"))],
+}
+
+
+@st.composite
+def argvs(draw):
+    verb = draw(st.sampled_from(sorted(VERBS)))
+    argv = [verb]
+    for flag, values in VERBS[verb]:
+        if flag != "--samples" and draw(st.integers(0, 19)) == 0:
+            continue
+        value = draw(values)
+        argv.extend(arg for arg in (flag, value) if arg is not None)
+    return argv
+
+
+ERROR_EXIT = {"parse_error": 2, "input_error": 2, "precondition_violation": 3}
+
+
+@settings(max_examples=1000, derandomize=True, deadline=None)
+@given(argvs())
+def test_every_argv_ends_in_a_report_or_one_error_line(argv):
+    code, out, err = run_case_streams(argv)
+    assert "internal_error" not in out
+    if err:  # an argparse usage error
+        assert (code, out) == (2, "")
+    elif out.startswith("check:"):
+        assert code in (0, 1)
+    else:
+        label, _, message = out.partition(": ")
+        assert out.count("\n") == 1 and out.endswith("\n") and message.strip()
+        assert code == ERROR_EXIT[label]
