@@ -1,15 +1,18 @@
 """Desk-scale SL2 instances feeding the graded-algebra checkers.
 
-Two builders are provided.  The representation ring of SL2 is the
-polynomial ring in two variables graded by total degree, with the degree-n
-component the (n+1)-dimensional space of binary forms.  The triple-tensor
-branching algebra is realized concretely as the unipotent-invariant algebra
-of three planar vectors: six generators x1, x2, x3, z12, z13, z23 subject to
-the single straightening relation
+Two builders are provided, both read off one polynomial-quotient
+description (grade rows, relation basis, truncation) by
+`graded._monomial_algebra`.  The representation ring of SL2 is Q[y, x]
+graded by degree, with the degree-n component the (n+1)-dimensional space
+of binary forms.  The triple-tensor branching algebra is realized
+concretely as the unipotent-invariant algebra of three planar vectors: six
+generators x1, x2, x3, z12, z13, z23 subject to the single straightening
+relation
 
     x1*z23 - x2*z13 + x3*z12 = 0,
 
-rewritten with x2*z13 as the leading monomial.  Grades are five-tuples
+rewritten with x2*z13 as the leading monomial.  Grades are five-tuples,
+`GRADE_ROWS` times the exponent vector,
 
     (a, b, c, eta, d)
 
@@ -28,8 +31,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import TropvalError
-from .graded import GradedAlgebra, Grade, LexFunctional
-from .groebner import GroebnerBasis, MonomialOrder, buchberger, normal_form
+from .graded import GradedAlgebra, Grade, LexFunctional, _monomial_algebra, _times
+from .groebner import GroebnerBasis, MonomialOrder, buchberger
 from .poly import Polynomial, RingContext, WeightVector
 
 GRADE_COORDS = ("a", "b", "c", "eta", "d")
@@ -38,28 +41,27 @@ ETA_INDEX = 3
 ROOT_DIRECTION = (0, 0, 0, -2, 0)
 
 AMBIENT_RING = RingContext(("x1", "x2", "x3", "z12", "z13", "z23"))
+# Grade (a, b, c, eta, d) of a monomial: these rows times its exponents in
+# AMBIENT_RING's variable order.
+GRADE_ROWS = (
+    (1, 0, 0, 1, 1, 0),  # a = p1 + q12 + q13
+    (0, 1, 0, 1, 0, 1),  # b = p2 + q12 + q23
+    (0, 0, 1, 0, 1, 1),  # c = p3 + q13 + q23
+    (1, 1, 0, 0, 1, 1),  # eta = a + b - 2*q12
+    (1, 1, 1, 0, 0, 0),  # d = p1 + p2 + p3
+)
 
 
 def sl2_rep_ring(truncation: int) -> GradedAlgebra:
     """Representation ring of SL2 up to the given highest weight.
 
-    Basis element (n, i) is the binary form x^(n-i) y^i, so products add
-    both the weight and the index and every structure entry is a single
-    term.
+    This is Q[y, x] graded by degree: basis element (n, i) is the binary
+    form x^(n-i) y^i, so products add both the weight and the index and
+    every structure entry is a single term.
     """
     if truncation < 1:
         raise TropvalError("truncation must be at least 1")
-    components = {(n,): n + 1 for n in range(truncation + 1)}
-    structure = {}
-    for n in range(truncation + 1):
-        for m in range(n, truncation + 1 - n):
-            for i in range(n + 1):
-                for j in range(m + 1):
-                    left, right = ((n,), i), ((m,), j)
-                    if right < left:
-                        left, right = right, left
-                    structure[(left, right)] = ((((n + m,), i + j), Fraction(1)),)
-    return GradedAlgebra(1, components, structure, truncation, validate=False)
+    return _monomial_algebra(((1, 1),), truncation)
 
 
 def straightening_basis() -> GroebnerBasis:
@@ -76,72 +78,18 @@ def straightening_basis() -> GroebnerBasis:
 
 
 def grade_of_exponents(e: tuple[int, ...]) -> Grade:
-    p1, p2, p3, q12, q13, q23 = e
-    a = p1 + q12 + q13
-    b = p2 + q12 + q23
-    c = p3 + q13 + q23
-    eta = a + b - 2 * q12
-    d = p1 + p2 + p3
-    return (a, b, c, eta, d)
-
-
-def _is_standard(e: tuple[int, ...]) -> bool:
-    return not (e[1] >= 1 and e[4] >= 1)  # no x2 and z13 together
-
-
-def _standard_monomials(max_degree: int) -> list[tuple[int, ...]]:
-    out = []
-
-    def extend(prefix, budget):
-        if len(prefix) == 6:
-            e = tuple(prefix)
-            if _is_standard(e):
-                out.append(e)
-            return
-        for v in range(budget + 1):
-            extend(prefix + [v], budget - v)
-
-    extend([], max_degree)
-    return sorted(out)
+    """Grade (a, b, c, eta, d) of the monomial with exponents e."""
+    return _times(GRADE_ROWS, e)
 
 
 def sl2_branching_algebra(truncation: int) -> GradedAlgebra:
     """Triple-tensor branching algebra on standard monomials of degree <= N."""
     if truncation < 2:
         raise TropvalError("truncation must be at least 2")
-    gb = straightening_basis()
-    monomials = _standard_monomials(truncation)
-    grade_of: dict[tuple[int, ...], Grade] = {}
-    seen: set[Grade] = set()
-    for e in monomials:
-        g = grade_of_exponents(e)
-        if g in seen:
-            raise AssertionError(f"two standard monomials share the grade {g}")
-        seen.add(g)
-        grade_of[e] = g
-    components = {g: 1 for g in grade_of.values()}
-    nf_cache: dict[tuple[int, ...], Polynomial] = {}
-
-    def reduce_monomial(e: tuple[int, ...]) -> Polynomial:
-        hit = nf_cache.get(e)
-        if hit is None:
-            hit = normal_form(Polynomial.monomial(AMBIENT_RING, e), gb)
-            nf_cache[e] = hit
-        return hit
-
-    structure = {}
-    for i, e1 in enumerate(monomials):
-        d1 = sum(e1)
-        for e2 in monomials[i:]:
-            if d1 + sum(e2) > truncation:
-                continue
-            product = tuple(x + y for x, y in zip(e1, e2))
-            reduced = reduce_monomial(product)
-            expansion = tuple(sorted(
-                ((grade_of_exponents(m), 0), c) for m, c in reduced.terms.items()
-            ))
-            structure[((grade_of[e1], 0), (grade_of[e2], 0))] = expansion
-    return GradedAlgebra(5, components, structure, truncation, validate=False)
+    A = _monomial_algebra(GRADE_ROWS, truncation, straightening_basis())
+    if any(size != 1 for size in A.components.values()):
+        raise AssertionError("two standard monomials share a grade")
+    return A
 
 
 def ambient_degree(grade: Grade) -> int:
@@ -227,10 +175,8 @@ def root_direction_report(h: LexFunctional) -> RootDirectionReport:
     return RootDirectionReport(change <= zero, change < zero, change)
 
 
-def root_functional(coeffs, stage: int = 0) -> tuple[LexFunctional, RootDirectionReport]:
+def root_functional(coeffs) -> tuple[LexFunctional, RootDirectionReport]:
     """Single-row functional on (a, b, c, eta, d) grades plus its root report."""
-    if stage != 0:
-        raise IndexError("this chain has a single intermediate stage (index 0)")
     row = tuple(Fraction(x) for x in coeffs)
     if len(row) != 5:
         raise ValueError("expected coefficients for the five grade coordinates")

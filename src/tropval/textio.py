@@ -31,7 +31,8 @@ of input and the kind follows from the first character.  Tokens carry no
 position: when a `ParseError` is raised, the text is rescanned up to the
 failing token to give its line and column.  Parenthesized expressions
 nest at most 200 levels deep, and a rational literal with denominator zero
-is a parse error at that literal.
+is a parse error at that literal, as is a `--functional` entry or an
+`--override` value that is not a rational.
 
 Graded files are read one statement per regex match (`_scan_graded`),
 with each basis ref and coefficient literal converted once per file.  The
@@ -111,19 +112,20 @@ def _located(cls, message: str, text: str, index: int) -> ParseError:
 
 
 def _fraction_field(text: str, start: int, end: int) -> Fraction:
-    """``Fraction(text[start:end])``; a zero denominator is a located ParseError.
+    """``Fraction(text[start:end])``; a malformed field is a located ParseError.
 
-    Other malformed fields raise a `TropvalError` with `Fraction`'s message.
+    The error points at the field's first non-blank character and names a
+    zero denominator or an invalid rational.
     """
     field = text[start:end]
     try:
         return Fraction(field.strip())
     except ZeroDivisionError:
-        pos = start + len(field) - len(field.lstrip())
-        raise _at(ParseError, f"zero denominator in {field.strip()!r}",
-                  text, pos) from None
-    except ValueError as exc:
-        raise TropvalError(str(exc)) from None
+        problem = "zero denominator in"
+    except ValueError:
+        problem = "invalid rational"
+    pos = start + len(field) - len(field.lstrip())
+    raise _at(ParseError, f"{problem} {field.strip()!r}", text, pos)
 
 
 def tokenize(text: str) -> list[str]:

@@ -54,13 +54,6 @@ class TropicalValue:
             return "-inf"
         return str(self.value)
 
-    @classmethod
-    def from_str(cls, text: str) -> "TropicalValue":
-        text = text.strip()
-        if text == "-inf":
-            return BOTTOM
-        return cls(Fraction(text))
-
 
 BOTTOM = TropicalValue(None)
 

@@ -113,7 +113,8 @@ USAGE_CASES = [
 ]
 
 # A zero denominator in any literal is a located parse error (exit 2); it
-# used to escape as a ZeroDivisionError traceback with exit 1.  Each entry
+# used to escape as a ZeroDivisionError traceback with exit 1.  So is an
+# invalid rational in a functional entry or an override value.  Each entry
 # is (name, argv, expected stdout).
 PARSE_ERROR_CASES = [
     ("zero_den_weight_statement",
@@ -150,6 +151,18 @@ PARSE_ERROR_CASES = [
      ["graded-check", "--algebra", "polyring:3:4", "--functional", "1,1,1",
       "--override", "1*(1,1,0:0) + 1*(1,0,1:0) = 5/0"],
      "parse_error: line 1, col 1: zero denominator in '5/0'\n"),
+    # any other malformed rational in these fields used to be an unlocated
+    # `input_error: Invalid literal for Fraction: ...`
+    ("invalid_rational_functional",
+     ["gr", "--algebra", "polyring:2:2", "--functional", "1*(1,0:0)=-inf"],
+     "parse_error: line 1, col 1: invalid rational '1*(1'\n"),
+    ("invalid_rational_functional_second_entry",
+     ["gr", "--algebra", "polyring:2:2", "--functional", "1,x"],
+     "parse_error: line 1, col 3: invalid rational 'x'\n"),
+    ("invalid_rational_override_value",
+     ["graded-check", "--algebra", "polyring:3:4", "--functional", "1,1,1",
+      "--override", "1*(1,1,0:0) + 1*(1,0,1:0) = abc"],
+     "parse_error: line 1, col 1: invalid rational 'abc'\n"),
 ]
 
 # A check over nothing is not a pass.  An algebra with no defined products

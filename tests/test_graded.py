@@ -22,8 +22,16 @@ from tropval.graded import (
     monomial_poly_ring,
     zero_divisor_search,
 )
+from tropval.groebner import normal_form
 from tropval.linalg import solve_linear
-from tropval.sl2 import ambient_degree, sl2_branching_algebra, sl2_rep_ring
+from tropval.poly import Polynomial
+from tropval.sl2 import (
+    AMBIENT_RING,
+    ambient_degree,
+    sl2_branching_algebra,
+    sl2_rep_ring,
+    straightening_basis,
+)
 from tropval.textio import graded_algebra_to_str, parse_graded_algebra
 from tropval.trop import BOTTOM, trop
 
@@ -73,6 +81,95 @@ def test_builtin_algebras_are_associative(builder, args):
     # builders skip the construction-time check: their tables are read off
     # an associative ring, and this test is what holds them to that
     builder(*args)._validate_associativity()
+
+
+# -- reference builders: the hand-written table loops that one
+# polynomial-quotient builder replaced, kept here as its oracle -------------
+
+
+def reference_poly_ring(n_vars, truncation):
+    grades = []
+
+    def extend(prefix, remaining, budget):
+        if remaining == 0:
+            grades.append(tuple(prefix))
+            return
+        for v in range(budget + 1):
+            extend(prefix + [v], remaining - 1, budget - v)
+
+    extend([], n_vars, truncation)
+    components = {g: 1 for g in grades}
+    structure = {}
+    for g1 in grades:
+        for g2 in grades:
+            if g1 <= g2 and sum(g1) + sum(g2) <= truncation:
+                structure[((g1, 0), (g2, 0))] = (
+                    ((tuple(a + b for a, b in zip(g1, g2)), 0), F(1)),)
+    return GradedAlgebra(n_vars, components, structure, truncation, validate=False)
+
+
+def reference_rep_ring(truncation):
+    components = {(n,): n + 1 for n in range(truncation + 1)}
+    structure = {}
+    for n in range(truncation + 1):
+        for m in range(n, truncation + 1 - n):
+            for i in range(n + 1):
+                for j in range(m + 1):
+                    left, right = ((n,), i), ((m,), j)
+                    if right < left:
+                        left, right = right, left
+                    structure[(left, right)] = ((((n + m,), i + j), F(1)),)
+    return GradedAlgebra(1, components, structure, truncation, validate=False)
+
+
+def reference_branching(truncation):
+    def grade(e):
+        p1, p2, p3, q12, q13, q23 = e
+        a, b, c = p1 + q12 + q13, p2 + q12 + q23, p3 + q13 + q23
+        return (a, b, c, a + b - 2 * q12, p1 + p2 + p3)
+
+    monomials = []
+
+    def extend(prefix, budget):
+        if len(prefix) == 6:
+            if not (prefix[1] >= 1 and prefix[4] >= 1):  # no x2*z13
+                monomials.append(tuple(prefix))
+            return
+        for v in range(budget + 1):
+            extend(prefix + [v], budget - v)
+
+    extend([], truncation)
+    monomials.sort()
+    gb = straightening_basis()
+    structure = {}
+    for i, e1 in enumerate(monomials):
+        for e2 in monomials[i:]:
+            if sum(e1) + sum(e2) > truncation:
+                continue
+            product = tuple(x + y for x, y in zip(e1, e2))
+            reduced = normal_form(Polynomial.monomial(AMBIENT_RING, product), gb)
+            structure[((grade(e1), 0), (grade(e2), 0))] = tuple(sorted(
+                ((grade(m), 0), c) for m, c in reduced.terms.items()))
+    components = {grade(e): 1 for e in monomials}
+    return GradedAlgebra(5, components, structure, truncation, validate=False)
+
+
+REFERENCE_BUILDS = (
+    [(sl2_rep_ring, reference_rep_ring, (n,)) for n in range(1, 14)]
+    + [(sl2_branching_algebra, reference_branching, (n,)) for n in range(2, 7)]
+    + [(monomial_poly_ring, reference_poly_ring, (v, t))
+       for v in range(1, 5) for t in range(7)]
+)
+
+
+@pytest.mark.parametrize("builder,reference,args", REFERENCE_BUILDS,
+                         ids=[f"{b.__name__}{a}" for b, _, a in REFERENCE_BUILDS])
+def test_builtin_algebras_match_the_reference_loops(builder, reference, args):
+    A, R = builder(*args), reference(*args)
+    assert A.components == R.components
+    assert A.structure == R.structure
+    assert A.truncation == R.truncation
+    assert graded_algebra_to_str(A) == graded_algebra_to_str(R)
 
 
 def test_parsed_files_keep_the_associativity_check():

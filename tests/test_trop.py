@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from tropval.textio import parse_tropical_value
 from tropval.trop import (
     BOTTOM,
     TropicalValue,
@@ -47,8 +48,8 @@ def test_monomial_weight_dimension_mismatch():
 def test_ordering_and_serialization():
     assert BOTTOM < trop(-1000)
     assert trop(Fraction(1, 3)).to_str() == "1/3"
-    assert TropicalValue.from_str("-inf") == BOTTOM
-    assert TropicalValue.from_str("7/2") == trop(Fraction(7, 2))
+    assert parse_tropical_value("-inf") == BOTTOM
+    assert parse_tropical_value("7/2") == trop(Fraction(7, 2))
     assert trop_sum([]) == BOTTOM
 
 
