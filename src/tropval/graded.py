@@ -85,11 +85,24 @@ def grade_sum(g1: Grade, g2: Grade) -> Grade:
 class GradedAlgebra:
     """Commutative algebra given by grading components and structure constants.
 
-    Like terms of each expansion are summed and zero sums dropped, so a
-    product that cancels is stored as zero.  Associativity is checked on
-    construction unless ``validate`` is False, which is for builders whose
-    table is read off an associative ring.
+    The constructor converts and checks every grade, ref and coefficient,
+    sorts each expansion, sums like terms and drops zero sums (a product
+    that cancels is stored as zero), then checks associativity.  Parsed
+    files take this path, and so does everything derived from them.
+    ``validate=False`` skips only the last check, and is for hand-built
+    tables in tests.
+
+    A *trusted* algebra is stored as its builder made it (`_trusted`): the
+    built-ins of `_monomial_algebra`, whose tables are read off the
+    associative ring Q[x]/I, and `associated_graded` and `coarsen` of a
+    trusted algebra.  gr of a built-in stays associative because the
+    table is total up to the truncation and the relations are
+    homogeneous, so ``(gr ab)·c`` is defined exactly when ``(ab)·c`` is.
+    A parsed table may be partial, and gr of it can define a triple that
+    the table's own check skipped.
     """
+
+    trusted = False
 
     def __init__(self, monoid_dim: int, components: dict, structure: dict,
                  truncation: int, validate: bool = True):
@@ -137,6 +150,23 @@ class GradedAlgebra:
             self.structure[_pair_key(b1, b2)] = tuple(terms)
         if validate:
             self._validate_associativity()
+
+    @classmethod
+    def _trusted(cls, monoid_dim: int, components: dict, structure: dict,
+                 truncation: int) -> "GradedAlgebra":
+        """Wrap a table that is already canonical and associative, as it is.
+
+        The dicts are taken over, not copied: no conversion, no ref check,
+        no sort or merge and no associativity check (see the class
+        docstring for who may call this).
+        """
+        A = cls.__new__(cls)
+        A.monoid_dim = monoid_dim
+        A.components = components
+        A.structure = structure
+        A.truncation = truncation
+        A.trusted = True
+        return A
 
     def _check_ref(self, ref: BasisRef) -> None:
         grade, idx = ref
@@ -489,19 +519,22 @@ def check_graded_axioms(A: GradedAlgebra, gv: GradedValuation,
                              tuple(mult), tuple(subadd))
 
 
-def _override_factor_probe(A: GradedAlgebra, gv: GradedValuation) -> list:
+def _override_factor_probe(A: GradedAlgebra, gv: GradedValuation,
+                           partners: dict | None = None) -> list:
     """Factor each override target as (basis element) * (solved element).
 
     Solving a * x = k is linear in x once a is fixed, so every override is
-    probed deterministically against every basis element.
+    probed deterministically against every basis element.  ``partners`` is
+    ``A._partners()``, passed in by a caller that already has it.
     """
     failures = []
     if not gv.overrides:
         return failures
+    if partners is None:
+        partners = A._partners()
     # Per basis element a: the elements b with a * b defined, in sorted basis
     # order, and the products as columns.  The column order picks the
     # returned solution, hence the printed witness.
-    partners = A._partners()
     probes = []
     for a_ref in sorted(partners):
         candidates = sorted(partners[a_ref])
@@ -535,7 +568,7 @@ def check_valuation_axioms(A: GradedAlgebra, gv: GradedValuation,
     _require_products(A)
     sampler = _PairSampler(A, random.Random(seed))
     mult = _homogeneous_pair_failures(A, gv)
-    mult.extend(_override_factor_probe(A, gv))
+    mult.extend(_override_factor_probe(A, gv, sampler.partners))
     for _ in range(n_samples):
         a, b = sampler.sample()
         try:
@@ -626,6 +659,14 @@ def check_monoid_theorem(A: GradedAlgebra, w: LexFunctional,
                                collisions, tuple(conclusion_failures), checked)
 
 
+def _derived(A: GradedAlgebra, monoid_dim: int, components: dict,
+             structure: dict) -> GradedAlgebra:
+    """A table derived from A: trusted when A is, else converted and checked."""
+    if A.trusted:
+        return GradedAlgebra._trusted(monoid_dim, components, structure, A.truncation)
+    return GradedAlgebra(monoid_dim, components, structure, A.truncation)
+
+
 def associated_graded(A: GradedAlgebra, h: LexFunctional) -> GradedAlgebra:
     """The associated graded algebra of the filtration by h.
 
@@ -644,7 +685,8 @@ def associated_graded(A: GradedAlgebra, h: LexFunctional) -> GradedAlgebra:
         top = tuple_sum(key(b1[0]), key(b2[0]))
         structure[(b1, b2)] = tuple(
             (t, c) for t, c in expansion if key(t[0]) == top)
-    return GradedAlgebra(A.monoid_dim, A.components, structure, A.truncation)
+    # a filter keeps keys canonical and expansions sorted
+    return _derived(A, A.monoid_dim, A.components, structure)
 
 
 def zero_divisor_search(A: GradedAlgebra, bound: int):
@@ -715,11 +757,10 @@ def _monomial_algebra(rows, truncation: int, basis=None) -> GradedAlgebra:
             if expansion is None:
                 reduced = groebner.normal_form(
                     Polynomial.monomial(basis.gens[0].ring, product), basis)
-                expansion = expansion_of[product] = tuple(
-                    (ref_of[m], c) for m, c in reduced.terms.items())
-            structure[(ref_of[e1], ref_of[e2])] = expansion
-    return GradedAlgebra(len(rows), components, structure, truncation,
-                         validate=False)
+                expansion = expansion_of[product] = tuple(sorted(
+                    (ref_of[m], c) for m, c in reduced.terms.items()))
+            structure[_pair_key(ref_of[e1], ref_of[e2])] = expansion
+    return GradedAlgebra._trusted(len(rows), components, structure, truncation)
 
 
 def monomial_poly_ring(n_vars: int, truncation: int) -> GradedAlgebra:
@@ -753,4 +794,6 @@ def coarsen(A: GradedAlgebra, matrix: tuple[tuple[int, ...], ...]) -> GradedAlge
             (offsets[t], c) for t, c in expansion
         ))
         structure[_pair_key(offsets[b1], offsets[b2])] = new_expansion
-    return GradedAlgebra(len(matrix), components, structure, A.truncation)
+    # the relabelling is one-to-one, so the table is as canonical and as
+    # associative as A's
+    return _derived(A, len(matrix), components, structure)

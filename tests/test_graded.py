@@ -9,6 +9,7 @@ from tropval.graded import (
     GradedAlgebra,
     GradedValuation,
     LexFunctional,
+    NotLowerTriangularError,
     NothingCheckedError,
     TruncationError,
     associated_graded,
@@ -28,9 +29,12 @@ from tropval.poly import Polynomial
 from tropval.sl2 import (
     AMBIENT_RING,
     ambient_degree,
+    collapse_functional,
+    root_functional,
     sl2_branching_algebra,
     sl2_rep_ring,
     straightening_basis,
+    strict_branching_functional,
 )
 from tropval.textio import graded_algebra_to_str, parse_graded_algebra
 from tropval.trop import BOTTOM, trop
@@ -181,6 +185,96 @@ def test_parsed_files_keep_the_associativity_check():
     A.structure[pair] = tuple((t, 2 * c) for t, c in A.structure[pair])
     with pytest.raises(AssociativityError):
         parse_graded_algebra(graded_algebra_to_str(A))
+
+
+# -- trusted tables: a built-in, and gr and coarsenings of one, are stored as
+# the builder made them, with no canonicalization and no associativity
+# check; these tests run both where they are cheap -----------------------------
+
+
+def _functionals_used_on(A):
+    """The functionals that the tests, demos, goldens and argv fuzz corpus
+    apply to a built-in of A's monoid dimension; each is lower-triangular."""
+    n = A.monoid_dim
+    if n == 1:  # sl2-rep-ring and polyring:1
+        return [LexFunctional.single((r,)) for r in (F(1), F(2), F(0), F(-1), F(1, 2))]
+    if n == 5:  # sl2-branching
+        strict = strict_branching_functional()
+        return [strict, root_functional((0, 0, 0, 1, 0))[0],
+                collapse_functional(strict, 0)[0], LexFunctional.single((F(0),) * 5)]
+    return [LexFunctional.single((F(1),) * n), LexFunctional.single((F(0),) * n),
+            unit_rows(n), LexFunctional(unit_rows(n).rows[::-1]),
+            LexFunctional.single(tuple(F(k + 2) for k in range(n)))]
+
+
+TRUST_ORACLE = (
+    [(sl2_rep_ring, (n,)) for n in range(1, 9)]
+    + [(sl2_branching_algebra, (n,)) for n in range(2, 7)]
+    + [(monomial_poly_ring, (v, t)) for v in range(1, 4) for t in range(5)]
+)
+
+
+@pytest.mark.parametrize("builder,args", TRUST_ORACLE,
+                         ids=[f"{b.__name__}{a}" for b, a in TRUST_ORACLE])
+def test_gr_of_a_builtin_is_associative(builder, args):
+    # gr of a trusted algebra skips the construction-time check; this is
+    # the full check it skips, on every functional gr meets a built-in with
+    A = builder(*args)
+    assert A.trusted
+    for h in _functionals_used_on(A):
+        gr = associated_graded(A, h)
+        assert gr.trusted
+        gr._validate_associativity()
+    if builder is sl2_branching_algebra:
+        # a trusted input still takes the lower-triangular check
+        with pytest.raises(NotLowerTriangularError):
+            associated_graded(A, LexFunctional.single((F(0), F(0), F(0), F(-1), F(0))))
+
+
+@pytest.mark.parametrize("builder,args", [(b, a) for b, _, a in REFERENCE_BUILDS],
+                         ids=[f"{b.__name__}{a}" for b, _, a in REFERENCE_BUILDS])
+def test_trusted_tables_are_what_the_constructor_would_store(builder, args):
+    A = builder(*args)
+    total_degree = (tuple(1 for _ in range(A.monoid_dim)),)
+    tables = [A, coarsen(A, total_degree)]
+    tables += [associated_graded(A, h) for h in _functionals_used_on(A)]
+    for T in tables:
+        assert T.trusted
+        canonical = GradedAlgebra(T.monoid_dim, T.components, T.structure,
+                                  T.truncation, validate=False)
+        assert canonical.key() == T.key()
+        assert canonical.truncation == T.truncation
+        assert all(type(c) is Fraction for expansion in T.structure.values()
+                   for _, c in expansion)
+
+
+ROUND_TRIPS = (
+    [(sl2_branching_algebra, n, strict_branching_functional()) for n in range(2, 6)]
+    + [(sl2_rep_ring, n, LexFunctional.single((F(1),))) for n in range(2, 10)]
+)
+
+
+@pytest.mark.parametrize("builder,n,h", ROUND_TRIPS,
+                         ids=[f"{b.__name__}{n}" for b, n, _ in ROUND_TRIPS])
+def test_trusted_gr_matches_gr_of_the_parsed_file(monkeypatch, builder, n, h):
+    checked = []
+    check = GradedAlgebra._validate_associativity
+
+    def counted(self):
+        checked.append(self)
+        check(self)
+
+    monkeypatch.setattr(GradedAlgebra, "_validate_associativity", counted)
+    A = builder(n)
+    trusted_gr = associated_graded(A, h)
+    assert checked == []
+    # input from outside keeps its check, and so does all that derives from it
+    parsed = parse_graded_algebra(graded_algebra_to_str(A))
+    parsed_gr = associated_graded(parsed, h)
+    coarse = coarsen(parsed, (tuple(1 for _ in range(A.monoid_dim)),))
+    assert checked == [parsed, parsed_gr, coarse]
+    assert not (parsed.trusted or parsed_gr.trusted or coarse.trusted)
+    assert graded_algebra_to_str(trusted_gr) == graded_algebra_to_str(parsed_gr)
 
 
 def _fraction_first_failure(A):
