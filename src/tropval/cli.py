@@ -53,24 +53,15 @@ def report_format(check_name: str, header: list[tuple[str, str]],
     return "\n".join(lines) + "\n"
 
 
-def _int_at_least(text: str, least: int, kind: str) -> int:
+def _positive_int(text: str) -> int:
+    """argparse type for counts and degree bounds: below 1 is a usage error."""
     try:
         value = int(text)
     except ValueError:
-        value = least - 1
-    if value < least:
-        raise argparse.ArgumentTypeError(f"must be a {kind} integer, got {text!r}")
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
     return value
-
-
-def _positive_int(text: str) -> int:
-    """argparse type for counts: a zero or negative count is a usage error."""
-    return _int_at_least(text, 1, "positive")
-
-
-def _non_negative_int(text: str) -> int:
-    """argparse type for bounds: a negative bound is a usage error."""
-    return _int_at_least(text, 0, "non-negative")
 
 
 def _read(path: str) -> str:
@@ -386,7 +377,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ideal", required=True)
     p.add_argument("--weight", required=True)
     add_sampling(p)
-    p.add_argument("--degree-bound", type=_non_negative_int, default=3)
+    p.add_argument("--degree-bound", type=_positive_int, default=3)
     p.set_defaults(func=_cmd_val_check)
 
     p = sub.add_parser("cone", help="sum of valuations under a cone hypothesis")

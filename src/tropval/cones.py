@@ -26,8 +26,9 @@ from .valuation import (
     PointwiseSum,
     Scaled,
     WeightValuation,
+    _random_int_polynomial,
+    _with_fractions,
     check_axioms,
-    random_polynomial,
 )
 
 HOLDS_CERTIFIED = "holds_certified"
@@ -102,7 +103,8 @@ def implies_check(v: CandidateValuation, w: CandidateValuation,
     Certificates: identity, w a positive multiple of v, w the zero weight
     vector (its valuation is the trivial coarsening), and full half-space
     decision on free algebras in exact mode.  Otherwise the verdict comes
-    from seeded refutation search.
+    from seeded refutation search, on the samples of `check_axioms`: int
+    coefficients while searching, `Fraction`s in a witness.
     """
     if v.presentation.key() != w.presentation.key():
         raise ValueError("relation checks need valuations on the same algebra")
@@ -127,12 +129,15 @@ def implies_check(v: CandidateValuation, w: CandidateValuation,
             return RelationVerdict(
                 "implies", REFUTED, witness=(a, b),
                 note="half-space containment fails on a monomial pair")
+    if degree_bound < 1:
+        raise ValueError(f"refutation search needs degree_bound >= 1, got {degree_bound}")
     rng = random.Random(seed)
     for _ in range(n_samples):
-        a = random_polynomial(rng, P.ring, degree_bound)
-        b = random_polynomial(rng, P.ring, degree_bound)
+        a = _random_int_polynomial(rng, P.ring, degree_bound)
+        b = _random_int_polynomial(rng, P.ring, degree_bound)
         if v.evaluate(a) <= v.evaluate(b) and w.evaluate(a) > w.evaluate(b):
-            return RelationVerdict("implies", REFUTED, witness=(a, b))
+            return RelationVerdict("implies", REFUTED,
+                                   witness=(_with_fractions(a), _with_fractions(b)))
     return RelationVerdict("implies", HOLDS_NO_COUNTEREXAMPLE, n_samples=n_samples)
 
 

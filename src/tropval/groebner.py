@@ -44,11 +44,16 @@ one multiplication at a time, with no bound on the exponent.
 Orders compare monomials by flat integer keys: rational weights are scaled
 once per order by the LCM of their denominators (`integer_weights`), so no
 key computation in division or Buchberger touches a `Fraction`.  Division
-(`_remainder_terms`) yields the remainder's terms largest first and keeps
-integral coefficients as Python ints, making a `Fraction` only where a
-rational tail or a leading coefficient other than 1 needs one;
-`normal_form` collects every term as a `Fraction`, and
-`leading_normal_exponent` stops at the first.
+(`_remainder_terms`) takes a work dict, exponent to int or `Fraction`,
+that its caller fills: `normal_form` and `leading_normal_exponent` from
+f's terms, after checking f's ring, with integral coefficients as Python
+ints.  A weight valuation fills it from f's terms with the homogenizing
+exponent appended, so homogenization costs no polynomial of its own
+(`_homogenize` stays for building bases and for `normal_form_of`).
+Division yields the remainder's terms largest first and keeps integral
+coefficients as ints, making a `Fraction` only where a rational tail or a
+leading coefficient other than 1 needs one; `normal_form` collects every
+term as a `Fraction`, and `leading_normal_exponent` stops at the first.
 
 Division reads one table per basis, a `GroebnerBasis`, with one entry per
 element (leading monomial and coefficient, negated tail).  A basis built
@@ -299,17 +304,16 @@ def _rewrite(table: list, e: ExponentVector) -> tuple | None:
     return None
 
 
-def _remainder_terms(f: Polynomial, gb: GroebnerBasis):
-    """Terms (exponent, coefficient) of the remainder of f by the basis.
+def _remainder_terms(work: dict, gb: GroebnerBasis):
+    """Terms (exponent, coefficient) of the remainder by the basis.
 
-    They come largest first under the basis order.  Integral coefficients
+    ``work`` maps the dividend's exponents, in the basis ring, to nonzero
+    int or `Fraction` coefficients; the caller fills it and it is consumed.
+    Terms come largest first under the basis order.  Integral coefficients
     are reduced as Python ints; a coefficient is a `Fraction` only once a
     division or a rational tail makes it one.
     """
-    if gb.gens and f.ring != gb.gens[0].ring:
-        raise ValueError("polynomial and basis live in different rings")
     key, step = gb._lookups()
-    work = {e: c.numerator if c.denominator == 1 else c for e, c in f.terms.items()}
     # Max-heap of pending terms by order key.  A term that cancels stays in
     # the heap and is skipped when popped; every term a reduction step adds
     # is smaller than the term being reduced, so a popped term never returns
@@ -349,9 +353,12 @@ def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:
     """
     if not gb.gens or f.is_zero:
         return f
+    if f.ring != gb.gens[0].ring:
+        raise ValueError("polynomial and basis live in different rings")
+    work = {e: c.numerator if c.denominator == 1 else c for e, c in f.terms.items()}
     return Polynomial._trusted(f.ring, {
         e: c if type(c) is Fraction else Fraction(c)
-        for e, c in _remainder_terms(f, gb)})
+        for e, c in _remainder_terms(work, gb)})
 
 
 def leading_normal_exponent(f: Polynomial,
@@ -362,7 +369,10 @@ def leading_normal_exponent(f: Polynomial,
     irreducible term, which leads the remainder, so the rest is never
     computed.
     """
-    for e, _ in _remainder_terms(f, gb):
+    if gb.gens and f.ring != gb.gens[0].ring:
+        raise ValueError("polynomial and basis live in different rings")
+    work = {e: c.numerator if c.denominator == 1 else c for e, c in f.terms.items()}
+    for e, _ in _remainder_terms(work, gb):
         return e
     return None
 

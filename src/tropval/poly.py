@@ -87,7 +87,10 @@ class Polynomial:
 
         The caller guarantees int-tuple exponents of length ``ring.dim``, no
         negative entries, and nonzero `Fraction` coefficients; the dict is
-        taken over, not copied.
+        taken over, not copied.  One internal exception: the axiom samplers
+        of `valuation` and `cones` wrap nonzero int coefficients, and keep
+        those polynomials inside their checks, converting a witness to
+        `Fraction`s before it is reported.
         """
         out = cls.__new__(cls)
         out.ring = ring

@@ -4,11 +4,20 @@ A weight vector w on the generators of A = K[X]/I induces a candidate
 valuation: the value of f is the top weight among the terms of the normal
 form of f against a w-refined basis of I (bottom for elements of I).  The
 order compares that weight first, so the value is the weight of the normal
-form's leading term, and evaluation divides only until that term appears
-(`leading_normal_exponent`).  This is always subadditive and
-submultiplicative; whether multiplicativity holds exactly is what
-`check_axioms` probes by seeded sampling.  The report never claims more
-than "no counterexample among the sampled pairs".
+form's leading term, and evaluation divides only until that term appears.
+It fills division's work dict with f homogenized (the extra variable's
+exponent appended to each term), so no homogenized copy of f is built.
+This is always subadditive and submultiplicative; whether
+multiplicativity holds exactly is what `check_axioms` probes by seeded
+sampling.  The report never claims more than "no counterexample among
+the sampled pairs".
+
+Inside `check_axioms` and the sampled search of `cones.implies_check`,
+samples and their products and sums have int coefficients: they are the
+draws of `random_polynomial` without its `Fraction` wrap, and division
+reduces them as ints anyway.  A sample that becomes a reported witness
+is converted to `Fraction` coefficients first, so every polynomial that
+leaves this module has them.
 
 `CandidateValuation` owns `evaluate`; its subclasses `WeightValuation`,
 `Pullback`, `PointwiseSum` and `Scaled` each supply `_evaluate`.  Weight
@@ -32,11 +41,11 @@ from .groebner import (
     MonomialOrder,
     _dehomogenize,
     _homogenize,
+    _remainder_terms,
     buchberger,
     contains_monomial,
     initial_form,
     initial_ideal,
-    leading_normal_exponent,
     normal_form,
 )
 from .poly import Polynomial, Presentation, RingContext, WeightVector
@@ -90,11 +99,16 @@ class WeightValuation(CandidateValuation):
         return _dehomogenize(reduced, self.presentation.ring)
 
     def _evaluate(self, f: Polynomial) -> TropicalValue:
-        e = leading_normal_exponent(_homogenize(f, self.homogenized.ext), self.basis)
-        if e is None:
-            return BOTTOM
-        order = self.basis.order
-        return TropicalValue(Fraction(sum(map(mul, order.int_weights, e)), order.scale))
+        # Division's work dict holds f homogenized: each exponent gets the
+        # power d - |e| of the extra variable, with no homogenized copy of f.
+        d = f.total_degree()
+        work = {e + (d - sum(e),): c.numerator if c.denominator == 1 else c
+                for e, c in f.terms.items()}
+        for e, _ in _remainder_terms(work, self.basis):
+            order = self.basis.order
+            return TropicalValue(Fraction(sum(map(mul, order.int_weights, e)),
+                                          order.scale))
+        return BOTTOM
 
 
 class Pullback(CandidateValuation):
@@ -164,6 +178,20 @@ def random_polynomial(rng: random.Random, ring: RingContext,
                       degree_bound: int, max_terms: int = 3) -> Polynomial:
     """Nonzero polynomial with small integer coefficients, seeded.
 
+    The draw of `_random_int_polynomial`, with `Fraction` coefficients.
+    """
+    return _with_fractions(_random_int_polynomial(rng, ring, degree_bound, max_terms))
+
+
+def _with_fractions(p: Polynomial) -> Polynomial:
+    """An int-coefficient sample with its coefficients made `Fraction`s."""
+    return Polynomial._trusted(p.ring, {e: Fraction(c) for e, c in p.terms.items()})
+
+
+def _random_int_polynomial(rng: random.Random, ring: RingContext,
+                           degree_bound: int, max_terms: int = 3) -> Polynomial:
+    """The one sampling loop: a nonzero polynomial with int coefficients.
+
     The term count is ``randint(1, max_terms)``, each exponent
     ``randint(0, degree_bound)`` (the vector redrawn while its degree
     exceeds the bound) and each coefficient ``choice(_COEFFICIENTS)``.
@@ -202,9 +230,9 @@ def random_polynomial(rng: random.Random, ring: RingContext,
                 i = bits(k_coeff)
             e = tuple(e)
             terms[e] = terms.get(e, 0) + _COEFFICIENTS[i]
-        p = Polynomial._trusted(ring, {e: Fraction(c) for e, c in terms.items() if c})
-        if not p.is_zero:
-            return p
+        terms = {e: c for e, c in terms.items() if c}
+        if terms:
+            return Polynomial._trusted(ring, terms)
 
 
 def check_axioms(v: CandidateValuation, seed: int = 0, n_pairs: int = 200,
@@ -213,24 +241,30 @@ def check_axioms(v: CandidateValuation, seed: int = 0, n_pairs: int = 200,
 
     A multiplicativity failure is v(ab) != v(a) (x) v(b).  A cancellation
     failure is a strict drop v(a+b) < v(a) (+) v(b) with v(a) != v(b), which
-    no valuation can exhibit.
+    no valuation can exhibit.  The samples are those of `random_polynomial`;
+    they, their products and their sums keep int coefficients here, and a
+    witness pair is reported with `Fraction` coefficients.  A degree bound
+    below 1 is rejected: every sample would be a constant, and any
+    candidate would pass.
     """
+    if degree_bound < 1:
+        raise ValueError(f"axiom sampling needs degree_bound >= 1, got {degree_bound}")
     rng = random.Random(seed)
     ring = v.presentation.ring
     mult_failures = []
     cancellation_failures = []
     for _ in range(n_pairs):
-        a = random_polynomial(rng, ring, degree_bound)
-        b = random_polynomial(rng, ring, degree_bound)
+        a = _random_int_polynomial(rng, ring, degree_bound)
+        b = _random_int_polynomial(rng, ring, degree_bound)
         va, vb = v.evaluate(a), v.evaluate(b)
         vab = v.evaluate(a * b)
         expected = trop_mul(va, vb)
         if vab != expected:
-            mult_failures.append((a, b, vab, expected))
+            mult_failures.append((_with_fractions(a), _with_fractions(b), vab, expected))
         vsum = v.evaluate(a + b)
         join = trop_add(va, vb)
         if vsum != join and va != vb:
-            cancellation_failures.append((a, b))
+            cancellation_failures.append((_with_fractions(a), _with_fractions(b)))
     return AxiomReport(n_pairs, tuple(mult_failures), tuple(cancellation_failures))
 
 

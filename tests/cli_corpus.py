@@ -110,6 +110,11 @@ USAGE_CASES = [
     ("degree_bound_negative",
      ["val-check", "--ideal", fixture("line.ideal"), "--weight", "1 1",
       "--degree-bound", "-1"], 2),
+    # at degree bound 0 every sample is a constant, and an off-variety
+    # weight used to report "verdict: valuation" with exit 0
+    ("degree_bound_zero",
+     ["val-check", "--ideal", fixture("hyperbola.ideal"), "--weight", "1 0",
+      "--degree-bound", "0"], 2),
 ]
 
 # A zero denominator in any literal is a located parse error (exit 2); it

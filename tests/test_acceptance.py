@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from cli_corpus import CASES, USAGE_CASES, run_case
-from conftest import W, load
+from conftest import FIXTURE_WEIGHTS, W, load
 from oracle_macaulay import macaulay_member
 from tropval.cones import arrow_check, cone_sum, facet_classes, implies_check
 from tropval.graded import (
@@ -45,32 +45,6 @@ from tropval.valuation import (
 )
 
 F = Fraction
-H = F(1, 2)
-
-FIXTURE_WEIGHTS = {
-    "line.ideal": [
-        W(1, 1), W(2, 2), W(3, 3), W(H, H), W(F(7, 3), F(7, 3)), W(0, 0),
-        W(0, -1), W(0, -2), W(0, F(-5, 2)), W(-1, 0), W(-3, 0), W(-H, 0),
-    ],
-    "hyperbola.ideal": [
-        W(a, -a) for a in
-        (0, 1, -1, 2, -2, H, -H, 3, F(5, 2), F(-5, 2), F(7, 3), -3)
-    ],
-    "cubic.ideal": [
-        W(t, 2 * t, 3 * t) for t in
-        (0, 1, -1, 2, -2, H, -H, 3, -3, F(5, 2), F(-5, 2), F(7, 3))
-    ],
-    "cone.ideal": [
-        W(0, 0, 0), W(1, 1, 1), W(2, 1, 0), W(0, 1, 2), W(1, 0, -1),
-        W(-1, 0, 1), W(2, 2, 2), W(1, 2, 3), W(3, 2, 1), W(-1, -1, -1),
-        W(H, H, H), W(4, 3, 2),
-    ],
-    "plane.ideal": [
-        W(0, 0, 0), W(1, 1, 0), W(0, 1, 1), W(1, 0, 1), W(1, 1, 1),
-        W(2, 2, 2), W(H, H, 0), W(2, 2, -1), W(-1, 3, 3),
-        W(F(7, 3), F(7, 3), F(7, 3)), W(-1, -1, -1), W(3, 3, 1),
-    ],
-}
 
 
 @pytest.fixture(scope="module")

@@ -135,7 +135,7 @@ def test_negative_degree_bound_is_a_usage_error_in_a_fresh_process():
     _, argv, expected = next(c for c in USAGE_CASES if c[0] == "degree_bound_negative")
     proc = _run_entry_point(argv)
     assert (proc.returncode, proc.stdout) == (expected, "")
-    assert "--degree-bound: must be a non-negative integer, got '-1'" in proc.stderr
+    assert "--degree-bound: must be a positive integer, got '-1'" in proc.stderr
 
 
 def test_refutation_witness_is_printed():

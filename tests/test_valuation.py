@@ -1,13 +1,23 @@
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
-from conftest import W, load
+from conftest import FIXTURE_WEIGHTS, W, load
+from tropval.cones import (
+    HOLDS_CERTIFIED,
+    HOLDS_NO_COUNTEREXAMPLE,
+    REFUTED,
+    RelationVerdict,
+    implies_check,
+)
+from tropval.groebner import _homogenize, leading_normal_exponent
 from tropval.poly import Polynomial, Presentation, RingContext
 from tropval.textio import parse_poly, poly_to_str
-from tropval.trop import BOTTOM, trop
+from tropval.trop import BOTTOM, TropicalValue, trop, trop_add, trop_mul
 from tropval.valuation import (
+    AxiomReport,
     CandidateValuation,
     NonfiniteGeneratorValueError,
     NotAHomomorphismError,
@@ -271,3 +281,159 @@ def test_sampler_draws_the_randint_choice_stream():
 def test_sampler_rejects_empty_ranges(degree_bound, max_terms):
     with pytest.raises(ValueError, match="degree_bound >= 0 and max_terms >= 1"):
         random_polynomial(random.Random(0), T_RING, degree_bound, max_terms)
+
+
+# -- the int-coefficient checks against the Fraction-coefficient loop -----------------
+
+OFF_VARIETY_WEIGHTS = {
+    "hyperbola.ideal": [W(1, 0), W(2, 1)],
+    "cone.ideal": [W(1, 0, 0), W(0, 1, 0)],
+    "cubic.ideal": [W(1, 0, 0)],
+}
+# tadic pins t at -1, so its first entry is ignored; free_xy takes negative
+# weights, a non-global order on the free algebra.
+EXTRA_WEIGHTS = {
+    "tadic.ideal": [W(-1, 1), W(0, 2), W(5, -1), W(-1, 0)],
+    "free_xy.ideal": [W(-1, 2), W(1, -1), W(-2, -1), W(-1, 0), W(0, 0)],
+}
+ORACLE_SEEDS = range(10)
+ORACLE_DEGREE_BOUNDS = range(1, 6)
+ORACLE_PAIRS = 4
+
+
+def _oracle_cases():
+    """(fixture name, weight list) for every fixture the oracle covers."""
+    names = sorted({*FIXTURE_WEIGHTS, *OFF_VARIETY_WEIGHTS, *EXTRA_WEIGHTS})
+    return [(name, FIXTURE_WEIGHTS.get(name, []) + OFF_VARIETY_WEIGHTS.get(name, [])
+             + EXTRA_WEIGHTS.get(name, [])) for name in names]
+
+
+def _fraction_evaluate(v: WeightValuation, f: Polynomial):
+    """Evaluation as first written: divide a homogenized copy of f."""
+    if f.is_zero:
+        return BOTTOM
+    e = leading_normal_exponent(_homogenize(f, v.homogenized.ext), v.basis)
+    if e is None:
+        return BOTTOM
+    order = v.basis.order
+    return TropicalValue(Fraction(sum(map(mul, order.int_weights, e)), order.scale))
+
+
+def _fraction_check_axioms(v, seed, n_pairs, degree_bound):
+    """The axiom loop as first written, on `Fraction`-coefficient samples."""
+    rng = random.Random(seed)
+    ring = v.presentation.ring
+    mult_failures, cancellation_failures = [], []
+    for _ in range(n_pairs):
+        a = _randint_choice_sampler(rng, ring, degree_bound)
+        b = _randint_choice_sampler(rng, ring, degree_bound)
+        va, vb = _fraction_evaluate(v, a), _fraction_evaluate(v, b)
+        vab = _fraction_evaluate(v, a * b)
+        expected = trop_mul(va, vb)
+        if vab != expected:
+            mult_failures.append((a, b, vab, expected))
+        vsum = _fraction_evaluate(v, a + b)
+        if vsum != trop_add(va, vb) and va != vb:
+            cancellation_failures.append((a, b))
+    return AxiomReport(n_pairs, tuple(mult_failures), tuple(cancellation_failures))
+
+
+def _fraction_implies(v, w, seed, n_samples, degree_bound):
+    """The sampled branch of `implies_check` as first written."""
+    rng = random.Random(seed)
+    for _ in range(n_samples):
+        a = _randint_choice_sampler(rng, v.presentation.ring, degree_bound)
+        b = _randint_choice_sampler(rng, v.presentation.ring, degree_bound)
+        if (_fraction_evaluate(v, a) <= _fraction_evaluate(v, b)
+                and _fraction_evaluate(w, a) > _fraction_evaluate(w, b)):
+            return RelationVerdict("implies", REFUTED, witness=(a, b))
+    return RelationVerdict("implies", HOLDS_NO_COUNTEREXAMPLE, n_samples=n_samples)
+
+
+def _fraction_only(p: Polynomial) -> bool:
+    return all(type(c) is Fraction for c in p.terms.values())
+
+
+def test_int_sample_axiom_reports_match_the_fraction_loop():
+    """Equal reports: the same counts, witness pairs in order, and values.
+
+    `AxiomReport` equality compares the polynomials with `==`, which cannot
+    tell 3 from Fraction(3); the coefficient types are checked separately.
+    """
+    runs = with_failures = with_two = 0
+    for name, weights in _oracle_cases():
+        P = load(name)
+        for w in weights:
+            v = make_weight_valuation(P, w)
+            for seed in ORACLE_SEEDS:
+                for degree_bound in ORACLE_DEGREE_BOUNDS:
+                    ours = check_axioms(v, seed=seed, n_pairs=ORACLE_PAIRS,
+                                        degree_bound=degree_bound)
+                    assert ours == _fraction_check_axioms(
+                        v, seed, ORACLE_PAIRS, degree_bound), (name, w, seed, degree_bound)
+                    failures = (len(ours.multiplicativity_failures)
+                                + len(ours.cancellation_failures))
+                    runs += 1
+                    with_failures += failures > 0
+                    with_two += failures > 1
+    assert runs == 74 * len(ORACLE_SEEDS) * len(ORACLE_DEGREE_BOUNDS)
+    assert with_failures > 200 and with_two > 50  # the comparison is not vacuous
+
+
+def test_int_sample_implies_verdicts_match_the_fraction_loop():
+    statuses = []
+    for name, weights in _oracle_cases():
+        P = load(name)
+        vals = [make_weight_valuation(P, w) for w in weights]
+        for v, w in zip(vals, vals[1:]):
+            for seed in ORACLE_SEEDS:
+                for degree_bound in ORACLE_DEGREE_BOUNDS:
+                    ours = implies_check(v, w, seed=seed, n_samples=ORACLE_PAIRS,
+                                         degree_bound=degree_bound)
+                    if ours.status == HOLDS_CERTIFIED:
+                        continue
+                    assert ours == _fraction_implies(v, w, seed, ORACLE_PAIRS,
+                                                     degree_bound), (name, seed)
+                    statuses.append(ours.status)
+    assert statuses.count(REFUTED) > 1000
+    assert len(statuses) - statuses.count(REFUTED) > 1000
+
+
+def test_reported_polynomials_have_fraction_coefficients(hyperbola):
+    free_xy = load("free_xy.ideal")
+    # Off-variety weights fail multiplicativity; a negated valuation fails
+    # cancellation, since it takes the min of two distinct values.
+    candidates = [make_weight_valuation(hyperbola, W(1, 0)),
+                  make_weight_valuation(hyperbola, W(2, 1)),
+                  Scaled(make_weight_valuation(free_xy, W(1, 2)), Fraction(-1))]
+    reported, kinds = [], set()
+    for v in candidates:
+        for seed in range(3):
+            report = check_axioms(v, seed=seed, n_pairs=60)
+            for a, b, _, _ in report.multiplicativity_failures:
+                reported += [a, b]
+                kinds.add("multiplicativity")
+            for pair in report.cancellation_failures:
+                reported += list(pair)
+                kinds.add("cancellation")
+    assert kinds == {"multiplicativity", "cancellation"}
+    v, w = make_weight_valuation(free_xy, W(1, 2)), make_weight_valuation(free_xy, W(2, 1))
+    refuted = 0
+    for seed in range(20):
+        verdict = implies_check(v, w, seed=seed, n_samples=20)
+        if verdict.refuted:
+            refuted += 1
+            reported += list(verdict.witness)
+    assert refuted > 10
+    for dim in (1, 2, 3):
+        ring = RingContext(tuple(f"v{i}" for i in range(dim)))
+        rng = random.Random(dim)
+        reported += [random_polynomial(rng, ring, 4) for _ in range(50)]
+    assert all(_fraction_only(p) for p in reported)
+
+
+def test_check_axioms_rejects_a_degree_bound_below_one(hyperbola):
+    v = make_weight_valuation(hyperbola, W(1, 0))
+    for degree_bound in (0, -1):
+        with pytest.raises(ValueError, match="degree_bound >= 1"):
+            check_axioms(v, degree_bound=degree_bound)
