@@ -16,8 +16,14 @@ rational row cannot totally order a higher-rank monoid.  Every order test
 compares integer keys (`LexFunctional.key`: each row scaled by the lcm of
 its denominators), and a `Fraction` value is built only where it leaves
 the module: a graded value, `LexFunctional.value`/`first`, a witness.
-A check over a table that defines no products raises
-`NothingCheckedError` instead of passing vacuously.
+
+Inside the checks, element coefficients are ints or `Fraction`s: the
+pair sampler draws ints, `GradedAlgebra.multiply` keeps int products on
+an integral table, and a sampled value is compared as a scaled integer
+key (`_value_key`).  Everything handed out (a table, a graded value, a
+report's witness elements) has `Fraction`s.  A check over a table that
+defines no products raises `NothingCheckedError` instead of passing
+vacuously.
 """
 
 from __future__ import annotations
@@ -26,17 +32,19 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import add, mul
+from operator import add, itemgetter, mul
 
 from . import groebner
 from .errors import PreconditionError, TropvalError
 from .linalg import solve_linear
 from .poly import Polynomial
-from .trop import BOTTOM, TropicalValue, trop_add, trop_mul
+from .trop import BOTTOM, TropicalValue, trop_mul
 
 Grade = tuple[int, ...]
 BasisRef = tuple[Grade, int]
-Element = dict  # BasisRef -> Fraction
+# BasisRef -> coefficient.  Coefficients are Fractions in everything the
+# module hands out; inside the checks they are ints or Fractions.
+Element = dict
 
 
 class TruncationError(TropvalError):
@@ -187,6 +195,12 @@ class GradedAlgebra:
         return self.structure.get(_pair_key(b1, b2))
 
     def multiply(self, e1: Element, e2: Element) -> Element:
+        """Product of two elements.
+
+        An integral structure constant multiplies as its int numerator, so
+        int coefficients on an integral table give ints, and Fraction
+        coefficients give Fractions.
+        """
         out: Element = {}
         for b1, c1 in e1.items():
             for b2, c2 in e2.items():
@@ -194,8 +208,11 @@ class GradedAlgebra:
                 if expansion is None:
                     raise TruncationError(
                         f"product {b1} * {b2} is outside the structure table")
+                c12 = c1 * c2
                 for target, coeff in expansion:
-                    s = out.get(target, Fraction(0)) + c1 * c2 * coeff
+                    if coeff.denominator == 1:
+                        coeff = coeff.numerator
+                    s = out.get(target, 0) + c12 * coeff
                     if s == 0:
                         out.pop(target, None)
                     else:
@@ -275,7 +292,7 @@ def element_key(element: Element) -> tuple:
 def element_add(a: Element, b: Element) -> Element:
     out = dict(a)
     for ref, c in b.items():
-        s = out.get(ref, Fraction(0)) + c
+        s = out.get(ref, 0) + c
         if s == 0:
             out.pop(ref, None)
         else:
@@ -394,19 +411,34 @@ class GradedValuation:
         return None
 
 
-def graded_value(A: GradedAlgebra, gv: GradedValuation,
-                 element: Element) -> TropicalValue:
-    """Value of an element: override if present, else max over its grades."""
+def _value_key(gv: GradedValuation, element: Element):
+    """An element's value times the first row's scale; None for bottom.
+
+    That is the largest first-row key of its grades, or an override's value
+    times the scale (a Fraction when the override is finer than the scale).
+    Keys of the same valuation compare and add exactly as the values do.
+    """
     if not element:
-        return BOTTOM
+        return None
     if gv.overrides:
         hit = gv.override_value(element)
         if hit is not None:
-            return hit
-    h = gv.functional
-    key = h.key
-    return TropicalValue(Fraction(max(key(ref[0])[0] for ref in element),
-                                  h._scales[0]))
+            return None if hit.is_bottom else hit.value * gv.functional._scales[0]
+    key = gv.functional.key
+    return max(key(ref[0])[0] for ref in element)
+
+
+def _unscale(gv: GradedValuation, value_key) -> TropicalValue:
+    """The tropical value that a `_value_key` (or a sum of them) stands for."""
+    if value_key is None:
+        return BOTTOM
+    return TropicalValue(Fraction(value_key, gv.functional._scales[0]))
+
+
+def graded_value(A: GradedAlgebra, gv: GradedValuation,
+                 element: Element) -> TropicalValue:
+    """Value of an element: override if present, else max over its grades."""
+    return _unscale(gv, _value_key(gv, element))
 
 
 def _top_key(key, element: Element) -> tuple[int, ...] | None:
@@ -443,8 +475,8 @@ class _PairSampler:
                 return b
         return None
 
-    def _coeff(self) -> Fraction:
-        return Fraction(self.rng.choice((-3, -2, -1, 1, 2, 3)))
+    def _coeff(self) -> int:
+        return self.rng.choice((-3, -2, -1, 1, 2, 3))
 
     def sample(self) -> tuple[Element, Element]:
         x, y = self.rng.choice(self.keys)
@@ -478,16 +510,29 @@ class GradedCheckReport:
         return "passes"
 
 
+def _with_fractions(element: Element) -> Element:
+    """A sampled element as the module hands it out, with Fraction coefficients."""
+    return {ref: Fraction(c) for ref, c in element.items()}
+
+
+def _failure(gv: GradedValuation, a: Element, b: Element, lhs, rhs) -> tuple:
+    """A reported failure: the sampled pair and the two sides as values."""
+    return (_with_fractions(a), _with_fractions(b), _unscale(gv, lhs), _unscale(gv, rhs))
+
+
 def _homogeneous_pair_failures(A: GradedAlgebra, gv: GradedValuation) -> list:
-    failures = []
-    for (b1, b2), expansion in sorted(A.structure.items()):
-        product = {target: coeff for target, coeff in expansion}
-        lhs = graded_value(A, gv, product)
-        rhs = trop_mul(graded_value(A, gv, A.basis_element(b1)),
-                       graded_value(A, gv, A.basis_element(b2)))
+    """Multiplicativity on every defined basis pair, failures in pair order."""
+    key = gv.functional.key
+    found = []
+    for pair, expansion in A.structure.items():
+        b1, b2 = pair
+        # overrides are inhomogeneous, so a basis element's value is its key
+        rhs = key(b1[0])[0] + key(b2[0])[0]
+        lhs = _value_key(gv, dict(expansion))
         if lhs != rhs:
-            failures.append((A.basis_element(b1), A.basis_element(b2), lhs, rhs))
-    return failures
+            found.append((pair, lhs, rhs))
+    found.sort(key=itemgetter(0))
+    return [_failure(gv, {b1: 1}, {b2: 1}, lhs, rhs) for (b1, b2), lhs, rhs in found]
 
 
 def _subadditivity_failures(A: GradedAlgebra, gv: GradedValuation,
@@ -495,10 +540,13 @@ def _subadditivity_failures(A: GradedAlgebra, gv: GradedValuation,
     failures = []
     for _ in range(n_samples):
         a, b = sampler.sample()
-        lhs = graded_value(A, gv, element_add(a, b))
-        cap = trop_add(graded_value(A, gv, a), graded_value(A, gv, b))
-        if cap < lhs:
-            failures.append((a, b, lhs, cap))
+        lhs = _value_key(gv, element_add(a, b))
+        if lhs is None:
+            continue
+        ka, kb = _value_key(gv, a), _value_key(gv, b)
+        cap = kb if ka is None else ka if kb is None else max(ka, kb)
+        if cap is None or cap < lhs:
+            failures.append(_failure(gv, a, b, lhs, cap))
     return failures
 
 
@@ -575,24 +623,49 @@ def check_valuation_axioms(A: GradedAlgebra, gv: GradedValuation,
             product = A.multiply(a, b)
         except TruncationError:
             continue
-        lhs = graded_value(A, gv, product)
-        rhs = trop_mul(graded_value(A, gv, a), graded_value(A, gv, b))
+        lhs = _value_key(gv, product)
+        ka, kb = _value_key(gv, a), _value_key(gv, b)
+        rhs = None if ka is None or kb is None else ka + kb
         if lhs != rhs:
-            mult.append((a, b, lhs, rhs))
+            mult.append(_failure(gv, a, b, lhs, rhs))
     subadd = _subadditivity_failures(A, gv, sampler, n_samples)
     return GradedCheckReport("full", len(A.structure) + 2 * n_samples,
                              tuple(mult), tuple(subadd))
 
 
-def check_lower_triangular(A: GradedAlgebra, h: LexFunctional):
-    """Every product grade must weigh at most the sum of the factor grades."""
+def _gr_pass(A: GradedAlgebra, h: LexFunctional) -> tuple[dict, tuple | None]:
+    """One pass over A's table: the products of gr, and a triangularity witness.
+
+    gr keeps, in the product of b1 and b2, the terms whose key is
+    key(b1) + key(b2).  The witness ``(b1, b2, ref)`` is the least pair with
+    a term above that key, and its first such term, which is what a sorted
+    scan would find first; None when every product is lower-triangular.
+    """
     key = h.key
-    for (b1, b2), expansion in sorted(A.structure.items()):
-        cap = tuple_sum(key(b1[0]), key(b2[0]))
-        for (g3, k), _ in expansion:
-            if key(g3) > cap:
-                return False, (b1, b2, (g3, k))
-    return True, None
+    structure = {}
+    witness = None
+    for pair, expansion in A.structure.items():
+        b1, b2 = pair
+        top = tuple_sum(key(b1[0]), key(b2[0]))
+        kept = []
+        for t, c in expansion:
+            k = key(t[0])
+            if k == top:
+                kept.append((t, c))
+            elif k > top and (witness is None or pair < witness[:2]):
+                witness = (b1, b2, t)
+        structure[pair] = tuple(kept)
+    return structure, witness
+
+
+def check_lower_triangular(A: GradedAlgebra, h: LexFunctional):
+    """Every product grade must weigh at most the sum of the factor grades.
+
+    Returns ``(True, None)``, or ``(False, (b1, b2, ref))`` for the least
+    failing pair and its first term above the cap.
+    """
+    _, witness = _gr_pass(A, h)
+    return witness is None, witness
 
 
 @dataclass(frozen=True)
@@ -627,7 +700,7 @@ def check_monoid_theorem(A: GradedAlgebra, w: LexFunctional,
     key = w.key
     cartan_missing = []
     order_violations = []
-    for (b1, b2), expansion in sorted(A.structure.items()):
+    for (b1, b2), expansion in A.structure.items():
         top_grade = grade_sum(b1[0], b2[0])
         if not any(t[0] == top_grade for t, c in expansion):
             cartan_missing.append((b1, b2, top_grade))
@@ -635,6 +708,10 @@ def check_monoid_theorem(A: GradedAlgebra, w: LexFunctional,
         for (g3, k), _ in expansion:
             if g3 != top_grade and key(g3) >= top:
                 order_violations.append((b1, b2, (g3, k)))
+    # the table is scanned unsorted; a stable sort by pair gives the order
+    # of a sorted scan
+    cartan_missing.sort(key=itemgetter(0, 1))
+    order_violations.sort(key=itemgetter(0, 1))
     collision = w.separates(A.components)
     collisions = (collision,) if collision else ()
     sampler = _PairSampler(A, random.Random(seed))
@@ -650,7 +727,7 @@ def check_monoid_theorem(A: GradedAlgebra, w: LexFunctional,
         # a and b are nonzero, so their top keys are never None
         if _top_key(key, product) != tuple_sum(_top_key(key, a), _top_key(key, b)):
             conclusion_failures.append((
-                a, b, value_lex(w, product),
+                _with_fractions(a), _with_fractions(b), value_lex(w, product),
                 tuple_sum(value_lex(w, a), value_lex(w, b))))
     if not checked:
         raise NothingCheckedError(
@@ -675,16 +752,10 @@ def associated_graded(A: GradedAlgebra, h: LexFunctional) -> GradedAlgebra:
     term there lies in a lower filtration piece and is zero in gr.  Raises
     `NotLowerTriangularError` when some product has a term above that key.
     """
-    ok, witness = check_lower_triangular(A, h)
-    if not ok:
+    structure, witness = _gr_pass(A, h)
+    if witness is not None:
         raise NotLowerTriangularError(
             f"multiplication is not lower-triangular for this functional: {witness}")
-    key = h.key
-    structure = {}
-    for (b1, b2), expansion in A.structure.items():
-        top = tuple_sum(key(b1[0]), key(b2[0]))
-        structure[(b1, b2)] = tuple(
-            (t, c) for t, c in expansion if key(t[0]) == top)
     # a filter keeps keys canonical and expansions sorted
     return _derived(A, A.monoid_dim, A.components, structure)
 
@@ -695,12 +766,14 @@ def zero_divisor_search(A: GradedAlgebra, bound: int):
     This is refutation evidence, not a domain proof; it is complete for
     algebras whose graded components are at most one-dimensional.
     """
-    for (b1, b2), expansion in sorted(A.structure.items()):
-        if sum(b1[0]) > bound or sum(b2[0]) > bound:
+    least = None  # the least vanishing pair, which a sorted scan meets first
+    for pair, expansion in A.structure.items():
+        if expansion or (least is not None and least < pair):
             continue
-        if not expansion:
-            return (b1, b2)
-    return None
+        b1, b2 = pair
+        if sum(b1[0]) <= bound and sum(b2[0]) <= bound:
+            least = pair
+    return least
 
 
 # -- builders -------------------------------------------------------------------

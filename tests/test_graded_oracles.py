@@ -3,25 +3,44 @@
 Each fast path is checked against a test-local copy of the Fraction code
 it replaced: dense Gauss-Jordan for `solve_linear`, Fraction dot products
 for `LexFunctional`, the converting constructor loop for `GradedAlgebra`,
-and the per-element basis scan of the override factor probe.
+the per-element basis scan of the override factor probe, the Fraction
+samples and values of the graded checks, and the sorted table scans of
+the checks, `gr` and zero-divisor search.
 """
 
+import functools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from tropval.graded import (
     GradedAlgebra,
+    GradedCheckReport,
     GradedValuation,
     LexFunctional,
+    MonoidTheoremReport,
+    NotLowerTriangularError,
+    NothingCheckedError,
+    TruncationError,
     _override_factor_probe,
+    _PairSampler,
+    _subadditivity_failures,
+    _with_fractions,
+    associated_graded,
+    check_graded_axioms,
+    check_lower_triangular,
+    check_monoid_theorem,
+    check_valuation_axioms,
     graded_value,
     monomial_poly_ring,
+    zero_divisor_search,
 )
 from tropval.linalg import solve_linear
 from tropval.sl2 import sl2_rep_ring
-from tropval.trop import trop_mul
+from tropval.textio import parse_functional, parse_graded_algebra
+from tropval.trop import BOTTOM, TropicalValue, trop, trop_add, trop_mul
 
 F = Fraction
 
@@ -364,3 +383,495 @@ def test_override_probe_matches_the_basis_scan():
             cap = max(h.first(r1[0]), h.first(r2[0]))
             gv = GradedValuation.build(A, h, {tuple(sorted(element)): cap - 1})
             assert _override_factor_probe(A, gv) == ref_override_factor_probe(A, gv)
+
+
+# -- graded checks on int samples --------------------------------------------------
+#
+# The checks sample int coefficients, keep int products on integral tables
+# and compare scaled integer value keys.  The reference below is the
+# Fraction code they replaced: Fraction samples, Fraction products, a
+# TropicalValue per comparison and sorted scans of the table.
+
+
+class RefPairSampler(_PairSampler):
+    """The same draws as the module's sampler, each wrapped in a Fraction."""
+
+    def _coeff(self):
+        return F(self.rng.choice((-3, -2, -1, 1, 2, 3)))
+
+
+def ref_multiply(A, e1, e2):
+    out = {}
+    for b1, c1 in e1.items():
+        for b2, c2 in e2.items():
+            expansion = A.basis_product(b1, b2)
+            if expansion is None:
+                raise TruncationError(f"product {b1} * {b2} is outside the structure table")
+            for target, coeff in expansion:
+                s = out.get(target, F(0)) + c1 * c2 * coeff
+                if s == 0:
+                    out.pop(target, None)
+                else:
+                    out[target] = s
+    return out
+
+
+def ref_element_add(a, b):
+    out = dict(a)
+    for ref, c in b.items():
+        s = out.get(ref, F(0)) + c
+        if s == 0:
+            out.pop(ref, None)
+        else:
+            out[ref] = s
+    return out
+
+
+def ref_graded_value(gv, element):
+    if not element:
+        return BOTTOM
+    if gv.overrides:
+        hit = gv.override_value(element)
+        if hit is not None:
+            return hit
+    h = gv.functional
+    return TropicalValue(F(max(h.key(ref[0])[0] for ref in element), h._scales[0]))
+
+
+# The exhaustive passes do not depend on the seed, so the reference runs
+# each once per algebra and valuation; the code under test runs every time.
+@functools.cache
+def ref_homogeneous_pair_failures(A, gv):
+    failures = []
+    for (b1, b2), expansion in sorted(A.structure.items()):
+        lhs = ref_graded_value(gv, dict(expansion))
+        rhs = trop_mul(ref_graded_value(gv, A.basis_element(b1)),
+                       ref_graded_value(gv, A.basis_element(b2)))
+        if lhs != rhs:
+            failures.append((A.basis_element(b1), A.basis_element(b2), lhs, rhs))
+    return tuple(failures)
+
+
+def ref_subadditivity_failures(gv, sampler, n_samples):
+    failures = []
+    for _ in range(n_samples):
+        a, b = sampler.sample()
+        lhs = ref_graded_value(gv, ref_element_add(a, b))
+        cap = trop_add(ref_graded_value(gv, a), ref_graded_value(gv, b))
+        if cap < lhs:
+            failures.append((a, b, lhs, cap))
+    return failures
+
+
+@functools.cache
+def ref_override_probe(A, gv):
+    partners = A._partners()
+    failures = []
+    probes = []
+    for a_ref in sorted(partners):
+        candidates = sorted(partners[a_ref])
+        probes.append((a_ref, candidates,
+                       [dict(A.basis_product(a_ref, b)) for b in candidates]))
+    for key, _ in gv.overrides:
+        target = dict(key)
+        lhs = ref_graded_value(gv, target)
+        for a_ref, candidates, columns in probes:
+            solution = solve_linear(columns, target)
+            if solution is None:
+                continue
+            factor = {b: c for b, c in zip(candidates, solution) if c != 0}
+            if factor:
+                a_el = A.basis_element(a_ref)
+                rhs = trop_mul(ref_graded_value(gv, a_el), ref_graded_value(gv, factor))
+                if lhs != rhs:
+                    failures.append((a_el, factor, lhs, rhs))
+    return tuple(failures)
+
+
+def ref_check_graded_axioms(A, gv, seed, n_samples, kinds):
+    sampler = RefPairSampler(A, random.Random(seed))
+    mult = ref_homogeneous_pair_failures(A, gv)
+    subadd = ref_subadditivity_failures(gv, sampler, n_samples)
+    kinds.update({"homogeneous multiplicativity": bool(mult), "subadditivity": bool(subadd)})
+    return GradedCheckReport("graded", len(A.structure) + n_samples, mult, tuple(subadd))
+
+
+def ref_check_valuation_axioms(A, gv, seed, n_samples, kinds):
+    sampler = RefPairSampler(A, random.Random(seed))
+    probed = ref_override_probe(A, gv)
+    kinds["override probe"] = bool(probed)
+    mult = ref_homogeneous_pair_failures(A, gv) + probed
+    sampled = []
+    for _ in range(n_samples):
+        a, b = sampler.sample()
+        try:
+            product = ref_multiply(A, a, b)
+        except TruncationError:
+            continue
+        lhs = ref_graded_value(gv, product)
+        rhs = trop_mul(ref_graded_value(gv, a), ref_graded_value(gv, b))
+        if lhs != rhs:
+            sampled.append((a, b, lhs, rhs))
+    kinds["sampled multiplicativity"] = bool(sampled)
+    subadd = ref_subadditivity_failures(gv, sampler, n_samples)
+    return GradedCheckReport("full", len(A.structure) + 2 * n_samples,
+                             mult + tuple(sampled), tuple(subadd))
+
+
+def _plus(x, y):
+    return tuple(a + b for a, b in zip(x, y))
+
+
+@functools.cache
+def ref_monoid_hypotheses(A, w):
+    cartan_missing, order_violations = [], []
+    for (b1, b2), expansion in sorted(A.structure.items()):
+        top_grade = _plus(b1[0], b2[0])
+        if not any(t[0] == top_grade for t, _ in expansion):
+            cartan_missing.append((b1, b2, top_grade))
+        for (g3, k), _ in expansion:
+            if g3 != top_grade and w.key(g3) >= w.key(top_grade):
+                order_violations.append((b1, b2, (g3, k)))
+    return tuple(cartan_missing), tuple(order_violations), w.separates(A.components)
+
+
+def ref_check_monoid_theorem(A, w, seed, n_samples, kinds):
+    def top(element):
+        return max(w.key(ref[0]) for ref in element) if element else None
+
+    def value(key):
+        return None if key is None else tuple(F(k, s) for k, s in zip(key, w._scales))
+
+    cartan_missing, order_violations, collision = ref_monoid_hypotheses(A, w)
+    sampler = RefPairSampler(A, random.Random(seed))
+    conclusion_failures = []
+    checked = 0
+    for _ in range(n_samples):
+        a, b = sampler.sample()
+        try:
+            product = ref_multiply(A, a, b)
+        except TruncationError:
+            continue
+        checked += 1
+        if top(product) != _plus(top(a), top(b)):
+            conclusion_failures.append((a, b, value(top(product)),
+                                        _plus(value(top(a)), value(top(b)))))
+    if not checked:
+        raise NothingCheckedError("no sampled pair had a defined product")
+    kinds.update({"cartan missing": bool(cartan_missing),
+                  "order violation": bool(order_violations),
+                  "grade collision": collision is not None,
+                  "conclusion failure": bool(conclusion_failures)})
+    return MonoidTheoremReport(cartan_missing, order_violations,
+                               (collision,) if collision else (),
+                               tuple(conclusion_failures), checked)
+
+
+STRICT = "0,0,0,1,0;1,0,0,0,0;0,1,0,0,0;0,0,1,0,0;0,0,0,0,1"
+# Per monoid dimension: functionals that pass and functionals that fail
+# (a grade collision, negative entries, rational entries, the eta-negative
+# order on the branching grades).
+FUNCTIONALS = {
+    1: ("1", "0", "-1", "1/2", "2/3;-1"),
+    2: ("1,2", "1,1", "-1,2", "1/2,1/3", "1,1;1,0"),
+    3: ("1,1,1;1,0,0;0,1,0", "1,1,1", "2,-1,1/2", "1/2,1/3,1/5"),
+    5: (STRICT, "0,0,0,-1,0;1,0,0,0,0;0,1,0,0,0;0,0,1,0,0;0,0,0,0,1",
+        "1,1,1,1,1", "-1,0,2,0,1", "1/2,1/3,1/5,1/7,1/11"),
+}
+
+
+QUOTIENT = "polyring:2:3 mod x^2, stored in reverse order"
+
+
+def _oracle_algebras():
+    yield from (f"sl2-rep-ring:{n}" for n in range(1, 10))
+    yield from (f"sl2-branching:{n}" for n in range(2, 5))
+    yield from (f"polyring:{v}:{t}" for v in (1, 2, 3) for t in range(1, 5))
+    yield "cancelling_terms.alg"
+    yield QUOTIENT
+
+
+def _quotient_by_x_squared():
+    """Q[x, y]/(x^2) up to degree 3, its table in reverse sorted order.
+
+    x*x and x*xy vanish, so two pairs miss their top component, and a scan
+    in storage order meets them in the opposite order to a sorted scan.
+    """
+    P = monomial_poly_ring(2, 3)
+    structure = {}
+    for (b1, b2), expansion in sorted(P.structure.items(), reverse=True):
+        if b1[0][0] <= 1 and b2[0][0] <= 1:
+            structure[(b1, b2)] = () if b1[0][0] + b2[0][0] > 1 else expansion
+    return GradedAlgebra(2, {g: n for g, n in P.components.items() if g[0] <= 1},
+                         structure, 3)
+
+
+def _load(spec):
+    from tropval.cli import _load_algebra
+
+    if spec == QUOTIENT:
+        return _quotient_by_x_squared()
+    if spec.endswith(".alg"):
+        return parse_graded_algebra((Path(__file__).parent / "fixtures" / spec).read_text())
+    return _load_algebra(spec)
+
+
+def _override_element(A):
+    """The first sampled element with two grades: samples can meet it."""
+    for seed in range(10):
+        sampler = _PairSampler(A, random.Random(seed))
+        for _ in range(20):
+            for element in sampler.sample():
+                if len({ref[0] for ref in element}) > 1:
+                    return tuple(sorted((ref, F(c)) for ref, c in element.items()))
+    return None
+
+
+def _valuations(A, h):
+    """No override, one a half below its cap, and one at -inf."""
+    yield GradedValuation.build(A, h)
+    element = _override_element(A)
+    if element is not None:
+        cap = max(h.first(ref[0]) for ref, _ in element)
+        for value in (TropicalValue(cap - F(1, 2)), BOTTOM):
+            yield GradedValuation.build(A, h, {element: value})
+
+
+def _outcome(check, *args, **kwargs):
+    try:
+        report = check(*args, **kwargs)
+    except NothingCheckedError as exc:
+        return ("raises", str(exc).split(";")[0])
+    return report
+
+
+def _witness_values(report):
+    if isinstance(report, MonoidTheoremReport):
+        return [v for *_, got, want in report.conclusion_failures for v in (got, want)]
+    return [v for failures in (report.multiplicativity_failures,
+                               report.subadditivity_failures)
+            for *_, got, want in failures for v in (got, want)]
+
+
+def _witness_elements(report):
+    if isinstance(report, MonoidTheoremReport):
+        failures = report.conclusion_failures
+    else:
+        failures = report.multiplicativity_failures + report.subadditivity_failures
+    return [e for a, b, *_ in failures for e in (a, b)]
+
+
+def _assert_same(got, expected):
+    assert got == expected
+    # repr shows dict order and an int where a Fraction belongs
+    assert repr(got) == repr(expected)
+
+
+def test_graded_checks_match_the_fraction_reference():
+    reached = {}
+    cases = 0
+    for spec in _oracle_algebras():
+        A = _load(spec)
+        for text in FUNCTIONALS[A.monoid_dim]:
+            h = parse_functional(text, A.monoid_dim)
+            valuations = list(_valuations(A, h))
+            for seed in range(10):
+                cases += 1
+                kinds = {}
+                got = _outcome(check_monoid_theorem, A, h, seed=seed, n_samples=20)
+                expected = _outcome(ref_check_monoid_theorem, A, h, seed, 20, kinds)
+                _assert_same(got, expected)
+                reports = [got]
+                # each valuation takes every third seed
+                for gv in valuations[seed % len(valuations)::3]:
+                    for check, ref in ((check_graded_axioms, ref_check_graded_axioms),
+                                       (check_valuation_axioms, ref_check_valuation_axioms)):
+                        got = check(A, gv, seed=seed, n_samples=15)
+                        _assert_same(got, ref(A, gv, seed, 15, kinds))
+                        reports.append(got)
+                values = [v for r in reports if not isinstance(r, tuple)
+                          for v in _witness_values(r)]
+                kinds["-inf witness value"] = any(
+                    isinstance(v, TropicalValue) and v.is_bottom for v in values)
+                kinds["non-integer witness value"] = any(
+                    isinstance(v, TropicalValue) and not v.is_bottom
+                    and v.value.denominator != 1 for v in values)
+                for kind, hit in kinds.items():
+                    reached[kind] = reached.get(kind, 0) + hit
+    # every failure kind is reached; run with -s to see in how many of the
+    # (algebra, functional, seed) cases
+    print("cases:", cases, "reached:", reached)
+    assert len(reached) == 10 and all(reached.values()), reached
+
+
+class _FixedPairs:
+    """A sampler that hands out the given pairs in order."""
+
+    def __init__(self, pairs):
+        self.pairs = iter(pairs)
+
+    def sample(self):
+        return next(self.pairs)
+
+
+def test_subadditivity_when_both_values_are_bottom():
+    # the cap of two -inf values is -inf, so any finite sum fails
+    A = monomial_poly_ring(2, 3)
+    x, y, xy = ((1, 0), 0), ((0, 1), 0), ((1, 1), 0)
+    u, v = {x: 1, y: 1}, {x: 1, y: 2}
+    h = LexFunctional.single((F(1, 2), F(1)))
+    gv = GradedValuation.build(A, h, {tuple(sorted(_with_fractions(e).items())): BOTTOM
+                                      for e in (u, v)})
+    pairs = [(u, v), (u, u), (v, {x: -1, y: -2}), (u, {xy: 3})]
+    got = _subadditivity_failures(A, gv, _FixedPairs(pairs), len(pairs))
+    expected = ref_subadditivity_failures(
+        gv, _FixedPairs([tuple(map(_with_fractions, p)) for p in pairs]), len(pairs))
+    assert repr(got) == repr(expected)
+    assert [(lhs, cap) for *_, lhs, cap in got] == [(trop(1), BOTTOM), (trop(1), BOTTOM)]
+
+
+def _fraction_valued(element):
+    return all(type(c) is Fraction for c in element.values())
+
+
+def test_reported_graded_elements_have_fraction_coefficients():
+    # == cannot tell 3 from Fraction(3), so the types are checked one by one
+    seen = set()
+    for spec in ("sl2-rep-ring:4", "sl2-branching:3", "polyring:2:4", "polyring:3:3"):
+        A = _load(spec)
+        for text in FUNCTIONALS[A.monoid_dim]:
+            h = parse_functional(text, A.monoid_dim)
+            for seed in range(4):
+                reports = [check_monoid_theorem(A, h, seed=seed, n_samples=40)]
+                for gv in _valuations(A, h):
+                    reports.append(check_graded_axioms(A, gv, seed=seed, n_samples=30))
+                    reports.append(check_valuation_axioms(A, gv, seed=seed, n_samples=30))
+                for report in reports:
+                    for element in _witness_elements(report):
+                        assert _fraction_valued(element), (spec, text, seed, element)
+                        seen.add(type(report).__name__)
+                    for value in _witness_values(report):
+                        if isinstance(value, TropicalValue):
+                            assert value.is_bottom or type(value.value) is Fraction
+                        elif value is not None:
+                            assert all(type(x) is Fraction for x in value)
+    assert seen == {"MonoidTheoremReport", "GradedCheckReport"}
+
+
+def test_multiply_keeps_the_coefficient_type():
+    rng = random.Random(11)
+    for spec in ("sl2-rep-ring:5", "sl2-branching:3", "polyring:2:4"):
+        A = _load(spec)
+        sampler = _PairSampler(A, random.Random(1))
+        for _ in range(60):
+            a, b = sampler.sample()
+            try:
+                expected = ref_multiply(A, _with_fractions(a), _with_fractions(b))
+            except TruncationError:
+                continue
+            as_ints = A.multiply(a, b)
+            assert as_ints == expected
+            assert all(type(c) is int for c in as_ints.values())
+            got = A.multiply(_with_fractions(a), _with_fractions(b))
+            assert repr(got) == repr(expected) and _fraction_valued(got)
+            # rational coefficients, and one int factor against a Fraction one
+            scale = F(rng.randint(1, 5), rng.randint(1, 5))
+            half = {ref: c * scale for ref, c in _with_fractions(a).items()}
+            got = A.multiply(half, b)
+            assert got == ref_multiply(A, half, _with_fractions(b)) and _fraction_valued(got)
+    # a rational structure constant makes a Fraction even from ints
+    A = GradedAlgebra(1, {(0,): 1, (1,): 1, (2,): 1},
+                      {(((0,), 0), ((0,), 0)): ((((0,), 0), 1),),
+                       (((0,), 0), ((1,), 0)): ((((1,), 0), 1),),
+                       (((1,), 0), ((1,), 0)): ((((2,), 0), "1/2"),)}, 2, validate=False)
+    got = A.multiply({((1,), 0): 3}, {((1,), 0): 1, ((0,), 0): 2})
+    assert got == {((2,), 0): F(3, 2), ((1,), 0): 6}
+    assert type(got[((2,), 0)]) is Fraction and type(got[((1,), 0)]) is int
+
+
+def test_graded_value_matches_the_reference_value():
+    A = monomial_poly_ring(3, 6)
+    degree = LexFunctional.single((F(1), F(1), F(1)))
+    mixed = {((1, 1, 0), 0): F(1), ((1, 0, 1), 0): F(1)}
+    cases = [(GradedValuation.build(A, degree), e)
+             for e in ({}, A.basis_element(((2, 1, 0), 0)), mixed)]
+    for value in (F(3, 2), F(-7, 3), BOTTOM, 1):
+        gv = GradedValuation.build(A, LexFunctional.single((F(1, 2), F(3), F(1, 3))),
+                                   {tuple(sorted(mixed.items())): value})
+        cases += [(gv, mixed), (gv, {ref: 2 * c for ref, c in mixed.items()}),
+                  (gv, {ref: int(c) for ref, c in mixed.items()})]
+    for gv, element in cases:
+        got = graded_value(A, gv, element)
+        expected = ref_graded_value(gv, element)
+        assert got == expected and repr(got) == repr(expected)
+        assert got.is_bottom or type(got.value) is Fraction
+
+
+# -- gr and zero-divisor search without a full-table sort --------------------------
+
+
+def ref_check_lower_triangular(A, h):
+    for (b1, b2), expansion in sorted(A.structure.items()):
+        cap = _plus(h.key(b1[0]), h.key(b2[0]))
+        for (g3, k), _ in expansion:
+            if h.key(g3) > cap:
+                return False, (b1, b2, (g3, k))
+    return True, None
+
+
+def ref_zero_divisor_search(A, bound):
+    for (b1, b2), expansion in sorted(A.structure.items()):
+        if sum(b1[0]) <= bound and sum(b2[0]) <= bound and not expansion:
+            return (b1, b2)
+    return None
+
+
+def ref_gr_structure(A, h):
+    return {(b1, b2): tuple((t, c) for t, c in expansion
+                            if h.key(t[0]) == _plus(h.key(b1[0]), h.key(b2[0])))
+            for (b1, b2), expansion in A.structure.items()}
+
+
+def test_gr_pass_finds_what_the_sorted_scans_find():
+    reached = set()
+    for spec in [*_oracle_algebras(), "idempotent.alg"]:
+        A = _load(spec)
+        for text in FUNCTIONALS[A.monoid_dim]:
+            h = parse_functional(text, A.monoid_dim)
+            expected = ref_check_lower_triangular(A, h)
+            assert check_lower_triangular(A, h) == expected
+            if not expected[0]:
+                reached.add("not lower-triangular")
+                with pytest.raises(NotLowerTriangularError) as err:
+                    associated_graded(A, h)
+                assert str(err.value) == ("multiplication is not lower-triangular "
+                                          f"for this functional: {expected[1]}")
+                continue
+            gr = associated_graded(A, h)
+            assert gr.structure == ref_gr_structure(A, h)
+            for bound in range(gr.truncation + 1):
+                witness = zero_divisor_search(gr, bound)
+                assert witness == ref_zero_divisor_search(gr, bound)
+                reached.add("zero divisor" if witness else "no zero divisor")
+    assert reached == {"not lower-triangular", "zero divisor", "no zero divisor"}
+
+
+def test_least_witness_over_shuffled_tables():
+    # several failing pairs per table, stored in a random order
+    rng = random.Random(3)
+    refs = [((g,), 0) for g in range(5)]
+    for _ in range(200):
+        structure = {}
+        for i, b1 in enumerate(refs):
+            for b2 in refs[i:]:
+                if rng.random() < 0.7:
+                    continue
+                targets = rng.sample(refs, rng.randint(0, 3))
+                structure[(b1, b2)] = tuple(sorted((t, F(rng.randint(1, 3))) for t in targets))
+        items = list(structure.items())
+        rng.shuffle(items)
+        A = GradedAlgebra(1, {(g,): 1 for g in range(5)}, dict(items), 4, validate=False)
+        h = LexFunctional.single((F(rng.choice((1, -1))),))
+        assert check_lower_triangular(A, h) == ref_check_lower_triangular(A, h)
+        for bound in range(5):
+            assert zero_divisor_search(A, bound) == ref_zero_divisor_search(A, bound)
