@@ -222,6 +222,8 @@ def _cmd_arrow(args) -> int:
 def _cmd_facets(args) -> int:
     parsed = _load_presentation(args.ideal)
     ws = [textio.parse_weights(chunk) for chunk in args.weights.split(";") if chunk.strip()]
+    if not ws:
+        raise TropvalError("--weights lists no weight vector; there is nothing to classify")
     partition = facet_classes(parsed.presentation, ws)
     result = [("class_count", str(len(partition.classes)))]
     for i, cls in enumerate(partition.classes):
@@ -255,7 +257,9 @@ def _cmd_graded_check(args) -> int:
     functional = textio.parse_functional(args.functional, algebra.monoid_dim)
     overrides = {}
     for text in args.override or []:
-        element_text, _, value_text = text.partition("=")
+        element_text, equals, value_text = text.partition("=")
+        if not equals:
+            raise TropvalError(f"an override has the form element=value, got {text!r}")
         element = textio.parse_graded_element(algebra, element_text.strip())
         overrides[tuple(sorted(element.items()))] = textio.parse_tropical_value(
             value_text.strip())

@@ -309,9 +309,10 @@ class LexFunctional:
     realized with exact arithmetic.
 
     Order tests use `key`: each row is scaled once by the lcm of its
-    denominators, a positive factor, so integer keys compare (``<``,
-    ``==``) exactly as the rational values do, and the key of a grade sum
-    is the sum of the keys.  `value` and `first` give the exact Fractions.
+    denominators (`groebner.integer_weights`), a positive factor, so
+    integer keys compare (``<``, ``==``) exactly as the rational values do,
+    and the key of a grade sum is the sum of the keys.  `value` and `first`
+    give the exact Fractions.
     """
 
     rows: tuple[tuple[Fraction, ...], ...]
@@ -327,11 +328,9 @@ class LexFunctional:
         object.__setattr__(self, "rows", rows)
         if not rows:
             raise ValueError("a functional needs at least one row")
-        scales = tuple(math.lcm(*(x.denominator for x in row)) for row in rows)
+        int_rows, scales = zip(*map(groebner.integer_weights, rows))
         object.__setattr__(self, "_scales", scales)
-        object.__setattr__(self, "_int_rows", tuple(
-            tuple(x.numerator * (scale // x.denominator) for x in row)
-            for row, scale in zip(rows, scales)))
+        object.__setattr__(self, "_int_rows", int_rows)
 
     @classmethod
     def single(cls, row) -> "LexFunctional":

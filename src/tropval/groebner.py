@@ -8,10 +8,10 @@ only guaranteed to terminate on homogeneous input.  `initial_ideal` therefore
 routes every weight vector, including ones with negative entries, through a
 homogenization pipeline:
 
-  1. homogenize the generators with a fresh last variable and compute a
-     graded-reverse-lex basis,
-  2. strip the common powers of the homogenizing variable (this saturates,
-     yielding a basis of the homogenized ideal),
+  1. homogenize the generators with a fresh last variable h,
+  2. saturate at h with `_saturate`, giving a basis of the homogenized
+     ideal: a graded-reverse-lex run, each element divided by its highest
+     power of h (Bayer's trick; h is already last, so nothing is permuted),
   3. recompute a basis for the weight-refined order, all input homogeneous,
   4. take top-weight forms and set the homogenizing variable to 1,
   5. group weights by Groebner cone.  Let G be the reduced (w,0)-refined
@@ -34,48 +34,43 @@ Steps 1-4 yield generators of the initial ideal of the original ideal for
 the given weights.  Steps 1-2 do not depend on the weight:
 `HomogenizedIdeal` does them once for its owner, an entry-point call or
 the weight valuations that hold it; nothing is cached at module level.
-Monomial containment is decided by saturating at the product of all
-variables via the extra-variable trick.  A single non-monomial generator
-needs no saturation: Q[x] is a UFD, so a divisor of a monomial is a
-monomial times a constant, and a principal ideal on a non-monomial holds
-no monomial.  The witness power is found by reducing powers of the product
-one multiplication at a time, with no bound on the exponent.
+Monomial containment is decided with the same `_saturate`: the
+homogenized ideal is saturated at h and then at x_n, ..., x_1, one
+graded-reverse-lex run each and no extra variable, until one saturation
+holds a monomial (then the original ideal does) or all of them are done
+(then it holds none).  A single non-monomial generator needs no
+saturation: Q[x] is a UFD, so a divisor of a monomial is a monomial times
+a constant, and a principal ideal on a non-monomial holds no monomial.
+The witness power is found by reducing powers of the product one
+multiplication at a time, with no bound on the exponent.
 
 Orders compare monomials by flat integer keys: rational weights are scaled
 once per order by the LCM of their denominators (`integer_weights`), so no
-key computation in division or Buchberger touches a `Fraction`.  Division
-(`_remainder_terms`) takes a work dict, exponent to int or `Fraction`,
-that its caller fills: `normal_form` and `leading_normal_exponent` from
-f's terms, after checking f's ring, with integral coefficients as Python
-ints.  A weight valuation fills it from f's terms with the homogenizing
-exponent appended, so homogenization costs no polynomial of its own
-(`_homogenize` stays for building bases and for `normal_form_of`).
-Division yields the remainder's terms largest first and keeps integral
-coefficients as ints, making a `Fraction` only where a rational tail or a
-leading coefficient other than 1 needs one; `normal_form` collects every
-term as a `Fraction`, and `leading_normal_exponent` stops at the first.
+key computation touches a `Fraction`.  Division has one loop,
+`_remainder_terms`.  It consumes a work dict, exponent to int or
+`Fraction`, that its caller fills (a weight valuation appends the
+homogenizing exponent to f's exponents there, so homogenization costs no
+polynomial of its own), and yields the remainder's terms largest first.
+Integral coefficients stay ints; a `Fraction` is made only where a
+rational tail or a leading coefficient other than 1 needs one.
+`normal_form` collects every term as a `Fraction`, and
+`leading_normal_exponent` stops at the first: a table of whole monomial
+normal forms would lose that early stop.
 
-Division reads one table per basis, a `GroebnerBasis`, with one entry per
-element (leading monomial and coefficient, negated tail).  A basis built
-from generators alone, such as a `buchberger` result, builds its table, and
-runs the termination check for non-global orders, once, on its first
-reduction.  Such a finished basis is divided by many times, so it also
-memoizes two things per monomial: its order key, and its one-step rewrite
-(the first dividing element's tail shifted onto it, or "irreducible").
-`_remainder_terms` stays the only division loop and reads both through
-`GroebnerBasis._lookups`.  `buchberger` hands its working bases their
-table and they get no memo: each S-polynomial is reduced once against a
-growing basis, so its entries would rarely be read again.  `buchberger`
-builds each element's entry once, when the element joins, and checks
-termination once, at entry: homogeneous input gives homogeneous
-S-polynomials and remainders.  It interreduces the minimal basis in one
-pass: each remainder is monic, keeps its lead and has no term divisible by
-any lead, and the reduced-basis element with a given lead is unique.
-
-A table of whole monomial normal forms would also be correct, since the
-normal form is linear in f, but it gives up the early stop of
-`leading_normal_exponent`: at a high degree bound it computes full
-remainders that evaluation never reads.
+The loop reads the order key and the one-step rewrite of a monomial (the
+first dividing element's tail shifted onto it, or "irreducible") as
+functions.  A `GroebnerBasis` builds its division table, one entry per
+element (leading monomial and coefficient, negated tail), on its first
+reduction, after the termination check for non-global orders, and
+memoizes both functions per monomial, since a basis is divided by many
+times.  `buchberger` builds no `GroebnerBasis` while it runs: it keeps its
+own growing table, adds each element's entry once, when the element
+joins, and divides with the plain key and rewrite, since each
+S-polynomial is reduced once.  It checks termination once, at entry
+(homogeneous input gives homogeneous S-polynomials and remainders), and
+interreduces the minimal basis in one pass: each remainder is monic,
+keeps its lead and has no term divisible by any lead, and the
+reduced-basis element with a given lead is unique.
 """
 
 from __future__ import annotations
@@ -227,13 +222,8 @@ class GroebnerBasis:
     gens: tuple[Polynomial, ...]
     order: MonomialOrder
     _leads: tuple = field(default=(), repr=False, compare=False)
-    # The division table, one `_divisor` entry per element.  When it is not
-    # given, the first reduction builds it (see `_divisors`).
-    _table: list | None = field(default=None, repr=False, compare=False)
-    # A basis that builds its own table is finished and is divided by again
-    # and again, so it memoizes each monomial's order key and one-step
-    # rewrite (see `_lookups`).  Entries are written once and depend only
-    # on the monomial.
+    # Each monomial's order key and one-step rewrite, filled on first use
+    # (see `_lookups`); entries are written once and depend only on it.
     _memo: tuple[_Memo, _Memo] | None = field(
         default=None, init=False, repr=False, compare=False)
 
@@ -242,32 +232,20 @@ class GroebnerBasis:
             leads = tuple(leading_term(g, self.order) for g in self.gens)
             object.__setattr__(self, "_leads", leads)
 
-    def _divisors(self) -> list:
-        """The division table, built once with the termination check.
+    def _lookups(self) -> tuple:
+        """The memoized order key and one-step rewrite of a monomial.
 
-        Non-global orders are safe only against homogeneous bases: every
-        reduction then stays inside the finitely many monomials of one
-        degree.  So the check runs here, before the first reduction.
+        Built on the first call, after the termination check: non-global
+        orders are safe only against homogeneous bases, whose reductions
+        stay inside the finitely many monomials of one degree.
         """
-        if self._table is None:
+        if self._memo is None:
             _check_termination(self.order, self.gens)
             table = [_divisor(g, lm, lc) for g, (lm, lc) in zip(self.gens, self._leads)]
-            object.__setattr__(self, "_table", table)
             object.__setattr__(self, "_memo", (
                 _Memo(self.order._descending_key), _Memo(partial(_rewrite, table))))
-        return self._table
-
-    def _lookups(self) -> tuple:
-        """The order key and the one-step rewrite of a monomial, as functions.
-
-        Memoized for a basis that built its own table; plain for
-        `buchberger`'s working bases, which are handed theirs.
-        """
-        table = self._divisors()
-        if self._memo is not None:
-            keys, steps = self._memo
-            return keys.__getitem__, steps.__getitem__
-        return self.order._descending_key, partial(_rewrite, table)
+        keys, steps = self._memo
+        return keys.__getitem__, steps.__getitem__
 
 
 def _check_termination(order: MonomialOrder, polys) -> None:
@@ -304,16 +282,15 @@ def _rewrite(table: list, e: ExponentVector) -> tuple | None:
     return None
 
 
-def _remainder_terms(work: dict, gb: GroebnerBasis):
-    """Terms (exponent, coefficient) of the remainder by the basis.
+def _remainder_terms(work: dict, key, step):
+    """Terms (exponent, coefficient) of the remainder, largest first.
 
-    ``work`` maps the dividend's exponents, in the basis ring, to nonzero
-    int or `Fraction` coefficients; the caller fills it and it is consumed.
-    Terms come largest first under the basis order.  Integral coefficients
-    are reduced as Python ints; a coefficient is a `Fraction` only once a
-    division or a rational tail makes it one.
+    ``work`` maps the dividend's exponents to nonzero int or `Fraction`
+    coefficients; the caller fills it and it is consumed.  ``key`` and
+    ``step`` are an order's descending key and a table's one-step rewrite,
+    as `GroebnerBasis._lookups` gives them.  A coefficient is a `Fraction`
+    only once a division or a rational tail makes it one.
     """
-    key, step = gb._lookups()
     # Max-heap of pending terms by order key.  A term that cancels stays in
     # the heap and is skipped when popped; every term a reduction step adds
     # is smaller than the term being reduced, so a popped term never returns
@@ -344,6 +321,14 @@ def _remainder_terms(work: dict, gb: GroebnerBasis):
                     work[target] = s
 
 
+def _reduce(f: Polynomial, key, step) -> Polynomial:
+    """The remainder of f by `_remainder_terms`, with `Fraction` coefficients."""
+    work = {e: c.numerator if c.denominator == 1 else c for e, c in f.terms.items()}
+    return Polynomial._trusted(f.ring, {
+        e: c if type(c) is Fraction else Fraction(c)
+        for e, c in _remainder_terms(work, key, step)})
+
+
 def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:
     """Remainder of multivariate division of f by the basis.
 
@@ -355,10 +340,7 @@ def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:
         return f
     if f.ring != gb.gens[0].ring:
         raise ValueError("polynomial and basis live in different rings")
-    work = {e: c.numerator if c.denominator == 1 else c for e, c in f.terms.items()}
-    return Polynomial._trusted(f.ring, {
-        e: c if type(c) is Fraction else Fraction(c)
-        for e, c in _remainder_terms(work, gb)})
+    return _reduce(f, *gb._lookups())
 
 
 def leading_normal_exponent(f: Polynomial,
@@ -372,9 +354,7 @@ def leading_normal_exponent(f: Polynomial,
     if gb.gens and f.ring != gb.gens[0].ring:
         raise ValueError("polynomial and basis live in different rings")
     work = {e: c.numerator if c.denominator == 1 else c for e, c in f.terms.items()}
-    for e, _ in _remainder_terms(work, gb):
-        return e
-    return None
+    return next((e for e, _ in _remainder_terms(work, *gb._lookups())), None)
 
 
 def _s_poly(f: Polynomial, ef: ExponentVector,
@@ -402,6 +382,7 @@ def buchberger(gens: list[Polynomial], order: MonomialOrder) -> GroebnerBasis:
     leads: list[tuple[ExponentVector, Fraction]] = []
     table: list = []
     pairs: list[tuple[tuple[int, ...], int, int]] = []
+    key, step = order._descending_key, partial(_rewrite, table)  # no memo
 
     def join(g: Polynomial) -> None:
         """Append g scaled to leading coefficient 1, unless already present."""
@@ -424,8 +405,7 @@ def buchberger(gens: list[Polynomial], order: MonomialOrder) -> GroebnerBasis:
         ei, ej = leads[i][0], leads[j][0]
         if all(a == 0 or b == 0 for a, b in zip(ei, ej)):
             continue  # coprime leading monomials: s-poly reduces to zero
-        r = normal_form(_s_poly(basis[i], ei, basis[j], ej),
-                        GroebnerBasis(tuple(basis), order, tuple(leads), table))
+        r = _reduce(_s_poly(basis[i], ei, basis[j], ej), key, step)
         if not r.is_zero:
             join(r)
 
@@ -441,10 +421,8 @@ def buchberger(gens: list[Polynomial], order: MonomialOrder) -> GroebnerBasis:
     # divisible by any lead.  The reduced-basis element with that lead is
     # unique, so the partners' own tails do not matter.
     if len(keep) > 1:
-        reduced = [normal_form(basis[i], GroebnerBasis(
-                       tuple(basis[j] for j in keep if j != i), order,
-                       tuple(leads[j] for j in keep if j != i),
-                       [table[j] for j in keep if j != i]))
+        reduced = [_reduce(basis[i], key,
+                           partial(_rewrite, [table[j] for j in keep if j != i]))
                    for i in keep]
     return GroebnerBasis(tuple(reduced), order, tuple(leads[i] for i in keep))
 
@@ -488,12 +466,33 @@ def _dehomogenize(f: Polynomial, ring: RingContext) -> Polynomial:
     return Polynomial._trusted(ring, {e[:-1]: c for e, c in f.terms.items()})
 
 
-def _strip_last_variable(f: Polynomial, ext: RingContext) -> Polynomial:
-    k = min(e[-1] for e in f.terms)
-    if k == 0:
-        return f
-    return Polynomial._trusted(
-        ext, {e[:-1] + (e[-1] - k,): c for e, c in f.terms.items()})
+def _swap_last(f: Polynomial, i: int) -> Polynomial:
+    """f with the exponents of variables i and last exchanged (an involution)."""
+    return Polynomial._trusted(f.ring, {
+        e[:i] + e[-1:] + e[i + 1:-1] + e[i:i + 1]: c for e, c in f.terms.items()})
+
+
+def _saturate(gens: list[Polynomial], i: int) -> list[Polynomial]:
+    """Homogeneous generators of J : x_i^inf, for nonzero homogeneous ones of J.
+
+    Bayer's trick: in a grevlex basis of J with x_i last, x_i divides an
+    element's lead exactly when it divides the element, so the elements
+    divided by their highest powers of x_i form a Groebner basis of
+    J : x_i^inf (D. Bayer, thesis, Harvard 1982; Sturmfels, "Groebner Bases
+    and Convex Polytopes", Lemma 12.1).  Any other x_i trades places with
+    the last variable around the run.
+    """
+    last = gens[0].ring.dim - 1
+    if i != last:
+        gens = [_swap_last(g, i) for g in gens]
+    out = []
+    for g in buchberger(gens, MonomialOrder.grevlex()).gens:
+        k = min(e[-1] for e in g.terms)
+        if k:
+            g = Polynomial._trusted(
+                g.ring, {e[:-1] + (e[-1] - k,): c for e, c in g.terms.items()})
+        out.append(g if i == last else _swap_last(g, i))
+    return out
 
 
 # A face of one weight-refined basis element: the exponents attaining its top
@@ -543,11 +542,8 @@ class HomogenizedIdeal:
     def __init__(self, P: Presentation):
         self.presentation = P
         self.ext = _extended_ring(P.ring, "h0")
-        self.saturated: list[Polynomial] = []
-        if P.ideal_gens:
-            homogenized = [_homogenize(g, self.ext) for g in P.ideal_gens]
-            g1 = buchberger(homogenized, MonomialOrder.grevlex())
-            self.saturated = [_strip_last_variable(g, self.ext) for g in g1.gens]
+        homogenized = [_homogenize(g, self.ext) for g in P.ideal_gens]
+        self.saturated = _saturate(homogenized, P.ring.dim) if homogenized else []
 
     def order(self, w: WeightVector) -> MonomialOrder:
         """The (w, 0)-refined order on the extended ring, w made effective."""
@@ -600,13 +596,13 @@ def initial_ideal(P: Presentation, w: WeightVector) -> list[Polynomial]:
 def contains_monomial(gens: list[Polynomial], ring: RingContext) -> tuple[bool, Polynomial | None]:
     """Does the ideal spanned by the generators contain a monomial?
 
-    Decided by adjoining u and the generator u*x_1*...*x_n - 1: the extended
-    ideal is the unit ideal exactly when some monomial lies in the original.
-    The witness is a generator that is itself a monomial when one exists,
-    otherwise the smallest power of the product of all variables that lies
-    in the ideal.
+    Decided on the homogenized ideal J, saturated one variable at a time
+    with `_saturate`, at h and then at x_n, ..., x_1: I holds a monomial
+    exactly when J : (x_1*...*x_n*h)^inf is the unit ideal, and it does as
+    soon as one of the saturations holds a monomial.  The witness is a
+    generator that is itself a monomial when one exists, otherwise the
+    smallest power of the product of all variables that lies in the ideal.
     """
-    gens = [g for g in gens]
     for g in gens:
         if g.is_zero:
             raise ZeroPolynomialError("generators must be nonzero")
@@ -620,14 +616,13 @@ def contains_monomial(gens: list[Polynomial], ring: RingContext) -> tuple[bool, 
         # Q[x] is a UFD: a divisor of a monomial is a monomial times a
         # constant, so a principal ideal on a non-monomial holds none.
         return False, None
-    ext = _extended_ring(ring, "u0")
-    lifted = [Polynomial(ext, {e + (0,): c for e, c in g.terms.items()}) for g in gens]
-    product_exps = (1,) * ring.dim + (1,)
-    lifted.append(Polynomial(ext, {product_exps: Fraction(1),
-                                   (0,) * ext.dim: Fraction(-1)}))
-    gb = buchberger(lifted, MonomialOrder.grevlex())
-    is_unit = len(gb.gens) == 1 and gb.gens[0] == Polynomial.constant(ext, 1)
-    if not is_unit:
+    ext = _extended_ring(ring, "h0")
+    saturated = [_homogenize(g, ext) for g in gens]
+    for i in range(ring.dim, -1, -1):
+        saturated = _saturate(saturated, i)
+        if any(g.is_monomial() for g in saturated):
+            break
+    else:
         return False, None
     # Some power of the product lies in the ideal.  Normal forms are unique
     # modulo the ideal, so reducing r * product keeps r the normal form of

@@ -420,12 +420,19 @@ def _monomial_str(ring: RingContext, exps) -> str:
     return "*".join(parts)
 
 
+def _signed_join(terms) -> str:
+    """Join (negative, body) pairs, at least one: `body` or `-body` first,
+    then `+ body` or `- body`."""
+    text = " ".join(f"- {body}" if negative else f"+ {body}" for negative, body in terms)
+    return text[2:] if text[0] == "+" else "-" + text[2:]
+
+
 def poly_to_str(p: Polynomial) -> str:
     """Deterministic printer: descending graded-lex term order."""
     if p.is_zero:
         return "0"
-    pieces: list[str] = []
-    for i, (exps, coeff) in enumerate(p.sorted_terms()):
+    terms = []
+    for exps, coeff in p.sorted_terms():
         mono = _monomial_str(p.ring, exps)
         mag = abs(coeff)
         if mono and mag == 1:
@@ -434,11 +441,8 @@ def poly_to_str(p: Polynomial) -> str:
             body = f"{mag}*{mono}"
         else:
             body = str(mag)
-        if i == 0:
-            pieces.append(body if coeff > 0 else f"-{body}")
-        else:
-            pieces.append(f"+ {body}" if coeff > 0 else f"- {body}")
-    return " ".join(pieces)
+        terms.append((coeff.numerator < 0, body))
+    return _signed_join(terms)
 
 
 def presentation_to_str(parsed: ParsedInput | Presentation) -> str:
@@ -485,15 +489,10 @@ def graded_algebra_to_str(algebra) -> str:
         if not expansion:
             lines.append(f"{lhs} 0;")
             continue
-        body = []
-        for j, (target, coeff) in enumerate(sorted(expansion)):
-            mag = abs(coeff)
-            text = f"{mag}*{names[target]}"
-            if j == 0:
-                body.append(text if coeff > 0 else f"-{text}")
-            else:
-                body.append(f"+ {text}" if coeff > 0 else f"- {text}")
-        lines.append(f"{lhs} " + " ".join(body) + ";")
+        # signs from numerators, so no term takes a `Fraction` abs or comparison
+        terms = [(coeff.numerator < 0, f"{str(coeff).lstrip('-')}*{names[target]}")
+                 for target, coeff in sorted(expansion)]
+        lines.append(f"{lhs} {_signed_join(terms)};")
     return "\n".join(lines) + "\n"
 
 

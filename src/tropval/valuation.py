@@ -104,7 +104,7 @@ class WeightValuation(CandidateValuation):
         d = f.total_degree()
         work = {e + (d - sum(e),): c.numerator if c.denominator == 1 else c
                 for e, c in f.terms.items()}
-        for e, _ in _remainder_terms(work, self.basis):
+        for e, _ in _remainder_terms(work, *self.basis._lookups()):
             order = self.basis.order
             return TropicalValue(Fraction(sum(map(mul, order.int_weights, e)),
                                           order.scale))

@@ -93,6 +93,11 @@ CASES = [
     ("sl2lab_rep_ring2", ["sl2lab", "rep-ring", "2"], 0),
     ("sl2lab_branching2", ["sl2lab", "branching", "2"], 0),
     ("parse_error", ["parse", "--input", fixture("bad.ideal")], 2),
+    # in_w(I) has three non-monomial generators, so the certified check
+    # runs the saturation
+    ("trop_certified_cubic",
+     ["trop-check", "--ideal", fixture("cubic.ideal"), "--weight", "1 2 3",
+      "--mode", "certified"], 0),
 ]
 
 # usage errors print to stderr only; stdout must stay empty
@@ -203,6 +208,10 @@ VACUOUS_CASES = [
     ("no_products_gr",
      ["gr", "--algebra", fixture("no_products.alg"), "--functional", "1"],
      3, NO_PRODUCT_TABLE),
+    # a weight list of empty entries used to print `class_count: 0` with exit 0
+    ("facets_no_weights",
+     ["facets", "--ideal", fixture("line.ideal"), "--weights", " ; "], 2,
+     "input_error: --weights lists no weight vector; there is nothing to classify\n"),
 ]
 
 # Each statement of a graded file appears once.  A second `mult` for the
@@ -304,6 +313,13 @@ INPUT_ERROR_CASES = [
      "input_error: [Errno 21] Is a directory: 'fixtures'\n"),
     ("input_missing", ["parse", "--input", fixture("missing.ideal")], 2,
      "input_error: [Errno 2] No such file or directory: 'fixtures/missing.ideal'\n"),
+    # an override without `=` used to read as the value '' and end as
+    # `parse_error: line 1, col 1: invalid rational ''`
+    ("override_without_value",
+     ["graded-check", "--algebra", "polyring:3:4", "--functional", "1,1,1",
+      "--override", "1*(1,1,0:0) + 1*(1,0,1:0)"], 2,
+     "input_error: an override has the form element=value, "
+     "got '1*(1,1,0:0) + 1*(1,0,1:0)'\n"),
 ] + [
     (name, ["monoid-check", "--algebra", spec, "--functional", "1"], 2,
      f"input_error: malformed built-in algebra {spec!r}; {BUILTIN_FORMS}\n")

@@ -115,12 +115,13 @@ def test_nonhomogeneous_basis_fails_at_reduction_not_construction():
 def test_basis_builds_its_division_table_once():
     gb = gb_of(XY, MonomialOrder.grevlex(), "x^2 + y^2 - 1", "x*y - 2")
     fresh = GroebnerBasis(gb.gens, gb.order)
-    assert gb._table is None
+    assert gb._memo is None
     first = normal_form(parse_poly(XY, "x^3 + y^3"), gb)
-    table = gb._table
-    assert table is not None and gb._divisors() is table
+    memo = gb._memo
+    assert memo is not None and len(memo[0]) > 0 and len(memo[1]) > 0
+    sizes = [len(m) for m in memo]
     assert normal_form(parse_poly(XY, "x^3 + y^3"), gb) == first
-    assert gb._table is table
+    assert gb._memo is memo and [len(m) for m in memo] == sizes
     assert gb == fresh and hash(gb) == hash(fresh) and repr(gb) == repr(fresh)
 
 

@@ -8,7 +8,9 @@ the integer keys and the heap-driven normal form term for term.  The
 top-reduction references read the leading term off the full remainder, so
 they check that stopping at the first irreducible term loses nothing.  The
 reference fan classifier computes every weight's initial ideal on its own,
-so it checks that the Groebner-cone cover only skips work.
+so it checks that the Groebner-cone cover only skips work.  The lifted
+saturation of `oracle_lifted` checks Bayer's saturation and monomial
+containment.
 """
 
 import itertools
@@ -20,6 +22,8 @@ import pytest
 
 from conftest import FIXTURES, W, load
 from cli_corpus import run_case
+from oracle_lifted import lifted_contains_monomial, lifted_saturation
+from oracle_macaulay import macaulay_member
 from tropval.cones import facet_classes
 from tropval.groebner import (
     GREVLEX,
@@ -37,7 +41,7 @@ from tropval.groebner import (
     leading_term,
     normal_form,
 )
-from tropval.groebner import _Memo, _rewrite
+from tropval.groebner import _divisor, _remainder_terms, _rewrite, _saturate
 from tropval.poly import Polynomial, Presentation, RingContext, WeightVector
 from tropval.textio import parse_poly, parse_presentation
 from tropval.trop import BOTTOM, TropicalValue
@@ -434,13 +438,19 @@ def test_repeated_fan_call_repeats_all_work(buchberger_calls):
 
 # -- division memo ------------------------------------------------------------------
 
-# A basis that builds its own division table memoizes each monomial's order
-# key and one-step rewrite.  The same basis handed its table takes the plain
-# lookups, so it is the memo-free reference.
+# A basis memoizes each monomial's order key and one-step rewrite.  Division
+# by the same table with the plain order key and rewrite is the memo-free
+# reference.
 
 
-def _unmemoized(gb: GroebnerBasis) -> GroebnerBasis:
-    return GroebnerBasis(gb.gens, gb.order, gb._leads, list(gb._divisors()))
+def _memo_free_lookups(gb: GroebnerBasis) -> tuple:
+    table = [_divisor(g, lm, lc) for g, (lm, lc) in zip(gb.gens, gb._leads)]
+    return gb.order._descending_key, partial(_rewrite, table)
+
+
+def _memo_free_terms(f: Polynomial, gb: GroebnerBasis) -> list:
+    work = {e: c.numerator if c.denominator == 1 else c for e, c in f.terms.items()}
+    return list(_remainder_terms(work, *_memo_free_lookups(gb)))
 
 
 def _check_warm_memo(gb: GroebnerBasis, samples: list[Polynomial]) -> None:
@@ -449,13 +459,13 @@ def _check_warm_memo(gb: GroebnerBasis, samples: list[Polynomial]) -> None:
         leading_normal_exponent(f, gb)
     keys, steps = gb._memo
     assert len(keys) > 0 and len(steps) > 0
-    plain = _unmemoized(gb)
     for f in reversed(samples):
-        assert normal_form(f, gb).key() == normal_form(f, plain).key()
+        terms = _memo_free_terms(f, gb)
+        plain = Polynomial(f.ring, {e: Fraction(c) for e, c in terms})
+        assert normal_form(f, gb).key() == plain.key()
         e = leading_normal_exponent(f, gb)
-        assert e == leading_normal_exponent(f, plain)
-        assert e == _ref_leading_normal_exponent(f, plain)
-    assert plain._memo is None
+        assert e == (terms[0][0] if terms else None)
+        assert e == (None if plain.is_zero else leading_term(plain, gb.order)[0])
 
 
 @pytest.mark.parametrize("name", sorted(TOP_REDUCTION_WEIGHTS))
@@ -481,36 +491,127 @@ def test_warm_memo_matches_memo_free_division_on_direct_bases(gens, order):
         assert normal_form(f, gb).key() == ref_normal_form(f, gb.gens, gb.order).key()
 
 
-def test_buchberger_working_bases_take_no_memo(monkeypatch):
-    """Only finished bases memoize.  A memo on every working basis too
-    leaves every reduced basis unchanged."""
-    rng = random.Random(47)
-    runs = []
-    for dim in (2, 3):
-        ring = RingContext(("x", "y", "z")[:dim])
-        for _ in range(15):
-            gens = [random_polynomial(rng, ring, 2, max_terms=3)
-                    for _ in range(rng.randint(2, 3))]
-            runs += [(gens, MonomialOrder.grevlex()), (gens, MonomialOrder.lex())]
-    lookups = GroebnerBasis._lookups
-    memoized = []
+# -- saturation ---------------------------------------------------------------------
 
-    def spy(gb):
-        out = lookups(gb)
-        memoized.append(gb._memo is not None)
-        return out
+# `_saturate` (Bayer's trick) against the extra-variable elimination of
+# `oracle_lifted`, and `contains_monomial` against the lifted unit test.
 
-    def memo_everywhere(gb):
-        table = gb._divisors()
-        if gb._memo is None:
-            object.__setattr__(gb, "_memo", (
-                _Memo(gb.order._descending_key), _Memo(partial(_rewrite, table))))
-        return lookups(gb)
+RINGS = {dim: RingContext(("x", "y", "z", "w")[:dim]) for dim in (2, 3, 4)}
 
-    results = []
-    for patch in (spy, memo_everywhere):
-        monkeypatch.setattr(GroebnerBasis, "_lookups", patch)
-        results.append([[g.key() for g in buchberger(gens, order).gens]
-                        for gens, order in runs])
-    assert results[0] == results[1]
-    assert memoized and not any(memoized)
+
+def _random_monomial(rng: random.Random, ring: RingContext, degree: int) -> Polynomial:
+    e = [0] * ring.dim
+    for _ in range(degree):
+        e[rng.randrange(ring.dim)] += 1
+    return Polynomial.monomial(ring, e)
+
+
+def _random_homogeneous(rng: random.Random, ring: RingContext) -> Polynomial:
+    """A homogeneous polynomial of degree 1-3 with 1-3 terms, times a
+    monomial of degree 0-2, so that saturating has powers to strip."""
+    degree = rng.randint(1, 3)
+    f = Polynomial.zero(ring)
+    while f.is_zero:
+        for _ in range(rng.randint(1, 3)):
+            f = f + _random_monomial(rng, ring, degree).scale(rng.choice((-2, -1, 1, 3)))
+    return f * _random_monomial(rng, ring, rng.choice((0, 0, 1, 2)))
+
+
+def test_saturate_matches_the_lifted_saturation():
+    rng = random.Random(53)
+    stripped = 0
+    for case in range(240):
+        ring = RINGS[2 + case % 3]
+        gens = [_random_homogeneous(rng, ring) for _ in range(rng.randint(1, 3))]
+        base = buchberger(gens, MonomialOrder.grevlex())
+        i = rng.randrange(ring.dim)
+        out = _saturate(gens, i)
+        x_i = Polynomial.monomial(ring, [int(j == i) for j in range(ring.dim)])
+        for s in out:
+            assert s.is_homogeneous()
+            # s times some power of x_i lies in J
+            k, r = 0, normal_form(s, base)
+            while not r.is_zero and k < 40:
+                k, r = k + 1, normal_form(r * x_i, base)
+            assert r.is_zero
+            stripped += k > 0
+        saturated = buchberger(out, MonomialOrder.grevlex())
+        assert all(normal_form(g, saturated).is_zero for g in gens)
+        assert [g.key() for g in saturated.gens] == lifted_saturation(gens, ring, [i])
+    assert stripped > 50
+
+
+def _fixture_ideals() -> list[tuple[list[Polynomial], RingContext]]:
+    """Each fixture's ideal and its initial ideals on the box-1 grid."""
+    out = []
+    for name in FAN_PRESENTATIONS:
+        P = load(name)
+        if not P.ideal_gens:
+            continue
+        out.append((list(P.ideal_gens), P.ring))
+        for w in itertools.product((-1, 0, 1), repeat=P.ring.dim):
+            out.append((initial_ideal(P, W(*w)), P.ring))
+    return out
+
+
+def _principal_shortcut_ideals() -> list[tuple[list[Polynomial], RingContext]]:
+    """Single non-monomial generators f, and [f, x*f] spanning the same ideal."""
+    rng = random.Random(59)
+    out = []
+    for dim in (2, 3, 4):
+        ring = RINGS[dim]
+        x = Polynomial.variable(ring, "x")
+        while len(out) < 8 * (dim - 1):
+            g = random_polynomial(rng, ring, 2, max_terms=3)
+            if not g.is_monomial():
+                f = x ** rng.randint(0, 3) * g
+                out += [([f], ring), ([f, x * f], ring)]
+    return out
+
+
+def _seeded_ideals(count: int) -> list[tuple[list[Polynomial], RingContext]]:
+    """Two or three non-monomial generators in 2 or 3 variables, two in 4;
+    a monomial factor on some of them makes a monomial in the ideal more
+    likely."""
+    rng = random.Random(61)
+    out = []
+    while len(out) < count:
+        ring = RINGS[rng.randint(2, 4)]
+        size = 2 if ring.dim == 4 else rng.randint(2, 3)
+        gens = []
+        while len(gens) < size:
+            g = random_polynomial(rng, ring, 2, max_terms=3)
+            if not g.is_monomial():
+                gens.append(g * _random_monomial(rng, ring, rng.choice((0, 0, 1))))
+        out.append((gens, ring))
+    return out
+
+
+def _check_witness(gens: list[Polynomial], ring: RingContext, witness: Polynomial) -> None:
+    """The witness lies in the ideal, by the Macaulay oracle when it is
+    small; a power of the product is the smallest that does."""
+    base = buchberger(gens, MonomialOrder.grevlex())
+    assert witness.is_monomial() and normal_form(witness, base).is_zero
+    if ring.dim <= 3 and witness.total_degree() <= 4:
+        assert any(macaulay_member(witness, gens, bound) for bound in range(2, 7))
+    if any(g == witness for g in gens):
+        return
+    k = next(iter(witness.terms))[0]
+    assert next(iter(witness.terms)) == (k,) * ring.dim
+    if k > 0:
+        below = Polynomial.monomial(ring, (k - 1,) * ring.dim)
+        assert not normal_form(below, base).is_zero
+
+
+def test_contains_monomial_matches_the_lifted_run():
+    cases = _fixture_ideals() + _principal_shortcut_ideals() + _seeded_ideals(520)
+    found = 0
+    for gens, ring in cases:
+        got, witness = contains_monomial(gens, ring)
+        assert got == lifted_contains_monomial(gens, ring), [str(g) for g in gens]
+        if got:
+            found += 1
+            _check_witness(gens, ring, witness)
+        else:
+            assert witness is None
+    assert found > 60
