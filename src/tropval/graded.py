@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add, itemgetter, mul
@@ -236,8 +237,9 @@ class GradedAlgebra:
         # Commutativity is built into the symmetric table, so the axiom on
         # all ordered triples reduces to (ab)c = (bc)a = (ac)b per multiset.
         # Only triples whose three pairwise products are defined can be
-        # checked; candidates come from partner-set intersections rather
-        # than a scan over all basis triples.
+        # checked; they are scanned as b1 <= b2 <= b3 in basis order, b2 and
+        # b3 walked along sorted partner lists, and the first failing one
+        # raises.
         #
         # Each side is a sum of products of two structure constants, so the
         # check runs on a local copy of the table with basis elements
@@ -249,11 +251,16 @@ class GradedAlgebra:
         scale = math.lcm(*{c.denominator for exp in self.structure.values()
                            for _, c in exp})
         table: list[dict[int, tuple]] = [{} for _ in refs]
+        # unit[i][j] = t when b_i * b_j = 1 * b_t
+        unit: list[dict[int, int]] = [{} for _ in refs]
         for (b1, b2), expansion in self.structure.items():
             i, j = number[b1], number[b2]
             row = tuple((number[t], c.numerator * (scale // c.denominator))
                         for t, c in expansion)
             table[i][j] = table[j][i] = row
+            if len(row) == 1 and row[0][1] == scale:
+                unit[i][j] = unit[j][i] = row[0][0]
+        partners = [sorted(row) for row in table]
 
         def times(expansion: tuple, b: int) -> dict | None:
             out: dict[int, int] = {}
@@ -265,13 +272,33 @@ class GradedAlgebra:
                     out[t2] = out.get(t2, 0) + c * c2
             return {t: c for t, c in out.items() if c}
 
-        for b1, row in enumerate(table):
-            for b2 in sorted(j for j in row if j >= b1):
-                common = row.keys() & table[b2].keys()
-                for b3 in sorted(k for k in common if k >= b2):
-                    p12_3 = times(row[b2], b3)
-                    p23_1 = times(table[b2][b3], b1)
-                    p13_2 = times(row[b3], b2)
+        for b1, row1 in enumerate(table):
+            unit1 = unit[b1]
+            p1 = partners[b1]
+            for b2 in p1[bisect_left(p1, b1):]:
+                row2, unit2, p2 = table[b2], unit[b2], partners[b2]
+                r12 = row1[b2]
+                t12 = unit1.get(b2)
+                for b3 in p2[bisect_left(p2, b2):]:
+                    if b3 not in row1:
+                        continue
+                    if t12 is not None:
+                        t23 = unit2.get(b3)
+                        t13 = unit1.get(b3)
+                        if t23 is not None and t13 is not None:
+                            # stored rows are canonical (sorted, merged, no
+                            # zeros), so equal rows are equal sums
+                            p12_3 = table[t12].get(b3)
+                            p23_1 = table[t23].get(b1)
+                            p13_2 = table[t13].get(b2)
+                            if p12_3 is None or p23_1 is None or p13_2 is None:
+                                continue
+                            if not p12_3 == p23_1 == p13_2:
+                                raise AssociativityError((refs[b1], refs[b2], refs[b3]))
+                            continue
+                    p12_3 = times(r12, b3)
+                    p23_1 = times(row2[b3], b1)
+                    p13_2 = times(row1[b3], b2)
                     if p12_3 is None or p23_1 is None or p13_2 is None:
                         continue
                     if not p12_3 == p23_1 == p13_2:
@@ -457,28 +484,49 @@ def value_lex(functional: LexFunctional,
 # -- samplers ------------------------------------------------------------------
 
 
+_SAMPLE_COEFFICIENTS = (-3, -2, -1, 1, 2, 3)
+
+
+def _below(bits, n: int) -> int:
+    """``rng._randbelow(n)`` for n > 0, ``bits`` being ``rng.getrandbits``."""
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
+
+
 class _PairSampler:
-    """Seedable source of element pairs whose product is defined."""
+    """Seedable source of element pairs whose product is defined.
+
+    Each ``rng.choice(seq)`` is written out as CPython's rejection rule for
+    it (see `valuation._random_int_polynomial`), so the pairs and the
+    generator's state afterwards are those of the calls themselves.
+    """
 
     def __init__(self, A: GradedAlgebra, rng: random.Random):
         self.A = A
         self.rng = rng
+        self._bits = rng.getrandbits
         self.keys = sorted(A.structure)
         self.partners = A._partners()
         self.sorted_basis = sorted(self.partners)
 
     def _pick_compatible(self, opposite: list[BasisRef]) -> BasisRef | None:
+        bits, n = self._bits, len(self.sorted_basis)
         for _ in range(12):
-            b = self.rng.choice(self.sorted_basis)
+            b = self.sorted_basis[_below(bits, n)]
             if all(t in self.partners[b] for t in opposite):
                 return b
         return None
 
     def _coeff(self) -> int:
-        return self.rng.choice((-3, -2, -1, 1, 2, 3))
+        return _SAMPLE_COEFFICIENTS[_below(self._bits, len(_SAMPLE_COEFFICIENTS))]
 
     def sample(self) -> tuple[Element, Element]:
-        x, y = self.rng.choice(self.keys)
+        if not self.keys:
+            raise IndexError("Cannot choose from an empty sequence")
+        x, y = self.keys[_below(self._bits, len(self.keys))]
         a: Element = {x: self._coeff()}
         if self.rng.random() < 0.7:
             extra = self._pick_compatible([y])

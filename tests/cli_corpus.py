@@ -98,6 +98,14 @@ CASES = [
     ("trop_certified_cubic",
      ["trop-check", "--ideal", fixture("cubic.ideal"), "--weight", "1 2 3",
       "--mode", "certified"], 0),
+    # the emitted polyring:1:3 with (0:0)*(3:0) = 2*(3:0): the error names
+    # the least failing triple, which is not the first one scanned
+    ("gr_nonassociative",
+     ["gr", "--algebra", fixture("nonassociative.alg"), "--functional", "1"], 3),
+    # the file passes its own check, because every triple that needs the
+    # undefined x*e is skipped; gr drops x from e*y and defines one of them
+    ("gr_partial_table_gap",
+     ["gr", "--algebra", fixture("partial_table_gap.alg"), "--functional", "1"], 3),
 ]
 
 # usage errors print to stderr only; stdout must stay empty

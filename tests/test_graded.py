@@ -405,6 +405,66 @@ def test_integer_associativity_check_matches_fraction_arithmetic():
     assert 20 < sum(verdicts) < 80 and scaled > 80
 
 
+ORACLE_BASES = (
+    [(sl2_branching_algebra, (n,)) for n in (3, 4)]
+    + [(sl2_rep_ring, (n,)) for n in range(4, 9)]
+    + [(monomial_poly_ring, (2, t)) for t in (3, 4)]
+)
+
+
+def _perturbed_builtin(rng, A, move):
+    """A's table with one entry changed by `move` and, half the time, pairs dropped."""
+    structure = dict(A.structure)
+    keys = sorted(structure)
+    key = rng.choice([k for k in keys if structure[k]])
+    expansion = list(structure[key])
+    k = rng.randrange(len(expansion))
+    target, c = expansion[k]
+    if move == "double":
+        expansion[k] = (target, 2 * c)
+    elif move == "replace":
+        expansion = list(structure[rng.choice(keys)])
+    elif move == "rational":
+        expansion[k] = (target, c / 3)
+    structure[key] = tuple(expansion)
+    partial = rng.random() < 0.5
+    if partial:
+        for dropped in rng.sample(keys, rng.randint(1, max(1, len(keys) // 20))):
+            del structure[dropped]
+    return GradedAlgebra(A.monoid_dim, A.components, structure, A.truncation,
+                         validate=False), partial
+
+
+def _is_unit_term(A, b1, b2):
+    expansion = A.basis_product(b1, b2)
+    return expansion is not None and len(expansion) == 1 and expansion[0][1] == 1
+
+
+def test_associativity_check_matches_fraction_arithmetic_on_builtin_tables():
+    # built-in tables are mostly one-term products with constant 1, which
+    # the check compares row against row; the random tables above almost
+    # never are
+    rng = random.Random(20)
+    bases = [builder(*args) for builder, args in ORACLE_BASES]
+    moves = ("double", "replace", "rational", "none")
+    outcomes = {"pass": 0, "fail": 0, "unit_fail": 0, "mixed_fail": 0,
+                "partial_pass": 0, "partial_fail": 0}
+    for n in range(320):
+        A, partial = _perturbed_builtin(rng, bases[n % len(bases)], moves[n % 4])
+        expected = _fraction_first_failure(A)
+        assert _integer_check_failure(A) == expected
+        verdict = "pass" if expected is None else "fail"
+        outcomes[verdict] += 1
+        if partial:
+            outcomes["partial_" + verdict] += 1
+        if expected is not None:
+            b1, b2, b3 = expected
+            unit = all(_is_unit_term(A, x, y) for x, y in ((b1, b2), (b2, b3), (b1, b3)))
+            outcomes["unit_fail" if unit else "mixed_fail"] += 1
+    assert outcomes["pass"] >= 50 and outcomes["fail"] >= 50, outcomes
+    assert min(outcomes.values()) >= 10, outcomes
+
+
 def _ref_str(ref):
     grade, idx = ref
     return f"({','.join(map(str, grade))}:{idx})"

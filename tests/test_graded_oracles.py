@@ -400,6 +400,56 @@ class RefPairSampler(_PairSampler):
         return F(self.rng.choice((-3, -2, -1, 1, 2, 3)))
 
 
+class ChoicePairSampler:
+    """The pair sampler as written with ``rng.choice``, before its draws
+    were spelled out as `getrandbits` loops."""
+
+    def __init__(self, A, rng):
+        self.rng = rng
+        self.keys = sorted(A.structure)
+        self.partners = {}
+        for b1, b2 in A.structure:
+            self.partners.setdefault(b1, set()).add(b2)
+            self.partners.setdefault(b2, set()).add(b1)
+        self.sorted_basis = sorted(self.partners)
+
+    def _pick_compatible(self, opposite):
+        for _ in range(12):
+            b = self.rng.choice(self.sorted_basis)
+            if all(t in self.partners[b] for t in opposite):
+                return b
+        return None
+
+    def _coeff(self):
+        return self.rng.choice((-3, -2, -1, 1, 2, 3))
+
+    def sample(self):
+        x, y = self.rng.choice(self.keys)
+        a = {x: self._coeff()}
+        if self.rng.random() < 0.7:
+            extra = self._pick_compatible([y])
+            if extra is not None:
+                a.setdefault(extra, self._coeff())
+        b = {y: self._coeff()}
+        if self.rng.random() < 0.7:
+            extra = self._pick_compatible(sorted(a))
+            if extra is not None:
+                b.setdefault(extra, self._coeff())
+        return a, b
+
+
+@pytest.mark.parametrize("spec", ["sl2-rep-ring:6", "sl2-branching:3", "polyring:2:4",
+                                  "cancelling_terms.alg"])
+def test_pair_sampler_draws_the_stream_of_rng_choice(spec):
+    A = _load(spec)
+    for seed in range(10):
+        ours = _PairSampler(A, random.Random(seed))
+        theirs = ChoicePairSampler(A, random.Random(seed))
+        for _ in range(300):
+            assert repr(ours.sample()) == repr(theirs.sample())
+        assert ours.rng.getstate() == theirs.rng.getstate()
+
+
 def ref_multiply(A, e1, e2):
     out = {}
     for b1, c1 in e1.items():
