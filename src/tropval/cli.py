@@ -2,7 +2,8 @@
 
 Exit codes: 0 = check passed / holds, 1 = refuted or fails (a witness is
 printed), 2 = usage, parse or input error, 3 = precondition violation
-(including a check over nothing) or internal error.  An error is one line:
+(including a check over nothing), internal error, or a reader that closed
+stdout before the report was written.  An error is one line:
 each `errors.TropvalError` class carries its label and exit code, and any
 other exception is a bug, reported as ``internal_error``.
 Every report starts with a ``check:`` provenance line and contains a
@@ -14,6 +15,7 @@ arguments.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -261,8 +263,10 @@ def _cmd_graded_check(args) -> int:
         if not equals:
             raise TropvalError(f"an override has the form element=value, got {text!r}")
         element = textio.parse_graded_element(algebra, element_text.strip())
-        overrides[tuple(sorted(element.items()))] = textio.parse_tropical_value(
-            value_text.strip())
+        key = tuple(sorted(element.items()))
+        if key in overrides:
+            raise TropvalError(f"override of {_element_str(element)} listed twice")
+        overrides[key] = textio.parse_tropical_value(value_text.strip())
     gv = GradedValuation.build(algebra, functional, overrides)
     if args.mode == "graded":
         report = check_graded_axioms(algebra, gv, seed=args.seed,
@@ -455,6 +459,8 @@ def run(argv: list[str]) -> int:
         return USAGE if exc.code else PASS
     try:
         return args.func(args)
+    except BrokenPipeError:
+        raise  # the reader is gone, so there is no one to report to
     except TropvalError as exc:
         sys.stdout.write(f"{exc.label}: {exc}\n")
         return exc.exit_code
@@ -465,7 +471,16 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+    except BrokenPipeError:
+        # The reader closed stdout early (e.g. `| head`).  Point stdout at
+        # devnull, so that the flush at exit does not fail again; see the
+        # note on SIGPIPE in the documentation of Python's `signal` module.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = PRECONDITION
+    sys.exit(code)
 
 
 if __name__ == "__main__":

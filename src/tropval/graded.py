@@ -17,6 +17,13 @@ compares integer keys (`LexFunctional.key`: each row scaled by the lcm of
 its denominators), and a `Fraction` value is built only where it leaves
 the module: a graded value, `LexFunctional.value`/`first`, a witness.
 
+Every table is held in ascending order: `GradedAlgebra.components` iterates
+its grades ascending, `GradedAlgebra.structure` its pairs ascending, and
+each expansion is sorted.  Only three places set that order (the
+constructor, `_monomial_algebra` and `coarsen`); every scan reads the table
+in order, so the first failing pair it meets is the least one, and the
+printer writes the file's sorted order as it goes.
+
 Inside the checks, element coefficients are ints or `Fraction`s: the
 pair sampler draws ints, `GradedAlgebra.multiply` keeps int products on
 an integral table, and a sampled value is compared as a scaled integer
@@ -33,7 +40,7 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import add, itemgetter, mul
+from operator import add, mul
 
 from . import groebner
 from .errors import PreconditionError, TropvalError
@@ -88,16 +95,20 @@ def _merge_like_terms(terms: list) -> list:
 
 
 def grade_sum(g1: Grade, g2: Grade) -> Grade:
-    return tuple(a + b for a, b in zip(g1, g2))
+    """The componentwise sum of two grades (or of two key or value tuples)."""
+    return tuple(map(add, g1, g2))
 
 
 class GradedAlgebra:
     """Commutative algebra given by grading components and structure constants.
 
-    The constructor converts and checks every grade, ref and coefficient,
-    sorts each expansion, sums like terms and drops zero sums (a product
-    that cancels is stored as zero), then checks associativity.  Parsed
-    files take this path, and so does everything derived from them.
+    Both tables are held in ascending order: ``components`` by grade,
+    ``structure`` by pair ``(b1, b2)`` with ``b1 <= b2``, and each expansion
+    by ref.  The constructor converts and checks every grade, ref and
+    coefficient, sorts each expansion, sums like terms and drops zero sums
+    (a product that cancels is stored as zero), sorts both tables, then
+    checks associativity.  Parsed files take this path, and so does
+    everything derived from them.
     ``validate=False`` skips only the last check, and is for hand-built
     tables in tests.
 
@@ -116,15 +127,16 @@ class GradedAlgebra:
     def __init__(self, monoid_dim: int, components: dict, structure: dict,
                  truncation: int, validate: bool = True):
         self.monoid_dim = int(monoid_dim)
-        self.components = {}
+        sizes = {}
         for grade, size in components.items():
             g = tuple(int(x) for x in grade)
             if len(g) != self.monoid_dim or any(x < 0 for x in g):
                 raise ValueError(f"bad grade {grade}")
             if size > 0:
-                self.components[g] = int(size)
+                sizes[g] = int(size)
+        self.components = dict(sorted(sizes.items()))
         self.truncation = int(truncation)
-        self.structure = {}
+        table = {}
         # Every valid ref, keyed by itself in its stored int form: a ref
         # that compares equal to a key is stored as that key, which is what
         # converting its fields with int() would give.  Anything else takes
@@ -156,7 +168,8 @@ class GradedAlgebra:
             terms.sort()
             if len(terms) > 1:
                 terms = _merge_like_terms(terms)
-            self.structure[_pair_key(b1, b2)] = tuple(terms)
+            table[_pair_key(b1, b2)] = tuple(terms)
+        self.structure = dict(sorted(table.items()))
         if validate:
             self._validate_associativity()
 
@@ -167,7 +180,9 @@ class GradedAlgebra:
 
         The dicts are taken over, not copied: no conversion, no ref check,
         no sort or merge and no associativity check (see the class
-        docstring for who may call this).
+        docstring for who may call this).  The caller guarantees what the
+        constructor would make: both dicts in ascending order and each
+        expansion sorted, merged and zero-free.
         """
         A = cls.__new__(cls)
         A.monoid_dim = monoid_dim
@@ -184,10 +199,9 @@ class GradedAlgebra:
             raise TropvalError(f"unknown basis element {ref}")
 
     def basis(self) -> list[BasisRef]:
-        out = []
-        for grade in sorted(self.components):
-            out.extend((grade, i) for i in range(self.components[grade]))
-        return out
+        """Every basis element, in ascending order."""
+        return [(grade, i) for grade, size in self.components.items()
+                for i in range(size)]
 
     # -- multiplication ----------------------------------------------------
 
@@ -238,7 +252,7 @@ class GradedAlgebra:
         # all ordered triples reduces to (ab)c = (bc)a = (ac)b per multiset.
         # Only triples whose three pairwise products are defined can be
         # checked; they are scanned as b1 <= b2 <= b3 in basis order, b2 and
-        # b3 walked along sorted partner lists, and the first failing one
+        # b3 walked along ascending partner lists, and the first failing one
         # raises.
         #
         # Each side is a sum of products of two structure constants, so the
@@ -251,7 +265,9 @@ class GradedAlgebra:
         scale = math.lcm(*{c.denominator for exp in self.structure.values()
                            for _, c in exp})
         table: list[dict[int, tuple]] = [{} for _ in refs]
-        # unit[i][j] = t when b_i * b_j = 1 * b_t
+        # unit[i][j] = t when b_i * b_j = 1 * b_t.  The pairs come in
+        # ascending order, so each row of the table fills in ascending j:
+        # first the pairs (j, i) with j < i, then (i, j) with j >= i.
         unit: list[dict[int, int]] = [{} for _ in refs]
         for (b1, b2), expansion in self.structure.items():
             i, j = number[b1], number[b2]
@@ -260,7 +276,7 @@ class GradedAlgebra:
             table[i][j] = table[j][i] = row
             if len(row) == 1 and row[0][1] == scale:
                 unit[i][j] = unit[j][i] = row[0][0]
-        partners = [sorted(row) for row in table]
+        partners = [list(row) for row in table]
 
         def times(expansion: tuple, b: int) -> dict | None:
             out: dict[int, int] = {}
@@ -307,8 +323,8 @@ class GradedAlgebra:
     def key(self) -> tuple:
         return (
             self.monoid_dim,
-            tuple(sorted(self.components.items())),
-            tuple(sorted(self.structure.items())),
+            tuple(self.components.items()),
+            tuple(self.structure.items()),
         )
 
 
@@ -394,10 +410,6 @@ class LexFunctional:
                 return (seen[key], g)
             seen.setdefault(key, g)
         return None
-
-
-def tuple_sum(a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    return tuple(x + y for x, y in zip(a, b))
 
 
 @dataclass(frozen=True)
@@ -508,7 +520,7 @@ class _PairSampler:
         self.A = A
         self.rng = rng
         self._bits = rng.getrandbits
-        self.keys = sorted(A.structure)
+        self.keys = list(A.structure)
         self.partners = A._partners()
         self.sorted_basis = sorted(self.partners)
 
@@ -571,15 +583,13 @@ def _homogeneous_pair_failures(A: GradedAlgebra, gv: GradedValuation) -> list:
     """Multiplicativity on every defined basis pair, failures in pair order."""
     key = gv.functional.key
     found = []
-    for pair, expansion in A.structure.items():
-        b1, b2 = pair
+    for (b1, b2), expansion in A.structure.items():
         # overrides are inhomogeneous, so a basis element's value is its key
         rhs = key(b1[0])[0] + key(b2[0])[0]
         lhs = _value_key(gv, dict(expansion))
         if lhs != rhs:
-            found.append((pair, lhs, rhs))
-    found.sort(key=itemgetter(0))
-    return [_failure(gv, {b1: 1}, {b2: 1}, lhs, rhs) for (b1, b2), lhs, rhs in found]
+            found.append(_failure(gv, {b1: 1}, {b2: 1}, lhs, rhs))
+    return found
 
 
 def _subadditivity_failures(A: GradedAlgebra, gv: GradedValuation,
@@ -684,22 +694,23 @@ def _gr_pass(A: GradedAlgebra, h: LexFunctional) -> tuple[dict, tuple | None]:
     """One pass over A's table: the products of gr, and a triangularity witness.
 
     gr keeps, in the product of b1 and b2, the terms whose key is
-    key(b1) + key(b2).  The witness ``(b1, b2, ref)`` is the least pair with
-    a term above that key, and its first such term, which is what a sorted
-    scan would find first; None when every product is lower-triangular.
+    key(b1) + key(b2).  The witness ``(b1, b2, ref)`` is the first pair with
+    a term above that key, and its first such term; the table is in
+    ascending order, so that is the least pair.  None when every product is
+    lower-triangular.  The products of gr come in A's order.
     """
     key = h.key
     structure = {}
     witness = None
     for pair, expansion in A.structure.items():
         b1, b2 = pair
-        top = tuple_sum(key(b1[0]), key(b2[0]))
+        top = grade_sum(key(b1[0]), key(b2[0]))
         kept = []
         for t, c in expansion:
             k = key(t[0])
             if k == top:
                 kept.append((t, c))
-            elif k > top and (witness is None or pair < witness[:2]):
+            elif k > top and witness is None:
                 witness = (b1, b2, t)
         structure[pair] = tuple(kept)
     return structure, witness
@@ -755,10 +766,6 @@ def check_monoid_theorem(A: GradedAlgebra, w: LexFunctional,
         for (g3, k), _ in expansion:
             if g3 != top_grade and key(g3) >= top:
                 order_violations.append((b1, b2, (g3, k)))
-    # the table is scanned unsorted; a stable sort by pair gives the order
-    # of a sorted scan
-    cartan_missing.sort(key=itemgetter(0, 1))
-    order_violations.sort(key=itemgetter(0, 1))
     collision = w.separates(A.components)
     collisions = (collision,) if collision else ()
     sampler = _PairSampler(A, random.Random(seed))
@@ -772,10 +779,10 @@ def check_monoid_theorem(A: GradedAlgebra, w: LexFunctional,
             continue
         checked += 1
         # a and b are nonzero, so their top keys are never None
-        if _top_key(key, product) != tuple_sum(_top_key(key, a), _top_key(key, b)):
+        if _top_key(key, product) != grade_sum(_top_key(key, a), _top_key(key, b)):
             conclusion_failures.append((
                 _with_fractions(a), _with_fractions(b), value_lex(w, product),
-                tuple_sum(value_lex(w, a), value_lex(w, b))))
+                grade_sum(value_lex(w, a), value_lex(w, b))))
     if not checked:
         raise NothingCheckedError(
             "no sampled pair had a defined product; the conclusion is unchecked")
@@ -803,7 +810,7 @@ def associated_graded(A: GradedAlgebra, h: LexFunctional) -> GradedAlgebra:
     if witness is not None:
         raise NotLowerTriangularError(
             f"multiplication is not lower-triangular for this functional: {witness}")
-    # a filter keeps keys canonical and expansions sorted
+    # a filter keeps keys canonical, expansions sorted and the table ascending
     return _derived(A, A.monoid_dim, A.components, structure)
 
 
@@ -811,16 +818,14 @@ def zero_divisor_search(A: GradedAlgebra, bound: int):
     """Search basis pairs with vanishing product; None means none found.
 
     This is refutation evidence, not a domain proof; it is complete for
-    algebras whose graded components are at most one-dimensional.
+    algebras whose graded components are at most one-dimensional.  The
+    pair returned is the least vanishing one.
     """
-    least = None  # the least vanishing pair, which a sorted scan meets first
     for pair, expansion in A.structure.items():
-        if expansion or (least is not None and least < pair):
-            continue
         b1, b2 = pair
-        if sum(b1[0]) <= bound and sum(b2[0]) <= bound:
-            least = pair
-    return least
+        if not expansion and sum(b1[0]) <= bound and sum(b2[0]) <= bound:
+            return pair
+    return None
 
 
 # -- builders -------------------------------------------------------------------
@@ -851,27 +856,36 @@ def _monomial_algebra(rows, truncation: int, basis=None) -> GradedAlgebra:
     normal form of the product monomial; a standard product is its own
     normal form, so no division runs for it.  The relations must be
     homogeneous, so that every normal form stays inside the truncation.
+
+    The tables are made in ascending order, with no sort of the finished
+    table: the monomials are walked in basis order, and each one's partners
+    of degree at most ``truncation`` minus its own, from itself on, are a
+    slice of one ascending list per degree cap.
     """
     leads = [lm for lm, _ in basis._leads] if basis is not None else []
-    monomials = sorted((e for e in _exponents(len(rows[0]), truncation)
-                        if not any(groebner._divides(lm, e) for lm in leads)),
-                       key=lambda e: (sum(e), e))
-    components: dict[Grade, int] = {}
+    sizes: dict[Grade, int] = {}
     ref_of: dict[tuple[int, ...], BasisRef] = {}
-    for e in monomials:
+    for e in sorted((e for e in _exponents(len(rows[0]), truncation)
+                     if not any(groebner._divides(lm, e) for lm in leads)),
+                    key=lambda e: (sum(e), e)):
         g = _times(rows, e)
-        index = components.get(g, 0)
+        index = sizes.get(g, 0)
         ref_of[e] = (g, index)
-        components[g] = index + 1
+        sizes[g] = index + 1
+    # fits[cap]: (ref, exponent) of each monomial of degree at most cap, in
+    # basis order
+    fits: list[list] = [[] for _ in range(truncation + 1)]
+    for ref, e in sorted((ref, e) for e, ref in ref_of.items()):
+        for cap in range(sum(e), truncation + 1):
+            fits[cap].append((ref, e))
+    components = {g: index + 1 for (g, index), _ in fits[truncation]}
     # Expansion of each product monomial: a standard one is its own normal
     # form; the others are divided once, when first met.
     expansion_of = {e: ((ref, Fraction(1)),) for e, ref in ref_of.items()}
     structure = {}
-    for i, e1 in enumerate(monomials):
-        room = truncation - sum(e1)
-        for e2 in monomials[i:]:
-            if sum(e2) > room:
-                break
+    for ref1, e1 in fits[truncation]:
+        partners = fits[truncation - sum(e1)]
+        for ref2, e2 in partners[bisect_left(partners, (ref1,)):]:
             product = tuple(map(add, e1, e2))
             expansion = expansion_of.get(product)
             if expansion is None:
@@ -879,7 +893,7 @@ def _monomial_algebra(rows, truncation: int, basis=None) -> GradedAlgebra:
                     Polynomial.monomial(basis.gens[0].ring, product), basis)
                 expansion = expansion_of[product] = tuple(sorted(
                     (ref_of[m], c) for m, c in reduced.terms.items()))
-            structure[_pair_key(ref_of[e1], ref_of[e2])] = expansion
+            structure[(ref1, ref2)] = expansion
     return GradedAlgebra._trusted(len(rows), components, structure, truncation)
 
 
@@ -915,5 +929,6 @@ def coarsen(A: GradedAlgebra, matrix: tuple[tuple[int, ...], ...]) -> GradedAlge
         ))
         structure[_pair_key(offsets[b1], offsets[b2])] = new_expansion
     # the relabelling is one-to-one, so the table is as canonical and as
-    # associative as A's
-    return _derived(A, len(matrix), components, structure)
+    # associative as A's, but it can change the order of grades and pairs
+    return _derived(A, len(matrix), dict(sorted(components.items())),
+                    dict(sorted(structure.items())))

@@ -635,11 +635,6 @@ def contains_monomial(gens: list[Polynomial], ring: RingContext) -> tuple[bool, 
     return True, Polynomial.monomial(ring, (k,) * ring.dim)
 
 
-def canonical_initial_key(P: Presentation, w: WeightVector) -> tuple:
-    """Hashable canonical form of the initial ideal: its reduced grevlex basis."""
-    return tuple(g.key() for g in HomogenizedIdeal(P).canonical_basis(w))
-
-
 def same_initial_ideal(P: Presentation, w1: WeightVector, w2: WeightVector) -> bool:
     """Equality of initial ideals, via reduced bases under a fixed order."""
     H = HomogenizedIdeal(P)

@@ -92,12 +92,6 @@ def sl2_branching_algebra(truncation: int) -> GradedAlgebra:
     return A
 
 
-def ambient_degree(grade: Grade) -> int:
-    """Degree of the standard monomial carrying the grade: (a+b+c+d)/2."""
-    a, b, c, eta, d = grade
-    return (a + b + c + d) // 2
-
-
 # -- character-theoretic oracle -------------------------------------------------
 
 
@@ -148,7 +142,7 @@ def branching_dimension_report(A: GradedAlgebra) -> list:
     for grade, size in sorted(predicted.items()):
         if A.components.get(grade, 0) != size:
             mismatches.append((grade, A.components.get(grade, 0), size))
-    for grade, size in sorted(A.components.items()):
+    for grade, size in A.components.items():
         if grade not in predicted:
             mismatches.append((grade, size, 0))
     return mismatches

@@ -475,23 +475,23 @@ def _basis_str(b) -> str:
 
 
 def graded_algebra_to_str(algebra) -> str:
-    """Render a GradedAlgebra in the graded-algebra file format."""
+    """Render a GradedAlgebra in the graded-algebra file format.
+
+    The algebra's tables are ascending, so components and pairs are written
+    in the order they are held, which is the file's sorted order.
+    """
     names = {ref: _basis_str(ref) for ref in algebra.basis()}
     lines = [f"monoid dim {algebra.monoid_dim};", f"truncation {algebra.truncation};"]
-    for grade in sorted(algebra.components):
-        lines.append(f"component {_grade_str(grade)} size {algebra.components[grade]};")
-    for pair in sorted(algebra.structure):
-        left, right = pair
-        if right < left:
-            continue  # symmetric partner printed once
-        expansion = algebra.structure[pair]
+    for grade, size in algebra.components.items():
+        lines.append(f"component {_grade_str(grade)} size {size};")
+    for (left, right), expansion in algebra.structure.items():
         lhs = f"mult {names[left]}*{names[right]} ="
         if not expansion:
             lines.append(f"{lhs} 0;")
             continue
         # signs from numerators, so no term takes a `Fraction` abs or comparison
         terms = [(coeff.numerator < 0, f"{str(coeff).lstrip('-')}*{names[target]}")
-                 for target, coeff in sorted(expansion)]
+                 for target, coeff in expansion]
         lines.append(f"{lhs} {_signed_join(terms)};")
     return "\n".join(lines) + "\n"
 

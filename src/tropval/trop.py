@@ -75,15 +75,6 @@ def trop_mul(a: TropicalValue, b: TropicalValue) -> TropicalValue:
     return TropicalValue(a.value + b.value)
 
 
-def trop_sum(values) -> TropicalValue:
-    """Tropical sum of an iterable (bottom if empty)."""
-    best = BOTTOM
-    for v in values:
-        if best < v:
-            best = v
-    return best
-
-
 def monomial_weight(weights, exponents, coeff_val: TropicalValue) -> TropicalValue:
     """Weight of a scaled monomial: ``coeff_val (x) sum(w_i * e_i)``.
 

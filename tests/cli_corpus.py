@@ -328,6 +328,12 @@ INPUT_ERROR_CASES = [
       "--override", "1*(1,1,0:0) + 1*(1,0,1:0)"], 2,
      "input_error: an override has the form element=value, "
      "got '1*(1,1,0:0) + 1*(1,0,1:0)'\n"),
+    # a second override of the same element (terms in any order) used to
+    # replace the first silently
+    ("override_listed_twice",
+     ["graded-check", "--algebra", "polyring:2:3", "--functional", "1,1",
+      "--override", "1*(1,0:0)+1*(0,1:0)=0", "--override", "1*(0,1:0)+1*(1,0:0)=1"], 2,
+     "input_error: override of 1*(0,1:0) + 1*(1,0:0) listed twice\n"),
 ] + [
     (name, ["monoid-check", "--algebra", spec, "--functional", "1"], 2,
      f"input_error: malformed built-in algebra {spec!r}; {BUILTIN_FORMS}\n")

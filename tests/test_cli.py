@@ -114,13 +114,18 @@ def test_unexpected_exception_is_one_line_with_exit_3(monkeypatch):
            "within the power bound\n", "")
 
 
-def _run_entry_point(argv) -> subprocess.CompletedProcess:
-    """``python -m tropval`` on this checkout's source, from the tests directory."""
+def _entry_point(argv) -> dict:
+    """Arguments for running ``python -m tropval`` on this checkout's source,
+    from the tests directory."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    return subprocess.run([sys.executable, "-m", "tropval", *argv], cwd=Path(__file__).parent,
-                          capture_output=True, text=True, env=env, timeout=60)
+    return {"args": [sys.executable, "-m", "tropval", *argv],
+            "cwd": Path(__file__).parent, "env": env}
+
+
+def _run_entry_point(argv) -> subprocess.CompletedProcess:
+    return subprocess.run(**_entry_point(argv), capture_output=True, text=True, timeout=60)
 
 
 def test_zero_denominator_prints_no_traceback():
@@ -128,6 +133,19 @@ def test_zero_denominator_prints_no_traceback():
     _, argv, expected = PARSE_ERROR_CASES[0]
     proc = _run_entry_point(argv)
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, expected, "")
+
+
+def test_reader_that_closes_stdout_early_gets_exit_3_and_no_traceback():
+    """As ``tropval sl2lab branching 5 | head -n 1``: the 154 kB file is more
+    than a pipe holds, so a write fails once the reader has closed its end."""
+    proc = subprocess.Popen(**_entry_point(["sl2lab", "branching", "5"]),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    code = proc.wait(timeout=60)
+    with proc.stderr:
+        err = proc.stderr.read()
+    assert (first, code, err) == (b"check: sl2lab-builder\n", 3, b"")
 
 
 def test_negative_degree_bound_is_a_usage_error_in_a_fresh_process():

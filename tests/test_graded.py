@@ -23,12 +23,13 @@ from tropval.graded import (
     monomial_poly_ring,
     zero_divisor_search,
 )
-from tropval.groebner import normal_form
+from tropval.graded import _exponents, _monomial_algebra, _times
+from tropval.groebner import _divides, normal_form
 from tropval.linalg import solve_linear
 from tropval.poly import Polynomial
 from tropval.sl2 import (
     AMBIENT_RING,
-    ambient_degree,
+    GRADE_ROWS,
     collapse_functional,
     root_functional,
     sl2_branching_algebra,
@@ -179,9 +180,9 @@ def test_builtin_algebras_match_the_reference_loops(builder, reference, args):
 def test_parsed_files_keep_the_associativity_check():
     A = sl2_branching_algebra(3)
     assert parse_graded_algebra(graded_algebra_to_str(A)).key() == A.key()
+    # a pair of degree-1 elements; grade (a, b, c, eta, d) has degree (a + b + c + d) / 2
     pair = next(p for p in sorted(A.structure)
-                if ambient_degree(p[0][0]) == ambient_degree(p[1][0]) == 1
-                and A.structure[p])
+                if all(sum(g) - g[3] == 2 for g, _ in p) and A.structure[p])
     A.structure[pair] = tuple((t, 2 * c) for t, c in A.structure[pair])
     with pytest.raises(AssociativityError):
         parse_graded_algebra(graded_algebra_to_str(A))
@@ -472,9 +473,9 @@ def _ref_str(ref):
 
 def test_doubled_entry_in_an_emitted_file_is_rejected():
     A = sl2_branching_algebra(3)
+    # a pair of degree-1 elements; grade (a, b, c, eta, d) has degree (a + b + c + d) / 2
     pair = next(p for p in sorted(A.structure)
-                if ambient_degree(p[0][0]) == ambient_degree(p[1][0]) == 1
-                and A.structure[p])
+                if all(sum(g) - g[3] == 2 for g, _ in p) and A.structure[p])
     head = f"mult {_ref_str(pair[0])}*{_ref_str(pair[1])} ="
     lines = graded_algebra_to_str(A).splitlines()
     k = next(i for i, line in enumerate(lines) if line.startswith(head))
@@ -754,3 +755,118 @@ def test_same_preorder_functionals_share_the_full_verdict():
         scaled = LexFunctional.single(tuple(factor * r for r in base.rows[0]))
         gv2 = GradedValuation.build(A, scaled)
         assert check_valuation_axioms(A, gv2, seed=4, n_samples=60).verdict == "passes"
+
+
+# -- every table is held in ascending order: grades, pairs, and the terms of
+# each expansion; the scans read it in that order and report the first hit ---
+
+
+def _assert_ascending(A):
+    grades, pairs = list(A.components), list(A.structure)
+    assert grades == sorted(grades)
+    assert pairs == sorted(pairs)
+    assert all(b1 <= b2 for b1, b2 in pairs)
+    assert all(list(expansion) == sorted(expansion) for expansion in A.structure.values())
+
+
+ORDER_CASES = (
+    [(sl2_branching_algebra, (n,)) for n in (2, 3, 5)]
+    + [(sl2_rep_ring, (n,)) for n in (1, 4, 8)]
+    + [(monomial_poly_ring, args) for args in ((1, 3), (2, 4), (3, 3))]
+)
+
+
+@pytest.mark.parametrize("builder,args", ORDER_CASES,
+                         ids=[f"{b.__name__}{a}" for b, a in ORDER_CASES])
+def test_builtin_tables_and_their_gr_and_coarsenings_are_ascending(builder, args):
+    A = builder(*args)
+    n = A.monoid_dim
+    # reversing the grade coordinates reorders the grades and the pairs
+    reverse = tuple(tuple(int(j == n - 1 - i) for j in range(n)) for i in range(n))
+    degree = ((1,) * n,)
+    grs = [associated_graded(A, h) for h in _functionals_used_on(A)]
+    coarse = [coarsen(T, m) for T in [A, *grs] for m in (reverse, degree)]
+    grs_of_coarse = [associated_graded(C, LexFunctional.single((F(1),)))
+                     for C in coarse[1::2]]
+    for T in [A, *grs, *coarse, *grs_of_coarse]:
+        _assert_ascending(T)
+
+
+def test_parsed_tables_are_ascending_whatever_the_statement_order():
+    rng = random.Random(5)
+    swap = re.compile(r"^mult (\([^)]*\))\*(\([^)]*\)) =")
+    for A in (sl2_branching_algebra(3), sl2_rep_ring(5), monomial_poly_ring(2, 4)):
+        first, *statements = graded_algebra_to_str(A).splitlines()
+        rng.shuffle(statements)
+        # half of the pairs written the other way round
+        statements = [swap.sub(r"mult \2*\1 =", line) if rng.random() < 0.5 else line
+                      for line in statements]
+        parsed = parse_graded_algebra("\n".join([first, *statements]) + "\n")
+        _assert_ascending(parsed)
+        assert parsed.key() == A.key()
+        assert graded_algebra_to_str(parsed) == graded_algebra_to_str(A)
+
+
+def test_constructor_sorts_tables_given_in_any_order():
+    for A in (sl2_branching_algebra(3), monomial_poly_ring(3, 3)):
+        components = dict(reversed(A.components.items()))
+        structure = {(b2, b1): expansion[::-1]
+                     for (b1, b2), expansion in reversed(A.structure.items())}
+        B = GradedAlgebra(A.monoid_dim, components, structure, A.truncation)
+        _assert_ascending(B)
+        assert B.key() == A.key()
+
+
+def degree_ordered_tables(rows, truncation, basis=None):
+    """The table loop `_monomial_algebra` ran before it built in basis order:
+    monomials by ascending (degree, exponent), and each one's partners from
+    itself on, until the degree sum passes the truncation."""
+    leads = [lm for lm, _ in basis._leads] if basis is not None else []
+    monomials = sorted((e for e in _exponents(len(rows[0]), truncation)
+                        if not any(_divides(lm, e) for lm in leads)),
+                       key=lambda e: (sum(e), e))
+    components, ref_of = {}, {}
+    for e in monomials:
+        g = _times(rows, e)
+        index = components.get(g, 0)
+        ref_of[e] = (g, index)
+        components[g] = index + 1
+    structure = {}
+    for i, e1 in enumerate(monomials):
+        room = truncation - sum(e1)
+        for e2 in monomials[i:]:
+            if sum(e2) > room:
+                break
+            product = tuple(x + y for x, y in zip(e1, e2))
+            if basis is None:
+                expansion = ((ref_of[product], F(1)),)
+            else:
+                reduced = normal_form(Polynomial.monomial(AMBIENT_RING, product), basis)
+                expansion = tuple(sorted((ref_of[m], c) for m, c in reduced.terms.items()))
+            r1, r2 = ref_of[e1], ref_of[e2]
+            structure[(r1, r2) if r1 <= r2 else (r2, r1)] = expansion
+    return components, structure
+
+
+MONOMIAL_CASES = (
+    [("sl2-branching", n) for n in range(2, 7)]
+    + [("sl2-rep-ring", n) for n in range(1, 10)]
+    + [(f"polyring:{v}", t) for v in range(1, 4) for t in range(5)]
+)
+
+
+@pytest.mark.parametrize("kind,truncation", MONOMIAL_CASES,
+                         ids=[f"{k}:{t}" for k, t in MONOMIAL_CASES])
+def test_monomial_algebra_matches_the_degree_ordered_loop(kind, truncation):
+    if kind == "sl2-branching":
+        rows, basis = GRADE_ROWS, straightening_basis()
+    elif kind == "sl2-rep-ring":
+        rows, basis = ((1, 1),), None
+    else:
+        v = int(kind.split(":")[1])
+        rows, basis = tuple(tuple(int(i == j) for j in range(v)) for i in range(v)), None
+    A = _monomial_algebra(rows, truncation, basis)
+    components, structure = degree_ordered_tables(rows, truncation, basis)
+    assert A.components == components
+    assert A.structure == structure
+    _assert_ascending(A)

@@ -10,7 +10,6 @@ from tropval.groebner import (
     MonomialOrder,
     ZeroPolynomialError,
     buchberger,
-    canonical_initial_key,
     contains_monomial,
     enumerate_fan,
     initial_form,

@@ -32,7 +32,6 @@ from tropval.groebner import (
     HomogenizedIdeal,
     MonomialOrder,
     buchberger,
-    canonical_initial_key,
     contains_monomial,
     enumerate_fan,
     initial_ideal,
@@ -329,7 +328,8 @@ def ref_buckets(P: Presentation, ws) -> dict[tuple, list]:
     """Per-point classifier: every weight's canonical key on its own."""
     buckets: dict[tuple, list] = {}
     for w in ws:
-        buckets.setdefault(canonical_initial_key(P, w), []).append(w)
+        key = tuple(g.key() for g in HomogenizedIdeal(P).canonical_basis(w))
+        buckets.setdefault(key, []).append(w)
     return buckets
 
 

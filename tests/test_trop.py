@@ -12,7 +12,6 @@ from tropval.trop import (
     trop,
     trop_add,
     trop_mul,
-    trop_sum,
 )
 
 scalars = st.one_of(
@@ -50,7 +49,6 @@ def test_ordering_and_serialization():
     assert trop(Fraction(1, 3)).to_str() == "1/3"
     assert parse_tropical_value("-inf") == BOTTOM
     assert parse_tropical_value("7/2") == trop(Fraction(7, 2))
-    assert trop_sum([]) == BOTTOM
 
 
 @given(scalars, scalars)
