@@ -104,7 +104,7 @@ def implies_check(v: CandidateValuation, w: CandidateValuation,
     vector (its valuation is the trivial coarsening), and full half-space
     decision on free algebras in exact mode.  Otherwise the verdict comes
     from seeded refutation search, on the samples of `check_axioms`: int
-    coefficients while searching, `Fraction`s in a witness.
+    coefficients and value keys while searching, `Fraction`s in a witness.
     """
     if v.presentation.key() != w.presentation.key():
         raise ValueError("relation checks need valuations on the same algebra")
@@ -132,12 +132,18 @@ def implies_check(v: CandidateValuation, w: CandidateValuation,
     if degree_bound < 1:
         raise ValueError(f"refutation search needs degree_bound >= 1, got {degree_bound}")
     rng = random.Random(seed)
+    v_key, w_key = v._key, w._key
     for _ in range(n_samples):
         a = _random_int_polynomial(rng, P.ring, degree_bound)
         b = _random_int_polynomial(rng, P.ring, degree_bound)
-        if v.evaluate(a) <= v.evaluate(b) and w.evaluate(a) > w.evaluate(b):
-            return RelationVerdict("implies", REFUTED,
-                                   witness=(_with_fractions(a), _with_fractions(b)))
+        # v(a) <= v(b) and w(a) > w(b), on each valuation's keys, with None
+        # (bottom) the least key.
+        va, vb = v_key(a), v_key(b)
+        if va is None or (vb is not None and va <= vb):
+            wa, wb = w_key(a), w_key(b)
+            if wa is not None and (wb is None or wa > wb):
+                return RelationVerdict("implies", REFUTED,
+                                       witness=(_with_fractions(a), _with_fractions(b)))
     return RelationVerdict("implies", HOLDS_NO_COUNTEREXAMPLE, n_samples=n_samples)
 
 

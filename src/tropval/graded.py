@@ -40,6 +40,7 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from operator import add, mul
 
 from . import groebner
@@ -140,13 +141,11 @@ class GradedAlgebra:
         # Every valid ref, keyed by itself in its stored int form: a ref
         # that compares equal to a key is stored as that key, which is what
         # converting its fields with int() would give.  Anything else takes
-        # the full conversion and check.
+        # the full check and conversion.  Pair refs and expansion targets
+        # are both stored canonical.
         canon = {ref: ref for ref in self.basis()}
         for (b1, b2), expansion in structure.items():
-            if b1 not in canon:
-                self._check_ref(b1)
-            if b2 not in canon:
-                self._check_ref(b2)
+            b1, b2 = self._canonical_ref(canon, b1), self._canonical_ref(canon, b2)
             terms = []
             misses = []
             for target, c in expansion:
@@ -191,6 +190,15 @@ class GradedAlgebra:
         A.truncation = truncation
         A.trusted = True
         return A
+
+    def _canonical_ref(self, canon: dict, ref) -> BasisRef:
+        """The stored form of a pair ref, after the check if it is not a key."""
+        stored = canon.get(ref)
+        if stored is None:
+            self._check_ref(ref)
+            grade, idx = ref
+            stored = (tuple(int(x) for x in grade), int(idx))
+        return stored
 
     def _check_ref(self, ref: BasisRef) -> None:
         grade, idx = ref
@@ -521,14 +529,21 @@ class _PairSampler:
         self.rng = rng
         self._bits = rng.getrandbits
         self.keys = list(A.structure)
-        self.partners = A._partners()
-        self.sorted_basis = sorted(self.partners)
+        # Every ref in some pair, ascending; membership of a pair is asked
+        # of the table itself, so no partner sets are built.
+        self.sorted_basis = sorted(set(chain.from_iterable(self.keys)))
 
     def _pick_compatible(self, opposite: list[BasisRef]) -> BasisRef | None:
         bits, n = self._bits, len(self.sorted_basis)
+        table = self.A.structure
         for _ in range(12):
             b = self.sorted_basis[_below(bits, n)]
-            if all(t in self.partners[b] for t in opposite):
+            # b * t must be defined for every t: its pair (`_pair_key`,
+            # inlined) must be in the table.
+            for t in opposite:
+                if ((b, t) if b <= t else (t, b)) not in table:
+                    break
+            else:
                 return b
         return None
 
@@ -624,19 +639,16 @@ def check_graded_axioms(A: GradedAlgebra, gv: GradedValuation,
                              tuple(mult), tuple(subadd))
 
 
-def _override_factor_probe(A: GradedAlgebra, gv: GradedValuation,
-                           partners: dict | None = None) -> list:
+def _override_factor_probe(A: GradedAlgebra, gv: GradedValuation) -> list:
     """Factor each override target as (basis element) * (solved element).
 
     Solving a * x = k is linear in x once a is fixed, so every override is
-    probed deterministically against every basis element.  ``partners`` is
-    ``A._partners()``, passed in by a caller that already has it.
+    probed deterministically against every basis element.
     """
     failures = []
     if not gv.overrides:
         return failures
-    if partners is None:
-        partners = A._partners()
+    partners = A._partners()
     # Per basis element a: the elements b with a * b defined, in sorted basis
     # order, and the products as columns.  The column order picks the
     # returned solution, hence the printed witness.
@@ -673,7 +685,7 @@ def check_valuation_axioms(A: GradedAlgebra, gv: GradedValuation,
     _require_products(A)
     sampler = _PairSampler(A, random.Random(seed))
     mult = _homogeneous_pair_failures(A, gv)
-    mult.extend(_override_factor_probe(A, gv, sampler.partners))
+    mult.extend(_override_factor_probe(A, gv))
     for _ in range(n_samples):
         a, b = sampler.sample()
         try:

@@ -12,24 +12,33 @@ multiplicativity holds exactly is what `check_axioms` probes by seeded
 sampling.  The report never claims more than "no counterexample among
 the sampled pairs".
 
-Inside `check_axioms` and the sampled search of `cones.implies_check`,
-samples and their products and sums have int coefficients: they are the
-draws of `random_polynomial` without its `Fraction` wrap, and division
-reduces them as ints anyway.  A sample that becomes a reported witness
-is converted to `Fraction` coefficients first, so every polynomial that
-leaves this module has them.
+Values are integer keys.  Each valuation has one fixed positive int
+`scale`, and its private `_key(f)` is the value of f times that scale, or
+None for bottom (f = 0 included).  A weight valuation's scale is its
+order's, so its key is the int weight dot product of the leading
+remainder exponent; a pointwise sum, a rational multiple and a pullback
+derive theirs from their parts' (see each class).  `check_axioms` and the
+sampled search of `cones.implies_check` compare keys only: one
+valuation's keys share one scale, so key order is value order.  A
+`TropicalValue` is built in just two places: the public `evaluate`, which
+every subclass inherits, and a reported witness.
 
-`CandidateValuation` owns `evaluate`; its subclasses `WeightValuation`,
-`Pullback`, `PointwiseSum` and `Scaled` each supply `_evaluate`.  Weight
-valuations of one presentation can share one `HomogenizedIdeal`.  Values
-are not memoized per element, since nearly every sampled element is new.
-The refined basis a `WeightValuation` holds memoizes per monomial instead
-(`GroebnerBasis`): the few hundred monomials the samples share meet the
-same order keys and division steps again and again.
+Inside those two loops, samples and their products and sums have int
+coefficients: they are the draws of `random_polynomial` without its
+`Fraction` wrap, and division reduces them as ints anyway.  A sample that
+becomes a reported witness is converted to `Fraction` coefficients first,
+so every polynomial that leaves this module has them.
+
+Weight valuations of one presentation can share one `HomogenizedIdeal`.
+Values are not memoized per element, since nearly every sampled element
+is new.  The refined basis a `WeightValuation` holds memoizes per monomial
+instead (`GroebnerBasis`): the few hundred monomials the samples share
+meet the same order keys and division steps again and again.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -49,7 +58,7 @@ from .groebner import (
     normal_form,
 )
 from .poly import Polynomial, Presentation, RingContext, WeightVector
-from .trop import BOTTOM, TropicalValue, trop_add, trop_mul
+from .trop import BOTTOM, TropicalValue
 
 
 class NonfiniteGeneratorValueError(TropvalError):
@@ -63,7 +72,10 @@ class NotAHomomorphismError(TropvalError):
 class CandidateValuation:
     """A candidate valuation on a presented algebra.
 
-    Each subclass supplies `_evaluate(f)` for nonzero f.  Construct one, or
+    Each subclass sets the positive int ``scale`` and supplies `_key(f)`:
+    the value of f times ``scale`` as an int, or None for bottom, f = 0
+    included.  `_key` does not check f's ring; `evaluate` does, and each
+    composite checks its parts' rings when it is built.  Construct one, or
     use `make_weight_valuation`, `pullback` or the cone operations.  Values
     do not change after construction; the only state written later is the
     division memo of a held basis, whose entries are written once and
@@ -71,25 +83,35 @@ class CandidateValuation:
     values.
     """
 
+    scale: int
+
     def __init__(self, presentation: Presentation):
         self.presentation = presentation
 
     def evaluate(self, f: Polynomial) -> TropicalValue:
         if f.ring != self.presentation.ring:
             raise ValueError("element from a different ring")
-        if f.is_zero:
-            return BOTTOM
-        return self._evaluate(f)
+        return _value(self._key(f), self.scale)
+
+
+def _value(key: int | None, scale: int) -> TropicalValue:
+    """The tropical value of a key over ``scale``; None is bottom."""
+    return BOTTOM if key is None else TropicalValue(Fraction(key, scale))
 
 
 class WeightValuation(CandidateValuation):
-    """The valuation induced by `weights`, on a possibly shared `homogenized`."""
+    """The valuation induced by `weights`, on a possibly shared `homogenized`.
+
+    Its scale is that of the refined order, whose int weights give keys.
+    """
 
     def __init__(self, homogenized: HomogenizedIdeal, weights: WeightVector):
         super().__init__(homogenized.presentation)
         self.homogenized = homogenized
         self.weights = weights
         self.basis = homogenized.refined_basis(weights)
+        self.scale = self.basis.order.scale
+        self._int_weights = self.basis.order.int_weights
 
     def normal_form_of(self, f: Polynomial) -> Polynomial:
         """Canonical coset representative: the normal form against `basis`."""
@@ -98,57 +120,87 @@ class WeightValuation(CandidateValuation):
         reduced = normal_form(_homogenize(f, self.homogenized.ext), self.basis)
         return _dehomogenize(reduced, self.presentation.ring)
 
-    def _evaluate(self, f: Polynomial) -> TropicalValue:
+    def _key(self, f: Polynomial) -> int | None:
         # Division's work dict holds f homogenized: each exponent gets the
         # power d - |e| of the extra variable, with no homogenized copy of f.
-        d = f.total_degree()
+        terms = f.terms
+        if not terms:
+            return None
+        d = max(map(sum, terms))
         work = {e + (d - sum(e),): c.numerator if c.denominator == 1 else c
-                for e, c in f.terms.items()}
+                for e, c in terms.items()}
         for e, _ in _remainder_terms(work, *self.basis._lookups()):
-            order = self.basis.order
-            return TropicalValue(Fraction(sum(map(mul, order.int_weights, e)),
-                                          order.scale))
-        return BOTTOM
+            return sum(map(mul, self._int_weights, e))
+        return None
 
 
 class Pullback(CandidateValuation):
-    """A valuation read through generator images: f goes to source(f(images))."""
+    """A valuation read through generator images: f goes to source(f(images)).
+
+    It keeps the source's scale.
+    """
 
     def __init__(self, presentation: Presentation, images: list[Polynomial],
                  source: CandidateValuation):
         super().__init__(presentation)
         self.images = tuple(images)
+        if len(self.images) != presentation.ring.dim:
+            raise ValueError("one image per subalgebra generator is required")
+        if any(img.ring != source.presentation.ring for img in self.images):
+            raise ValueError("images must live in the ambient algebra's ring")
         self.source = source
+        self.scale = source.scale
 
-    def _evaluate(self, f: Polynomial) -> TropicalValue:
-        return self.source.evaluate(f.substitute(self.images))
+    def _key(self, f: Polynomial) -> int | None:
+        return self.source._key(f.substitute(self.images))
 
 
 class PointwiseSum(CandidateValuation):
-    """The tropical product of two valuations on one algebra, pointwise."""
+    """The tropical product of two valuations on one algebra, pointwise.
+
+    Its scale is the lcm of the parts' scales; each part's key is carried
+    up to it before the two are added.
+    """
 
     def __init__(self, first: CandidateValuation, second: CandidateValuation):
+        if first.presentation.ring != second.presentation.ring:
+            raise ValueError("a pointwise sum needs two valuations on one ring")
         super().__init__(first.presentation)
         self.first = first
         self.second = second
+        self.scale = math.lcm(first.scale, second.scale)
+        self._lifts = (self.scale // first.scale, self.scale // second.scale)
 
-    def _evaluate(self, f: Polynomial) -> TropicalValue:
-        return trop_mul(self.first.evaluate(f), self.second.evaluate(f))
+    def _key(self, f: Polynomial) -> int | None:
+        k1 = self.first._key(f)
+        if k1 is None:
+            return None
+        k2 = self.second._key(f)
+        if k2 is None:
+            return None
+        m1, m2 = self._lifts
+        return k1 * m1 + k2 * m2
 
 
 class Scaled(CandidateValuation):
-    """A valuation multiplied by a rational factor; bottom stays bottom."""
+    """A valuation multiplied by a rational factor; bottom stays bottom.
+
+    The key is the source's times the factor's numerator, over the source's
+    scale times its denominator, so a negative factor keeps the scale
+    positive.
+    """
 
     def __init__(self, source: CandidateValuation, factor: Fraction):
         super().__init__(source.presentation)
         self.source = source
         self.factor = factor
+        factor = Fraction(factor)
+        self._numerator = factor.numerator
+        self.scale = source.scale * factor.denominator
 
-    def _evaluate(self, f: Polynomial) -> TropicalValue:
-        inner = self.source.evaluate(f)
-        if inner.is_bottom:
-            return BOTTOM
-        return TropicalValue(inner.value * self.factor)
+    def _key(self, f: Polynomial) -> int | None:
+        inner = self.source._key(f)
+        return None if inner is None else inner * self._numerator
 
 
 def make_weight_valuation(P: Presentation, w: WeightVector) -> WeightValuation:
@@ -242,8 +294,9 @@ def check_axioms(v: CandidateValuation, seed: int = 0, n_pairs: int = 200,
     A multiplicativity failure is v(ab) != v(a) (x) v(b).  A cancellation
     failure is a strict drop v(a+b) < v(a) (+) v(b) with v(a) != v(b), which
     no valuation can exhibit.  The samples are those of `random_polynomial`;
-    they, their products and their sums keep int coefficients here, and a
-    witness pair is reported with `Fraction` coefficients.  A degree bound
+    they, their products and their sums keep int coefficients here, and
+    values are compared as keys.  A witness pair is reported with
+    `Fraction` coefficients and its values as `TropicalValue`s.  A degree bound
     below 1 is rejected: every sample would be a constant, and any
     candidate would pass.
     """
@@ -251,18 +304,22 @@ def check_axioms(v: CandidateValuation, seed: int = 0, n_pairs: int = 200,
         raise ValueError(f"axiom sampling needs degree_bound >= 1, got {degree_bound}")
     rng = random.Random(seed)
     ring = v.presentation.ring
+    key = v._key
     mult_failures = []
     cancellation_failures = []
     for _ in range(n_pairs):
         a = _random_int_polynomial(rng, ring, degree_bound)
         b = _random_int_polynomial(rng, ring, degree_bound)
-        va, vb = v.evaluate(a), v.evaluate(b)
-        vab = v.evaluate(a * b)
-        expected = trop_mul(va, vb)
+        # Keys over v's one scale; None is bottom, which absorbs in the
+        # product and is least in the join.
+        va, vb = key(a), key(b)
+        vab = key(a * b)
+        expected = None if va is None or vb is None else va + vb
         if vab != expected:
-            mult_failures.append((_with_fractions(a), _with_fractions(b), vab, expected))
-        vsum = v.evaluate(a + b)
-        join = trop_add(va, vb)
+            mult_failures.append((_with_fractions(a), _with_fractions(b),
+                                  _value(vab, v.scale), _value(expected, v.scale)))
+        vsum = key(a + b)
+        join = vb if va is None else va if vb is None else max(va, vb)
         if vsum != join and va != vb:
             cancellation_failures.append((_with_fractions(a), _with_fractions(b)))
     return AxiomReport(n_pairs, tuple(mult_failures), tuple(cancellation_failures))
@@ -321,20 +378,15 @@ def pullback(images: list[Polynomial], v: CandidateValuation,
     subalgebra presentation to zero; injectivity of the induced map is the
     caller's assertion and is not checked.
     """
-    ambient = v.presentation
-    if len(images) != P_sub.ring.dim:
-        raise ValueError("one image per subalgebra generator is required")
-    for img in images:
-        if img.ring != ambient.ring:
-            raise ValueError("images must live in the ambient algebra's ring")
-    gb = buchberger(list(ambient.ideal_gens), MonomialOrder.grevlex())
+    pulled = Pullback(P_sub, images, v)  # checks the images' count and ring
+    gb = buchberger(list(v.presentation.ideal_gens), MonomialOrder.grevlex())
     for g in P_sub.ideal_gens:
         reduced = normal_form(g.substitute(list(images)), gb)
         if not reduced.is_zero:
             raise NotAHomomorphismError(
                 f"relation {g} maps to {reduced}, not zero"
             )
-    return Pullback(P_sub, images, v)
+    return pulled
 
 
 @dataclass(frozen=True)

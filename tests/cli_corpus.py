@@ -63,6 +63,10 @@ CASES = [
     ("val_fail_hyperbola",
      ["val-check", "--ideal", fixture("hyperbola.ideal"), "--weight", "1 0",
       "--seed", "7", "--samples", "200"], 1),
+    # a weight with denominators: values are keys over the scale 3
+    ("val_fail_fractional_weight",
+     ["val-check", "--ideal", fixture("hyperbola.ideal"), "--weight", "2/3 1/3",
+      "--seed", "7", "--samples", "200"], 1),
     ("cone_quotient",
      ["cone", "--ideal", fixture("line.ideal"), "--v", "1 1", "--w1", "1 1",
       "--w2", "2 2", "--seed", "0", "--samples", "100"], 0),

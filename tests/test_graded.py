@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from tropval.errors import TropvalError
 from tropval.graded import (
     AssociativityError,
     GradedAlgebra,
@@ -731,6 +732,31 @@ def test_zero_divisor_search():
     A = GradedAlgebra(2, components, structure, 2)
     witness = zero_divisor_search(A, 2)
     assert witness == (((0, 1), 0), ((1, 0), 0))
+
+
+def _int_fields(ref):
+    grade, idx = ref
+    return all(type(x) is int for x in grade) and type(idx) is int
+
+
+def test_pair_keys_are_stored_with_canonical_refs():
+    # Refs that compare equal to a basis element, given with float or bool
+    # fields and in swapped order, are stored as that element's int form.
+    one, x, x2 = ((0,), 0), ((1,), 0), ((2,), 0)
+    structure = {
+        (((1,), False), ((0.0,), 0)): (),
+        (((1.0,), 0), ((1,), 0)): ((((2.0,), 0), F(1)),),
+        (((0,), 0), ((0,), False)): ((((0,), 0), F(1)),),
+    }
+    A = GradedAlgebra(1, {(0,): 1, (1,): 1, (2,): 1}, structure, 2, validate=False)
+    assert list(A.structure) == [(one, one), (one, x), (x, x)]
+    assert all(_int_fields(b1) and _int_fields(b2) for b1, b2 in A.structure)
+    assert A.structure[(x, x)] == ((x2, F(1)),)
+    assert _int_fields(A.structure[(x, x)][0][0])
+    witness = zero_divisor_search(A, 2)
+    assert witness == (one, x) and all(_int_fields(ref) for ref in witness)
+    with pytest.raises(TropvalError, match="unknown basis element"):
+        GradedAlgebra(1, {(0,): 1}, {(((0.5,), 0), ((0,), 0)): ()}, 0)
 
 
 def test_coarsening_keeps_graded_verdict():

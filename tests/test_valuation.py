@@ -299,6 +299,8 @@ EXTRA_WEIGHTS = {
 ORACLE_SEEDS = range(10)
 ORACLE_DEGREE_BOUNDS = range(1, 6)
 ORACLE_PAIRS = 4
+COMPOSITE_SEEDS = range(3)
+COMPOSITE_DEGREE_BOUNDS = range(1, 4)
 
 
 def _oracle_cases():
@@ -319,6 +321,40 @@ def _fraction_evaluate(v: WeightValuation, f: Polynomial):
     return TropicalValue(Fraction(sum(map(mul, order.int_weights, e)), order.scale))
 
 
+def _fraction_value(v: CandidateValuation, f: Polynomial):
+    """Each kind of valuation evaluated as first written, on `TropicalValue`s."""
+    if isinstance(v, WeightValuation):
+        return _fraction_evaluate(v, f)
+    if isinstance(v, PointwiseSum):
+        return trop_mul(_fraction_value(v.first, f), _fraction_value(v.second, f))
+    if isinstance(v, Scaled):
+        inner = _fraction_value(v.source, f)
+        return BOTTOM if inner.is_bottom else TropicalValue(inner.value * v.factor)
+    assert isinstance(v, Pullback)
+    return _fraction_value(v.source, f.substitute(v.images))
+
+
+SCALED_FACTORS = (Fraction(-1), Fraction(3, 2), Fraction(2, 5))
+
+
+def _composites(P: Presentation, vals: list) -> list:
+    """For each weight valuation v on P and the next one w: v (x) w and v at
+    every factor of `SCALED_FACTORS`.  Every fourth v is also pulled back
+    along u_i -> x_i + x_{i+1} from a free algebra (a homomorphism, since no
+    relation needs killing); substitution makes these the slow ones."""
+    ring = P.ring
+    free = Presentation(RingContext(tuple(f"u{i}" for i in range(ring.dim))), ())
+    x = [Polynomial.variable(ring, name) for name in ring.variables]
+    images = [x[i] + x[(i + 1) % ring.dim] for i in range(ring.dim)]
+    out = []
+    for i, (v, w) in enumerate(zip(vals, vals[1:] + vals[:1])):
+        out.append(PointwiseSum(v, w))
+        out += [Scaled(v, factor) for factor in SCALED_FACTORS]
+        if i % 4 == 0:
+            out.append(Pullback(free, images, v))
+    return out
+
+
 def _fraction_check_axioms(v, seed, n_pairs, degree_bound):
     """The axiom loop as first written, on `Fraction`-coefficient samples."""
     rng = random.Random(seed)
@@ -327,12 +363,12 @@ def _fraction_check_axioms(v, seed, n_pairs, degree_bound):
     for _ in range(n_pairs):
         a = _randint_choice_sampler(rng, ring, degree_bound)
         b = _randint_choice_sampler(rng, ring, degree_bound)
-        va, vb = _fraction_evaluate(v, a), _fraction_evaluate(v, b)
-        vab = _fraction_evaluate(v, a * b)
+        va, vb = _fraction_value(v, a), _fraction_value(v, b)
+        vab = _fraction_value(v, a * b)
         expected = trop_mul(va, vb)
         if vab != expected:
             mult_failures.append((a, b, vab, expected))
-        vsum = _fraction_evaluate(v, a + b)
+        vsum = _fraction_value(v, a + b)
         if vsum != trop_add(va, vb) and va != vb:
             cancellation_failures.append((a, b))
     return AxiomReport(n_pairs, tuple(mult_failures), tuple(cancellation_failures))
@@ -344,8 +380,8 @@ def _fraction_implies(v, w, seed, n_samples, degree_bound):
     for _ in range(n_samples):
         a = _randint_choice_sampler(rng, v.presentation.ring, degree_bound)
         b = _randint_choice_sampler(rng, v.presentation.ring, degree_bound)
-        if (_fraction_evaluate(v, a) <= _fraction_evaluate(v, b)
-                and _fraction_evaluate(w, a) > _fraction_evaluate(w, b)):
+        if (_fraction_value(v, a) <= _fraction_value(v, b)
+                and _fraction_value(w, a) > _fraction_value(w, b)):
             return RelationVerdict("implies", REFUTED, witness=(a, b))
     return RelationVerdict("implies", HOLDS_NO_COUNTEREXAMPLE, n_samples=n_samples)
 
@@ -354,34 +390,111 @@ def _fraction_only(p: Polynomial) -> bool:
     return all(type(c) is Fraction for c in p.terms.values())
 
 
+def _assert_fraction_values(report: AxiomReport) -> None:
+    for _, _, got, expected in report.multiplicativity_failures:
+        for value in (got, expected):
+            assert value.is_bottom or type(value.value) is Fraction
+
+
 def test_int_sample_axiom_reports_match_the_fraction_loop():
     """Equal reports: the same counts, witness pairs in order, and values.
 
     `AxiomReport` equality compares the polynomials with `==`, which cannot
     tell 3 from Fraction(3); the coefficient types are checked separately.
+    The composites of `_composites` run on fewer seeds and degree bounds.
     """
     runs = with_failures = with_two = 0
+    composite_runs = {PointwiseSum: 0, Scaled: 0, Pullback: 0}
+    composite_failures = dict(composite_runs)
     for name, weights in _oracle_cases():
         P = load(name)
-        for w in weights:
-            v = make_weight_valuation(P, w)
-            for seed in ORACLE_SEEDS:
-                for degree_bound in ORACLE_DEGREE_BOUNDS:
+        vals = [make_weight_valuation(P, w) for w in weights]
+        for v in vals + _composites(P, vals):
+            kind = type(v)
+            seeds, bounds = ((ORACLE_SEEDS, ORACLE_DEGREE_BOUNDS) if kind is WeightValuation
+                             else (COMPOSITE_SEEDS, COMPOSITE_DEGREE_BOUNDS))
+            for seed in seeds:
+                for degree_bound in bounds:
                     ours = check_axioms(v, seed=seed, n_pairs=ORACLE_PAIRS,
                                         degree_bound=degree_bound)
                     assert ours == _fraction_check_axioms(
-                        v, seed, ORACLE_PAIRS, degree_bound), (name, w, seed, degree_bound)
+                        v, seed, ORACLE_PAIRS, degree_bound), (name, v, seed, degree_bound)
+                    _assert_fraction_values(ours)
                     failures = (len(ours.multiplicativity_failures)
                                 + len(ours.cancellation_failures))
-                    runs += 1
-                    with_failures += failures > 0
-                    with_two += failures > 1
+                    if kind is WeightValuation:
+                        runs += 1
+                        with_failures += failures > 0
+                        with_two += failures > 1
+                    else:
+                        composite_runs[kind] += 1
+                        composite_failures[kind] += failures > 0
     assert runs == 74 * len(ORACLE_SEEDS) * len(ORACLE_DEGREE_BOUNDS)
     assert with_failures > 200 and with_two > 50  # the comparison is not vacuous
+    per_weight = len(COMPOSITE_SEEDS) * len(COMPOSITE_DEGREE_BOUNDS)
+    assert composite_runs == {PointwiseSum: 74 * per_weight, Scaled: 3 * 74 * per_weight,
+                              Pullback: 21 * per_weight}
+    # A weight valuation pulled back along an injective map stays one, so
+    # only the off-variety weights give pullbacks failures.
+    assert composite_failures[PointwiseSum] > 100 and composite_failures[Scaled] > 300
+    assert composite_failures[Pullback] >= 5
+
+
+def test_evaluate_is_the_key_over_the_scale():
+    """For every kind of valuation, `evaluate` is `_key` over `scale`, and
+    both agree with evaluation as first written: on seeded samples, on
+    elements of the ideal (bottom) and on zero."""
+    kinds, bottoms = set(), 0
+    for name, weights in _oracle_cases():
+        P = load(name)
+        vals = [make_weight_valuation(P, w) for w in weights]
+        rng = random.Random(name)
+        ideal = [g * random_polynomial(rng, P.ring, 2) for g in P.ideal_gens]
+        for v in vals + _composites(P, vals):
+            kinds.add(type(v))
+            assert type(v.scale) is int and v.scale > 0
+            ring = v.presentation.ring
+            samples = [random_polynomial(rng, ring, 4) for _ in range(12)]
+            samples.append(Polynomial.zero(ring))
+            if ring == P.ring:
+                samples += ideal
+            for f in samples:
+                key, value = v._key(f), v.evaluate(f)
+                if key is None:
+                    assert value == BOTTOM
+                    bottoms += 1
+                else:
+                    assert type(key) is int
+                    assert value == TropicalValue(Fraction(key, v.scale))
+                    assert type(value.value) is Fraction
+                assert value == _fraction_value(v, f), (name, v, f)
+            for f in ideal if ring == P.ring else ():
+                assert v._key(f) is None
+    assert kinds == {WeightValuation, PointwiseSum, Scaled, Pullback}
+    assert bottoms > 500
+
+
+def test_composites_reject_parts_on_another_ring(hyperbola):
+    v = make_weight_valuation(hyperbola, W(1, -1))
+    on_t = make_weight_valuation(FREE_T, W(1))
+    t = parse_poly(T_RING, "t")
+    with pytest.raises(ValueError, match="two valuations on one ring"):
+        PointwiseSum(v, on_t)
+    with pytest.raises(ValueError, match="ambient algebra's ring"):
+        Pullback(FREE_T, [t], v)
+    with pytest.raises(ValueError, match="one image per"):
+        Pullback(FREE_T, [], on_t)
+    composites = [PointwiseSum(v, v), Scaled(v, Fraction(2)),
+                  Pullback(FREE_T, [parse_poly(hyperbola.ring, "x")], v)]
+    for candidate in [v, *composites]:
+        foreign = t if candidate.presentation.ring == hyperbola.ring \
+            else parse_poly(hyperbola.ring, "x")
+        with pytest.raises(ValueError, match="element from a different ring"):
+            candidate.evaluate(foreign)
 
 
 def test_int_sample_implies_verdicts_match_the_fraction_loop():
-    statuses = []
+    statuses, composite_statuses = [], []
     for name, weights in _oracle_cases():
         P = load(name)
         vals = [make_weight_valuation(P, w) for w in weights]
@@ -395,8 +508,20 @@ def test_int_sample_implies_verdicts_match_the_fraction_loop():
                     assert ours == _fraction_implies(v, w, seed, ORACLE_PAIRS,
                                                      degree_bound), (name, seed)
                     statuses.append(ours.status)
+        # Neighbouring sums and multiples: keys over two different scales.
+        comps = [c for c in _composites(P, vals) if not isinstance(c, Pullback)]
+        for v, w in zip(comps, comps[1:]):
+            for seed in COMPOSITE_SEEDS:
+                for degree_bound in COMPOSITE_DEGREE_BOUNDS:
+                    ours = implies_check(v, w, seed=seed, n_samples=ORACLE_PAIRS,
+                                         degree_bound=degree_bound)
+                    assert ours == _fraction_implies(v, w, seed, ORACLE_PAIRS,
+                                                     degree_bound), (name, seed)
+                    composite_statuses.append(ours.status)
     assert statuses.count(REFUTED) > 1000
     assert len(statuses) - statuses.count(REFUTED) > 1000
+    assert composite_statuses.count(REFUTED) > 500
+    assert composite_statuses.count(HOLDS_NO_COUNTEREXAMPLE) > 500
 
 
 def test_reported_polynomials_have_fraction_coefficients(hyperbola):
