@@ -110,6 +110,17 @@ CASES = [
     # undefined x*e is skipped; gr drops x from e*y and defines one of them
     ("gr_partial_table_gap",
      ["gr", "--algebra", fixture("partial_table_gap.alg"), "--functional", "1"], 3),
+    # an ideal with no generators: every weight is in the tropical variety,
+    # and a member has no witness line
+    ("trop_certified_free_xy",
+     ["trop-check", "--ideal", fixture("free_xy.ideal"), "--weight", "1 2",
+      "--mode", "certified"], 0),
+    # an override element with a leading minus (given with `=`, so that
+    # argparse does not read it as a flag); the probe factors it as x*(z - y)
+    ("graded_full_leading_minus",
+     ["graded-check", "--algebra", "polyring:3:4", "--functional", "1,1,1",
+      "--override=-1*(1,1,0:0) + 1*(1,0,1:0) = 1", "--mode", "full",
+      "--seed", "0", "--samples", "60"], 1),
 ]
 
 # usage errors print to stderr only; stdout must stay empty
@@ -238,6 +249,7 @@ REPEATED_STATEMENT_CASES = [
         ("mult_swapped", "line 10, col 1: mult (1:0)*(0:0) listed twice"),
         ("truncation", "line 5, col 1: truncation listed twice"),
         ("monoid_dim", "line 4, col 1: monoid dim listed twice"),
+        ("component", "line 5, col 1: component 0 listed twice"),
     )
 ]
 

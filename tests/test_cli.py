@@ -95,6 +95,24 @@ def test_non_utf8_file_is_one_input_error_line(tmp_path):
            "invalid start byte\n")
 
 
+# (file name, file text, argv before the path, expected stdout); exit code 2
+MALFORMED_FILES = [
+    ("empty.alg", "", ["monoid-check", "--functional", "1", "--algebra"],
+     "parse_error: line 1, col 1: input contains no monoid statement\n"),
+    ("long_weight.ideal", "ring x y;\nideal x - y;\nweight 1 2 3;\n",
+     ["parse", "--input"],
+     "parse_error: line 3, col 1: weight vector has 3 entries, ring has 2\n"),
+]
+
+
+@pytest.mark.parametrize("name,text,argv,expected", MALFORMED_FILES,
+                         ids=[c[0] for c in MALFORMED_FILES])
+def test_malformed_files_are_located_parse_errors(tmp_path, name, text, argv, expected):
+    path = tmp_path / name
+    path.write_text(text)
+    assert run_case([*argv, str(path)]) == (2, expected)
+
+
 def test_unexpected_exception_is_one_line_with_exit_3(monkeypatch):
     """The last-resort path: an internal error is one stdout line, not a traceback."""
     import tropval.valuation

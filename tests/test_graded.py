@@ -236,18 +236,23 @@ def test_gr_of_a_builtin_is_associative(builder, args):
 @pytest.mark.parametrize("builder,args", [(b, a) for b, _, a in REFERENCE_BUILDS],
                          ids=[f"{b.__name__}{a}" for b, _, a in REFERENCE_BUILDS])
 def test_trusted_tables_are_what_the_constructor_would_store(builder, args):
+    # so are the tables derived from a parsed file, which are stored as
+    # built too, but stay untrusted
     A = builder(*args)
+    parsed = parse_graded_algebra(graded_algebra_to_str(A))
     total_degree = (tuple(1 for _ in range(A.monoid_dim)),)
-    tables = [A, coarsen(A, total_degree)]
-    tables += [associated_graded(A, h) for h in _functionals_used_on(A)]
-    for T in tables:
-        assert T.trusted
-        canonical = GradedAlgebra(T.monoid_dim, T.components, T.structure,
-                                  T.truncation, validate=False)
-        assert canonical.key() == T.key()
-        assert canonical.truncation == T.truncation
-        assert all(type(c) is Fraction for expansion in T.structure.values()
-                   for _, c in expansion)
+    for source in (A, parsed):
+        tables = [source, coarsen(source, total_degree)]
+        tables += [associated_graded(source, h) for h in _functionals_used_on(A)]
+        for T in tables:
+            assert T.trusted == (source is A)
+            canonical = GradedAlgebra(T.monoid_dim, T.components, T.structure,
+                                      T.truncation, validate=False)
+            assert canonical.key() == T.key()
+            assert canonical.truncation == T.truncation
+            assert all(_int_fields(ref) for pair in T.structure for ref in pair)
+            assert all(type(c) is Fraction and _int_fields(ref)
+                       for expansion in T.structure.values() for ref, c in expansion)
 
 
 ROUND_TRIPS = (
@@ -757,6 +762,25 @@ def test_pair_keys_are_stored_with_canonical_refs():
     assert witness == (one, x) and all(_int_fields(ref) for ref in witness)
     with pytest.raises(TropvalError, match="unknown basis element"):
         GradedAlgebra(1, {(0,): 1}, {(((0.5,), 0), ((0,), 0)): ()}, 0)
+
+
+def test_non_integer_grades_and_indices_are_rejected():
+    # int() would truncate each of these to a valid grade or ref
+    with pytest.raises(ValueError, match=re.escape("bad grade (1.5,)")):
+        GradedAlgebra(1, {(0,): 1, (1.5,): 1}, {}, 1)
+    one, half = ((0,), 0), ((0,), 1.5)
+    for structure in ({(half, one): ()}, {(one, half): ()},
+                      {(one, one): ((half, 1),)}, {(one, one): ((one, 1), (half, 2))}):
+        with pytest.raises(TropvalError, match=re.escape("unknown basis element ((0,), 1.5)")):
+            GradedAlgebra(1, {(0,): 2}, structure, 0, validate=False)
+    with pytest.raises(TropvalError, match="unknown basis element"):
+        GradedAlgebra(1, {(0,): 2}, {}, 0).basis_element(half)
+
+
+def test_coarsening_must_keep_grades_non_negative():
+    A = monomial_poly_ring(2, 2)
+    with pytest.raises(ValueError, match="coarsening matrix must keep grades non-negative"):
+        coarsen(A, ((1, -1),))
 
 
 def test_coarsening_keeps_graded_verdict():

@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from tropval.graded import (
+    AssociativityError,
     GradedAlgebra,
     GradedCheckReport,
     GradedValuation,
@@ -450,6 +451,32 @@ def test_pair_sampler_draws_the_stream_of_rng_choice(spec):
         assert ours.rng.getstate() == theirs.rng.getstate()
 
 
+def _sampled_tables():
+    """Built-ins at several sizes, then every fixture file that parses to a
+    table with products."""
+    yield from (f"sl2-branching:{n}" for n in range(2, 6))
+    yield from (f"sl2-rep-ring:{n}" for n in range(1, 10))
+    yield from (f"polyring:{v}:{t}" for v in range(1, 4) for t in range(5))
+    for path in sorted((Path(__file__).parent / "fixtures").glob("*.alg")):
+        try:
+            A = parse_graded_algebra(path.read_text())
+        except AssociativityError:  # nonassociative.alg
+            continue
+        if A.structure:
+            yield path.name
+
+
+@pytest.mark.parametrize("spec", list(_sampled_tables()))
+def test_every_sampled_pair_has_a_defined_product(spec):
+    # the checks multiply each sampled pair with no guard against a product
+    # outside the table; multiply raises TruncationError on one
+    A = _load(spec)
+    for seed in range(40):
+        sampler = _PairSampler(A, random.Random(seed))
+        for _ in range(100):
+            A.multiply(*sampler.sample())
+
+
 def ref_multiply(A, e1, e2):
     out = {}
     for b1, c1 in e1.items():
@@ -515,7 +542,10 @@ def ref_subadditivity_failures(gv, sampler, n_samples):
 
 @functools.cache
 def ref_override_probe(A, gv):
-    partners = A._partners()
+    partners = {}
+    for b1, b2 in A.structure:
+        partners.setdefault(b1, set()).add(b2)
+        partners.setdefault(b2, set()).add(b1)
     failures = []
     probes = []
     for a_ref in sorted(partners):
