@@ -136,8 +136,11 @@ class GradedAlgebra:
             if (g != tuple(grade) or len(g) != self.monoid_dim
                     or any(x < 0 for x in g)):
                 raise ValueError(f"bad grade {grade}")
-            if size > 0:
-                sizes[g] = int(size)
+            n = int(size)
+            if n != size:
+                raise ValueError(f"bad size {size!r} for grade {grade}")
+            if n > 0:
+                sizes[g] = n
         self.components = dict(sorted(sizes.items()))
         self.truncation = int(truncation)
         table = {}
@@ -198,7 +201,10 @@ class GradedAlgebra:
 
     def _canonical_ref(self, canon: dict, ref) -> BasisRef:
         """The stored form of a pair ref, after the check if it is not a key."""
-        stored = canon.get(ref)
+        try:
+            stored = canon.get(ref)
+        except TypeError:  # unhashable, e.g. a list grade
+            stored = None
         if stored is None:
             self._check_ref(ref)
             grade, idx = ref

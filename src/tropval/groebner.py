@@ -53,17 +53,24 @@ homogenizing exponent to f's exponents there, so homogenization costs no
 polynomial of its own), and yields the remainder's terms largest first.
 Integral coefficients stay ints; a `Fraction` is made only where a
 rational tail or a leading coefficient other than 1 needs one.
-`normal_form` collects every term as a `Fraction`, and
-`leading_normal_exponent` stops at the first: a table of whole monomial
-normal forms would lose that early stop.
+`normal_form` collects every term as a `Fraction`.
 
 The loop reads the order key and the one-step rewrite of a monomial (the
 first dividing element's tail shifted onto it, or "irreducible") as
 functions.  A `GroebnerBasis` builds its division table, one entry per
-element (leading monomial and coefficient, negated tail), on its first
-reduction, after the termination check for non-global orders, and
-memoizes both functions per monomial, since a basis is divided by many
-times.  `buchberger` builds no `GroebnerBasis` while it runs: it keeps its
+element (leading monomial and coefficient, negated tail sorted
+descending), on its first reduction, after the termination check for
+non-global orders, and memoizes both functions per monomial, since a
+basis is divided by many times.  It memoizes a third thing per reducible
+monomial: the leading term of its normal form, or "zero" (`_fill_lead`);
+an irreducible monomial is its own lead.  Normal forms are linear, so
+`leading_normal_exponent` and a weight valuation's key read the lead of
+NF(f) off these entries (`_leading_remainder`): the largest lead among
+f's monomials, with the coefficients there summed.  Only when that sum
+cancels does f go through the division loop, which stops at its first
+irreducible term; that is about 1% of the keys of an axiom sweep.  No
+whole monomial normal form is stored, so an entry costs one term.
+`buchberger` builds no `GroebnerBasis` while it runs: it keeps its
 own growing table, adds each element's entry once, when the element
 joins, and divides with the plain key and rewrite, since each
 S-polynomial is reduced once.  It checks termination once, at entry
@@ -222,9 +229,11 @@ class GroebnerBasis:
     gens: tuple[Polynomial, ...]
     order: MonomialOrder
     _leads: tuple = field(default=(), repr=False, compare=False)
-    # Each monomial's order key and one-step rewrite, filled on first use
-    # (see `_lookups`); entries are written once and depend only on it.
-    _memo: tuple[_Memo, _Memo] | None = field(
+    # Each monomial's order key and one-step rewrite, and each reducible
+    # monomial's normal-form lead, filled on first use (see `_lookups` and
+    # `_fill_lead`); entries are written once and depend only on the
+    # monomial.
+    _memo: tuple[_Memo, _Memo, dict] | None = field(
         default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -237,14 +246,19 @@ class GroebnerBasis:
 
         Built on the first call, after the termination check: non-global
         orders are safe only against homogeneous bases, whose reductions
-        stay inside the finitely many monomials of one degree.
+        stay inside the finitely many monomials of one degree.  Each tail
+        is sorted descending here, once; the order is multiplicative, so
+        every rewrite's targets come out descending too.
         """
         if self._memo is None:
             _check_termination(self.order, self.gens)
+            key = self.order._descending_key
             table = [_divisor(g, lm, lc) for g, (lm, lc) in zip(self.gens, self._leads)]
+            for _, _, tail in table:
+                tail.sort(key=lambda term: key(term[0]))
             object.__setattr__(self, "_memo", (
-                _Memo(self.order._descending_key), _Memo(partial(_rewrite, table))))
-        keys, steps = self._memo
+                _Memo(key), _Memo(partial(_rewrite, table)), {}))
+        keys, steps, _ = self._memo
         return keys.__getitem__, steps.__getitem__
 
 
@@ -321,6 +335,113 @@ def _remainder_terms(work: dict, key, step):
                     work[target] = s
 
 
+_UNFILLED = object()
+
+
+def _divided_lead(work: dict, keys: _Memo, steps: _Memo) -> tuple | None:
+    """The leading remainder term of ``work`` by division, as a lead entry."""
+    for e, c in _remainder_terms(work, keys.__getitem__, steps.__getitem__):
+        return keys[e], e, c
+    return None
+
+
+def _fill_lead(e: ExponentVector, keys: _Memo, steps: _Memo,
+               leads: dict) -> tuple | None:
+    """Fill ``leads[e]``, the leading term of e's normal form, and return it.
+
+    e is reducible; an irreducible monomial is its own lead and gets no
+    entry.  An entry is (descending key, exponent, coefficient), or None
+    when e reduces to zero; ``keys``, ``steps`` and ``leads`` are a basis's
+    memos.  Normal forms are linear, so NF(e) is the sum of the normal
+    forms of its rewrite's targets, each times its coefficient, over the
+    leading coefficient.  The targets come largest first; each is read
+    through its own entry, and the walk stops at the first target below
+    the best lead so far, since NF(t) has no term above t.  When the
+    coefficients at the best lead sum to 0, the entries do not decide the
+    lead, and e is divided instead.  A reducible target without an entry
+    is filled first, on an explicit stack rather than by recursion: a
+    chain of rewrites can be thousands of steps long.
+    """
+    rewrite = steps[e]
+    # A frame: the monomial, its rewrite's lc and targets, the next target's
+    # index, and the best lead key so far, its exponent and coefficient sum.
+    stack = [[e, *rewrite, 0, None, None, 0]]
+    while True:
+        frame = stack[-1]
+        e, lc, tail, i, best, best_e, total = frame
+        rewrite = None
+        for i in range(i, len(tail)):
+            t, c = tail[i]
+            if best is not None and keys[t] > best:
+                break
+            lead = leads.get(t, _UNFILLED)
+            if lead is _UNFILLED:
+                rewrite = steps[t]
+                if rewrite is not None:
+                    break
+                k, lead_e = keys[t], t  # t is its own lead
+            elif lead is None:
+                continue
+            else:
+                k, lead_e, c = lead[0], lead[1], c * lead[2]
+            if best is None or k < best:
+                best, best_e, total = k, lead_e, c
+            elif k == best:
+                total += c
+        if rewrite is not None:  # fill t, then come back to it
+            frame[3:] = i, best, best_e, total
+            stack.append([t, *rewrite, 0, None, None, 0])
+            continue
+        stack.pop()
+        if best is None:
+            lead = None
+        elif total:
+            lead = best, best_e, total if lc is None else Fraction(total) / lc
+        else:  # the top cancels
+            lead = _divided_lead({e: 1}, keys, steps)
+        leads[e] = lead
+        if not stack:
+            return lead
+
+
+def _leading_remainder(work: dict, gb: GroebnerBasis) -> ExponentVector | None:
+    """Leading exponent of the remainder of ``work`` by gb, None for zero.
+
+    ``work`` is a dividend as `_remainder_terms` takes it.  The lead is the
+    largest of its monomials' leads (`_fill_lead`), with the coefficients
+    there summed; a monomial below the best lead so far needs no lead of
+    its own.  Only when that sum is 0 is ``work`` divided, with the early
+    stop, and consumed.
+    """
+    if gb._memo is None:
+        gb._lookups()
+    keys, steps, leads = gb._memo
+    best = best_e = None
+    total = 0
+    for e, c in work.items():
+        lead = leads.get(e, _UNFILLED)
+        if lead is _UNFILLED:
+            k = keys[e]
+            if best is not None and k > best:
+                continue  # below the best lead, and so is NF(e)
+            if steps[e] is None:
+                lead_e = e  # e is its own lead
+            else:
+                lead = _fill_lead(e, keys, steps, leads)
+        if lead is None:
+            continue
+        if lead is not _UNFILLED:
+            k, lead_e, c = lead[0], lead[1], c * lead[2]
+        if best is None or k < best:
+            best, best_e, total = k, lead_e, c
+        elif k == best:
+            total += c
+    if best is None or total:
+        return best_e
+    lead = _divided_lead(work, keys, steps)
+    return None if lead is None else lead[1]
+
+
 def _reduce(f: Polynomial, key, step) -> Polynomial:
     """The remainder of f by `_remainder_terms`, with `Fraction` coefficients."""
     work = {e: c.numerator if c.denominator == 1 else c for e, c in f.terms.items()}
@@ -347,14 +468,14 @@ def leading_normal_exponent(f: Polynomial,
                             gb: GroebnerBasis) -> ExponentVector | None:
     """Leading exponent of `normal_form(f, gb)` under the basis order.
 
-    None when the normal form is zero.  Division stops at the first
-    irreducible term, which leads the remainder, so the rest is never
-    computed.
+    None when the normal form is zero.  Read off the memoized leads of f's
+    monomials' normal forms (`_leading_remainder`), dividing only when
+    their top coefficients cancel.
     """
     if gb.gens and f.ring != gb.gens[0].ring:
         raise ValueError("polynomial and basis live in different rings")
     work = {e: c.numerator if c.denominator == 1 else c for e, c in f.terms.items()}
-    return next((e for e, _ in _remainder_terms(work, *gb._lookups())), None)
+    return _leading_remainder(work, gb)
 
 
 def _s_poly(f: Polynomial, ef: ExponentVector,

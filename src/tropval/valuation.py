@@ -4,9 +4,10 @@ A weight vector w on the generators of A = K[X]/I induces a candidate
 valuation: the value of f is the top weight among the terms of the normal
 form of f against a w-refined basis of I (bottom for elements of I).  The
 order compares that weight first, so the value is the weight of the normal
-form's leading term, and evaluation divides only until that term appears.
-It fills division's work dict with f homogenized (the extra variable's
-exponent appended to each term), so no homogenized copy of f is built.
+form's leading term.  Evaluation reads that term off the leads the basis
+memoizes for f's monomials, and divides only when they cancel at the top.
+Its work dict holds f homogenized (the extra variable's exponent appended
+to each term), so no homogenized copy of f is built.
 This is always subadditive and submultiplicative; whether
 multiplicativity holds exactly is what `check_axioms` probes by seeded
 sampling.  The report never claims more than "no counterexample among
@@ -33,7 +34,12 @@ Weight valuations of one presentation can share one `HomogenizedIdeal`.
 Values are not memoized per element, since nearly every sampled element
 is new.  The refined basis a `WeightValuation` holds memoizes per monomial
 instead (`GroebnerBasis`): the few hundred monomials the samples share
-meet the same order keys and division steps again and again.
+meet the same order keys, division steps and normal-form leads again and
+again.  NF is linear, so the lead of NF(f) is the largest lead among f's
+monomials unless the coefficients there cancel; then, for about 1% of
+the keys of an axiom sweep, f is divided, stopping at the first
+irreducible term.  `check_axioms` evaluates a + b only when v(a) != v(b),
+the one case whose value it reads.
 """
 
 from __future__ import annotations
@@ -50,7 +56,7 @@ from .groebner import (
     MonomialOrder,
     _dehomogenize,
     _homogenize,
-    _remainder_terms,
+    _leading_remainder,
     buchberger,
     contains_monomial,
     initial_form,
@@ -121,17 +127,15 @@ class WeightValuation(CandidateValuation):
         return _dehomogenize(reduced, self.presentation.ring)
 
     def _key(self, f: Polynomial) -> int | None:
-        # Division's work dict holds f homogenized: each exponent gets the
-        # power d - |e| of the extra variable, with no homogenized copy of f.
+        # The work dict holds f homogenized: each exponent gets the power
+        # d - |e| of the extra variable, with no homogenized copy of f.
         terms = f.terms
         if not terms:
             return None
         d = max(map(sum, terms))
-        work = {e + (d - sum(e),): c.numerator if c.denominator == 1 else c
-                for e, c in terms.items()}
-        for e, _ in _remainder_terms(work, *self.basis._lookups()):
-            return sum(map(mul, self._int_weights, e))
-        return None
+        work = {e + (d - sum(e),): c for e, c in terms.items()}
+        e = _leading_remainder(work, self.basis)
+        return None if e is None else sum(map(mul, self._int_weights, e))
 
 
 class Pullback(CandidateValuation):
@@ -318,10 +322,10 @@ def check_axioms(v: CandidateValuation, seed: int = 0, n_pairs: int = 200,
         if vab != expected:
             mult_failures.append((_with_fractions(a), _with_fractions(b),
                                   _value(vab, v.scale), _value(expected, v.scale)))
-        vsum = key(a + b)
-        join = vb if va is None else va if vb is None else max(va, vb)
-        if vsum != join and va != vb:
-            cancellation_failures.append((_with_fractions(a), _with_fractions(b)))
+        if va != vb:  # equal values allow any drop, so a + b is not evaluated
+            join = vb if va is None else va if vb is None else max(va, vb)
+            if key(a + b) != join:
+                cancellation_failures.append((_with_fractions(a), _with_fractions(b)))
     return AxiomReport(n_pairs, tuple(mult_failures), tuple(cancellation_failures))
 
 

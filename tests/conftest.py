@@ -1,9 +1,11 @@
 import sys
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import pytest
 
+from tropval.groebner import _divisor, _remainder_terms, _rewrite
 from tropval.poly import WeightVector
 from tropval.textio import parse_presentation
 
@@ -45,6 +47,21 @@ FIXTURE_WEIGHTS = {
         W(F(7, 3), F(7, 3), F(7, 3)), W(-1, -1, -1), W(3, 3, 1),
     ],
 }
+
+
+# Division by a basis's own table with the plain order key and rewrite: the
+# reference for its per-monomial memos, which it neither reads nor fills.
+
+
+def _memo_free_lookups(gb) -> tuple:
+    table = [_divisor(g, lm, lc) for g, (lm, lc) in zip(gb.gens, gb._leads)]
+    return gb.order._descending_key, partial(_rewrite, table)
+
+
+def _memo_free_terms(f, gb):
+    """The remainder terms of f by gb, largest first, as a generator."""
+    work = {e: c.numerator if c.denominator == 1 else c for e, c in f.terms.items()}
+    return _remainder_terms(work, *_memo_free_lookups(gb))
 
 
 @pytest.fixture

@@ -764,10 +764,40 @@ def test_pair_keys_are_stored_with_canonical_refs():
         GradedAlgebra(1, {(0,): 1}, {(((0.5,), 0), ((0,), 0)): ()}, 0)
 
 
+class _PairList:
+    """A structure given as (pair, expansion) items: a dict cannot hold a
+    pair whose grade is a list, but a mapping's ``items`` can yield one."""
+
+    def __init__(self, items):
+        self._items = items
+
+    def items(self):
+        return iter(self._items)
+
+
+def test_list_grades_in_pair_refs_are_checked_and_stored_canonical():
+    # the same list grade is accepted as an expansion target, so a pair ref
+    # takes the same check and conversion
+    one = ((0,), 0)
+    for pair in ((([0], 0), one), (one, ([0], 0)), (([0], 0), ([0.0], False))):
+        A = GradedAlgebra(1, {(0,): 1}, _PairList([(pair, [(([0], 0), 1)])]), 0)
+        assert A.structure == {(one, one): ((one, F(1)),)}
+        assert all(_int_fields(b1) and _int_fields(b2) for b1, b2 in A.structure)
+    for bad in ([0.5], [1]):
+        with pytest.raises(TropvalError, match="unknown basis element"):
+            GradedAlgebra(1, {(0,): 1}, _PairList([(((bad, 0), one), ())]), 0)
+
+
 def test_non_integer_grades_and_indices_are_rejected():
     # int() would truncate each of these to a valid grade or ref
     with pytest.raises(ValueError, match=re.escape("bad grade (1.5,)")):
         GradedAlgebra(1, {(0,): 1, (1.5,): 1}, {}, 1)
+    # and a size to a smaller one, or to 0, which would drop the component
+    for size in (1.5, 0.5, "2"):
+        with pytest.raises(ValueError, match=re.escape(f"bad size {size!r} for grade (1,)")):
+            GradedAlgebra(1, {(0,): 1, (1,): size}, {}, 1)
+    assert GradedAlgebra(1, {(0,): 1, (1,): 2.0, (2,): 0}, {}, 2).components == {
+        (0,): 1, (1,): 2}
     one, half = ((0,), 0), ((0,), 1.5)
     for structure in ({(half, one): ()}, {(one, half): ()},
                       {(one, one): ((half, 1),)}, {(one, one): ((one, 1), (half, 2))}):

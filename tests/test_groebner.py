@@ -14,6 +14,7 @@ from tropval.groebner import (
     enumerate_fan,
     initial_form,
     initial_ideal,
+    leading_normal_exponent,
     leading_term,
     normal_form,
     same_initial_ideal,
@@ -115,11 +116,15 @@ def test_basis_builds_its_division_table_once():
     gb = gb_of(XY, MonomialOrder.grevlex(), "x^2 + y^2 - 1", "x*y - 2")
     fresh = GroebnerBasis(gb.gens, gb.order)
     assert gb._memo is None
-    first = normal_form(parse_poly(XY, "x^3 + y^3"), gb)
+    f = parse_poly(XY, "x^3 + y^3")
+    first = normal_form(f, gb)
     memo = gb._memo
     assert memo is not None and len(memo[0]) > 0 and len(memo[1]) > 0
+    assert memo[2] == {}  # full division reads no leads
+    lead = leading_normal_exponent(f, gb)
+    assert lead == leading_term(first, gb.order)[0] and len(memo[2]) > 0
     sizes = [len(m) for m in memo]
-    assert normal_form(parse_poly(XY, "x^3 + y^3"), gb) == first
+    assert normal_form(f, gb) == first and leading_normal_exponent(f, gb) == lead
     assert gb._memo is memo and [len(m) for m in memo] == sizes
     assert gb == fresh and hash(gb) == hash(fresh) and repr(gb) == repr(fresh)
 

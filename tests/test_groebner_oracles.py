@@ -16,11 +16,10 @@ containment.
 import itertools
 import random
 from fractions import Fraction
-from functools import partial
 
 import pytest
 
-from conftest import FIXTURES, W, load
+from conftest import FIXTURES, W, _memo_free_terms, load
 from cli_corpus import run_case
 from oracle_lifted import lifted_contains_monomial, lifted_saturation
 from oracle_macaulay import macaulay_member
@@ -40,7 +39,7 @@ from tropval.groebner import (
     leading_term,
     normal_form,
 )
-from tropval.groebner import _divisor, _remainder_terms, _rewrite, _saturate
+from tropval.groebner import _saturate
 from tropval.poly import Polynomial, Presentation, RingContext, WeightVector
 from tropval.textio import parse_poly, parse_presentation
 from tropval.trop import BOTTOM, TropicalValue
@@ -438,34 +437,47 @@ def test_repeated_fan_call_repeats_all_work(buchberger_calls):
 
 # -- division memo ------------------------------------------------------------------
 
-# A basis memoizes each monomial's order key and one-step rewrite.  Division
-# by the same table with the plain order key and rewrite is the memo-free
-# reference.
-
-
-def _memo_free_lookups(gb: GroebnerBasis) -> tuple:
-    table = [_divisor(g, lm, lc) for g, (lm, lc) in zip(gb.gens, gb._leads)]
-    return gb.order._descending_key, partial(_rewrite, table)
-
-
-def _memo_free_terms(f: Polynomial, gb: GroebnerBasis) -> list:
-    work = {e: c.numerator if c.denominator == 1 else c for e, c in f.terms.items()}
-    return list(_remainder_terms(work, *_memo_free_lookups(gb)))
+# A basis memoizes each monomial's order key, one-step rewrite and
+# normal-form lead.  Division by the same table with the plain order key and
+# rewrite (`_memo_free_terms`) is the memo-free reference.
 
 
 def _check_warm_memo(gb: GroebnerBasis, samples: list[Polynomial]) -> None:
     for f in samples:  # warm the memo
         normal_form(f, gb)
         leading_normal_exponent(f, gb)
-    keys, steps = gb._memo
-    assert len(keys) > 0 and len(steps) > 0
+    keys, steps, leads = gb._memo
+    assert len(keys) > 0 and len(steps) > 0 and len(leads) > 0
     for f in reversed(samples):
-        terms = _memo_free_terms(f, gb)
+        terms = list(_memo_free_terms(f, gb))
         plain = Polynomial(f.ring, {e: Fraction(c) for e, c in terms})
         assert normal_form(f, gb).key() == plain.key()
         e = leading_normal_exponent(f, gb)
         assert e == (terms[0][0] if terms else None)
         assert e == (None if plain.is_zero else leading_term(plain, gb.order)[0])
+    # Every lead entry is the leading term of its monomial's normal form.
+    for m, lead in list(leads.items()):
+        first = next(_memo_free_terms(Polynomial.monomial(gb.gens[0].ring, m), gb), None)
+        if first is None:
+            assert lead is None
+        else:
+            assert lead == (gb.order._descending_key(first[0]), *first)
+
+
+@pytest.mark.parametrize("c,lead", [(1, None), (-2, ((0, 2), 3))])
+def test_lead_memo_sums_a_target_equal_to_the_best_lead(c, lead):
+    """x^2 rewrites to x*y - c*y^2, and NF(x*y) = y^2 ties with the second
+    target, so the walk must not stop at it: the two sum to 1 - c times
+    y^2, which cancels at c = 1 and leaves NF(x^2) = 0 to division."""
+    gb = GroebnerBasis((parse_poly(XY, "x*y - y^2"),
+                        parse_poly(XY, f"x^2 - x*y + ({c})*y^2")), MonomialOrder.grevlex())
+    x2 = parse_poly(XY, "x^2")
+    assert leading_normal_exponent(x2, gb) == (None if lead is None else lead[0])
+    entry = gb._memo[2][(2, 0)]
+    assert entry == (None if lead is None
+                     else (gb.order._descending_key(lead[0]), *lead))
+    first = next(_memo_free_terms(x2, gb), None)
+    assert first == lead
 
 
 @pytest.mark.parametrize("name", sorted(TOP_REDUCTION_WEIGHTS))

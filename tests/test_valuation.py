@@ -4,7 +4,7 @@ from operator import mul
 
 import pytest
 
-from conftest import FIXTURE_WEIGHTS, W, load
+from conftest import FIXTURE_WEIGHTS, W, _memo_free_terms, load
 from tropval.cones import (
     HOLDS_CERTIFIED,
     HOLDS_NO_COUNTEREXAMPLE,
@@ -12,7 +12,8 @@ from tropval.cones import (
     RelationVerdict,
     implies_check,
 )
-from tropval.groebner import _homogenize, leading_normal_exponent
+from tropval import groebner
+from tropval.groebner import _homogenize
 from tropval.poly import Polynomial, Presentation, RingContext
 from tropval.textio import parse_poly, poly_to_str
 from tropval.trop import BOTTOM, TropicalValue, trop, trop_add, trop_mul
@@ -310,15 +311,20 @@ def _oracle_cases():
              + EXTRA_WEIGHTS.get(name, [])) for name in names]
 
 
+def _memo_free_key(v: WeightValuation, f: Polynomial):
+    """The key of f by early-stop division of a homogenized copy of f,
+    without the basis's memos."""
+    if f.is_zero:
+        return None
+    for e, _ in _memo_free_terms(_homogenize(f, v.homogenized.ext), v.basis):
+        return sum(map(mul, v.basis.order.int_weights, e))
+    return None
+
+
 def _fraction_evaluate(v: WeightValuation, f: Polynomial):
     """Evaluation as first written: divide a homogenized copy of f."""
-    if f.is_zero:
-        return BOTTOM
-    e = leading_normal_exponent(_homogenize(f, v.homogenized.ext), v.basis)
-    if e is None:
-        return BOTTOM
-    order = v.basis.order
-    return TropicalValue(Fraction(sum(map(mul, order.int_weights, e)), order.scale))
+    key = _memo_free_key(v, f)
+    return BOTTOM if key is None else TropicalValue(Fraction(key, v.basis.order.scale))
 
 
 def _fraction_value(v: CandidateValuation, f: Polynomial):
@@ -472,6 +478,72 @@ def test_evaluate_is_the_key_over_the_scale():
                 assert v._key(f) is None
     assert kinds == {WeightValuation, PointwiseSum, Scaled, Pullback}
     assert bottoms > 500
+
+
+@pytest.fixture
+def divided_leads(monkeypatch):
+    """Every lead that `groebner` finds by division, after a top cancelled."""
+    calls = []
+    original = groebner._divided_lead
+
+    def counting(work, keys, steps):
+        lead = original(work, keys, steps)
+        calls.append(lead)
+        return lead
+
+    monkeypatch.setattr(groebner, "_divided_lead", counting)
+    return calls
+
+
+def test_key_matches_memo_free_division_on_samples_and_products(divided_leads):
+    """`_key` reads leads from the basis's lead memo; the reference divides
+    each element anew.  Samples, their products, sums and triple products,
+    on every fixture and weight of the oracle, with cancelled tops among
+    them."""
+    cases = bottoms = 0
+    for name, weights in _oracle_cases():
+        P = load(name)
+        rng = random.Random(f"lead-memo/{name}")
+        for w in weights:
+            v = make_weight_valuation(P, w)
+            samples = [random_polynomial(rng, P.ring, 4) for _ in range(10)]
+            elements = list(samples)
+            for a, b, c in zip(samples, samples[1:], samples[2:]):
+                elements += [a * b, a + b, a * b * c]
+            elements += [g * s for g, s in zip(P.ideal_gens, samples)]
+            for f in elements:
+                key = v._key(f)
+                assert key == _memo_free_key(v, f), (name, w, f)
+                cases += 1
+                bottoms += key is None
+    assert cases > 2000 and bottoms > 10
+    assert len(divided_leads) > 10
+
+
+def test_a_cancelled_top_is_divided(line, divided_leads):
+    """At w = (1, 1) on x + y + 1, NF(x^2) and NF(x*y) both lead with y^2,
+    with opposite signs, so the lead of NF(x^2 + x*y) comes from division:
+    it is y, of value 1."""
+    v = make_weight_valuation(line, W(1, 1))
+    for text in ("x^2", "x*y"):
+        assert v._key(parse_poly(line.ring, text)) == 2 * v.scale
+    assert divided_leads == []
+    f = parse_poly(line.ring, "x^2 + x*y")
+    assert v._key(f) == v.scale == _memo_free_key(v, f)
+    assert len(divided_leads) == 1
+    assert v.evaluate(f) == TropicalValue(1)
+
+
+@pytest.mark.parametrize("weights,slope", [((1, 1), 1), ((0, -1), 0)])
+def test_a_deep_rewrite_chain_needs_no_recursion(line, weights, slope):
+    """x^d rewrites through d reducible monomials; the lead memo fills them
+    on a stack of its own, one entry each, since the walk stops at the
+    first target below the best lead."""
+    for d in (300, 3000):
+        v = make_weight_valuation(line, W(*weights))
+        f = Polynomial.monomial(line.ring, (d, 0))
+        assert v.evaluate(f) == TropicalValue(slope * d)
+        assert len(v.basis._memo[2]) == d
 
 
 def test_composites_reject_parts_on_another_ring(hyperbola):
