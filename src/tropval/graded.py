@@ -41,7 +41,7 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, islice
 from operator import add, mul
 
 from . import groebner
@@ -266,7 +266,9 @@ class GradedAlgebra:
         # Only triples whose three pairwise products are defined can be
         # checked; they are scanned as b1 <= b2 <= b3 in basis order, b2 and
         # b3 walked along ascending partner lists, and the first failing one
-        # raises.
+        # raises.  When b1*b2 is nonzero, b3 walks the partners of its first
+        # term, which every checked b3 is among: that skips most undefined
+        # triples of a truncated table without visiting them.
         #
         # Each side is a sum of products of two structure constants, so the
         # check runs on a local copy of the table with basis elements
@@ -308,7 +310,13 @@ class GradedAlgebra:
                 row2, unit2, p2 = table[b2], unit[b2], partners[b2]
                 r12 = row1[b2]
                 t12 = unit1.get(b2)
-                for b3 in p2[bisect_left(p2, b2):]:
+                if r12:  # b3 needs a product with r12's first term
+                    p3 = partners[r12[0][0]]
+                    walk = (b3 for b3 in islice(p3, bisect_left(p3, b2), None)
+                            if b3 in row2)
+                else:
+                    walk = p2[bisect_left(p2, b2):]
+                for b3 in walk:
                     if b3 not in row1:
                         continue
                     if t12 is not None:

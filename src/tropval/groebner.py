@@ -23,10 +23,14 @@ homogenization pipeline:
      initial ideals of the original ideal agree (Mora & Robbiano, "The
      Groebner fan of an ideal", JSC 6, 1988; Fukuda, Jensen & Thomas,
      "Computing Groebner fans", Math. Comp. 76, 2007; Sturmfels, "Groebner
-     Bases and Convex Polytopes", chs. 1-2).  `classify_weights` tests each
-     weight against the cones found so far with integer dot products on
-     the weight's `integer_weights`, building no order, and runs steps 3-4
-     (and builds the refined order) only for a weight outside all of them.
+     Bases and Convex Polytopes", chs. 1-2).  `classify_weights` holds
+     each cone it finds as inequality vectors, each once: for every g in G
+     with top-weight exponents t_0, ..., t_k, the equalities t_i - t_0
+     (dot product 0) and, for every other exponent e of g, the strict
+     inequality t_0 - e (dot product > 0).  It tests each weight against
+     the cones found so far with integer dot products on the weight's
+     `integer_weights`, building no order, and runs steps 3-4 (and builds
+     the refined order) only for a weight outside all of them.
      The test is sufficient, not necessary: a weight that misses every cone
      takes the full path, and equal initial ideals still merge classes.
 
@@ -70,14 +74,21 @@ f's monomials, with the coefficients there summed.  Only when that sum
 cancels does f go through the division loop, which stops at its first
 irreducible term; that is about 1% of the keys of an axiom sweep.  No
 whole monomial normal form is stored, so an entry costs one term.
-`buchberger` builds no `GroebnerBasis` while it runs: it keeps its
-own growing table, adds each element's entry once, when the element
-joins, and divides with the plain key and rewrite, since each
-S-polynomial is reduced once.  It checks termination once, at entry
-(homogeneous input gives homogeneous S-polynomials and remainders), and
-interreduces the minimal basis in one pass: each remainder is monic,
-keeps its lead and has no term divisible by any lead, and the
-reduced-basis element with a given lead is unique.
+
+`buchberger` keeps each basis element only as its division-table entry:
+the monic lead and the negated tail, integral coefficients as ints, made
+once, when the element joins.  Each S-polynomial x^sj*(-tail_j) -
+x^si*(-tail_i) of a pair (i, j) goes straight into the work dict of
+`_remainder_terms`, whose first remainder term is the new element's lead,
+so a pair costs no leading-term scan and no `Polynomial` arithmetic.  A
+lead coefficient other than 1 is divided out, repeated inputs are found on
+(lead, tail), and `Polynomial`s are built only for the result.  Division
+uses the plain key and rewrite, since each S-polynomial is reduced once.
+The run checks once, at entry, that the generators share one ring and that
+it terminates (homogeneous input gives homogeneous S-polynomials and
+remainders), and interreduces the minimal basis in one pass: each
+remainder is monic, keeps its lead and has no term divisible by any lead,
+and the reduced-basis element with a given lead is unique.
 """
 
 from __future__ import annotations
@@ -97,6 +108,7 @@ from .poly import (
     Polynomial,
     Presentation,
     RingContext,
+    RingMismatchError,
     WeightVector,
 )
 
@@ -478,74 +490,123 @@ def leading_normal_exponent(f: Polynomial,
     return _leading_remainder(work, gb)
 
 
-def _s_poly(f: Polynomial, ef: ExponentVector,
-            g: Polynomial, eg: ExponentVector) -> Polynomial:
-    """S-polynomial of two monic polynomials with leading monomials ef, eg."""
-    lcm = tuple(map(max, ef, eg))
-    return (Polynomial.monomial(f.ring, tuple(map(sub, lcm, ef))) * f
-            - Polynomial.monomial(g.ring, tuple(map(sub, lcm, eg))) * g)
+def _made_monic(g: Polynomial, lc: Fraction) -> Polynomial:
+    """g divided by its leading coefficient lc; g itself when lc is 1."""
+    if lc == 1:
+        return g
+    inv = Fraction(1) / lc
+    return Polynomial._trusted(g.ring, {e: inv * c for e, c in g.terms.items()})
 
 
-def buchberger(gens: list[Polynomial], order: MonomialOrder) -> GroebnerBasis:
+def _monic_tail(terms, lc) -> list:
+    """Negated tail of a division-table entry: the (exponent, coefficient)
+    terms other than the lead, divided by the lead coefficient lc, with
+    integral coefficients as ints."""
+    if lc != 1:
+        inv = Fraction(1) / lc
+        terms = [(e, inv * c) for e, c in terms]
+    return [(e, -(c.numerator if c.denominator == 1 else c)) for e, c in terms]
+
+
+def buchberger(gens: Sequence[Polynomial], order: MonomialOrder) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal the generators span.
 
     Deterministic for a fixed input: pairs are processed in normal strategy
     (smallest lcm first, ties by index), and the final basis is
     interreduced, made monic, and sorted by descending leading monomial.
+    The generators must be nonzero and live in one ring.
     """
+    if not gens:
+        return GroebnerBasis((), order)
+    ring = gens[0].ring
     for g in gens:
         if g.is_zero:
             raise ZeroPolynomialError("ideal generators must be nonzero")
+        if g.ring != ring:
+            raise RingMismatchError(
+                f"ring mismatch: {ring.variables} vs {g.ring.variables}")
     # Homogeneous input gives homogeneous S-polynomials and remainders, so
     # one check here covers every reduction below.
     _check_termination(order, gens)
-    basis: list[Polynomial] = []
-    leads: list[tuple[ExponentVector, Fraction]] = []
-    table: list = []
+    key = order._descending_key
+    one = Fraction(1)
+    if len(gens) == 1:
+        g = gens[0]
+        lm = min(g.terms, key=key)
+        return GroebnerBasis((_made_monic(g, g.terms[lm]),), order, ((lm, one),))
+
+    # The run keeps each element only as its division-table entry (lead,
+    # None, negated tail), the entry `_divisor` makes for a monic element.
+    table: list[tuple] = []
     pairs: list[tuple[tuple[int, ...], int, int]] = []
-    key, step = order._descending_key, partial(_rewrite, table)  # no memo
+    step = partial(_rewrite, table)  # no memo: each S-polynomial is reduced once
 
-    def join(g: Polynomial) -> None:
-        """Append g scaled to leading coefficient 1, unless already present."""
-        lm, lc = leading_term(g, order)
-        if lc != 1:
-            g = g.scale(Fraction(1) / lc)
-        if g in basis:
-            return
-        for i, (ei, _) in enumerate(leads):
+    def join(lm: ExponentVector, tail: list) -> None:
+        for i, (ei, _, _) in enumerate(table):
             heapq.heappush(pairs, (order.sort_key(tuple(map(max, ei, lm))),
-                                   i, len(basis)))
-        basis.append(g)
-        leads.append((lm, Fraction(1)))
-        table.append(_divisor(g, lm, 1))
+                                   i, len(table)))
+        table.append((lm, None, tail))
 
+    # An input generator that is a repeat once monic joins once; `inputs`
+    # maps each element's index to its source and lead coefficient, so that
+    # a lone input in the result keeps its term order.  A remainder never
+    # repeats an element, since no lead divides its lead.
+    inputs: dict[int, tuple[Polynomial, Fraction]] = {}
     for g in gens:
-        join(g)
+        lm = min(g.terms, key=key)
+        lc = g.terms[lm]
+        tail = _monic_tail([(e, c) for e, c in g.terms.items() if e != lm], lc)
+        if any(ei == lm and dict(ti) == dict(tail) for ei, _, ti in table):
+            continue
+        inputs[len(table)] = g, lc
+        join(lm, tail)
     while pairs:
         _, i, j = heapq.heappop(pairs)
-        ei, ej = leads[i][0], leads[j][0]
+        ei, _, tail_i = table[i]
+        ej, _, tail_j = table[j]
         if all(a == 0 or b == 0 for a, b in zip(ei, ej)):
             continue  # coprime leading monomials: s-poly reduces to zero
-        r = _reduce(_s_poly(basis[i], ei, basis[j], ej), key, step)
-        if not r.is_zero:
-            join(r)
+        # The S-polynomial x^si*f_i - x^sj*f_j of the monic elements is
+        # x^sj*(-tail_j) - x^si*(-tail_i): the leads cancel.
+        lcm = tuple(map(max, ei, ej))
+        si, sj = tuple(map(sub, lcm, ei)), tuple(map(sub, lcm, ej))
+        work = {tuple(map(add, e, sj)): c for e, c in tail_j}
+        for e, c in tail_i:
+            e = tuple(map(add, e, si))
+            s = work.get(e, 0) - c
+            if s:
+                work[e] = s
+            else:
+                del work[e]
+        terms = _remainder_terms(work, key, step)
+        lead = next(terms, None)  # the first remainder term is the lead
+        if lead is not None:
+            join(lead[0], _monic_tail(terms, lead[1]))
 
     # Minimalize: drop generators whose lead is divisible by another lead.
-    lms = [lm for lm, _ in leads]
+    lms = [lm for lm, _, _ in table]
     keep = [i for i, lm in enumerate(lms)
             if not any(j != i and _divides(lms[j], lm) and (lms[j] != lm or j < i)
-                       for j in range(len(basis)))]
-    keep.sort(key=lambda i: order._descending_key(lms[i]))
-    reduced = [basis[i] for i in keep]
+                       for j in range(len(table)))]
+    keep.sort(key=lambda i: key(lms[i]))
+    leads = tuple((lms[i], one) for i in keep)
+    if len(keep) == 1 and keep[0] in inputs:
+        return GroebnerBasis((_made_monic(*inputs[keep[0]]),), order, leads)
     # Interreduce in one pass.  No lead of a minimal basis divides another,
     # so each remainder is monic with the same lead, and no term of it is
     # divisible by any lead.  The reduced-basis element with that lead is
-    # unique, so the partners' own tails do not matter.
-    if len(keep) > 1:
-        reduced = [_reduce(basis[i], key,
-                           partial(_rewrite, [table[j] for j in keep if j != i]))
-                   for i in keep]
-    return GroebnerBasis(tuple(reduced), order, tuple(leads[i] for i in keep))
+    # unique, so the partners' own tails do not matter.  A lone remainder
+    # is only written out, largest term first.
+    reduced = []
+    for i in keep:
+        lm, _, tail = table[i]
+        work = {lm: 1}
+        work.update((e, -c) for e, c in tail)
+        others = partial(_rewrite, [table[j] for j in keep if j != i])
+        reduced.append(Polynomial._trusted(ring, {
+            e: c if type(c) is Fraction else Fraction(c)
+            for e, c in _remainder_terms(work, key, others)}))
+    return GroebnerBasis(tuple(reduced), order, leads)
 
 
 # -- initial forms and initial ideals -----------------------------------------
@@ -616,26 +677,20 @@ def _saturate(gens: list[Polynomial], i: int) -> list[Polynomial]:
     return out
 
 
-# A face of one weight-refined basis element: the exponents attaining its top
-# weight, and the remaining exponents.
-_Face = tuple[tuple[ExponentVector, ...], tuple[ExponentVector, ...]]
+# A Groebner cone as integer difference vectors of exponents: equalities,
+# whose dot product with a weight of the cone is 0, and strict inequalities,
+# whose dot product with it is positive.
+_Cone = tuple[tuple[ExponentVector, ...], tuple[ExponentVector, ...]]
 
 
-def _top_split(g: Polynomial, ws: tuple[int, ...]) -> _Face:
-    """Exponents of g of top weight under the integer weights ws, and the rest."""
-    dots = {e: sum(map(mul, ws, e)) for e in g.terms}
-    best = max(dots.values())
-    return (tuple(e for e, d in dots.items() if d == best),
-            tuple(e for e, d in dots.items() if d != best))
-
-
-def _in_cone(faces: list[_Face], ws: tuple[int, ...]) -> bool:
-    """Does every basis element keep exactly its top exponents under ws?"""
-    for top, rest in faces:
-        best = sum(map(mul, ws, top[0]))
-        if any(sum(map(mul, ws, e)) != best for e in top[1:]):
+def _in_cone(cone: _Cone, ws: tuple[int, ...]) -> bool:
+    """Do the integer weights ws satisfy every equality and inequality?"""
+    equalities, inequalities = cone
+    for v in equalities:
+        if sum(map(mul, ws, v)):
             return False
-        if any(sum(map(mul, ws, e)) >= best for e in rest):
+    for v in inequalities:
+        if sum(map(mul, ws, v)) <= 0:
             return False
     return True
 
@@ -678,23 +733,35 @@ class HomogenizedIdeal:
             return GroebnerBasis((), order)
         return buchberger(self.saturated, order)
 
-    def initial(self, w: WeightVector) -> tuple[list[Polynomial], list[_Face]]:
+    def initial(self, w: WeightVector) -> tuple[list[Polynomial], _Cone]:
         """Step 4: generators of the initial ideal at w, sorted by key.
 
-        Also returns the face of each refined basis element, the data of
-        the Groebner cone of w (step 5).
+        Also returns the Groebner cone of w (step 5): for each refined
+        basis element, with top-weight exponents t_0, ..., t_k and other
+        exponents e, the equalities t_i - t_0 and the inequalities t_0 - e,
+        each vector once.
         """
         return self.initial_of(self.refined_basis(w))
 
-    def initial_of(self, gb: GroebnerBasis) -> tuple[list[Polynomial], list[_Face]]:
+    def initial_of(self, gb: GroebnerBasis) -> tuple[list[Polynomial], _Cone]:
         """`initial` at the weight of ``gb``, a basis from `refined_basis`."""
-        faces = [_top_split(g, gb.order.int_weights) for g in gb.gens]
+        ws = gb.order.int_weights
         gens = []
-        for g, (top, _) in zip(gb.gens, faces):
+        equalities: dict[ExponentVector, None] = {}
+        inequalities: dict[ExponentVector, None] = {}
+        for g in gb.gens:
+            dots = {e: sum(map(mul, ws, e)) for e in g.terms}
+            best = max(dots.values())
+            top = [e for e, d in dots.items() if d == best]
+            for e, d in dots.items():
+                if d != best:
+                    inequalities[tuple(map(sub, top[0], e))] = None
+                elif e != top[0]:
+                    equalities[tuple(map(sub, e, top[0]))] = None
             top_form = Polynomial._trusted(self.ext, {e: g.terms[e] for e in top})
             gens.append(_dehomogenize(top_form, self.presentation.ring))
         gens.sort(key=Polynomial.key)
-        return gens, faces
+        return gens, (tuple(equalities), tuple(inequalities))
 
     def canonical_basis(self, w: WeightVector) -> tuple[Polynomial, ...]:
         """Reduced grevlex basis of the initial ideal at w."""
@@ -773,16 +840,16 @@ def classify_weights(
     already found joins that cone's class without a Buchberger run (step 5).
     """
     H = HomogenizedIdeal(P)
-    cones: list[tuple[tuple, list[_Face]]] = []
+    cones: list[tuple[tuple, _Cone]] = []
     classes: dict[tuple, tuple[tuple[Polynomial, ...], list[WeightVector]]] = {}
     for w in ws:
         # `H.order(w).int_weights`, read without building the order.
         ws_int = integer_weights(P.effective_weights(w).weights)[0] + (0,)
-        key = next((k for k, faces in cones if _in_cone(faces, ws_int)), None)
+        key = next((k for k, cone in cones if _in_cone(cone, ws_int)), None)
         if key is None:
-            gens, faces = H.initial(w)
+            gens, cone = H.initial(w)
             key = tuple(g.key() for g in _canonical_basis(gens))
-            cones.append((key, faces))
+            cones.append((key, cone))
             classes.setdefault(key, (tuple(gens), []))
         classes[key][1].append(w)
     return list(classes.values())

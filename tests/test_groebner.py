@@ -19,7 +19,7 @@ from tropval.groebner import (
     normal_form,
     same_initial_ideal,
 )
-from tropval.poly import Polynomial, Presentation, RingContext
+from tropval.poly import Polynomial, Presentation, RingContext, RingMismatchError
 from tropval.textio import parse_poly, poly_to_str
 from tropval.valuation import random_polynomial
 
@@ -92,6 +92,23 @@ def test_buchberger_deterministic():
 def test_buchberger_rejects_zero_generator():
     with pytest.raises(ZeroPolynomialError):
         buchberger([Polynomial.zero(XY)], MonomialOrder.lex())
+
+
+XZ = RingContext(("x", "z"))
+
+
+@pytest.mark.parametrize("second", [
+    parse_poly(XZ, "x + z"),  # the leads meet, so an S-pair joins the rings
+    parse_poly(XZ, "z"),  # coprime leads: no S-pair, z would reduce x + y as y
+    parse_poly(XYZ, "x*z"),  # a larger ring
+    parse_poly(XYZ, "z"),  # a larger ring, and the only element kept
+], ids=["s-pair", "coprime", "larger-ring", "larger-ring-kept"])
+def test_buchberger_rejects_generators_on_two_rings(second):
+    for order in (MonomialOrder.grevlex(), MonomialOrder.lex()):
+        for gens in ([parse_poly(XY, "x + y"), second],
+                     [second, parse_poly(XY, "x + y")]):
+            with pytest.raises(RingMismatchError, match="ring mismatch"):
+                buchberger(gens, order)
 
 
 def test_nonglobal_order_needs_homogeneous_input():

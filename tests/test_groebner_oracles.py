@@ -10,7 +10,9 @@ they check that stopping at the first irreducible term loses nothing.  The
 reference fan classifier computes every weight's initial ideal on its own,
 so it checks that the Groebner-cone cover only skips work.  The lifted
 saturation of `oracle_lifted` checks Bayer's saturation and monomial
-containment.
+containment.  `oracle_buchberger` keeps the Buchberger run on `Polynomial`s
+and the face walk of the cone test, so it checks the run on division-table
+entries term for term and the cone test as integer inequalities.
 """
 
 import itertools
@@ -21,6 +23,7 @@ import pytest
 
 from conftest import FIXTURES, W, _memo_free_terms, load
 from cli_corpus import run_case
+from oracle_buchberger import in_cone_by_faces, oracle_buchberger, top_split
 from oracle_lifted import lifted_contains_monomial, lifted_saturation
 from oracle_macaulay import macaulay_member
 from tropval.cones import facet_classes
@@ -31,6 +34,7 @@ from tropval.groebner import (
     HomogenizedIdeal,
     MonomialOrder,
     buchberger,
+    classify_weights,
     contains_monomial,
     enumerate_fan,
     initial_ideal,
@@ -39,7 +43,7 @@ from tropval.groebner import (
     leading_term,
     normal_form,
 )
-from tropval.groebner import _saturate
+from tropval.groebner import _in_cone, _saturate
 from tropval.poly import Polynomial, Presentation, RingContext, WeightVector
 from tropval.textio import parse_poly, parse_presentation
 from tropval.trop import BOTTOM, TropicalValue
@@ -433,6 +437,140 @@ def test_repeated_fan_call_repeats_all_work(buchberger_calls):
     n_first = len(buchberger_calls)
     assert run_case(argv) == first
     assert n_first > 0 and len(buchberger_calls) == 2 * n_first
+
+
+# -- division-table Buchberger ------------------------------------------------------
+
+# `buchberger` runs on division-table entries; `oracle_buchberger` is the same
+# run on `Polynomial`s.  They must give the same gens, term for term and in
+# term insertion order, and the same leads.
+
+
+def _assert_same_basis(gens, order) -> None:
+    got, ref = buchberger(gens, order), oracle_buchberger(gens, order)
+    assert [list(g.terms.items()) for g in got.gens] == \
+        [list(g.terms.items()) for g in ref.gens], [str(g) for g in gens]
+    assert [g.ring for g in got.gens] == [g.ring for g in ref.gens]
+    assert got._leads == ref._leads and got.order == ref.order
+    assert all(type(c) is Fraction for g in got.gens for c in g.terms.values())
+
+
+def _grid(dim: int) -> list[WeightVector]:
+    return [W(*w) for w in itertools.product((-1, 0, 1, Fraction(1, 2)), repeat=dim)]
+
+
+@pytest.mark.parametrize("name", FIXTURES_WITH_RELATIONS)
+def test_buchberger_matches_the_polynomial_run_on_fixtures(name):
+    P = load(name)
+    gens = list(P.ideal_gens)
+    orders = [MonomialOrder.grevlex(), MonomialOrder.lex()]
+    orders += [MonomialOrder.weighted(w, tie) for w in _grid(P.ring.dim)
+               if all(x >= 0 for x in w.weights) for tie in (GREVLEX, LEX)]
+    for order in orders:
+        _assert_same_basis(gens, order)
+    # refined orders on the homogenized input, negative weights included
+    H = HomogenizedIdeal(P)
+    for w in _grid(P.ring.dim):
+        _assert_same_basis(H.saturated, H.order(w))
+
+
+@pytest.mark.parametrize("name", [*FIXTURES_WITH_RELATIONS, "xyz_pair"])
+def test_buchberger_matches_the_polynomial_run_on_pipeline_inputs(name, monkeypatch):
+    """Every input that `classify_weights`, `_saturate`, `contains_monomial`
+    and `_canonical_basis` hand to `buchberger` on the fixture (a fixture
+    with no relations hands it none)."""
+    from tropval import groebner
+
+    P = _presentation(name)
+    inputs = []
+    run = groebner.buchberger
+
+    def recording(gens, order):
+        inputs.append((list(gens), order))
+        return run(gens, order)
+
+    monkeypatch.setattr(groebner, "buchberger", recording)
+    for box, denominator in ((1, 1), (1, 2)):
+        enumerate_fan(P, box, denominator)
+    contains_monomial(list(P.ideal_gens), P.ring)
+    monkeypatch.undo()
+    assert {order.weights is None for _, order in inputs} == {True, False}
+    for gens, order in inputs:
+        _assert_same_basis(gens, order)
+
+
+def _rational_polynomial(rng: random.Random, ring: RingContext) -> Polynomial:
+    terms = {}
+    while not terms:
+        for _ in range(rng.randint(1, 3)):
+            e = tuple(rng.randint(0, 2) for _ in range(ring.dim))
+            terms[e] = Fraction(rng.choice((-3, -2, -1, 1, 2, 5)), rng.randint(1, 4))
+    return Polynomial(ring, terms)
+
+
+def test_buchberger_matches_the_polynomial_run_on_rational_ideals():
+    rng = random.Random(67)
+    non_monic = 0
+    for case in range(100):
+        ring = RingContext(("x", "y", "z")[:2 + case % 2])
+        gens = [_rational_polynomial(rng, ring) for _ in range(rng.randint(1, 3))]
+        order = random_order(rng, ring.dim)
+        if not order.is_global():
+            order = MonomialOrder(tuple(abs(w) for w in order.weights), order.tie_break)
+        non_monic += any(leading_term(g, order)[1] != 1 for g in gens)
+        _assert_same_basis(gens, order)
+    assert non_monic > 60
+
+
+def test_buchberger_matches_the_polynomial_run_on_edge_inputs():
+    f, g = parse_poly(XY, "2*x^2 - 3*y"), parse_poly(XY, "x*y - 1/2")
+    cases = [
+        [f, f], [f, g, f.scale(5)], [g, f, f, g],  # repeats, once monic
+        [parse_poly(XY, "x^2"), parse_poly(XY, "x")],  # a later input is kept
+        [parse_poly(XY, "2*x + 1"), parse_poly(XY, "y + 3")],  # coprime leads
+        [f, parse_poly(XY, "3")], [f, g, parse_poly(XY, "x + 1")],  # unit ideals
+        [], [f], [g], [parse_poly(XY, "-1/3")],  # empty and single inputs
+    ]
+    for gens in cases:
+        for order in (MonomialOrder.grevlex(), MonomialOrder.lex()):
+            _assert_same_basis(gens, order)
+    assert buchberger([f, f.scale(5)], MonomialOrder.lex()).gens == (f.scale(Fraction(1, 2)),)
+    unit = buchberger([f, g, parse_poly(XY, "x + 1")], MonomialOrder.grevlex())
+    assert unit.gens == (parse_poly(XY, "1"),)
+
+
+def test_cone_inequalities_match_the_face_walk(monkeypatch):
+    """Every cone `classify_weights` finds on every fixture, against every
+    grid weight (box 2, denominators 1 and 2): the inequality vectors and
+    the faces of the refined basis give the same verdict."""
+    found = []
+    initial_of = HomogenizedIdeal.initial_of
+
+    def recording(self, gb):
+        gens, cone = initial_of(self, gb)
+        found.append((gb, cone))
+        return gens, cone
+
+    monkeypatch.setattr(HomogenizedIdeal, "initial_of", recording)
+    checked = inside = 0
+    for name in [*FAN_PRESENTATIONS, "xyz_pair"]:
+        P = _presentation(name)
+        for denominator in (1, 2):
+            found.clear()
+            grid = [W(*(Fraction(p, denominator) for p in point))
+                    for point in itertools.product(range(-2 * denominator,
+                                                         2 * denominator + 1),
+                                                   repeat=P.ring.dim)]
+            classify_weights(P, grid)
+            for gb, cone in found:
+                faces = [top_split(g, gb.order.int_weights) for g in gb.gens]
+                for w in grid:
+                    ws = integer_weights(P.effective_weights(w).weights)[0] + (0,)
+                    verdict = _in_cone(cone, ws)
+                    assert verdict == in_cone_by_faces(faces, ws), (name, w)
+                    checked += 1
+                    inside += verdict
+    assert inside > 3000 and checked - inside > 50000
 
 
 # -- division memo ------------------------------------------------------------------
