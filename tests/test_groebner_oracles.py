@@ -524,12 +524,14 @@ def test_buchberger_matches_the_polynomial_run_on_rational_ideals():
 
 def test_buchberger_matches_the_polynomial_run_on_edge_inputs():
     f, g = parse_poly(XY, "2*x^2 - 3*y"), parse_poly(XY, "x*y - 1/2")
+    h = parse_poly(XY, "1/2 - 3*y + 2*x^2")  # terms not in descending order
     cases = [
         [f, f], [f, g, f.scale(5)], [g, f, f, g],  # repeats, once monic
         [parse_poly(XY, "x^2"), parse_poly(XY, "x")],  # a later input is kept
         [parse_poly(XY, "2*x + 1"), parse_poly(XY, "y + 3")],  # coprime leads
         [f, parse_poly(XY, "3")], [f, g, parse_poly(XY, "x + 1")],  # unit ideals
         [], [f], [g], [parse_poly(XY, "-1/3")],  # empty and single inputs
+        [h], [h, h.scale(3)],  # a lone input keeps its own term order
     ]
     for gens in cases:
         for order in (MonomialOrder.grevlex(), MonomialOrder.lex()):
