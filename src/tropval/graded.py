@@ -24,6 +24,18 @@ constructor, `_monomial_algebra` and `coarsen`); every scan reads the table
 in order, so the first failing pair it meets is the least one, and the
 printer writes the file's sorted order as it goes.
 
+Pairs with equal products share one expansion object: `_monomial_algebra`
+keeps one per product monomial, the file scanner one per distinct body
+text, and the constructor, `associated_graded` and `coarsen` pass the
+sharing on.  Every per-pair scan (the constructor, the associativity
+check, gr, the monoid-theorem hypotheses, the homogeneous-pair check and
+the printer) does its per-expansion work once per distinct object, in a
+memo keyed by ``id()`` of an object that the memo or the scanned table
+holds for the whole scan, so no id is reused while it runs.  Failures and
+witnesses are still reported per pair, in pair order.  Sharing only saves
+work: a table whose pairs hold equal but distinct expansions gives the
+same results.
+
 Inside the checks, element coefficients are ints or `Fraction`s: the
 pair sampler draws ints, `GradedAlgebra.multiply` keeps int products on
 an integral table, and values are compared as scaled integer keys
@@ -150,32 +162,18 @@ class GradedAlgebra:
         # the full check and conversion.  Pair refs and expansion targets
         # are both stored canonical.
         canon = {ref: ref for ref in self.basis()}
+        # Each distinct expansion object is stored once, so pairs that
+        # share one share its stored form.  The memo holds every object it
+        # has seen: ``structure.items()`` may make each expansion afresh,
+        # and a freed one's id could be reused by the next.
+        stored: dict[int, tuple] = {}
         for (b1, b2), expansion in structure.items():
             b1, b2 = self._canonical_ref(canon, b1), self._canonical_ref(canon, b2)
-            terms = []
-            misses = []
-            for target, c in expansion:
-                if type(c) is not Fraction:
-                    c = Fraction(c)
-                if c:
-                    try:
-                        ref = canon.get(target)
-                    except TypeError:  # unhashable, e.g. a list grade
-                        ref = None
-                    if ref is None:
-                        g, k = target
-                        ref = (tuple(int(x) for x in g), int(k))
-                        if ref != (tuple(g), k):  # a field that is not an integer
-                            raise TropvalError(f"unknown basis element {target}")
-                        misses.append(ref)
-                    terms.append((ref, c))
-            if misses:
-                for ref in sorted(misses):
-                    self._check_ref(ref)
-            terms.sort()
-            if len(terms) > 1:
-                terms = _merge_like_terms(terms)
-            table[_pair_key(b1, b2)] = tuple(terms)
+            hit = stored.get(id(expansion))
+            if hit is None:
+                hit = stored[id(expansion)] = (
+                    expansion, self._canonical_expansion(canon, expansion))
+            table[_pair_key(b1, b2)] = hit[1]
         self.structure = dict(sorted(table.items()))
         if validate:
             self._validate_associativity()
@@ -210,6 +208,34 @@ class GradedAlgebra:
             grade, idx = ref
             stored = (tuple(int(x) for x in grade), int(idx))
         return stored
+
+    def _canonical_expansion(self, canon: dict, expansion) -> tuple:
+        """The stored form of an expansion: Fraction coefficients, canonical
+        refs, sorted, like terms summed and zero sums dropped."""
+        terms = []
+        misses = []
+        for target, c in expansion:
+            if type(c) is not Fraction:
+                c = Fraction(c)
+            if c:
+                try:
+                    ref = canon.get(target)
+                except TypeError:  # unhashable, e.g. a list grade
+                    ref = None
+                if ref is None:
+                    g, k = target
+                    ref = (tuple(int(x) for x in g), int(k))
+                    if ref != (tuple(g), k):  # a field that is not an integer
+                        raise TropvalError(f"unknown basis element {target}")
+                    misses.append(ref)
+                terms.append((ref, c))
+        if misses:
+            for ref in sorted(misses):
+                self._check_ref(ref)
+        terms.sort()
+        if len(terms) > 1:
+            terms = _merge_like_terms(terms)
+        return tuple(terms)
 
     def _check_ref(self, ref: BasisRef) -> None:
         grade, idx = ref
@@ -277,8 +303,13 @@ class GradedAlgebra:
         # keeps the comparison exact with integer arithmetic only.
         refs = self.basis()
         number = {ref: i for i, ref in enumerate(refs)}
-        scale = math.lcm(*{c.denominator for exp in self.structure.values()
-                           for _, c in exp})
+        # each distinct expansion object is numbered and scaled once; the
+        # table holds them all, so no id is reused during the check
+        distinct = {id(exp): exp for exp in self.structure.values()}
+        scale = math.lcm(*{c.denominator for exp in distinct.values() for _, c in exp})
+        rows = {key: tuple((number[t], c.numerator * (scale // c.denominator))
+                           for t, c in exp)
+                for key, exp in distinct.items()}
         table: list[dict[int, tuple]] = [{} for _ in refs]
         # unit[i][j] = t when b_i * b_j = 1 * b_t.  The pairs come in
         # ascending order, so each row of the table fills in ascending j:
@@ -286,8 +317,7 @@ class GradedAlgebra:
         unit: list[dict[int, int]] = [{} for _ in refs]
         for (b1, b2), expansion in self.structure.items():
             i, j = number[b1], number[b2]
-            row = tuple((number[t], c.numerator * (scale // c.denominator))
-                        for t, c in expansion)
+            row = rows[id(expansion)]
             table[i][j] = table[j][i] = row
             if len(row) == 1 and row[0][1] == scale:
                 unit[i][j] = unit[j][i] = row[0][0]
@@ -609,10 +639,14 @@ def _homogeneous_pair_failures(A: GradedAlgebra, gv: GradedValuation) -> list:
     """Multiplicativity on every defined basis pair, failures in pair order."""
     key = gv.functional.key
     found = []
+    lhs_of: dict[int, object] = {}  # per distinct expansion object
     for (b1, b2), expansion in A.structure.items():
         # overrides are inhomogeneous, so a basis element's value is its key
         rhs = key(b1[0])[0] + key(b2[0])[0]
-        lhs = _value_key(gv, dict(expansion))
+        if id(expansion) in lhs_of:
+            lhs = lhs_of[id(expansion)]
+        else:
+            lhs = lhs_of[id(expansion)] = _value_key(gv, dict(expansion))
         if lhs != rhs:
             found.append(_failure(gv, {b1: 1}, {b2: 1}, lhs, rhs))
     return found
@@ -721,22 +755,35 @@ def _gr_pass(A: GradedAlgebra, h: LexFunctional) -> tuple[dict, tuple | None]:
     key(b1) + key(b2).  The witness ``(b1, b2, ref)`` is the first pair with
     a term above that key, and its first such term; the table is in
     ascending order, so that is the least pair.  None when every product is
-    lower-triangular.  The products of gr come in A's order.
+    lower-triangular.  The products of gr come in A's order, and pairs that
+    share an expansion and a grade sum share one product of gr.
     """
     key = h.key
     structure = {}
     witness = None
+    # (id of an expansion, grade sum) -> (kept terms, first term above);
+    # A's table holds every expansion for the whole pass.  A key is linear
+    # in the grade, so key(b1) + key(b2) is the key of the grade sum.
+    seen: dict[tuple, tuple] = {}
     for pair, expansion in A.structure.items():
         b1, b2 = pair
-        top = grade_sum(key(b1[0]), key(b2[0]))
-        kept = []
-        for t, c in expansion:
-            k = key(t[0])
-            if k == top:
-                kept.append((t, c))
-            elif k > top and witness is None:
-                witness = (b1, b2, t)
-        structure[pair] = tuple(kept)
+        grades = grade_sum(b1[0], b2[0])
+        hit = seen.get((id(expansion), grades))
+        if hit is None:
+            top = key(grades)
+            kept = []
+            above = None
+            for t, c in expansion:
+                k = key(t[0])
+                if k == top:
+                    kept.append((t, c))
+                elif k > top and above is None:
+                    above = t
+            hit = seen[id(expansion), grades] = (tuple(kept), above)
+        kept, above = hit
+        if above is not None and witness is None:
+            witness = (b1, b2, above)
+        structure[pair] = kept
     return structure, witness
 
 
@@ -785,14 +832,23 @@ def check_monoid_theorem(A: GradedAlgebra, w: LexFunctional,
     key = w.key
     cartan_missing = []
     order_violations = []
+    # (id of an expansion, grade sum) -> (top component missing, the terms
+    # that violate the order); A's table holds every expansion for the
+    # whole scan.  Both are still reported once per pair, in pair order.
+    seen: dict[tuple, tuple] = {}
     for (b1, b2), expansion in A.structure.items():
         top_grade = grade_sum(b1[0], b2[0])
-        if not any(t[0] == top_grade for t, c in expansion):
+        hit = seen.get((id(expansion), top_grade))
+        if hit is None:
+            top = key(top_grade)
+            hit = seen[id(expansion), top_grade] = (
+                not any(t[0] == top_grade for t, _ in expansion),
+                tuple(t for t, _ in expansion if t[0] != top_grade and key(t[0]) >= top))
+        missing, violating = hit
+        if missing:
             cartan_missing.append((b1, b2, top_grade))
-        top = key(top_grade)
-        for (g3, k), _ in expansion:
-            if g3 != top_grade and key(g3) >= top:
-                order_violations.append((b1, b2, (g3, k)))
+        for t in violating:
+            order_violations.append((b1, b2, t))
     collision = w.separates(A.components)
     collisions = (collision,) if collision else ()
     sampler = _PairSampler(A, random.Random(seed))
@@ -947,10 +1003,12 @@ def coarsen(A: GradedAlgebra, matrix: tuple[tuple[int, ...], ...]) -> GradedAlge
         components[new_grade] = idx + 1
         offsets[ref] = (new_grade, idx)
     structure = {}
+    relabelled: dict[int, tuple] = {}  # per distinct expansion object of A
     for (b1, b2), expansion in A.structure.items():
-        new_expansion = tuple(sorted(
-            (offsets[t], c) for t, c in expansion
-        ))
+        new_expansion = relabelled.get(id(expansion))
+        if new_expansion is None:
+            new_expansion = relabelled[id(expansion)] = tuple(sorted(
+                (offsets[t], c) for t, c in expansion))
         structure[_pair_key(offsets[b1], offsets[b2])] = new_expansion
     # the relabelling is one-to-one, so the table is as canonical and as
     # associative as A's, but it can change the order of grades and pairs

@@ -35,11 +35,12 @@ is a parse error at that literal, as is a `--functional` entry or an
 `--override` value that is not a rational.
 
 Graded files are read one statement per regex match (`_scan_graded`),
-with each basis ref and coefficient literal converted once per file.  The
-token-level cursor loop (`_parse_graded_cursor`) is the grammar's
-reference and its only error reporter: any text the scanner does not
-accept, valid or not, is read again by the cursor loop, which gives the
-same result or the first error with its position.
+with each basis ref and coefficient literal converted once per file, and
+each distinct product body read once, so pairs with the same body share
+one expansion.  The token-level cursor loop (`_parse_graded_cursor`) is
+the grammar's reference and its only error reporter: any text the
+scanner does not accept, valid or not, is read again by the cursor loop,
+which gives the same result or the first error with its position.
 """
 
 from __future__ import annotations
@@ -478,21 +479,29 @@ def graded_algebra_to_str(algebra) -> str:
     """Render a GradedAlgebra in the graded-algebra file format.
 
     The algebra's tables are ascending, so components and pairs are written
-    in the order they are held, which is the file's sorted order.
+    in the order they are held, which is the file's sorted order.  Each
+    distinct expansion object is formatted once: the table holds every
+    expansion for the whole scan, so no id in the memo is reused.
     """
     names = {ref: _basis_str(ref) for ref in algebra.basis()}
+
+    def body(expansion) -> str:
+        if not expansion:
+            return "0"
+        # signs from numerators, so no term takes a `Fraction` abs or comparison
+        return _signed_join([(coeff.numerator < 0,
+                              f"{str(coeff).lstrip('-')}*{names[target]}")
+                             for target, coeff in expansion])
+
+    bodies: dict[int, str] = {}
     lines = [f"monoid dim {algebra.monoid_dim};", f"truncation {algebra.truncation};"]
     for grade, size in algebra.components.items():
         lines.append(f"component {_grade_str(grade)} size {size};")
     for (left, right), expansion in algebra.structure.items():
-        lhs = f"mult {names[left]}*{names[right]} ="
-        if not expansion:
-            lines.append(f"{lhs} 0;")
-            continue
-        # signs from numerators, so no term takes a `Fraction` abs or comparison
-        terms = [(coeff.numerator < 0, f"{str(coeff).lstrip('-')}*{names[target]}")
-                 for target, coeff in expansion]
-        lines.append(f"{lhs} {_signed_join(terms)};")
+        text = bodies.get(id(expansion))
+        if text is None:
+            text = bodies[id(expansion)] = body(expansion)
+        lines.append(f"mult {names[left]}*{names[right]} = {text};")
     return "\n".join(lines) + "\n"
 
 
@@ -510,14 +519,17 @@ _TERM = rf"{_NUM}\s*\*\s*{_REF}"
 # to stop early would let a line of n '#' split 2^(n-1) ways, each tried
 # again on every failed match.
 _GAP = r"(?:\s|\#[^\n]*(?![^\n]))*"
+# A mult statement's body is taken up to its ';' and checked on its own
+# (`_BODY_RE`), once per distinct body text.
 _STATEMENT_RE = re.compile(
     rf"{_GAP}(?:"
-    rf"mult\s*({_REF})\s*\*\s*({_REF})\s*=\s*"
-    rf"(?:(-?\s*{_TERM}(?:\s*[-+]\s*{_TERM})*)|0)"
+    rf"mult\s*({_REF})\s*\*\s*({_REF})\s*=\s*([^;]*)"
     rf"|component\s+({_GRADE})\s+size\s+({_INT})"
     rf"|truncation\s+({_INT})"
     rf"|monoid\s+dim\s+({_INT})"
     r")\s*;")
+# A body is terms or a lone 0; group 1 is None for the 0.
+_BODY_RE = re.compile(rf"(?:(-?\s*{_TERM}(?:\s*[-+]\s*{_TERM})*)|0)\s*")
 _TERM_RE = re.compile(rf"\s*([-+]?)\s*({_NUM})\s*\*\s*({_REF})")
 _TAIL_RE = re.compile(rf"{_GAP}\Z")
 _INT_RE = re.compile(_INT)
@@ -531,12 +543,14 @@ def _scan_graded(text: str):
     """The fields of a graded file, read one statement per regex match.
 
     Returns ``(dim, truncation, components, structure)``, with truncation
-    None when the file gives none.  Raises `_Rejected` on every text it does not accept: a statement its
-    pattern does not match (a comment inside a statement, say), a grade of
-    the wrong length, a statement before ``monoid dim``, a repeated
-    statement or a zero denominator.  Within one call each basis ref is
-    built once per matched ref string and each coefficient literal becomes
-    a `Fraction` once.
+    None when the file gives none.  Raises `_Rejected` on every text it does
+    not accept: a statement its pattern does not match (a comment inside a
+    statement, say), a grade of the wrong length, a statement before
+    ``monoid dim``, a repeated statement or a zero denominator.  Within one
+    call each basis ref is built once per matched ref string, each
+    coefficient literal becomes a `Fraction` once, and each distinct mult
+    body text is checked and read once: pairs written with the same body
+    share one expansion list.
     """
     dim = truncation = None
     components: dict[tuple[int, ...], int] = {}
@@ -554,7 +568,15 @@ def _scan_graded(text: str):
         except ZeroDivisionError:
             raise _Rejected from None
 
-    refs, coeffs = _Memo(new_ref), _Memo(new_coeff)
+    def new_body(body: str) -> list:
+        m = _BODY_RE.fullmatch(body)
+        if m is None:
+            raise _Rejected
+        if m.group(1) is None:  # the body is 0
+            return []
+        return [(refs[ref], coeffs[sign + num]) for sign, num, ref in terms_of(body)]
+
+    refs, coeffs, bodies = _Memo(new_ref), _Memo(new_coeff), _Memo(new_body)
 
     match, terms_of, ints = _STATEMENT_RE.match, _TERM_RE.findall, _INT_RE.findall
     pos = 0
@@ -568,8 +590,7 @@ def _scan_graded(text: str):
             key = (left, right) if left <= right else (right, left)
             if key in structure:
                 raise _Rejected
-            structure[key] = [] if body is None else [
-                (refs[ref], coeffs[sign + num]) for sign, num, ref in terms_of(body)]
+            structure[key] = bodies[body]
         elif grade is not None:
             entries = tuple(map(int, ints(grade)))
             if dim is None or len(entries) != dim or entries in components:

@@ -121,6 +121,11 @@ CASES = [
      ["graded-check", "--algebra", "polyring:3:4", "--functional", "1,1,1",
       "--override=-1*(1,1,0:0) + 1*(1,0,1:0) = 1", "--mode", "full",
       "--seed", "0", "--samples", "60"], 1),
+    # eta reversed in the first row: many pairs share a failing expansion,
+    # and both counts are per pair, not per distinct product
+    ("monoid_check_eta_reversed",
+     ["monoid-check", "--algebra", "sl2-branching:3", "--functional",
+      "0,0,0,-1,0;1,0,0,0,0;0,1,0,0,0;0,0,1,0,0;0,0,0,0,1", "--seed", "1"], 1),
 ]
 
 # usage errors print to stderr only; stdout must stay empty

@@ -788,6 +788,32 @@ def test_list_grades_in_pair_refs_are_checked_and_stored_canonical():
             GradedAlgebra(1, {(0,): 1}, _PairList([(((bad, 0), one), ())]), 0)
 
 
+class _FreshExpansions:
+    """A structure whose ``items`` makes a new expansion list at each step,
+    so the list of one step is freed during the next ones."""
+
+    def __init__(self, structure):
+        self._structure = structure
+
+    def items(self):
+        for pair, expansion in self._structure.items():
+            yield pair, list(expansion)
+
+
+def test_constructor_memo_is_not_fooled_by_a_reused_id():
+    # A memo keyed by id() that let go of its expansions would hand a later
+    # pair the stored form of a freed list at the same address.
+    for A in (monomial_poly_ring(2, 3), sl2_branching_algebra(2)):
+        pairs = list(A.structure.values())
+        assert all(pairs[i] != pairs[i + 1] for i in range(len(pairs) - 1))
+        given = dict(A.structure)
+        expected = GradedAlgebra(A.monoid_dim, A.components, given, A.truncation)
+        got = GradedAlgebra(A.monoid_dim, A.components, _FreshExpansions(given),
+                            A.truncation)
+        assert got.structure == expected.structure == A.structure
+        assert list(got.structure) == list(expected.structure)
+
+
 def test_non_integer_grades_and_indices_are_rejected():
     # int() would truncate each of these to a valid grade or ref
     with pytest.raises(ValueError, match=re.escape("bad grade (1.5,)")):

@@ -10,6 +10,7 @@ the checks, `gr` and zero-divisor search.
 
 import functools
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -40,7 +41,12 @@ from tropval.graded import (
 )
 from tropval.linalg import solve_linear
 from tropval.sl2 import sl2_rep_ring
-from tropval.textio import parse_functional, parse_graded_algebra
+from tropval.textio import (
+    _scan_graded,
+    graded_algebra_to_str,
+    parse_functional,
+    parse_graded_algebra,
+)
 from tropval.trop import BOTTOM, TropicalValue, trop, trop_add, trop_mul
 
 F = Fraction
@@ -661,6 +667,11 @@ FUNCTIONALS = {
 
 
 QUOTIENT = "polyring:2:3 mod x^2, stored in reverse order"
+# Pairs with equal products share one expansion object in a built-in and in
+# a parsed file; the checks do each expansion's work once.  An unshared
+# copy holds a fresh tuple in every pair, so each pair takes its own.
+PARSED = "emitted and parsed "
+UNSHARED = "unshared copy of "
 
 
 def _oracle_algebras():
@@ -668,7 +679,19 @@ def _oracle_algebras():
     yield from (f"sl2-branching:{n}" for n in range(2, 5))
     yield from (f"polyring:{v}:{t}" for v in (1, 2, 3) for t in range(1, 5))
     yield "cancelling_terms.alg"
+    # (0:0)*(1:0) and (1:0)*(1:0) share one body, at two grade sums
+    yield "idempotent.alg"
     yield QUOTIENT
+    yield from (f"{PARSED}sl2-branching:{n}" for n in range(2, 5))
+    yield from (f"{PARSED}sl2-rep-ring:{n}" for n in range(2, 7))
+    yield f"{UNSHARED}sl2-branching:3"
+
+
+def _unshared(A):
+    """A's table through the constructor, with a fresh tuple in every pair."""
+    return GradedAlgebra(A.monoid_dim, A.components,
+                         {pair: tuple(list(expansion))
+                          for pair, expansion in A.structure.items()}, A.truncation)
 
 
 def _quotient_by_x_squared():
@@ -691,6 +714,10 @@ def _load(spec):
 
     if spec == QUOTIENT:
         return _quotient_by_x_squared()
+    if spec.startswith(PARSED):
+        return parse_graded_algebra(graded_algebra_to_str(_load(spec[len(PARSED):])))
+    if spec.startswith(UNSHARED):
+        return _unshared(_load(spec[len(UNSHARED):]))
     if spec.endswith(".alg"):
         return parse_graded_algebra((Path(__file__).parent / "fixtures" / spec).read_text())
     return _load_algebra(spec)
@@ -914,7 +941,7 @@ def ref_gr_structure(A, h):
 
 def test_gr_pass_finds_what_the_sorted_scans_find():
     reached = set()
-    for spec in [*_oracle_algebras(), "idempotent.alg"]:
+    for spec in _oracle_algebras():
         A = _load(spec)
         for text in FUNCTIONALS[A.monoid_dim]:
             h = parse_functional(text, A.monoid_dim)
@@ -955,3 +982,50 @@ def test_least_witness_over_shuffled_tables():
         assert check_lower_triangular(A, h) == ref_check_lower_triangular(A, h)
         for bound in range(5):
             assert zero_divisor_search(A, bound) == ref_zero_divisor_search(A, bound)
+
+
+def test_oracle_tables_are_shared_and_unshared_as_named():
+    shared = 0  # pairs that reuse an expansion object
+    for spec in _oracle_algebras():
+        A = _load(spec)
+        objects = len({id(expansion) for expansion in A.structure.values()})
+        if spec.startswith(UNSHARED):
+            assert objects == len(A.structure)
+        elif spec.startswith(("sl2-", PARSED)):
+            assert objects == len(set(A.structure.values()))
+            shared += len(A.structure) - objects
+    assert shared > 2000, shared
+
+
+def _doubled_products():
+    """Each one-line corruption of the emitted sl2-branching:3 that doubles
+    a product of two degree-1 elements, as the benchmark makes them."""
+    text = graded_algebra_to_str(_load("sl2-branching:3"))
+    lines = text.split("\n")
+    degree_one = re.compile(r"mult \(([\d,]+):\d+\)\*\(([\d,]+):\d+\) = ")
+    for i, line in enumerate(lines):
+        m = degree_one.match(line)
+        grades = [tuple(map(int, g.split(","))) for g in m.groups()] if m else ()
+        if grades and all(sum(g) - g[3] == 2 for g in grades):
+            lhs, rhs = line.split(" = ")
+            doubled = re.sub(r"(\d+(?:/\d+)?)\*\(", lambda t: f"{2 * F(t.group(1))}*(", rhs)
+            yield "\n".join([*lines[:i], f"{lhs} = {doubled}", *lines[i + 1:]])
+
+
+def _triple(build):
+    with pytest.raises(AssociativityError) as err:
+        build()
+    return err.value.triple
+
+
+def test_doubled_products_raise_the_same_triple_shared_or_unshared():
+    triples = set()
+    for bad in _doubled_products():
+        dim, truncation, components, structure = _scan_graded(bad)
+        shared = _triple(lambda: parse_graded_algebra(bad))
+        fresh = {pair: [tuple(term) for term in expansion]
+                 for pair, expansion in structure.items()}
+        assert len({id(e) for e in fresh.values()}) == len(fresh)
+        assert _triple(lambda: GradedAlgebra(dim, components, fresh, truncation)) == shared
+        triples.add(shared)
+    assert len(triples) > 5, triples

@@ -372,6 +372,15 @@ GRADED_EDGES = [
     ("truncation 2;", "truncation 2;truncation 2;"), ("truncation 2;\n", ""),
     ("monoid dim 1;", "monoid dim 1;monoid dim 1;"), ("monoid dim 1;\n", ""),
     ("mult (1:0)*(2:0) = 0;", "mult (1:0)*(2:0) = 0;\nmult (2:0)*(1:0) = 0;"),
+    # at the level of a mult body, which the scanner reads up to its ';'
+    ("= -1/2*(2:0)", "= -1/2 # half\n*(2:0)"), ("= -1/2*(2:0)", "= -1/2*(2:0) # note\n"),
+    ("= -1/2*(2:0);", "= -1/2*(2:0) # a; b\n;"), ("= -1/2*(2:0);", "= -1/2*(2:0); # a; b"),
+    ("= 0;", "= ;"), ("= 0;", "=;"), ("= 0;", "= # 0\n;"),
+    ("= -1/2*(2:0)", "= -1/2*(2:0) +"), ("= -1/2*(2:0)", "= -1/2*(2:0) + - 1*(1:0)"),
+    ("= -1/2*(2:0)", "= 0*(1:0) - 1/2*(2:0) + 0*(0:0)"), ("= 1*(1:0)", "= 0*(1:0)"),
+    ("= -1/2*(2:0)", "=\t-  \n1/2*(2:0)  +\t0*(1:0) \n"), ("= 1*(1:0)", "=1*(1:0)-0*(2:0)"),
+    ("= 0;", "= -1/2*(2:0);"), ("= 1*(2:0);", "= 1*(1:0);"),
+    ("= 1*(2:0);", "= 1*(1:0) ;"), ("(1:0)*(2:0) = 0;", "(2:0)*(0:0) = 1*(2:0);"),
 ]
 
 
