@@ -26,9 +26,8 @@ from .valuation import (
     PointwiseSum,
     Scaled,
     WeightValuation,
-    _random_int_polynomial,
-    _with_fractions,
     check_axioms,
+    random_polynomial,
 )
 
 HOLDS_CERTIFIED = "holds_certified"
@@ -103,8 +102,8 @@ def implies_check(v: CandidateValuation, w: CandidateValuation,
     Certificates: identity, w a positive multiple of v, w the zero weight
     vector (its valuation is the trivial coarsening), and full half-space
     decision on free algebras in exact mode.  Otherwise the verdict comes
-    from seeded refutation search, on the samples of `check_axioms`: int
-    coefficients and value keys while searching, `Fraction`s in a witness.
+    from seeded refutation search, on the samples of `check_axioms`, with
+    values compared as keys; a witness pair is reported as drawn.
     """
     if v.presentation.key() != w.presentation.key():
         raise ValueError("relation checks need valuations on the same algebra")
@@ -134,16 +133,15 @@ def implies_check(v: CandidateValuation, w: CandidateValuation,
     rng = random.Random(seed)
     v_key, w_key = v._key, w._key
     for _ in range(n_samples):
-        a = _random_int_polynomial(rng, P.ring, degree_bound)
-        b = _random_int_polynomial(rng, P.ring, degree_bound)
+        a = random_polynomial(rng, P.ring, degree_bound)
+        b = random_polynomial(rng, P.ring, degree_bound)
         # v(a) <= v(b) and w(a) > w(b), on each valuation's keys, with None
         # (bottom) the least key.
         va, vb = v_key(a), v_key(b)
         if va is None or (vb is not None and va <= vb):
             wa, wb = w_key(a), w_key(b)
             if wa is not None and (wb is None or wa > wb):
-                return RelationVerdict("implies", REFUTED,
-                                       witness=(_with_fractions(a), _with_fractions(b)))
+                return RelationVerdict("implies", REFUTED, witness=(a, b))
     return RelationVerdict("implies", HOLDS_NO_COUNTEREXAMPLE, n_samples=n_samples)
 
 

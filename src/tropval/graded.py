@@ -36,14 +36,16 @@ witnesses are still reported per pair, in pair order.  Sharing only saves
 work: a table whose pairs hold equal but distinct expansions gives the
 same results.
 
-Inside the checks, element coefficients are ints or `Fraction`s: the
-pair sampler draws ints, `GradedAlgebra.multiply` keeps int products on
-an integral table, and values are compared as scaled integer keys
-(`_value_key`), by the samplers and the override factor probe alike.
-Every sampled pair has a defined product.  Everything handed out (a table,
-a graded value, a report's witness elements) has `Fraction`s.  A check
-over a table that defines no products raises `NothingCheckedError`
-instead of passing vacuously.
+Structure constants take the one coefficient form of `poly`: an int when
+integral, otherwise a `Fraction`.  Inside the checks, element coefficients
+are ints or `Fraction`s: the pair sampler draws ints,
+`GradedAlgebra.multiply` keeps int products on an integral table, and
+values are compared as scaled integer keys (`_value_key`), by the
+samplers and the override factor probe alike.  Every sampled pair has a
+defined product.  The elements handed out (a basis element, a report's
+witness elements) and graded values have `Fraction`s.  A check over a
+table that defines no products raises `NothingCheckedError` instead of
+passing vacuously.
 """
 
 from __future__ import annotations
@@ -59,12 +61,12 @@ from operator import add, mul
 from . import groebner
 from .errors import PreconditionError, TropvalError
 from .linalg import solve_linear
-from .poly import Polynomial
+from .poly import Polynomial, _coefficient
 from .trop import BOTTOM, TropicalValue
 
 Grade = tuple[int, ...]
 BasisRef = tuple[Grade, int]
-# BasisRef -> coefficient.  Coefficients are Fractions in everything the
+# BasisRef -> coefficient.  Coefficients are Fractions in the elements the
 # module hands out; inside the checks they are ints or Fractions.
 Element = dict
 
@@ -102,7 +104,7 @@ def _merge_like_terms(terms: list) -> list:
     out: list = []
     for ref, c in terms:
         if out and out[-1][0] == ref:
-            c += out.pop()[1]
+            c = _coefficient(c + out.pop()[1])
         if c:
             out.append((ref, c))
     return out
@@ -210,13 +212,14 @@ class GradedAlgebra:
         return stored
 
     def _canonical_expansion(self, canon: dict, expansion) -> tuple:
-        """The stored form of an expansion: Fraction coefficients, canonical
-        refs, sorted, like terms summed and zero sums dropped."""
+        """The stored form of an expansion: coefficients in the one form of
+        `poly`, canonical refs, sorted, like terms summed and zero sums
+        dropped.  A coefficient is an int, a `Fraction` or a string that
+        `Fraction` reads; anything else, a float included, is a `TypeError`."""
         terms = []
         misses = []
         for target, c in expansion:
-            if type(c) is not Fraction:
-                c = Fraction(c)
+            c = _coefficient(Fraction(c) if type(c) is str else c)
             if c:
                 try:
                     ref = canon.get(target)
@@ -258,9 +261,8 @@ class GradedAlgebra:
     def multiply(self, e1: Element, e2: Element) -> Element:
         """Product of two elements.
 
-        An integral structure constant multiplies as its int numerator, so
-        int coefficients on an integral table give ints, and Fraction
-        coefficients give Fractions.
+        Int coefficients on an integral table give ints; a `Fraction` in
+        either gives `Fraction`s, which may be integral.
         """
         out: Element = {}
         for b1, c1 in e1.items():
@@ -271,8 +273,6 @@ class GradedAlgebra:
                         f"product {b1} * {b2} is outside the structure table")
                 c12 = c1 * c2
                 for target, coeff in expansion:
-                    if coeff.denominator == 1:
-                        coeff = coeff.numerator
                     s = out.get(target, 0) + c12 * coeff
                     if s == 0:
                         out.pop(target, None)
@@ -561,7 +561,7 @@ class _PairSampler:
     """Seedable source of element pairs whose product is defined.
 
     Each ``rng.choice(seq)`` is written out as CPython's rejection rule for
-    it (see `valuation._random_int_polynomial`), so the pairs and the
+    it (see `valuation.random_polynomial`), so the pairs and the
     generator's state afterwards are those of the calls themselves.  The
     table must define products (`_require_products`): on an empty one the
     first draw never ends.
@@ -961,7 +961,7 @@ def _monomial_algebra(rows, truncation: int, basis=None) -> GradedAlgebra:
     components = {g: index + 1 for (g, index), _ in fits[truncation]}
     # Expansion of each product monomial: a standard one is its own normal
     # form; the others are divided once, when first met.
-    expansion_of = {e: ((ref, Fraction(1)),) for e, ref in ref_of.items()}
+    expansion_of = {e: ((ref, 1),) for e, ref in ref_of.items()}
     structure = {}
     for ref1, e1 in fits[truncation]:
         partners = fits[truncation - sum(e1)]

@@ -55,9 +55,11 @@ key computation touches a `Fraction`.  Division has one loop,
 `Fraction`, that its caller fills (a weight valuation appends the
 homogenizing exponent to f's exponents there, so homogenization costs no
 polynomial of its own), and yields the remainder's terms largest first.
-Integral coefficients stay ints; a `Fraction` is made only where a
-rational tail or a leading coefficient other than 1 needs one.
-`normal_form` collects every term as a `Fraction`.
+A `Polynomial` already stores integral coefficients as ints, so its terms
+go into the work dict as they are; a `Fraction` is made only where a
+rational tail or a leading coefficient other than 1 needs one, and
+`normal_form` stores each remainder term in the one coefficient form of
+`poly`.
 
 The loop reads the order key and the one-step rewrite of a monomial (the
 first dividing element's tail shifted onto it, or "irreducible") as
@@ -76,8 +78,8 @@ irreducible term; that is about 1% of the keys of an axiom sweep.  No
 whole monomial normal form is stored, so an entry costs one term.
 
 `buchberger` keeps each basis element only as its division-table entry:
-the monic lead and the negated tail, integral coefficients as ints, made
-once, when the element joins.  Each S-polynomial x^sj*(-tail_j) -
+the monic lead and the negated tail in the one coefficient form of `poly`,
+made once, when the element joins.  Each S-polynomial x^sj*(-tail_j) -
 x^si*(-tail_i) of a pair (i, j) goes straight into the work dict of
 `_remainder_terms`, whose first remainder term is the new element's lead,
 so a pair costs no leading-term scan and no `Polynomial` arithmetic.  A
@@ -110,6 +112,7 @@ from .poly import (
     RingContext,
     RingMismatchError,
     WeightVector,
+    _coefficient,
 )
 
 GREVLEX = "grevlex"
@@ -285,13 +288,11 @@ def _check_termination(order: MonomialOrder, polys) -> None:
     )
 
 
-def _divisor(g: Polynomial, lm: ExponentVector, lc: Fraction) -> tuple:
+def _divisor(g: Polynomial, lm: ExponentVector, lc: int | Fraction) -> tuple:
     """Division-table entry of one basis element: leading monomial, leading
-    coefficient (None when it is 1) and negated tail, integral coefficients
-    as ints."""
+    coefficient (None when it is 1) and negated tail."""
     return (lm, None if lc == 1 else lc,
-            [(eg, -(cg.numerator if cg.denominator == 1 else cg))
-             for eg, cg in g.terms.items() if eg != lm])
+            [(eg, -cg) for eg, cg in g.terms.items() if eg != lm])
 
 
 def _rewrite(table: list, e: ExponentVector) -> tuple | None:
@@ -455,25 +456,21 @@ def _leading_remainder(work: dict, gb: GroebnerBasis) -> ExponentVector | None:
 
 
 def _remainder_polynomial(ring: RingContext, work: dict, key, step) -> Polynomial:
-    """The remainder of ``work`` by `_remainder_terms`, with `Fraction`
-    coefficients."""
+    """The remainder of ``work`` by `_remainder_terms`, as a `Polynomial`."""
     return Polynomial._trusted(ring, {
-        e: c if type(c) is Fraction else Fraction(c)
-        for e, c in _remainder_terms(work, key, step)})
+        e: _coefficient(c) for e, c in _remainder_terms(work, key, step)})
 
 
 def _reduce(f: Polynomial, key, step) -> Polynomial:
-    """The remainder of f by `_remainder_terms`, with `Fraction` coefficients."""
-    work = {e: c.numerator if c.denominator == 1 else c for e, c in f.terms.items()}
-    return _remainder_polynomial(f.ring, work, key, step)
+    """The remainder of f by `_remainder_terms`."""
+    return _remainder_polynomial(f.ring, dict(f.terms), key, step)
 
 
 def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:
     """Remainder of multivariate division of f by the basis.
 
     No term of the result is divisible by a leading monomial of the basis,
-    and f minus the result lies in the ideal the basis generates.  Every
-    coefficient of the result is a `Fraction`.
+    and f minus the result lies in the ideal the basis generates.
     """
     if not gb.gens or f.is_zero:
         return f
@@ -492,18 +489,16 @@ def leading_normal_exponent(f: Polynomial,
     """
     if gb.gens and f.ring != gb.gens[0].ring:
         raise ValueError("polynomial and basis live in different rings")
-    work = {e: c.numerator if c.denominator == 1 else c for e, c in f.terms.items()}
-    return _leading_remainder(work, gb)
+    return _leading_remainder(dict(f.terms), gb)
 
 
 def _monic_tail(terms, lc) -> list:
     """Negated tail of a division-table entry: the (exponent, coefficient)
-    terms other than the lead, divided by the lead coefficient lc, with
-    integral coefficients as ints."""
+    terms other than the lead, divided by the lead coefficient lc."""
     if lc != 1:
         inv = Fraction(1) / lc
         terms = [(e, inv * c) for e, c in terms]
-    return [(e, -(c.numerator if c.denominator == 1 else c)) for e, c in terms]
+    return [(e, -_coefficient(c)) for e, c in terms]
 
 
 def buchberger(gens: Sequence[Polynomial], order: MonomialOrder) -> GroebnerBasis:

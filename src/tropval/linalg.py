@@ -17,8 +17,8 @@ from fractions import Fraction
 def solve_linear(columns: list[dict], target: dict) -> list[Fraction] | None:
     """Solve sum_j x_j * columns[j] = target exactly, or return None.
 
-    Columns and target are sparse vectors (mapping -> Fraction) over any
-    hashable row index set.  Free variables are set to zero.
+    Columns and target are sparse vectors (mapping -> int or Fraction) over
+    any hashable row index set.  Free variables are set to zero.
     """
     support = {k for col in columns for k, v in col.items() if v != 0}
     if any(v != 0 and k not in support for k, v in target.items()):

@@ -2,8 +2,10 @@
 
 A polynomial lives in a fixed `RingContext` (an ordered tuple of variable
 names) and is stored sparsely as a map from exponent tuples to nonzero
-`Fraction` coefficients.  The zero polynomial is the empty map.  Values are
-immutable after construction; all arithmetic returns new objects.
+rational coefficients.  A coefficient has one stored form (`_coefficient`):
+an int when it is integral, otherwise a `Fraction` with denominator > 1.
+The zero polynomial is the empty map.  Values are immutable after
+construction; all arithmetic returns new objects.
 
 A `Presentation` packages a ring, a list of ideal generators, and a
 coefficient valuation: either the trivial one (every nonzero constant has
@@ -51,6 +53,20 @@ class RingContext:
         return "ring " + " ".join(self.variables) + ";"
 
 
+def _coefficient(c):
+    """The stored form of a rational coefficient: an int when it is integral,
+    otherwise the `Fraction` itself.
+
+    c is an int or a `Fraction`; anything else, a float included, is a
+    `TypeError`.  Every place that can make an integral `Fraction` in a
+    `Polynomial` or a graded table stores its result through this.
+    """
+    try:
+        return c.numerator if c.denominator == 1 else c
+    except AttributeError:
+        raise TypeError(f"coefficient {c!r} is not an int or a Fraction") from None
+
+
 def _check_same_ring(a: "Polynomial", b: "Polynomial") -> None:
     if a.ring != b.ring:
         raise RingMismatchError(
@@ -59,15 +75,19 @@ def _check_same_ring(a: "Polynomial", b: "Polynomial") -> None:
 
 
 class Polynomial:
-    """Sparse exact polynomial: exponent tuple -> nonzero Fraction."""
+    """Sparse exact polynomial: exponent tuple -> nonzero coefficient.
+
+    A coefficient is an int when it is integral, otherwise a `Fraction`.
+    """
 
     __slots__ = ("ring", "terms", "_key")
 
-    def __init__(self, ring: RingContext, terms: Mapping[ExponentVector, Fraction]):
-        clean: dict[ExponentVector, Fraction] = {}
+    def __init__(self, ring: RingContext,
+                 terms: Mapping[ExponentVector, int | Fraction]):
+        clean: dict[ExponentVector, int | Fraction] = {}
         n = ring.dim
         for exps, coeff in terms.items():
-            c = Fraction(coeff)
+            c = _coefficient(coeff)
             if c == 0:
                 continue
             e = tuple(int(x) for x in exps)
@@ -82,15 +102,12 @@ class Polynomial:
 
     @classmethod
     def _trusted(cls, ring: RingContext,
-                 terms: dict[ExponentVector, Fraction]) -> "Polynomial":
+                 terms: dict[ExponentVector, int | Fraction]) -> "Polynomial":
         """Wrap terms that are already clean, without copying or validating.
 
         The caller guarantees int-tuple exponents of length ``ring.dim``, no
-        negative entries, and nonzero `Fraction` coefficients; the dict is
-        taken over, not copied.  One internal exception: the axiom samplers
-        of `valuation` and `cones` wrap nonzero int coefficients, and keep
-        those polynomials inside their checks, converting a witness to
-        `Fraction`s before it is reported.
+        negative entries, and nonzero coefficients in their stored form
+        (`_coefficient`); the dict is taken over, not copied.
         """
         out = cls.__new__(cls)
         out.ring = ring
@@ -106,20 +123,20 @@ class Polynomial:
 
     @classmethod
     def constant(cls, ring: RingContext, c: Fraction | int) -> "Polynomial":
-        return cls(ring, {(0,) * ring.dim: Fraction(c)})
+        return cls(ring, {(0,) * ring.dim: c})
 
     @classmethod
     def variable(cls, ring: RingContext, name: str) -> "Polynomial":
         i = ring.index(name)
         e = [0] * ring.dim
         e[i] = 1
-        return cls(ring, {tuple(e): Fraction(1)})
+        return cls(ring, {tuple(e): 1})
 
     @classmethod
     def monomial(
         cls, ring: RingContext, exps: Iterable[int], coeff: Fraction | int = 1
     ) -> "Polynomial":
-        return cls(ring, {tuple(exps): Fraction(coeff)})
+        return cls(ring, {tuple(exps): coeff})
 
     # -- structure ---------------------------------------------------------
 
@@ -168,7 +185,7 @@ class Polynomial:
                 if s == 0:
                     del res[e]
                 else:
-                    res[e] = s
+                    res[e] = _coefficient(s)
         return Polynomial._trusted(self.ring, res)
 
     def __neg__(self) -> "Polynomial":
@@ -179,7 +196,7 @@ class Polynomial:
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         _check_same_ring(self, other)
-        res: dict[ExponentVector, Fraction] = {}
+        res: dict[ExponentVector, int | Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(map(add, e1, e2))
@@ -192,13 +209,15 @@ class Polynomial:
                         del res[e]
                     else:
                         res[e] = s
-        return Polynomial._trusted(self.ring, res)
+        return Polynomial._trusted(
+            self.ring, {e: _coefficient(c) for e, c in res.items()})
 
     def scale(self, c: Fraction | int) -> "Polynomial":
-        c = Fraction(c)
+        c = _coefficient(c)
         if c == 0:
             return Polynomial.zero(self.ring)
-        return Polynomial._trusted(self.ring, {e: c * v for e, v in self.terms.items()})
+        return Polynomial._trusted(
+            self.ring, {e: _coefficient(c * v) for e, v in self.terms.items()})
 
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
@@ -235,7 +254,7 @@ class Polynomial:
 
     # -- printing ----------------------------------------------------------
 
-    def sorted_terms(self) -> list[tuple[ExponentVector, Fraction]]:
+    def sorted_terms(self) -> list[tuple[ExponentVector, int | Fraction]]:
         """Terms in descending graded-lex order (the printer order)."""
         return sorted(
             self.terms.items(),

@@ -58,6 +58,7 @@ from .poly import (
     RingContext,
     TRIVIAL_COEFFS,
     WeightVector,
+    _coefficient,
 )
 from .trop import BOTTOM, TropicalValue
 
@@ -548,9 +549,9 @@ def _scan_graded(text: str):
     statement, say), a grade of the wrong length, a statement before
     ``monoid dim``, a repeated statement or a zero denominator.  Within one
     call each basis ref is built once per matched ref string, each
-    coefficient literal becomes a `Fraction` once, and each distinct mult
-    body text is checked and read once: pairs written with the same body
-    share one expansion list.
+    coefficient literal is read once, into the one coefficient form of
+    `poly`, and each distinct mult body text is checked and read once:
+    pairs written with the same body share one expansion list.
     """
     dim = truncation = None
     components: dict[tuple[int, ...], int] = {}
@@ -562,9 +563,9 @@ def _scan_graded(text: str):
             raise _Rejected
         return (tuple(entries), idx)
 
-    def new_coeff(literal: str) -> Fraction:
+    def new_coeff(literal: str) -> int | Fraction:
         try:
-            return Fraction(literal)
+            return _coefficient(Fraction(literal))
         except ZeroDivisionError:
             raise _Rejected from None
 

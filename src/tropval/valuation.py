@@ -25,10 +25,8 @@ valuation's keys share one scale, so key order is value order.  A
 every subclass inherits, and a reported witness.
 
 Inside those two loops, samples and their products and sums have int
-coefficients: they are the draws of `random_polynomial` without its
-`Fraction` wrap, and division reduces them as ints anyway.  A sample that
-becomes a reported witness is converted to `Fraction` coefficients first,
-so every polynomial that leaves this module has them.
+coefficients: they are draws of `random_polynomial`, whose coefficients
+are small ints, and a reported witness is such a sample as drawn.
 
 Weight valuations of one presentation can share one `HomogenizedIdeal`.
 Values are not memoized per element, since nearly every sampled element
@@ -232,21 +230,7 @@ _COEFFICIENTS = (-3, -2, -1, 1, 2, 3)
 
 def random_polynomial(rng: random.Random, ring: RingContext,
                       degree_bound: int, max_terms: int = 3) -> Polynomial:
-    """Nonzero polynomial with small integer coefficients, seeded.
-
-    The draw of `_random_int_polynomial`, with `Fraction` coefficients.
-    """
-    return _with_fractions(_random_int_polynomial(rng, ring, degree_bound, max_terms))
-
-
-def _with_fractions(p: Polynomial) -> Polynomial:
-    """An int-coefficient sample with its coefficients made `Fraction`s."""
-    return Polynomial._trusted(p.ring, {e: Fraction(c) for e, c in p.terms.items()})
-
-
-def _random_int_polynomial(rng: random.Random, ring: RingContext,
-                           degree_bound: int, max_terms: int = 3) -> Polynomial:
-    """The one sampling loop: a nonzero polynomial with int coefficients.
+    """Nonzero polynomial with small int coefficients, seeded.
 
     The term count is ``randint(1, max_terms)``, each exponent
     ``randint(0, degree_bound)`` (the vector redrawn while its degree
@@ -297,12 +281,11 @@ def check_axioms(v: CandidateValuation, seed: int = 0, n_pairs: int = 200,
 
     A multiplicativity failure is v(ab) != v(a) (x) v(b).  A cancellation
     failure is a strict drop v(a+b) < v(a) (+) v(b) with v(a) != v(b), which
-    no valuation can exhibit.  The samples are those of `random_polynomial`;
-    they, their products and their sums keep int coefficients here, and
-    values are compared as keys.  A witness pair is reported with
-    `Fraction` coefficients and its values as `TropicalValue`s.  A degree bound
-    below 1 is rejected: every sample would be a constant, and any
-    candidate would pass.
+    no valuation can exhibit.  The samples are those of `random_polynomial`,
+    and values are compared as keys.  A witness pair is reported as drawn,
+    with its values as `TropicalValue`s.  A degree bound below 1 is
+    rejected: every sample would be a constant, and any candidate would
+    pass.
     """
     if degree_bound < 1:
         raise ValueError(f"axiom sampling needs degree_bound >= 1, got {degree_bound}")
@@ -312,20 +295,19 @@ def check_axioms(v: CandidateValuation, seed: int = 0, n_pairs: int = 200,
     mult_failures = []
     cancellation_failures = []
     for _ in range(n_pairs):
-        a = _random_int_polynomial(rng, ring, degree_bound)
-        b = _random_int_polynomial(rng, ring, degree_bound)
+        a = random_polynomial(rng, ring, degree_bound)
+        b = random_polynomial(rng, ring, degree_bound)
         # Keys over v's one scale; None is bottom, which absorbs in the
         # product and is least in the join.
         va, vb = key(a), key(b)
         vab = key(a * b)
         expected = None if va is None or vb is None else va + vb
         if vab != expected:
-            mult_failures.append((_with_fractions(a), _with_fractions(b),
-                                  _value(vab, v.scale), _value(expected, v.scale)))
+            mult_failures.append((a, b, _value(vab, v.scale), _value(expected, v.scale)))
         if va != vb:  # equal values allow any drop, so a + b is not evaluated
             join = vb if va is None else va if vb is None else max(va, vb)
             if key(a + b) != join:
-                cancellation_failures.append((_with_fractions(a), _with_fractions(b)))
+                cancellation_failures.append((a, b))
     return AxiomReport(n_pairs, tuple(mult_failures), tuple(cancellation_failures))
 
 

@@ -12,6 +12,12 @@ from tropval.textio import parse_presentation
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
+def stored_coefficient(c) -> bool:
+    """Is c in the one form a coefficient is stored in: an int when it is
+    integral, otherwise a `Fraction` with denominator > 1?"""
+    return type(c) is int or (type(c) is Fraction and c.denominator > 1)
+
+
 def W(*entries) -> WeightVector:
     return WeightVector(tuple(Fraction(e) for e in entries))
 
@@ -60,8 +66,7 @@ def _memo_free_lookups(gb) -> tuple:
 
 def _memo_free_terms(f, gb):
     """The remainder terms of f by gb, largest first, as a generator."""
-    work = {e: c.numerator if c.denominator == 1 else c for e, c in f.terms.items()}
-    return _remainder_terms(work, *_memo_free_lookups(gb))
+    return _remainder_terms(dict(f.terms), *_memo_free_lookups(gb))
 
 
 @pytest.fixture

@@ -39,9 +39,9 @@ def macaulay_member(f, gens, degree_bound: int) -> bool:
     matrix = [[Fraction(0)] * (len(columns) + 1) for _ in rows]
     for j, col in enumerate(columns):
         for e, c in col.items():
-            matrix[index[e]][j] = c
+            matrix[index[e]][j] = Fraction(c)
     for e, c in f.terms.items():
-        matrix[index[e]][-1] = c
+        matrix[index[e]][-1] = Fraction(c)
 
     # forward elimination with back substitution folded in
     n_rows, n_cols = len(rows), len(columns)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import stored_coefficient
 from tropval.errors import TropvalError
 from tropval.graded import (
     AssociativityError,
@@ -251,7 +252,7 @@ def test_trusted_tables_are_what_the_constructor_would_store(builder, args):
             assert canonical.key() == T.key()
             assert canonical.truncation == T.truncation
             assert all(_int_fields(ref) for pair in T.structure for ref in pair)
-            assert all(type(c) is Fraction and _int_fields(ref)
+            assert all(stored_coefficient(c) and _int_fields(ref)
                        for expansion in T.structure.values() for ref, c in expansion)
 
 
@@ -432,7 +433,7 @@ def _perturbed_builtin(rng, A, move):
     elif move == "replace":
         expansion = list(structure[rng.choice(keys)])
     elif move == "rational":
-        expansion[k] = (target, c / 3)
+        expansion[k] = (target, F(c, 3))
     structure[key] = tuple(expansion)
     partial = rng.random() < 0.5
     if partial:
@@ -497,7 +498,7 @@ def test_doubled_entry_in_an_emitted_file_is_rejected():
 
 
 def _rank(rows):
-    rows = [list(r) for r in rows]
+    rows = [[F(x) for x in r] for r in rows]
     rank = 0
     for col in range(len(rows[0]) if rows else 0):
         pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)

@@ -4,7 +4,7 @@ from operator import mul
 
 import pytest
 
-from conftest import FIXTURE_WEIGHTS, W, _memo_free_terms, load
+from conftest import FIXTURE_WEIGHTS, W, _memo_free_terms, load, stored_coefficient
 from tropval.cones import (
     HOLDS_CERTIFIED,
     HOLDS_NO_COUNTEREXAMPLE,
@@ -392,10 +392,6 @@ def _fraction_implies(v, w, seed, n_samples, degree_bound):
     return RelationVerdict("implies", HOLDS_NO_COUNTEREXAMPLE, n_samples=n_samples)
 
 
-def _fraction_only(p: Polynomial) -> bool:
-    return all(type(c) is Fraction for c in p.terms.values())
-
-
 def _assert_fraction_values(report: AxiomReport) -> None:
     for _, _, got, expected in report.multiplicativity_failures:
         for value in (got, expected):
@@ -597,6 +593,8 @@ def test_int_sample_implies_verdicts_match_the_fraction_loop():
 
 
 def test_reported_polynomials_have_fraction_coefficients(hyperbola):
+    """Witnesses and draws hold rationals in their one stored form: ints,
+    since every sample has small int coefficients."""
     free_xy = load("free_xy.ideal")
     # Off-variety weights fail multiplicativity; a negated valuation fails
     # cancellation, since it takes the min of two distinct values.
@@ -622,11 +620,14 @@ def test_reported_polynomials_have_fraction_coefficients(hyperbola):
             refuted += 1
             reported += list(verdict.witness)
     assert refuted > 10
+    exact = implies_check(v, w, exact_mode=True)  # a monomial pair
+    assert exact.refuted
+    reported += list(exact.witness)
     for dim in (1, 2, 3):
         ring = RingContext(tuple(f"v{i}" for i in range(dim)))
         rng = random.Random(dim)
         reported += [random_polynomial(rng, ring, 4) for _ in range(50)]
-    assert all(_fraction_only(p) for p in reported)
+    assert all(stored_coefficient(c) for p in reported for c in p.terms.values())
 
 
 def test_check_axioms_rejects_a_degree_bound_below_one(hyperbola):
