@@ -355,7 +355,9 @@ def _cmd_sl2lab(args) -> int:
     return PASS
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parsers() -> tuple[argparse.ArgumentParser,
+                              dict[str, argparse.ArgumentParser]]:
+    """The top-level parser, and the subparser of each verb by name."""
     parser = argparse.ArgumentParser(
         prog="tropval",
         description="valuation and tropical-membership workbench",
@@ -442,19 +444,41 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("bound", type=int)
     p.set_defaults(func=_cmd_sl2lab)
 
-    return parser
+    return parser, sub.choices
 
 
+# built on first use, so importing stays cheap
 _parser: argparse.ArgumentParser | None = None
+_verb_parsers: dict[str, argparse.ArgumentParser] = {}
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``_parser.parse_args(argv)``, handing a verb's arguments to its parser.
+
+    The top-level parser passes everything after the verb to the verb's
+    subparser unchanged, so this calls that subparser directly and skips
+    the top-level pass.  It falls back to the top-level parser when argv
+    does not start with a verb, when it holds ``--`` (whose handling has
+    changed between Python versions), and when the subparser leaves
+    arguments it does not recognize, so every usage message and exit is
+    argparse's own.
+    """
+    verb_parser = _verb_parsers.get(argv[0]) if argv else None
+    if verb_parser is not None and "--" not in argv:
+        args, extras = verb_parser.parse_known_args(argv[1:])
+        if not extras:
+            args.verb = argv[0]
+            return args
+    return _parser.parse_args(argv)
 
 
 def run(argv: list[str]) -> int:
     """Entry point used by tests: parse argv, run, return the exit code."""
-    global _parser
-    if _parser is None:  # built on first use, so importing stays cheap
-        _parser = _build_parser()
+    global _parser, _verb_parsers
+    if _parser is None:
+        _parser, _verb_parsers = _build_parsers()
     try:
-        args = _parser.parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         return USAGE if exc.code else PASS
     try:

@@ -18,8 +18,8 @@ from fractions import Fraction
 from operator import mul
 
 from .errors import PreconditionError
-from .groebner import HomogenizedIdeal, classify_weights, integer_weights
-from .poly import Polynomial, Presentation, WeightVector
+from .groebner import HomogenizedIdeal, classify_weights
+from .poly import Polynomial, Presentation, WeightVector, integer_weights
 from .valuation import (
     AxiomReport,
     CandidateValuation,
@@ -196,7 +196,7 @@ def arrow_check(P: Presentation, v: WeightVector, w: WeightVector) -> RelationVe
 
     If every generator is w-homogeneous, in_w(I) = I: no basis is needed.
     """
-    ws = integer_weights(P.effective_weights(w).weights)[0]
+    ws = P.effective_weights(w).int_weights
     P.effective_weights(v)  # rejects a v of the wrong dimension
     if all(len({sum(map(mul, ws, e)) for e in g.terms}) == 1 for g in P.ideal_gens):
         return RelationVerdict("arrow", HOLDS_CERTIFIED,

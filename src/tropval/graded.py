@@ -61,7 +61,7 @@ from operator import add, mul
 from . import groebner
 from .errors import PreconditionError, TropvalError
 from .linalg import solve_linear
-from .poly import Polynomial, _coefficient
+from .poly import Polynomial, _coefficient, integer_weights
 from .trop import BOTTOM, TropicalValue
 
 Grade = tuple[int, ...]
@@ -403,7 +403,7 @@ class LexFunctional:
     realized with exact arithmetic.
 
     Order tests use `key`: each row is scaled once by the lcm of its
-    denominators (`groebner.integer_weights`), a positive factor, so
+    denominators (`poly.integer_weights`), a positive factor, so
     integer keys compare (``<``, ``==``) exactly as the rational values do,
     and the key of a grade sum is the sum of the keys.  `value` and `first`
     give the exact Fractions.
@@ -422,7 +422,7 @@ class LexFunctional:
         object.__setattr__(self, "rows", rows)
         if not rows:
             raise ValueError("a functional needs at least one row")
-        int_rows, scales = zip(*map(groebner.integer_weights, rows))
+        int_rows, scales = zip(*map(integer_weights, rows))
         object.__setattr__(self, "_scales", scales)
         object.__setattr__(self, "_int_rows", int_rows)
 
@@ -695,14 +695,21 @@ def _override_factor_probe(A: GradedAlgebra, gv: GradedValuation) -> list:
     # order, and the products as columns.  The column order picks the
     # returned solution, hence the printed witness.  The pairs come in
     # ascending order, so each list fills in ascending order: first the
-    # pairs (b, a) with b < a, then (a, b) with b >= a.
+    # pairs (b, a) with b < a, then (a, b) with b >= a.  Pairs that share
+    # an expansion share its column dict; `solve_linear` only reads them.
     partners: dict[BasisRef, list] = {ref: [] for ref in A.basis()}
-    for b1, b2 in A.structure:
+    columns: dict[BasisRef, list] = {ref: [] for ref in partners}
+    column_of: dict[int, dict] = {}  # id of an expansion -> its column
+    for (b1, b2), expansion in A.structure.items():
+        column = column_of.get(id(expansion))
+        if column is None:
+            column = column_of[id(expansion)] = dict(expansion)
         partners[b1].append(b2)
+        columns[b1].append(column)
         if b1 != b2:
             partners[b2].append(b1)
-    probes = [(a_ref, candidates,
-               [dict(A.basis_product(a_ref, b)) for b in candidates])
+            columns[b2].append(column)
+    probes = [(a_ref, candidates, columns[a_ref])
               for a_ref, candidates in partners.items() if candidates]
     key = gv.functional.key
     for element, _ in gv.overrides:

@@ -28,9 +28,10 @@ homogenization pipeline:
      with top-weight exponents t_0, ..., t_k, the equalities t_i - t_0
      (dot product 0) and, for every other exponent e of g, the strict
      inequality t_0 - e (dot product > 0).  It tests each weight against
-     the cones found so far with integer dot products on the weight's
-     `integer_weights`, building no order, and runs steps 3-4 (and builds
-     the refined order) only for a weight outside all of them.
+     the cones found so far with integer dot products on the integer form
+     that every `WeightVector` holds (`poly.integer_weights`), building no
+     order, and runs steps 3-4 (and builds the refined order) only for a
+     weight outside all of them.
      The test is sufficient, not necessary: a weight that misses every cone
      takes the full path, and equal initial ideals still merge classes.
 
@@ -49,8 +50,9 @@ The witness power is found by reducing powers of the product one
 multiplication at a time, with no bound on the exponent.
 
 Orders compare monomials by flat integer keys: rational weights are scaled
-once per order by the LCM of their denominators (`integer_weights`), so no
-key computation touches a `Fraction`.  Division has one loop,
+by the LCM of their denominators (`integer_weights`), once per weight
+vector, and an order built from a `WeightVector` takes that integer form
+over, so no key computation touches a `Fraction`.  Division has one loop,
 `_remainder_terms`.  It consumes a work dict, exponent to int or
 `Fraction`, that its caller fills (a weight valuation appends the
 homogenizing exponent to f's exponents there, so homogenization costs no
@@ -113,6 +115,7 @@ from .poly import (
     RingMismatchError,
     WeightVector,
     _coefficient,
+    integer_weights,  # defined in poly, still importable from here
 )
 
 GREVLEX = "grevlex"
@@ -123,22 +126,14 @@ class ZeroPolynomialError(TropvalError):
     """Raised when an operation needs a nonzero polynomial."""
 
 
-def integer_weights(weights: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
-    """The weights times the positive LCM of their denominators, and that LCM.
-
-    Scaling by a positive constant keeps every comparison of weight dot
-    products, so the integer tuple can stand in for the weights.
-    """
-    scale = math.lcm(*(w.denominator for w in weights))
-    return tuple(w.numerator * (scale // w.denominator) for w in weights), scale
-
-
 @dataclass(frozen=True)
 class MonomialOrder:
     """A total multiplicative order: weight dot product, then a tie-break.
 
-    ``weights`` stays the public rational vector.  ``int_weights`` and
-    ``scale`` are its `integer_weights`, so keys are integers.
+    ``weights`` may be given as rationals or as a `WeightVector`, and is
+    stored as the public rational tuple.  ``int_weights`` and ``scale`` are
+    its `integer_weights`, so keys are integers; a `WeightVector` hands
+    over the integer form it holds.
     """
 
     weights: tuple[Fraction, ...] | None = None
@@ -150,13 +145,13 @@ class MonomialOrder:
     def __post_init__(self):
         if self.tie_break not in (GREVLEX, LEX):
             raise ValueError(f"unknown tie break {self.tie_break!r}")
-        if self.weights is not None:
-            weights = tuple(w if type(w) is Fraction else Fraction(w)
-                            for w in self.weights)
-            int_weights, scale = integer_weights(weights)
-            object.__setattr__(self, "weights", weights)
-            object.__setattr__(self, "scale", scale)
-            object.__setattr__(self, "int_weights", int_weights)
+        w = self.weights
+        if w is not None:
+            if not isinstance(w, WeightVector):
+                w = WeightVector(tuple(w))
+            object.__setattr__(self, "weights", w.weights)
+            object.__setattr__(self, "scale", w.int_scale)
+            object.__setattr__(self, "int_weights", w.int_weights)
 
     @classmethod
     def grevlex(cls) -> "MonomialOrder":
@@ -168,7 +163,7 @@ class MonomialOrder:
 
     @classmethod
     def weighted(cls, w: WeightVector, tie_break: str = GREVLEX) -> "MonomialOrder":
-        return cls(tuple(w.weights), tie_break)
+        return cls(w, tie_break)
 
     def is_global(self) -> bool:
         """True when every variable is larger than 1 (termination guarantee)."""
@@ -724,8 +719,9 @@ class HomogenizedIdeal:
 
     def order(self, w: WeightVector) -> MonomialOrder:
         """The (w, 0)-refined order on the extended ring, w made effective."""
-        return MonomialOrder(
-            self.presentation.effective_weights(w).weights + (Fraction(0),))
+        w = self.presentation.effective_weights(w)
+        return MonomialOrder(WeightVector._trusted(
+            w.weights + (Fraction(0),), w.int_weights + (0,), w.int_scale))
 
     def refined_basis(self, w: WeightVector) -> GroebnerBasis:
         """Step 3: the reduced basis for the (w, 0)-refined order."""
@@ -845,7 +841,7 @@ def classify_weights(
     classes: dict[tuple, tuple[tuple[Polynomial, ...], list[WeightVector]]] = {}
     for w in ws:
         # `H.order(w).int_weights`, read without building the order.
-        ws_int = integer_weights(P.effective_weights(w).weights)[0] + (0,)
+        ws_int = P.effective_weights(w).int_weights + (0,)
         key = next((k for k, cone in cones if _in_cone(cone, ws_int)), None)
         if key is None:
             gens, cone = H.initial(w)
@@ -871,17 +867,28 @@ def enumerate_fan(P: Presentation, box: int, denominator: int = 1) -> list[FanCl
 
     Classes are keyed by equality of initial ideals, listed by their
     lexicographically smallest representative.  Intended for small instances.
+
+    The grid is held as integer points p over the one denominator d, and
+    each point's `WeightVector` is built once from them: its integer form
+    is p / g over the scale d / g, with g = gcd(d, p).  `itertools.product`
+    lists the points in ascending lexicographic order, which is also the
+    order of the rational points p / d, and `classify_weights` keeps input
+    order; so members come ascending and classes in the order of their
+    smallest member, with no sort.
     """
     if box < 0 or denominator <= 0:
         raise TropvalError("box must be non-negative and denominator positive")
-    values = [Fraction(p, denominator)
-              for p in range(-box * denominator, box * denominator + 1)]
-    grid = [WeightVector(point)
-            for point in itertools.product(values, repeat=P.ring.dim)]
+    n = P.ring.dim
+    numerators = range(-box * denominator, box * denominator + 1)
+    values = [Fraction(p, denominator) for p in numerators]
+    grid = []
+    for point, weights in zip(itertools.product(numerators, repeat=n),
+                              itertools.product(values, repeat=n)):
+        g = math.gcd(denominator, *point)
+        grid.append(WeightVector._trusted(
+            weights, tuple(p // g for p in point), denominator // g))
     classes = []
     for gens, members in classify_weights(P, grid):
-        members.sort(key=lambda v: v.weights)
         free, _ = contains_monomial(list(gens), P.ring) if gens else (False, None)
         classes.append(FanClass(members[0], gens, not free, tuple(members)))
-    classes.sort(key=lambda c: c.representative.weights)
     return classes

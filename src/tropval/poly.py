@@ -15,10 +15,11 @@ uniformizer and pinning its weight.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .errors import TropvalError
 
@@ -271,15 +272,49 @@ class Polynomial:
         return f"Polynomial({self})"
 
 
+def integer_weights(weights: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
+    """The weights times the positive LCM of their denominators, and that LCM.
+
+    Scaling by a positive constant keeps every comparison of weight dot
+    products, so the integer tuple can stand in for the weights.
+    """
+    scale = math.lcm(*(w.denominator for w in weights))
+    return tuple(w.numerator * (scale // w.denominator) for w in weights), scale
+
+
 @dataclass(frozen=True)
 class WeightVector:
-    """Rational weights on the ring variables, one per variable."""
+    """Rational weights on the ring variables, one per variable.
+
+    ``weights`` is the public rational vector.  ``int_weights`` and
+    ``int_scale`` are its `integer_weights`, computed once, so that orders
+    and cone tests read integers.
+    """
 
     weights: tuple[Fraction, ...]
+    int_weights: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    int_scale: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(
-            w if type(w) is Fraction else Fraction(w) for w in self.weights))
+        weights = tuple(w if type(w) is Fraction else Fraction(w) for w in self.weights)
+        int_weights, int_scale = integer_weights(weights)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "int_weights", int_weights)
+        object.__setattr__(self, "int_scale", int_scale)
+
+    @classmethod
+    def _trusted(cls, weights: tuple[Fraction, ...], int_weights: tuple[int, ...],
+                 int_scale: int) -> "WeightVector":
+        """Wrap a vector whose integer form the caller already holds.
+
+        The caller guarantees that ``weights`` are `Fraction`s and that
+        ``(int_weights, int_scale)`` is their `integer_weights`.
+        """
+        out = cls.__new__(cls)
+        object.__setattr__(out, "weights", weights)
+        object.__setattr__(out, "int_weights", int_weights)
+        object.__setattr__(out, "int_scale", int_scale)
+        return out
 
     @property
     def dim(self) -> int:

@@ -34,6 +34,14 @@ nest at most 200 levels deep, and a rational literal with denominator zero
 is a parse error at that literal, as is a `--functional` entry or an
 `--override` value that is not a rational.
 
+A number token is ``p`` or ``p/q``, each a run of decimal digits (any
+Unicode decimal digit, as in `int`).  The cursor reads it with `int` and
+builds ``Fraction(int(p), int(q))``, which is the value ``Fraction(tok)``
+gives but skips that constructor's string matching.  Two readers keep
+``Fraction(text)``: the graded scanner, whose signed coefficient literals
+are each read once per file, and the `--functional` and `--override`
+fields, which accept whatever `Fraction` accepts.
+
 Graded files are read one statement per regex match (`_scan_graded`),
 with each basis ref and coefficient literal converted once per file, and
 each distinct product body read once, so pairs with the same body share
@@ -184,10 +192,14 @@ class _Cursor:
     def rational(self) -> Fraction:
         """Consume a number token; a zero denominator is a parse error."""
         tok = self.tokens[self.i]
-        try:
-            value = Fraction(tok)
-        except ZeroDivisionError:
-            raise self.error(f"zero denominator in {tok!r}") from None
+        p, slash, q = tok.partition("/")
+        if not slash:
+            value = Fraction(int(p))
+        else:
+            den = int(q)
+            if not den:
+                raise self.error(f"zero denominator in {tok!r}")
+            value = Fraction(int(p), den)
         self.i += 1
         return value
 
@@ -316,15 +328,13 @@ def _parse_ring_statement(cur: _Cursor) -> RingContext:
 
 
 def _parse_signed_rational(cur: _Cursor) -> Fraction:
-    sign = 1
-    if cur.at_sym("-"):
-        cur.next()
-        sign = -1
-    elif cur.at_sym("+"):
+    negate = cur.at_sym("-")
+    if negate or cur.at_sym("+"):
         cur.next()
     if not cur.at_number():
         raise cur.error(f"expected a rational number, found {_found(cur.peek())}")
-    return sign * cur.rational()
+    value = cur.rational()
+    return -value if negate else value
 
 
 def parse_weights(text: str) -> WeightVector:

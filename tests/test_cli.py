@@ -239,6 +239,61 @@ def test_reused_parser_matches_a_fresh_one(monkeypatch, first, second, codes, ma
         assert [run_case(first), run_case(second)] == fresh
 
 
+# -- verb-direct parse -------------------------------------------------------------
+#
+# `cli.run` hands a verb's arguments straight to that verb's subparser.  The
+# reference parses every argv with the top-level parser, as argparse would
+# on its own; both run on this interpreter, since argparse's wording differs
+# across Python versions.
+
+EDGE_ARGVS = {
+    "empty": [],
+    "top_level_help": ["-h"],
+    "verb_help": ["fan", "-h"],
+    "unknown_verb_with_flags": ["no-such-verb", "--ideal", fixture("line.ideal")],
+    "unrecognized_extra": ["fan", "--ideal", "x", "--bogus"],
+    "unrecognized_extra_value": ["fan", "--ideal", fixture("line.ideal"), "7"],
+    "abbreviated_flag": ["val-check", "--ideal", fixture("hyperbola.ideal"),
+                         "--weight", "1 0", "--sam", "5", "--seed", "3"],
+    "ambiguous_abbreviation": ["val-check", "--ideal", fixture("line.ideal"),
+                               "--weight", "1 1", "--s", "5"],
+    "double_dash_at_end": ["fan", "--ideal", fixture("line.ideal"), "--"],
+    "double_dash_before_positionals": ["sl2lab", "--", "rep-ring", "2"],
+    "double_dash_before_a_flag": ["fan", "--", "--ideal", fixture("line.ideal")],
+    "verb_twice": ["fan", "fan", "--ideal", fixture("line.ideal")],
+}
+PARITY_ARGVS = {**{name: argv for name, argv, *_ in CASES + USAGE_CASES
+                   + PARSE_ERROR_CASES}, **EDGE_ARGVS}
+
+
+def _top_level_streams(monkeypatch, argv) -> tuple[int, str, str]:
+    """`run_case_streams` with every argv parsed by the top-level parser."""
+    parser, _ = cli._build_parsers()
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_parse", parser.parse_args)
+        return run_case_streams(argv)
+
+
+@pytest.mark.parametrize("argv", PARITY_ARGVS.values(), ids=PARITY_ARGVS.keys())
+def test_verb_direct_parse_matches_the_top_level_parser(monkeypatch, argv):
+    assert run_case_streams(argv) == _top_level_streams(monkeypatch, argv)
+
+
+def test_only_argv_without_a_clean_verb_parse_reaches_the_top_level_parser(monkeypatch):
+    run_case(ARGV["fan_line"])  # builds the parsers
+    reached = []
+    top_level = cli._parser.parse_args
+    monkeypatch.setattr(cli._parser, "parse_args",
+                        lambda argv: reached.append(argv) or top_level(argv))
+    for argv in PARITY_ARGVS.values():
+        run_case_streams(argv)
+    fallbacks = [EDGE_ARGVS[name] for name in (
+        "empty", "top_level_help", "unknown_verb_with_flags", "unrecognized_extra",
+        "unrecognized_extra_value", "double_dash_at_end",
+        "double_dash_before_positionals", "double_dash_before_a_flag", "verb_twice")]
+    assert reached == [ARGV["unknown_verb"], *fallbacks]
+
+
 # -- argv fuzz -------------------------------------------------------------------
 #
 # Every verb over fixture paths (valid, unparsable, missing, a directory, the
@@ -324,6 +379,13 @@ def argvs(draw):
 
 
 ERROR_EXIT = {"parse_error": 2, "input_error": 2, "precondition_violation": 3}
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(argvs())
+def test_fuzzed_argv_parses_as_the_top_level_parser_would(argv):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert run_case_streams(argv) == _top_level_streams(monkeypatch, argv)
 
 
 @settings(max_examples=1000, derandomize=True, deadline=None)

@@ -369,6 +369,33 @@ def test_fan_matches_per_point_classifier(name):
 
 
 @pytest.mark.parametrize("name", [*FAN_PRESENTATIONS, "xyz_pair"])
+def test_integer_grid_matches_classify_weights_on_the_rational_grid(name):
+    """enumerate_fan builds its grid from integer points and sorts nothing;
+    classify_weights on `WeightVector`s of the same rational grid, sorted
+    as before, is the reference."""
+    P = _presentation(name)
+    for box, denominator in ((1, 1), (2, 1), (1, 2), (2, 2)):
+        steps = range(-box * denominator, box * denominator + 1)
+        grid = [W(*(Fraction(p, denominator) for p in point))
+                for point in itertools.product(steps, repeat=P.ring.dim)]
+        expected = []
+        for gens, members in classify_weights(P, grid):
+            members.sort(key=lambda v: v.weights)
+            free = not contains_monomial(list(gens), P.ring)[0] if gens else True
+            expected.append((members[0], gens, free, tuple(members)))
+        expected.sort(key=lambda c: c[0].weights)
+        classes = enumerate_fan(P, box, denominator)
+        got = [(c.representative, c.initial_gens, c.monomial_free, c.members)
+               for c in classes]
+        assert got == expected, (box, denominator)
+        members = [m for c in classes for m in c.members]
+        assert len(members) == len(grid)
+        for m in members:
+            assert all(type(x) is Fraction for x in m.weights)
+            assert (m.int_weights, m.int_scale) == integer_weights(m.weights)
+
+
+@pytest.mark.parametrize("name", [*FAN_PRESENTATIONS, "xyz_pair"])
 def test_facets_match_per_point_classifier(name):
     P = _presentation(name)
     rng = random.Random(name)

@@ -131,6 +131,84 @@ def test_parse_weights():
         Fraction(1), Fraction(0), Fraction(-7, 3))
 
 
+def _number_literals() -> list[str]:
+    """Seeded digit strings, with leading zeros and multi-digit denominators,
+    and a few written with a non-ASCII decimal digit (U+0663, Arabic-Indic 3)."""
+    rng = random.Random(28)
+
+    def digits(low: int, high: int) -> str:
+        return "0" * rng.randint(0, 3) + str(rng.randint(low, high))
+
+    literals = ["0", "00", "007", "0/1", "0/07", "10/4", "12/0008", "\u0663",
+                "1\u0663/\u06632", "9" * 40 + "/" + "3" * 25]
+    for _ in range(200):
+        num = digits(0, 10 ** rng.randint(1, 30))
+        literals.append(num if rng.random() < 0.3
+                        else f"{num}/{digits(1, 10 ** rng.randint(1, 12))}")
+    return literals
+
+
+def test_number_literals_read_as_fraction_reads_them():
+    """The cursor reads ``p`` and ``p/q`` with `int`; `Fraction(token)` is
+    the reference, in weight lists, presentation weights, coefficients and
+    the t-adic weight."""
+    for tok in _number_literals():
+        value = Fraction(tok)
+        got = parse_weights(f"{tok} -{tok} +{tok}").weights
+        assert got == (value, -value, value)
+        assert all(type(x) is Fraction for x in got)
+        parsed = parse_presentation(
+            f"ring x y t;\nideal {tok}*x - y, x + {tok};\n"
+            f"weight {tok} -{tok} 0;\ncoeffval tadic t {tok};\n")
+        assert parsed.weights[0].weights == (value, -value, 0)
+        assert parsed.ideal_gens == (
+            Polynomial(parsed.ring, {(1, 0, 0): value, (0, 1, 0): -1}),
+            Polynomial(parsed.ring, {(1, 0, 0): 1, (0, 0, 0): value}))
+        t_weight = parsed.coeff_valuation.t_weight
+        assert type(t_weight) is Fraction and t_weight == value
+
+
+@pytest.mark.parametrize("text,tok,col", [
+    ("0/0", "0/0", 1), ("1 -2/00", "2/00", 4), ("5/0 1", "5/0", 1),
+    ("1 7/000 3", "7/000", 3), ("1/\u0660", "1/\u0660", 1),
+    ("1 12345678901234567890/0", "12345678901234567890/0", 3),
+])
+def test_zero_denominator_literals_are_located_parse_errors(text, tok, col):
+    with pytest.raises(ZeroDivisionError):
+        Fraction(tok)
+    with pytest.raises(ParseError) as weights_error:
+        parse_weights(text)
+    assert str(weights_error.value) == f"line 1, col {col}: zero denominator in {tok!r}"
+    with pytest.raises(ParseError) as statement_error:
+        parse_presentation(f"ring x y z;\nweight {text} ;\n")
+    assert str(statement_error.value) == (
+        f"line 2, col {col + 7}: zero denominator in {tok!r}")
+
+
+def test_zero_denominators_raise_the_pinned_parse_errors():
+    """The `PARSE_ERROR_CASES` that reach the cursor, read by the parsers
+    directly: the same located error, message for message."""
+    from cli_corpus import HERE, PARSE_ERROR_CASES
+
+    readers = {
+        "--weight": parse_weights,
+        "--input": lambda path: parse_presentation((HERE / path).read_text()),
+        "--ideal": lambda path: parse_presentation((HERE / path).read_text()),
+    }
+    checked = 0
+    for name, argv, expected in PARSE_ERROR_CASES:
+        for flag, read in readers.items():
+            if flag not in argv or not expected.startswith("parse_error: "):
+                continue
+            try:
+                read(argv[argv.index(flag) + 1])
+            except ParseError as exc:
+                if "zero denominator" in str(exc):
+                    assert f"parse_error: {exc}\n" == expected, name
+                    checked += 1
+    assert checked == 5
+
+
 coeffs = st.integers(min_value=-9, max_value=9).filter(lambda n: n != 0)
 exponents = st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4))
 
