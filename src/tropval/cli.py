@@ -109,10 +109,7 @@ def _witness_pair_lines(witness) -> list[tuple[str, str]]:
 
 
 def _element_str(element) -> str:
-    parts = []
-    for (grade, idx), coeff in sorted(element.items()):
-        grade_txt = ",".join(str(g) for g in grade)
-        parts.append(f"{coeff}*({grade_txt}:{idx})")
+    parts = [f"{coeff}*{textio._basis_str(ref)}" for ref, coeff in sorted(element.items())]
     return " + ".join(parts) if parts else "0"
 
 

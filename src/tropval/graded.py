@@ -949,7 +949,7 @@ def _monomial_algebra(rows, truncation: int, basis=None) -> GradedAlgebra:
     of degree at most ``truncation`` minus its own, from itself on, are a
     slice of one ascending list per degree cap.
     """
-    leads = [lm for lm, _ in basis._leads] if basis is not None else []
+    leads = basis._leads if basis is not None else ()
     sizes: dict[Grade, int] = {}
     ref_of: dict[tuple[int, ...], BasisRef] = {}
     for e in sorted((e for e in _exponents(len(rows[0]), truncation)

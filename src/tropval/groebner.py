@@ -59,17 +59,19 @@ homogenizing exponent to f's exponents there, so homogenization costs no
 polynomial of its own), and yields the remainder's terms largest first.
 A `Polynomial` already stores integral coefficients as ints, so its terms
 go into the work dict as they are; a `Fraction` is made only where a
-rational tail or a leading coefficient other than 1 needs one, and
-`normal_form` stores each remainder term in the one coefficient form of
-`poly`.
+rational dividend or tail needs one, and `normal_form` stores each
+remainder term in the one coefficient form of `poly`.
 
 The loop reads the order key and the one-step rewrite of a monomial (the
 first dividing element's tail shifted onto it, or "irreducible") as
-functions.  A `GroebnerBasis` builds its division table, one entry per
-element (leading monomial and coefficient, negated tail sorted
-descending), on its first reduction, after the termination check for
-non-global orders, and memoizes both functions per monomial, since a
-basis is divided by many times.  It memoizes a third thing per reducible
+functions.  A division-table entry (`_divisor`) is an element's leading
+monomial and its negated tail over the leading coefficient: a remainder
+does not change when a divisor is scaled, so every entry is that of a
+monic element and division multiplies by the dividend's coefficient
+alone.  A `GroebnerBasis` builds its table, each tail sorted descending,
+on its first reduction, after the termination check for non-global
+orders, and memoizes both functions per monomial, since a basis is
+divided by many times.  It memoizes a third thing per reducible
 monomial: the leading term of its normal form, or "zero" (`_fill_lead`);
 an irreducible monomial is its own lead.  Normal forms are linear, so
 `leading_normal_exponent` and a weight valuation's key read the lead of
@@ -80,19 +82,19 @@ irreducible term; that is about 1% of the keys of an axiom sweep.  No
 whole monomial normal form is stored, so an entry costs one term.
 
 `buchberger` keeps each basis element only as its division-table entry:
-the monic lead and the negated tail in the one coefficient form of `poly`,
+the lead and the negated monic tail in the one coefficient form of `poly`,
 made once, when the element joins.  Each S-polynomial x^sj*(-tail_j) -
 x^si*(-tail_i) of a pair (i, j) goes straight into the work dict of
 `_remainder_terms`, whose first remainder term is the new element's lead,
-so a pair costs no leading-term scan and no `Polynomial` arithmetic.  A
-lead coefficient other than 1 is divided out, repeated inputs are found on
-(lead, tail), and `Polynomial`s are built only for the result.  Division
-uses the plain key and rewrite, since each S-polynomial is reduced once.
-The run checks once, at entry, that the generators share one ring and that
-it terminates (homogeneous input gives homogeneous S-polynomials and
-remainders), and interreduces the minimal basis in one pass: each
-remainder is monic, keeps its lead and has no term divisible by any lead,
-and the reduced-basis element with a given lead is unique.
+so a pair costs no leading-term scan and no `Polynomial` arithmetic.
+Repeated inputs are found on (lead, tail), and `Polynomial`s are built
+only for the result.  Division uses the plain key and rewrite, since each
+S-polynomial is reduced once.  The run checks once, at entry, that the
+generators share one ring and that it terminates (homogeneous input gives
+homogeneous S-polynomials and remainders), and interreduces the minimal
+basis in one pass: each remainder is monic, keeps its lead and has no term
+divisible by any lead, and the reduced-basis element with a given lead is
+unique.
 """
 
 from __future__ import annotations
@@ -248,7 +250,7 @@ class GroebnerBasis:
 
     def __post_init__(self):
         if len(self._leads) != len(self.gens):
-            leads = tuple(leading_term(g, self.order) for g in self.gens)
+            leads = tuple(leading_term(g, self.order)[0] for g in self.gens)
             object.__setattr__(self, "_leads", leads)
 
     def _lookups(self) -> tuple:
@@ -263,8 +265,8 @@ class GroebnerBasis:
         if self._memo is None:
             _check_termination(self.order, self.gens)
             key = self.order._descending_key
-            table = [_divisor(g, lm, lc) for g, (lm, lc) in zip(self.gens, self._leads)]
-            for _, _, tail in table:
+            table = [_divisor(g, lm) for g, lm in zip(self.gens, self._leads)]
+            for _, tail in table:
                 tail.sort(key=lambda term: key(term[0]))
             object.__setattr__(self, "_memo", (
                 _Memo(key), _Memo(partial(_rewrite, table)), {}))
@@ -283,24 +285,36 @@ def _check_termination(order: MonomialOrder, polys) -> None:
     )
 
 
-def _divisor(g: Polynomial, lm: ExponentVector, lc: int | Fraction) -> tuple:
-    """Division-table entry of one basis element: leading monomial, leading
-    coefficient (None when it is 1) and negated tail."""
-    return (lm, None if lc == 1 else lc,
-            [(eg, -cg) for eg, cg in g.terms.items() if eg != lm])
+def _monic_tail(terms, lc) -> list:
+    """Negated tail of a division-table entry: the (exponent, coefficient)
+    terms other than the lead, divided by the lead coefficient lc."""
+    if lc != 1:
+        inv = Fraction(1) / lc
+        terms = [(e, inv * c) for e, c in terms]
+    return [(e, -_coefficient(c)) for e, c in terms]
 
 
-def _rewrite(table: list, e: ExponentVector) -> tuple | None:
+def _divisor(g: Polynomial, lm: ExponentVector) -> tuple:
+    """Division-table entry of one basis element with leading monomial lm:
+    lm and the negated tail over the leading coefficient.
+
+    A remainder does not change when a divisor is scaled, so the entry is
+    that of the monic element, whatever g's leading coefficient is.
+    """
+    terms = g.terms
+    return lm, _monic_tail([(e, c) for e, c in terms.items() if e != lm], terms[lm])
+
+
+def _rewrite(table: list, e: ExponentVector) -> list | None:
     """One division step on the monomial e against a division table.
 
-    The leading coefficient (None when it is 1) and the negated tail,
-    shifted onto e, of the first element whose lead divides e; None when
-    no lead divides e.
+    The negated monic tail, shifted onto e, of the first element whose lead
+    divides e; None when no lead divides e.
     """
-    for lm, lc, tail in table:
+    for lm, tail in table:
         if all(map(le, lm, e)):  # `_divides`, inlined on the hot path
             shift = tuple(map(sub, e, lm))
-            return lc, [(tuple(map(add, eg, shift)), cg) for eg, cg in tail]
+            return [(tuple(map(add, eg, shift)), cg) for eg, cg in tail]
     return None
 
 
@@ -311,7 +325,7 @@ def _remainder_terms(work: dict, key, step):
     coefficients; the caller fills it and it is consumed.  ``key`` and
     ``step`` are an order's descending key and a table's one-step rewrite,
     as `GroebnerBasis._lookups` gives them.  A coefficient is a `Fraction`
-    only once a division or a rational tail makes it one.
+    only once a rational dividend or tail makes it one.
     """
     # Max-heap of pending terms by order key.  A term that cancels stays in
     # the heap and is skipped when popped; every term a reduction step adds
@@ -324,19 +338,17 @@ def _remainder_terms(work: dict, key, step):
         c = work.pop(e, None)
         if c is None:
             continue
-        rewrite = step(e)
-        if rewrite is None:
+        tail = step(e)
+        if tail is None:
             yield e, c
             continue
-        lc, tail = rewrite
-        factor = c if lc is None else Fraction(c) / lc
         for target, cg in tail:
             old = work.get(target)
             if old is None:
-                work[target] = factor * cg
+                work[target] = c * cg
                 heapq.heappush(heap, (key(target), target))
             else:
-                s = old + factor * cg
+                s = old + c * cg
                 if s == 0:
                     del work[target]
                 else:
@@ -361,22 +373,21 @@ def _fill_lead(e: ExponentVector, keys: _Memo, steps: _Memo,
     entry.  An entry is (descending key, exponent, coefficient), or None
     when e reduces to zero; ``keys``, ``steps`` and ``leads`` are a basis's
     memos.  Normal forms are linear, so NF(e) is the sum of the normal
-    forms of its rewrite's targets, each times its coefficient, over the
-    leading coefficient.  The targets come largest first; each is read
-    through its own entry, and the walk stops at the first target below
-    the best lead so far, since NF(t) has no term above t.  When the
-    coefficients at the best lead sum to 0, the entries do not decide the
-    lead, and e is divided instead.  A reducible target without an entry
-    is filled first, on an explicit stack rather than by recursion: a
-    chain of rewrites can be thousands of steps long.
+    forms of its rewrite's targets, each times its coefficient in the
+    monic tail.  The targets come largest first; each is read through its
+    own entry, and the walk stops at the first target below the best lead
+    so far, since NF(t) has no term above t.  When the coefficients at the
+    best lead sum to 0, the entries do not decide the lead, and e is
+    divided instead.  A reducible target without an entry is filled first,
+    on an explicit stack rather than by recursion: a chain of rewrites can
+    be thousands of steps long.
     """
-    rewrite = steps[e]
-    # A frame: the monomial, its rewrite's lc and targets, the next target's
-    # index, and the best lead key so far, its exponent and coefficient sum.
-    stack = [[e, *rewrite, 0, None, None, 0]]
+    # A frame: the monomial, its rewrite's targets, the next target's index,
+    # and the best lead key so far, its exponent and coefficient sum.
+    stack = [[e, steps[e], 0, None, None, 0]]
     while True:
         frame = stack[-1]
-        e, lc, tail, i, best, best_e, total = frame
+        e, tail, i, best, best_e, total = frame
         rewrite = None
         for i in range(i, len(tail)):
             t, c = tail[i]
@@ -397,14 +408,14 @@ def _fill_lead(e: ExponentVector, keys: _Memo, steps: _Memo,
             elif k == best:
                 total += c
         if rewrite is not None:  # fill t, then come back to it
-            frame[3:] = i, best, best_e, total
-            stack.append([t, *rewrite, 0, None, None, 0])
+            frame[2:] = i, best, best_e, total
+            stack.append([t, rewrite, 0, None, None, 0])
             continue
         stack.pop()
         if best is None:
             lead = None
         elif total:
-            lead = best, best_e, total if lc is None else Fraction(total) / lc
+            lead = best, best_e, total
         else:  # the top cancels
             lead = _divided_lead({e: 1}, keys, steps)
         leads[e] = lead
@@ -487,26 +498,15 @@ def leading_normal_exponent(f: Polynomial,
     return _leading_remainder(dict(f.terms), gb)
 
 
-def _monic_tail(terms, lc) -> list:
-    """Negated tail of a division-table entry: the (exponent, coefficient)
-    terms other than the lead, divided by the lead coefficient lc."""
-    if lc != 1:
-        inv = Fraction(1) / lc
-        terms = [(e, inv * c) for e, c in terms]
-    return [(e, -_coefficient(c)) for e, c in terms]
-
-
 def buchberger(gens: Sequence[Polynomial], order: MonomialOrder) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal the generators span.
 
     Deterministic for a fixed input: pairs are processed in normal strategy
     (smallest lcm first, ties by index), and the final basis is
     interreduced, made monic, and sorted by descending leading monomial.
-    The generators must be nonzero and live in one ring.  A basis that is
-    one input generator is that generator made monic, in its own term
-    insertion order; every other element is written out largest term
-    first.  Both orders are those of the `Polynomial`-based run this one
-    replaced, which `tests/oracle_buchberger.py` keeps.
+    The generators must be nonzero and live in one ring.  A single
+    generator comes back made monic, in its own term insertion order; the
+    elements of a run on several are written out largest term first.
     """
     if not gens:
         return GroebnerBasis((), order)
@@ -521,7 +521,6 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder) -> GroebnerBasi
     # one check here covers every reduction below.
     _check_termination(order, gens)
     key = order._descending_key
-    one = Fraction(1)
     if len(gens) == 1:
         # The general run below gives the same basis, but three of four
         # inputs in a weight-fan pass are single generators (588 of 780),
@@ -530,37 +529,30 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder) -> GroebnerBasi
         g = gens[0]
         lm = min(g.terms, key=key)
         lc = g.terms[lm]
-        return GroebnerBasis((g if lc == 1 else g.scale(one / lc),), order, ((lm, one),))
+        return GroebnerBasis((g if lc == 1 else g.scale(Fraction(1) / lc),), order, (lm,))
 
     # The run keeps each element only as its division-table entry (lead,
-    # None, negated tail), the entry `_divisor` makes for a monic element.
+    # negated monic tail), as `_divisor` makes it.
     table: list[tuple] = []
     pairs: list[tuple[tuple[int, ...], int, int]] = []
     step = partial(_rewrite, table)  # no memo: each S-polynomial is reduced once
 
     def join(lm: ExponentVector, tail: list) -> None:
-        for i, (ei, _, _) in enumerate(table):
+        for i, (ei, _) in enumerate(table):
             heapq.heappush(pairs, (order.sort_key(tuple(map(max, ei, lm))),
                                    i, len(table)))
-        table.append((lm, None, tail))
+        table.append((lm, tail))
 
-    # An input generator that is a repeat once monic joins once; `inputs`
-    # maps each element's index to its source and lead coefficient, so that
-    # a lone input in the result keeps its term order.  A remainder never
-    # repeats an element, since no lead divides its lead.
-    inputs: dict[int, tuple[Polynomial, Fraction]] = {}
+    # An input generator that is a repeat once monic joins once.  A
+    # remainder never repeats an element, since no lead divides its lead.
     for g in gens:
-        lm = min(g.terms, key=key)
-        lc = g.terms[lm]
-        tail = _monic_tail([(e, c) for e, c in g.terms.items() if e != lm], lc)
-        if any(ei == lm and dict(ti) == dict(tail) for ei, _, ti in table):
-            continue
-        inputs[len(table)] = g, lc
-        join(lm, tail)
+        lm, tail = _divisor(g, min(g.terms, key=key))
+        if not any(ei == lm and dict(ti) == dict(tail) for ei, ti in table):
+            join(lm, tail)
     while pairs:
         _, i, j = heapq.heappop(pairs)
-        ei, _, tail_i = table[i]
-        ej, _, tail_j = table[j]
+        ei, tail_i = table[i]
+        ej, tail_j = table[j]
         if all(a == 0 or b == 0 for a, b in zip(ei, ej)):
             continue  # coprime leading monomials: s-poly reduces to zero
         # The S-polynomial x^si*f_i - x^sj*f_j of the monic elements is
@@ -581,28 +573,24 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder) -> GroebnerBasi
             join(lead[0], _monic_tail(terms, lead[1]))
 
     # Minimalize: drop generators whose lead is divisible by another lead.
-    lms = [lm for lm, _, _ in table]
+    lms = [lm for lm, _ in table]
     keep = [i for i, lm in enumerate(lms)
             if not any(j != i and _divides(lms[j], lm) and (lms[j] != lm or j < i)
                        for j in range(len(table)))]
     keep.sort(key=lambda i: key(lms[i]))
-    leads = tuple((lms[i], one) for i in keep)
-    if len(keep) == 1 and keep[0] in inputs:
-        g, lc = inputs[keep[0]]
-        return GroebnerBasis((g if lc == 1 else g.scale(one / lc),), order, leads)
     # Interreduce in one pass.  No lead of a minimal basis divides another,
     # so each remainder is monic with the same lead, and no term of it is
     # divisible by any lead.  The reduced-basis element with that lead is
-    # unique, so the partners' own tails do not matter.  A lone remainder
+    # unique, so the partners' own tails do not matter.  A lone survivor
     # is only written out, largest term first.
     reduced = []
     for i in keep:
-        lm, _, tail = table[i]
+        lm, tail = table[i]
         work = {lm: 1}
         work.update((e, -c) for e, c in tail)
         others = partial(_rewrite, [table[j] for j in keep if j != i])
         reduced.append(_remainder_polynomial(ring, work, key, others))
-    return GroebnerBasis(tuple(reduced), order, leads)
+    return GroebnerBasis(tuple(reduced), order, tuple(lms[i] for i in keep))
 
 
 # -- initial forms and initial ideals -----------------------------------------

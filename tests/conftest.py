@@ -60,7 +60,7 @@ FIXTURE_WEIGHTS = {
 
 
 def _memo_free_lookups(gb) -> tuple:
-    table = [_divisor(g, lm, lc) for g, (lm, lc) in zip(gb.gens, gb._leads)]
+    table = [_divisor(g, lm) for g, lm in zip(gb.gens, gb._leads)]
     return gb.order._descending_key, partial(_rewrite, table)
 
 

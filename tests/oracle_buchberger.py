@@ -4,8 +4,10 @@ This is the `buchberger` `tropval.groebner` used before its run kept each
 basis element only as a division-table entry: every S-polynomial is built
 with `Polynomial` products and a difference, reduced with `_reduce`, and
 made monic with `scale`.  Pairs, joins, minimalization and interreduction
-follow the same steps, so the two runs must agree term for term, in term
-insertion order and in the leads.  `in_cone_by_faces` is the face walk the
+follow the same steps, so the two runs must agree term for term and in
+the leads.  Term order can differ: a lone surviving input keeps its own
+order here, while `buchberger` writes every element of a run on several
+generators largest term first.  `in_cone_by_faces` is the face walk the
 Groebner-cone test used before cones were held as inequality vectors.
 """
 
@@ -50,7 +52,7 @@ def oracle_buchberger(gens: list[Polynomial], order: MonomialOrder) -> GroebnerB
     # one check here covers every reduction below.
     _check_termination(order, gens)
     basis: list[Polynomial] = []
-    leads: list[tuple[ExponentVector, Fraction]] = []
+    leads: list[ExponentVector] = []
     table: list = []
     pairs: list[tuple[tuple[int, ...], int, int]] = []
     key, step = order._descending_key, partial(_rewrite, table)  # no memo
@@ -62,18 +64,18 @@ def oracle_buchberger(gens: list[Polynomial], order: MonomialOrder) -> GroebnerB
             g = g.scale(Fraction(1) / lc)
         if g in basis:
             return
-        for i, (ei, _) in enumerate(leads):
+        for i, ei in enumerate(leads):
             heapq.heappush(pairs, (order.sort_key(tuple(map(max, ei, lm))),
                                    i, len(basis)))
         basis.append(g)
-        leads.append((lm, Fraction(1)))
-        table.append(_divisor(g, lm, 1))
+        leads.append(lm)
+        table.append(_divisor(g, lm))
 
     for g in gens:
         join(g)
     while pairs:
         _, i, j = heapq.heappop(pairs)
-        ei, ej = leads[i][0], leads[j][0]
+        ei, ej = leads[i], leads[j]
         if all(a == 0 or b == 0 for a, b in zip(ei, ej)):
             continue  # coprime leading monomials: s-poly reduces to zero
         r = _reduce(_s_poly(basis[i], ei, basis[j], ej), key, step)
@@ -81,11 +83,10 @@ def oracle_buchberger(gens: list[Polynomial], order: MonomialOrder) -> GroebnerB
             join(r)
 
     # Minimalize: drop generators whose lead is divisible by another lead.
-    lms = [lm for lm, _ in leads]
-    keep = [i for i, lm in enumerate(lms)
-            if not any(j != i and _divides(lms[j], lm) and (lms[j] != lm or j < i)
+    keep = [i for i, lm in enumerate(leads)
+            if not any(j != i and _divides(leads[j], lm) and (leads[j] != lm or j < i)
                        for j in range(len(basis)))]
-    keep.sort(key=lambda i: order._descending_key(lms[i]))
+    keep.sort(key=lambda i: order._descending_key(leads[i]))
     reduced = [basis[i] for i in keep]
     # Interreduce in one pass.  No lead of a minimal basis divides another,
     # so each remainder is monic with the same lead, and no term of it is

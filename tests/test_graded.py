@@ -928,7 +928,7 @@ def degree_ordered_tables(rows, truncation, basis=None):
     """The table loop `_monomial_algebra` ran before it built in basis order:
     monomials by ascending (degree, exponent), and each one's partners from
     itself on, until the degree sum passes the truncation."""
-    leads = [lm for lm, _ in basis._leads] if basis is not None else []
+    leads = basis._leads if basis is not None else ()
     monomials = sorted((e for e in _exponents(len(rows[0]), truncation)
                         if not any(_divides(lm, e) for lm in leads)),
                        key=lambda e: (sum(e), e))

@@ -43,7 +43,7 @@ from tropval.groebner import (
     leading_term,
     normal_form,
 )
-from tropval.groebner import _in_cone, _saturate
+from tropval.groebner import _divisor, _in_cone, _saturate
 from tropval.poly import Polynomial, Presentation, RingContext, WeightVector
 from tropval.textio import parse_poly, parse_presentation
 from tropval.trop import BOTTOM, TropicalValue
@@ -287,6 +287,27 @@ def test_normal_form_coefficients_are_in_stored_form(gens, order):
     assert integral > 0 and non_integral > 0
 
 
+@pytest.mark.parametrize("gens,order", DIRECT_BASES, ids=range(len(DIRECT_BASES)))
+def test_division_table_entries_are_monic(gens, order):
+    """A remainder does not change when a divisor is scaled: a basis and its
+    monic form have the same division-table entries and divide alike, and
+    each entry's lead plus its negated tail is the element over its lead
+    coefficient."""
+    gens = tuple(parse_poly(XY, g) for g in gens)
+    monic = tuple(g.scale(1 / Fraction(leading_term(g, order)[1])) for g in gens)
+    gb, gb_monic = GroebnerBasis(gens, order), GroebnerBasis(monic, order)
+    assert gb._leads == gb_monic._leads
+    for g, m, lm in zip(gens, monic, gb._leads):
+        lead, tail = entry = _divisor(g, lm)
+        assert entry == _divisor(m, lm)
+        assert Polynomial(XY, {lead: 1, **{e: -c for e, c in tail}}) == m
+        assert all(stored_coefficient(c) for _, c in tail)
+    rng = random.Random(f"monic/{gens}")
+    for f in _direct_samples(rng, not order.is_global()):
+        assert normal_form(f, gb) == normal_form(f, gb_monic)
+        assert leading_normal_exponent(f, gb) == leading_normal_exponent(f, gb_monic)
+
+
 def _from_sympy(expr, symbols, ring: RingContext) -> Polynomial:
     import sympy
 
@@ -474,14 +495,15 @@ def test_repeated_fan_call_repeats_all_work(buchberger_calls):
 # -- division-table Buchberger ------------------------------------------------------
 
 # `buchberger` runs on division-table entries; `oracle_buchberger` is the same
-# run on `Polynomial`s.  They must give the same gens, term for term and in
-# term insertion order, and the same leads.
+# run on `Polynomial`s.  They must give the same gens, term for term, and the
+# same leads.  Term order is not compared: the oracle keeps a lone surviving
+# input in its own order, and `buchberger` writes it largest term first.
 
 
 def _assert_same_basis(gens, order) -> None:
     got, ref = buchberger(gens, order), oracle_buchberger(gens, order)
-    assert [list(g.terms.items()) for g in got.gens] == \
-        [list(g.terms.items()) for g in ref.gens], [str(g) for g in gens]
+    assert [sorted(g.terms.items()) for g in got.gens] == \
+        [sorted(g.terms.items()) for g in ref.gens], [str(g) for g in gens]
     assert [g.ring for g in got.gens] == [g.ring for g in ref.gens]
     assert got._leads == ref._leads and got.order == ref.order
     assert all(stored_coefficient(c) for g in got.gens for c in g.terms.values())
@@ -563,12 +585,19 @@ def test_buchberger_matches_the_polynomial_run_on_edge_inputs():
         [parse_poly(XY, "2*x + 1"), parse_poly(XY, "y + 3")],  # coprime leads
         [f, parse_poly(XY, "3")], [f, g, parse_poly(XY, "x + 1")],  # unit ideals
         [], [f], [g], [parse_poly(XY, "-1/3")],  # empty and single inputs
-        [h], [h, h.scale(3)],  # a lone input keeps its own term order
+        [h], [h, h.scale(3)], [h, parse_poly(XY, "x") * h],  # one survivor
     ]
     for gens in cases:
         for order in (MonomialOrder.grevlex(), MonomialOrder.lex()):
             _assert_same_basis(gens, order)
     assert buchberger([f, f.scale(5)], MonomialOrder.lex()).gens == (f.scale(Fraction(1, 2)),)
+    # a single input keeps its own term order; a lone survivor of several
+    # inputs is written largest term first
+    for gens, terms in (([h], [(0, 0), (0, 1), (2, 0)]),
+                        ([h, h.scale(3)], [(2, 0), (0, 1), (0, 0)]),
+                        ([h, parse_poly(XY, "x") * h], [(2, 0), (0, 1), (0, 0)])):
+        assert [list(g.terms) for g in buchberger(gens, MonomialOrder.grevlex()).gens] \
+            == [terms]
     unit = buchberger([f, g, parse_poly(XY, "x + 1")], MonomialOrder.grevlex())
     assert unit.gens == (parse_poly(XY, "1"),)
 
