@@ -24,6 +24,15 @@ constructor, `_monomial_algebra` and `coarsen`); every scan reads the table
 in order, so the first failing pair it meets is the least one, and the
 printer writes the file's sorted order as it goes.
 
+The built-in tables come from one builder, `_monomial_algebra`, on a
+quotient Q[x]/I with a Gröbner basis of I.  It makes the standard
+monomials degree by degree, raising only standard ones, and knows each
+by an integer code in which a product's code is the sum of its factors'
+codes, so a pair finds its product's expansion by one addition and one
+lookup.  No normal form is computed: a non-standard product's expansion
+is summed from the expansions of its one-step rewrite targets, which the
+basis memoizes.
+
 Pairs with equal products share one expansion object: `_monomial_algebra`
 keeps one per product monomial, the file scanner one per distinct body
 text, and the constructor, `associated_graded` and `coarsen` pass the
@@ -56,12 +65,11 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, islice
-from operator import add, mul
+from operator import add, le, mul
 
-from . import groebner
 from .errors import PreconditionError, TropvalError
 from .linalg import solve_linear
-from .poly import Polynomial, _coefficient, integer_weights
+from .poly import _coefficient, integer_weights
 from .trop import BOTTOM, TropicalValue
 
 Grade = tuple[int, ...]
@@ -923,14 +931,6 @@ def _times(rows, v: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sum(map(mul, row, v)) for row in rows)
 
 
-def _exponents(n_vars: int, budget: int) -> list[tuple[int, ...]]:
-    """Every exponent vector in n_vars variables of degree at most budget."""
-    if n_vars == 0:
-        return [()]
-    return [(v, *rest) for v in range(budget + 1)
-            for rest in _exponents(n_vars - 1, budget - v)]
-
-
 def _monomial_algebra(rows, truncation: int, basis=None) -> GradedAlgebra:
     """Q[x]/(basis) up to degree ``truncation``, graded by ``rows``.
 
@@ -938,50 +938,109 @@ def _monomial_algebra(rows, truncation: int, basis=None) -> GradedAlgebra:
     leading monomial of the Gröbner basis ``basis`` divides (all of them
     when ``basis`` is None); ``len(rows[0])`` is the number of variables.
     A monomial's grade is ``rows`` times its exponent, and within a grade
-    the indices follow ascending (degree, exponent).  The
-    product of each pair with degree sum at most ``truncation`` is the
-    normal form of the product monomial; a standard product is its own
-    normal form, so no division runs for it.  The relations must be
-    homogeneous, so that every normal form stays inside the truncation.
+    the indices follow ascending (degree, exponent).  The product of each
+    pair with degree sum at most ``truncation`` is the normal form of the
+    product monomial.  The relations must be homogeneous, so that every
+    normal form stays inside the truncation, where the integer codes below
+    are one-to-one.
+
+    The standard monomials are made degree by degree, each one once, from
+    its parent, which has one less of its last variable: a divisor of a
+    standard monomial is standard, so only standard monomials are raised,
+    each in its last raised variable or a later one, and a raised
+    monomial's grade is its parent's plus that variable's column of
+    ``rows``.  Each degree is sorted once.  A monomial is also known by its
+    integer code, the sum of e_i * (truncation + 1)^i: no exponent of a
+    product inside the truncation passes ``truncation``, so the code of a
+    product is the sum of its factors' codes and a pair finds its
+    product's expansion by one integer addition and lookup.
+
+    Each product monomial has one expansion object.  A standard product is
+    its own normal form.  Normal forms are linear, so a non-standard
+    product's expansion is the sum of its one-step rewrite targets'
+    expansions (the rewrite memo of `groebner.GroebnerBasis._lookups`),
+    each times its coefficient; a non-standard target without an
+    expansion is expanded first, on an explicit stack, and is kept for
+    any pair with that product.  No division runs.
 
     The tables are made in ascending order, with no sort of the finished
     table: the monomials are walked in basis order, and each one's partners
     of degree at most ``truncation`` minus its own, from itself on, are a
     slice of one ascending list per degree cap.
     """
+    n_vars = len(rows[0])
+    columns = tuple(zip(*rows))  # the grade of each variable
+    place = tuple((truncation + 1) ** i for i in range(n_vars))
     leads = basis._leads if basis is not None else ()
+    # the leads that can divide a standard monomial raised in variable i
+    blockers = [[lm for lm in leads if lm[i]] for i in range(n_vars)]
+    # (exponent, grade, code, last raised variable) of each standard
+    # monomial of one degree, by ascending exponent
+    level = [((0,) * n_vars, (0,) * len(rows), 0, 0)]
     sizes: dict[Grade, int] = {}
-    ref_of: dict[tuple[int, ...], BasisRef] = {}
-    for e in sorted((e for e in _exponents(len(rows[0]), truncation)
-                     if not any(groebner._divides(lm, e) for lm in leads)),
-                    key=lambda e: (sum(e), e)):
-        g = _times(rows, e)
-        index = sizes.get(g, 0)
-        ref_of[e] = (g, index)
-        sizes[g] = index + 1
-    # fits[cap]: (ref, exponent) of each monomial of degree at most cap, in
-    # basis order
-    fits: list[list] = [[] for _ in range(truncation + 1)]
-    for ref, e in sorted((ref, e) for e, ref in ref_of.items()):
-        for cap in range(sum(e), truncation + 1):
-            fits[cap].append((ref, e))
-    components = {g: index + 1 for (g, index), _ in fits[truncation]}
-    # Expansion of each product monomial: a standard one is its own normal
-    # form; the others are divided once, when first met.
-    expansion_of = {e: ((ref, 1),) for e, ref in ref_of.items()}
+    monomials = []  # (ref, code, degree) of each standard monomial
+    for degree in range(truncation + 1):
+        raised = []
+        for e, g, code, last in level:
+            index = sizes.get(g, 0)
+            sizes[g] = index + 1
+            monomials.append(((g, index), code, degree))
+            for i in range(last, n_vars):
+                child = (*e[:i], e[i] + 1, *e[i + 1:])
+                if not any(all(map(le, lm, child)) for lm in blockers[i]):
+                    raised.append((child, tuple(map(add, g, columns[i])),
+                                   code + place[i], i))
+        raised.sort()
+        level = raised
+    monomials.sort()
+    # fits[cap]: each monomial of degree at most cap, in basis order
+    fits = [[m for m in monomials if m[2] <= cap] for cap in range(truncation + 1)]
+    expansion_of = {code: ((ref, 1),) for ref, code, _ in monomials}
+    if basis is not None:
+        step = basis._lookups()[1]
+
+    def expand(code: int) -> tuple:
+        """Store and return the expansion of a non-standard monomial."""
+        e, rest = [], code
+        for _ in range(n_vars):
+            rest, x = divmod(rest, truncation + 1)
+            e.append(x)
+        # A frame: the monomial's code, its rewrite's targets, the next
+        # target's index and the sum so far, ref -> coefficient.
+        stack = [[code, step(tuple(e)), 0, {}]]
+        while True:
+            frame = stack[-1]
+            code, tail, i, total = frame
+            pending = None
+            for i in range(i, len(tail)):
+                t, c = tail[i]
+                target = sum(map(mul, t, place))
+                expansion = expansion_of.get(target)
+                if expansion is None:
+                    pending = target
+                    break
+                for ref, x in expansion:
+                    total[ref] = total.get(ref, 0) + c * x
+            if pending is not None:  # expand t, then come back to it
+                frame[2] = i
+                stack.append([pending, step(t), 0, {}])
+                continue
+            stack.pop()
+            expansion = expansion_of[code] = tuple(
+                (ref, _coefficient(x)) for ref, x in sorted(total.items()) if x)
+            if not stack:
+                return expansion
+
     structure = {}
-    for ref1, e1 in fits[truncation]:
-        partners = fits[truncation - sum(e1)]
-        for ref2, e2 in partners[bisect_left(partners, (ref1,)):]:
-            product = tuple(map(add, e1, e2))
-            expansion = expansion_of.get(product)
+    for ref1, code1, degree1 in fits[truncation]:
+        partners = fits[truncation - degree1]
+        for ref2, code2, _ in partners[bisect_left(partners, (ref1,)):]:
+            expansion = expansion_of.get(code1 + code2)
             if expansion is None:
-                reduced = groebner.normal_form(
-                    Polynomial.monomial(basis.gens[0].ring, product), basis)
-                expansion = expansion_of[product] = tuple(sorted(
-                    (ref_of[m], c) for m, c in reduced.terms.items()))
-            structure[(ref1, ref2)] = expansion
-    return GradedAlgebra._trusted(len(rows), components, structure, truncation)
+                expansion = expand(code1 + code2)
+            structure[ref1, ref2] = expansion
+    return GradedAlgebra._trusted(
+        len(rows), dict(sorted(sizes.items())), structure, truncation)
 
 
 def monomial_poly_ring(n_vars: int, truncation: int) -> GradedAlgebra:

@@ -126,6 +126,9 @@ CASES = [
     ("monoid_check_eta_reversed",
      ["monoid-check", "--algebra", "sl2-branching:3", "--functional",
       "0,0,0,-1,0;1,0,0,0,0;0,1,0,0,0;0,0,1,0,0;0,0,0,0,1", "--seed", "1"], 1),
+    # the first emitted branching table with non-standard products: 7
+    # product monomials rewrite through the straightening relation
+    ("sl2lab_branching3", ["sl2lab", "branching", "3"], 0),
 ]
 
 # usage errors print to stderr only; stdout must stay empty

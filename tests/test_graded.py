@@ -25,10 +25,10 @@ from tropval.graded import (
     monomial_poly_ring,
     zero_divisor_search,
 )
-from tropval.graded import _exponents, _monomial_algebra, _times
-from tropval.groebner import _divides, normal_form
+from tropval.graded import _monomial_algebra, _times
+from tropval.groebner import MonomialOrder, _divides, buchberger, normal_form
 from tropval.linalg import solve_linear
-from tropval.poly import Polynomial
+from tropval.poly import Polynomial, RingContext
 from tropval.sl2 import (
     AMBIENT_RING,
     GRADE_ROWS,
@@ -924,10 +924,20 @@ def test_constructor_sorts_tables_given_in_any_order():
         assert B.key() == A.key()
 
 
+def _exponents(n_vars: int, budget: int) -> list[tuple[int, ...]]:
+    """Every exponent vector in n_vars variables of degree at most budget."""
+    if n_vars == 0:
+        return [()]
+    return [(v, *rest) for v in range(budget + 1)
+            for rest in _exponents(n_vars - 1, budget - v)]
+
+
 def degree_ordered_tables(rows, truncation, basis=None):
     """The table loop `_monomial_algebra` ran before it built in basis order:
     monomials by ascending (degree, exponent), and each one's partners from
-    itself on, until the degree sum passes the truncation."""
+    itself on, until the degree sum passes the truncation.  Each product is
+    its monomial's normal form.  Also returns each pair's product exponent
+    and each standard monomial's ref."""
     leads = basis._leads if basis is not None else ()
     monomials = sorted((e for e in _exponents(len(rows[0]), truncation)
                         if not any(_divides(lm, e) for lm in leads)),
@@ -938,7 +948,7 @@ def degree_ordered_tables(rows, truncation, basis=None):
         index = components.get(g, 0)
         ref_of[e] = (g, index)
         components[g] = index + 1
-    structure = {}
+    structure, products = {}, {}
     for i, e1 in enumerate(monomials):
         room = truncation - sum(e1)
         for e2 in monomials[i:]:
@@ -948,17 +958,41 @@ def degree_ordered_tables(rows, truncation, basis=None):
             if basis is None:
                 expansion = ((ref_of[product], F(1)),)
             else:
-                reduced = normal_form(Polynomial.monomial(AMBIENT_RING, product), basis)
+                reduced = normal_form(Polynomial.monomial(basis.gens[0].ring, product), basis)
                 expansion = tuple(sorted((ref_of[m], c) for m, c in reduced.terms.items()))
             r1, r2 = ref_of[e1], ref_of[e2]
-            structure[(r1, r2) if r1 <= r2 else (r2, r1)] = expansion
-    return components, structure
+            pair = (r1, r2) if r1 <= r2 else (r2, r1)
+            structure[pair] = expansion
+            products[pair] = product
+    return components, structure, products, ref_of
+
+
+CHAIN_RING = RingContext(("x", "y", "z"))
+
+
+def chain_basis():
+    """A homogeneous basis whose rewrites of x^k y^k run k steps deep.
+
+    The single relation 2xy - z^2 - yz has lead xy under grevlex, so x^k y^k
+    rewrites to (x^(k-1) y^(k-1) z^2 + x^(k-1) y^k z) / 2, whose terms are
+    reducible again; the monic tail has Fraction coefficients.
+    """
+    x, y, z = (Polynomial.variable(CHAIN_RING, v) for v in CHAIN_RING.variables)
+    return buchberger([(x * y).scale(2) - z * z - y * z], MonomialOrder.grevlex())
+
+
+def _rewrite_depth(basis, e) -> int:
+    """The longest chain of one-step rewrites from the monomial e."""
+    step = basis._lookups()[1]
+    tail = step(e)
+    return 0 if tail is None else 1 + max(_rewrite_depth(basis, t) for t, _ in tail)
 
 
 MONOMIAL_CASES = (
     [("sl2-branching", n) for n in range(2, 7)]
     + [("sl2-rep-ring", n) for n in range(1, 10)]
     + [(f"polyring:{v}", t) for v in range(1, 4) for t in range(5)]
+    + [("chain", t) for t in range(2, 8)]
 )
 
 
@@ -969,11 +1003,31 @@ def test_monomial_algebra_matches_the_degree_ordered_loop(kind, truncation):
         rows, basis = GRADE_ROWS, straightening_basis()
     elif kind == "sl2-rep-ring":
         rows, basis = ((1, 1),), None
+    elif kind == "chain":
+        # two grade rows, so that components hold several monomials
+        rows, basis = ((1, 1, 1), (0, 1, 2)), chain_basis()
+        k = truncation // 2  # x^k * y^k is a pair of the table
+        assert _rewrite_depth(basis, (k, k, 0)) == k
     else:
         v = int(kind.split(":")[1])
         rows, basis = tuple(tuple(int(i == j) for j in range(v)) for i in range(v)), None
     A = _monomial_algebra(rows, truncation, basis)
-    components, structure = degree_ordered_tables(rows, truncation, basis)
+    components, structure, products, ref_of = degree_ordered_tables(rows, truncation, basis)
     assert A.components == components
     assert A.structure == structure
     _assert_ascending(A)
+    # one expansion object per product monomial, and none shared by two
+    object_of = {}
+    for pair, expansion in A.structure.items():
+        assert object_of.setdefault(products[pair], expansion) is expansion
+    distinct = [x for x in object_of.values() if x]  # () is one shared object
+    assert len({id(x) for x in distinct}) == len(distinct)
+    assert all(stored_coefficient(c) for x in object_of.values() for _, c in x)
+    # each non-standard product's expansion is the sorted terms of its normal
+    # form, in coefficient type too
+    for product, expansion in object_of.items():
+        if product in ref_of:
+            continue
+        reduced = normal_form(Polynomial.monomial(basis.gens[0].ring, product), basis)
+        want = sorted((ref_of[m], c, type(c)) for m, c in reduced.terms.items())
+        assert [(ref, c, type(c)) for ref, c in expansion] == want

@@ -1,7 +1,8 @@
 """Oracles for the integer and sparse paths of the graded layer.
 
 Each fast path is checked against a test-local copy of the Fraction code
-it replaced: dense Gauss-Jordan for `solve_linear`, Fraction dot products
+it replaced: dense Gauss-Jordan and the unindexed sparse solver of
+`oracle_linalg` for `solve_linear`, Fraction dot products
 for `LexFunctional`, the converting constructor loop for `GradedAlgebra`,
 the per-element basis scan of the override factor probe, the Fraction
 samples and values of the graded checks, and the sorted table scans of
@@ -17,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from conftest import stored_coefficient
+from oracle_linalg import solve_linear as oracle_solve_linear
 from tropval.graded import (
     AssociativityError,
     GradedAlgebra,
@@ -172,6 +174,61 @@ def test_solve_linear_matches_dense_gauss_jordan():
             seen.add("explicit zero")
     assert seen == {"inconsistent", "rank deficient", "unique", "non-unit entries",
                     "explicit zero"}
+
+
+def _int_or_fraction_system(rng):
+    """A system of 1-8 columns over 1-8 rows, as the override probe makes
+    them: int entries, or (one system in three) Fraction ones."""
+    rows = list(range(rng.randint(1, 8)))
+    fractions = rng.random() < 1 / 3
+
+    def entry():
+        v = rng.choice((-3, -2, -1, -1, 1, 1, 1, 2, 3, 4))
+        return F(v, rng.choice((1, 1, 2, 3))) if fractions else v
+
+    columns = []
+    for _ in range(rng.randint(1, 8)):
+        if columns and rng.random() < 0.25:
+            # a combination of earlier columns: rank deficient
+            a, b = rng.choice(columns), rng.choice(columns)
+            s, t = rng.randint(-2, 2), rng.randint(-2, 2)
+            col = {k: s * a.get(k, 0) + t * b.get(k, 0) for k in set(a) | set(b)}
+        else:
+            col = {k: entry() for k in rng.sample(rows, rng.randint(1, len(rows)))}
+        columns.append(col)
+    if rng.random() < 0.5:
+        # in the span of the columns: consistent
+        target = {}
+        for col in columns:
+            x = rng.randint(-2, 2)
+            for k, v in col.items():
+                target[k] = target.get(k, 0) + x * v
+    else:
+        target = {k: entry() for k in rng.sample(rows, rng.randint(0, len(rows)))}
+    return columns, target
+
+
+def test_solve_linear_matches_the_unindexed_solver():
+    rng = random.Random(30)
+    seen = set()
+    for _ in range(10_000):
+        columns, target = _int_or_fraction_system(rng)
+        got = solve_linear(columns, target)
+        want = oracle_solve_linear(columns, target)
+        assert got == want
+        assert got is None or [type(x) for x in got] == [type(x) for x in want]
+        if got is None:
+            seen.add("inconsistent")
+        elif "rank deficient" not in seen:
+            keys = list({k for col in columns for k in col} | set(target))
+            if _rank(columns, keys) < len(columns):
+                seen.add("rank deficient")
+        if any(type(v) is F for col in columns for v in col.values()):
+            seen.add("Fraction entries")
+        if got and any(x.denominator > 1 for x in got):
+            seen.add("fractional solution")
+    assert seen == {"inconsistent", "rank deficient", "Fraction entries",
+                    "fractional solution"}
 
 
 def test_solve_linear_does_not_mutate_its_input():
