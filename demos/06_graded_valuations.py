@@ -28,12 +28,12 @@ A = monomial_poly_ring(3, 4)          # x, y, z monomial grading, degree <= 4
 degree = LexFunctional.single((F(1), F(1), F(1)))
 
 mixed = {((1, 1, 0), 0): F(1), ((1, 0, 1), 0): F(1)}   # x*y + x*z
-gv = GradedValuation.build(A, degree, {element_key(mixed): trop(1)})
+gv = GradedValuation.build(degree, {element_key(mixed): trop(1)})
 
 print("value of x*y + x*z with the override:",
-      graded_value(A, gv, mixed).to_str())
+      graded_value(gv, mixed).to_str())
 print("value of the homogeneous element x*y:",
-      graded_value(A, gv, A.basis_element(((1, 1, 0), 0))).to_str())
+      graded_value(gv, A.basis_element(((1, 1, 0), 0))).to_str())
 
 graded_report = check_graded_axioms(A, gv, seed=0, n_samples=100)
 print("\ngraded axioms:", graded_report.verdict,

@@ -53,7 +53,7 @@ single = all(len(e) == 1 and e[0][1] == 1 and
              e[0][0][0] == grade_sum(p[0][0], p[1][0])
              for p, e in gr.structure.items())
 print("\nassociated graded is the monoid algebra on the grades:", single)
-print("zero divisors up to the bound:", zero_divisor_search(gr, 4))
+print("zero divisors up to the bound:", zero_divisor_search(gr))
 
 _, up = root_functional((0, 0, 0, 1, 0))
 collapsed, flat = collapse_functional(h, 0)

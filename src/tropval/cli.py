@@ -264,7 +264,7 @@ def _cmd_graded_check(args) -> int:
         if key in overrides:
             raise TropvalError(f"override of {_element_str(element)} listed twice")
         overrides[key] = textio.parse_tropical_value(value_text.strip())
-    gv = GradedValuation.build(algebra, functional, overrides)
+    gv = GradedValuation.build(functional, overrides)
     if args.mode == "graded":
         report = check_graded_axioms(algebra, gv, seed=args.seed,
                                      n_samples=args.samples)
@@ -326,7 +326,8 @@ def _cmd_gr(args) -> int:
     _require_products(algebra)
     # raises NotLowerTriangularError unless multiplication is lower-triangular
     graded = associated_graded(algebra, functional)
-    witness = zero_divisor_search(graded, graded.truncation)
+    # the bound of `zero_divisors_to_bound` is the table's truncation
+    witness = zero_divisor_search(graded)
     result = [
         ("lower_triangular", "yes"),
         ("zero_divisors_to_bound", "none" if witness is None else str(witness)),

@@ -15,10 +15,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 
 from .errors import PreconditionError
-from .groebner import HomogenizedIdeal, classify_weights
+from .groebner import HomogenizedIdeal, _top_split, classify_weights
 from .poly import Polynomial, Presentation, WeightVector, integer_weights
 from .valuation import (
     AxiomReport,
@@ -154,26 +153,26 @@ class ConeSumResult:
 
 def cone_sum(v: CandidateValuation, w1: CandidateValuation, w2: CandidateValuation,
              seed: int = 0, n_samples: int = 200,
-             exact_mode: bool = False, degree_bound: int = 3) -> ConeSumResult:
+             exact_mode: bool = False) -> ConeSumResult:
     """Sum of two valuations below v in the cone order.
 
     Requires that neither hypothesis check is refuted; the sum is then built
     (weight-induced: sum of weight vectors; otherwise pointwise), its axioms
-    sampled, and the relation v => sum checked.
+    sampled, and the relation v => sum checked.  Every sample is drawn at
+    the samplers' default degree bound, 3.
     """
     for name, w in (("w1", w1), ("w2", w2)):
         verdict = implies_check(v, w, seed=seed, n_samples=n_samples,
-                                exact_mode=exact_mode, degree_bound=degree_bound)
+                                exact_mode=exact_mode)
         if verdict.refuted:
             raise HypothesisFailsError(f"hypothesis v => {name} is refuted")
     if isinstance(w1, WeightValuation) and isinstance(w2, WeightValuation):
         total = WeightValuation(w1.homogenized, w1.weights + w2.weights)
     else:
         total = PointwiseSum(w1, w2)
-    report = check_axioms(total, seed=seed, n_pairs=n_samples,
-                          degree_bound=degree_bound)
+    report = check_axioms(total, seed=seed, n_pairs=n_samples)
     verdict = implies_check(v, total, seed=seed, n_samples=n_samples,
-                            exact_mode=exact_mode, degree_bound=degree_bound)
+                            exact_mode=exact_mode)
     return ConeSumResult(total, report, verdict)
 
 
@@ -198,7 +197,7 @@ def arrow_check(P: Presentation, v: WeightVector, w: WeightVector) -> RelationVe
     """
     ws = P.effective_weights(w).int_weights
     P.effective_weights(v)  # rejects a v of the wrong dimension
-    if all(len({sum(map(mul, ws, e)) for e in g.terms}) == 1 for g in P.ideal_gens):
+    if not any(_top_split(g.terms, ws)[1] for g in P.ideal_gens):
         return RelationVerdict("arrow", HOLDS_CERTIFIED,
                                note="iterated initial ideal matches")
     H = HomogenizedIdeal(P)

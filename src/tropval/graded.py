@@ -479,8 +479,13 @@ class GradedValuation:
     overrides: tuple = ()
 
     @classmethod
-    def build(cls, algebra: GradedAlgebra, functional: LexFunctional,
+    def build(cls, functional: LexFunctional,
               overrides: dict | None = None) -> "GradedValuation":
+        """The valuation of ``functional`` with ``overrides`` (element to value).
+
+        An overridden element must be inhomogeneous, and its value at most
+        the largest first-row value of its grades.
+        """
         items = []
         for element, value in (overrides or {}).items():
             grades = {ref[0] for ref, _ in element}
@@ -530,9 +535,9 @@ def _unscale(gv: GradedValuation, value_key) -> TropicalValue:
     return TropicalValue(Fraction(value_key, gv.functional._scales[0]))
 
 
-def graded_value(A: GradedAlgebra, gv: GradedValuation,
-                 element: Element) -> TropicalValue:
-    """Value of an element: override if present, else max over its grades."""
+def graded_value(gv: GradedValuation, element: Element) -> TropicalValue:
+    """Value of an element under gv: its override if present, else the
+    largest first-row value of its grades."""
     return _unscale(gv, _value_key(gv, element))
 
 
@@ -909,18 +914,14 @@ def associated_graded(A: GradedAlgebra, h: LexFunctional) -> GradedAlgebra:
     return _derived(A, A.monoid_dim, A.components, structure)
 
 
-def zero_divisor_search(A: GradedAlgebra, bound: int):
-    """Search basis pairs with vanishing product; None means none found.
+def zero_divisor_search(A: GradedAlgebra):
+    """The least pair of A's table whose product is zero, or None.
 
-    This is refutation evidence, not a domain proof; it is complete for
-    algebras whose graded components are at most one-dimensional.  The
-    pair returned is the least vanishing one.
+    The whole table is searched; it already stops at A's truncation.  None
+    is refutation evidence, not a domain proof; it is complete for algebras
+    whose graded components are at most one-dimensional.
     """
-    for pair, expansion in A.structure.items():
-        b1, b2 = pair
-        if not expansion and sum(b1[0]) <= bound and sum(b2[0]) <= bound:
-            return pair
-    return None
+    return next((pair for pair, expansion in A.structure.items() if not expansion), None)
 
 
 # -- builders -------------------------------------------------------------------

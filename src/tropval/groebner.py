@@ -596,27 +596,33 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder) -> GroebnerBasi
 # -- initial forms and initial ideals -----------------------------------------
 
 
+def _top_split(terms, ws: tuple[int, ...]) -> tuple[list[ExponentVector], list[ExponentVector]]:
+    """The exponents of ``terms`` of largest dot product with the integer
+    weights ``ws``, and the other exponents, each list in ``terms`` order.
+
+    ``terms`` is nonempty.  A `WeightVector`'s ``int_weights`` are its
+    weights times a positive scale, so they pick the same top exponents."""
+    dots = {e: sum(map(mul, ws, e)) for e in terms}
+    best = max(dots.values())
+    top, rest = [], []
+    for e, d in dots.items():
+        (top if d == best else rest).append(e)
+    return top, rest
+
+
 def initial_form(f: Polynomial, w: WeightVector) -> Polynomial:
     """Sum of the terms of f attaining the maximum weight."""
     if f.is_zero:
         raise ZeroPolynomialError("the zero polynomial has no initial form")
     if len(w.weights) != f.ring.dim:
         raise ValueError("weight vector has wrong dimension for this ring")
-    best: Fraction | None = None
-    top: dict[ExponentVector, Fraction] = {}
-    for e, c in f.terms.items():
-        weight = w.dot(e)
-        if best is None or weight > best:
-            best = weight
-            top = {e: c}
-        elif weight == best:
-            top[e] = c
-    return Polynomial(f.ring, top)
+    top, _ = _top_split(f.terms, w.int_weights)
+    return Polynomial._trusted(f.ring, {e: f.terms[e] for e in top})
 
 
-def _extended_ring(ring: RingContext, stem: str) -> RingContext:
-    """The ring with one more variable last, named stem plus underscores."""
-    name = stem
+def _extended_ring(ring: RingContext) -> RingContext:
+    """The ring with one more variable last, named h0 plus underscores."""
+    name = "h0"
     while name in ring.variables:
         name += "_"
     return RingContext(ring.variables + (name,))
@@ -701,7 +707,7 @@ class HomogenizedIdeal:
 
     def __init__(self, P: Presentation):
         self.presentation = P
-        self.ext = _extended_ring(P.ring, "h0")
+        self.ext = _extended_ring(P.ring)
         homogenized = [_homogenize(g, self.ext) for g in P.ideal_gens]
         self.saturated = _saturate(homogenized, P.ring.dim) if homogenized else []
 
@@ -735,14 +741,11 @@ class HomogenizedIdeal:
         equalities: dict[ExponentVector, None] = {}
         inequalities: dict[ExponentVector, None] = {}
         for g in gb.gens:
-            dots = {e: sum(map(mul, ws, e)) for e in g.terms}
-            best = max(dots.values())
-            top = [e for e, d in dots.items() if d == best]
-            for e, d in dots.items():
-                if d != best:
-                    inequalities[tuple(map(sub, top[0], e))] = None
-                elif e != top[0]:
-                    equalities[tuple(map(sub, e, top[0]))] = None
+            top, rest = _top_split(g.terms, ws)
+            for e in top[1:]:
+                equalities[tuple(map(sub, e, top[0]))] = None
+            for e in rest:
+                inequalities[tuple(map(sub, top[0], e))] = None
             top_form = Polynomial._trusted(self.ext, {e: g.terms[e] for e in top})
             gens.append(_dehomogenize(top_form, self.presentation.ring))
         gens.sort(key=Polynomial.key)
@@ -789,7 +792,7 @@ def contains_monomial(gens: list[Polynomial], ring: RingContext) -> tuple[bool, 
         # Q[x] is a UFD: a divisor of a monomial is a monomial times a
         # constant, so a principal ideal on a non-monomial holds none.
         return False, None
-    ext = _extended_ring(ring, "h0")
+    ext = _extended_ring(ring)
     saturated = [_homogenize(g, ext) for g in gens]
     for i in range(ring.dim, -1, -1):
         saturated = _saturate(saturated, i)

@@ -35,8 +35,6 @@ from .graded import GradedAlgebra, Grade, LexFunctional, _monomial_algebra, _tim
 from .groebner import GroebnerBasis, MonomialOrder, buchberger
 from .poly import Polynomial, RingContext, WeightVector
 
-GRADE_COORDS = ("a", "b", "c", "eta", "d")
-ETA_INDEX = 3
 # Positive-root direction: eta drops by 2, outer weights fixed.
 ROOT_DIRECTION = (0, 0, 0, -2, 0)
 

@@ -457,10 +457,8 @@ def poly_to_str(p: Polynomial) -> str:
     return _signed_join(terms)
 
 
-def presentation_to_str(parsed: ParsedInput | Presentation) -> str:
-    """Render a presentation (plus any weight lines) in the input grammar."""
-    if isinstance(parsed, Presentation):
-        parsed = ParsedInput(parsed.ring, parsed.ideal_gens, (), parsed.coeff_valuation)
+def presentation_to_str(parsed: ParsedInput) -> str:
+    """Render a parsed input file, weight lines included, in the input grammar."""
     lines = [str(parsed.ring)]
     if parsed.ideal_gens:
         lines.append("ideal " + ", ".join(poly_to_str(g) for g in parsed.ideal_gens) + ";")

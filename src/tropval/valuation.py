@@ -55,9 +55,9 @@ from .groebner import (
     _dehomogenize,
     _homogenize,
     _leading_remainder,
+    _top_split,
     buchberger,
     contains_monomial,
-    initial_form,
     initial_ideal,
     normal_form,
 )
@@ -344,7 +344,7 @@ def check_trop_membership(P: Presentation, w: WeightVector,
     weff = P.effective_weights(w)
     if mode == "prevariety":
         for g in P.ideal_gens:
-            if len(initial_form(g, weff).terms) < 2:
+            if len(_top_split(g.terms, weff.int_weights)[0]) < 2:
                 return MembershipResult(False, mode, g)
         return MembershipResult(True, mode, None)
     if mode == "certified":

@@ -331,6 +331,34 @@ GRADE_SUM_CASES = [
      "mult (1:0)*(1:0) = 0;\n"),
 ]
 
+# gr searches the whole table it prints for a zero product.  In
+# zero_product_above_truncation.alg the grades have two entries, and the
+# grade sum of (1,1:0)*(1,1:0) passes the truncation although the pair is in
+# the table; gr used to compare each grade's entry sum with the truncation,
+# skipped the pair and printed `none` next to `= 0;`.  Each entry is (name,
+# argv, expected exit, expected stdout).
+ZERO_PRODUCT_CASES = [
+    ("zero_product_above_truncation_gr",
+     ["gr", "--algebra", fixture("zero_product_above_truncation.alg"),
+      "--functional", "1,0"], 0,
+     "check: associated-graded\n"
+     "algebra: fixtures/zero_product_above_truncation.alg\n"
+     "functional: 1,0\n"
+     "BEGIN-RESULT\n"
+     "lower_triangular: yes\n"
+     "zero_divisors_to_bound: (((1, 1), 0), ((1, 1), 0))\n"
+     "END-RESULT\n"
+     "monoid dim 2;\n"
+     "truncation 1;\n"
+     "component 0,0 size 1;\n"
+     "component 1,1 size 1;\n"
+     "component 2,2 size 1;\n"
+     "mult (0,0:0)*(0,0:0) = 1*(0,0:0);\n"
+     "mult (0,0:0)*(1,1:0) = 1*(1,1:0);\n"
+     "mult (0,0:0)*(2,2:0) = 1*(2,2:0);\n"
+     "mult (1,1:0)*(1,1:0) = 0;\n"),
+]
+
 # An input the tool cannot read is one `input_error` line with exit 2.  A
 # directory given as a file used to end as an `internal_error` with exit 3,
 # and a malformed built-in algebra spec printed Python's own message, such
@@ -367,4 +395,14 @@ INPUT_ERROR_CASES = [
         ("sl2_branching_not_a_number", "sl2-branching:x"),
         ("sl2_branching_no_size", "sl2-branching:"),
     )
+]
+
+# Every case above whose exact stdout is spelled out here rather than in a
+# golden file, as (name, argv, expected exit, expected stdout); the cases
+# listed without an exit code end with exit 2.
+STDOUT_CASES = [
+    *((name, argv, 2, stdout) for name, argv, stdout
+      in PARSE_ERROR_CASES + REPEATED_STATEMENT_CASES),
+    *VACUOUS_CASES, *CANCELLING_CASES, *GRADE_SUM_CASES, *ZERO_PRODUCT_CASES,
+    *INPUT_ERROR_CASES,
 ]

@@ -17,9 +17,11 @@ from cli_corpus import (
     INPUT_ERROR_CASES,
     PARSE_ERROR_CASES,
     REPEATED_STATEMENT_CASES,
+    STDOUT_CASES,
     STRICT_FUNCTIONAL,
     USAGE_CASES,
     VACUOUS_CASES,
+    ZERO_PRODUCT_CASES,
     fixture,
     run_case,
     run_case_streams,
@@ -79,6 +81,41 @@ def test_cancelling_terms_make_a_zero_product(name, argv, expected_code, expecte
 def test_products_below_the_grade_sum_vanish_in_gr(name, argv, expected_code,
                                                    expected):
     assert run_case(argv) == (expected_code, expected)
+
+
+@pytest.mark.parametrize("name,argv,expected_code,expected", ZERO_PRODUCT_CASES,
+                         ids=[c[0] for c in ZERO_PRODUCT_CASES])
+def test_gr_names_a_zero_product_anywhere_in_its_table(name, argv, expected_code,
+                                                       expected):
+    assert run_case(argv) == (expected_code, expected)
+
+
+# Every gr report of the corpus, golden or spelled out: (name, argv, stdout).
+GR_REPORTS = [
+    (name, argv, text) for name, argv, text in (
+        *((name, argv, (GOLDEN / f"{name}.txt").read_text()) for name, argv, _ in CASES),
+        *((name, argv, stdout) for name, argv, _, stdout in STDOUT_CASES))
+    if argv[0] == "gr" and "\nzero_divisors_to_bound: " in text
+]
+
+
+def _zero_divisor_line_matches_the_table(text: str) -> bool:
+    lines = text.splitlines()
+    verdict = next(line for line in lines if line.startswith("zero_divisors_to_bound: "))
+    zero_product = any(line.startswith("mult ") and line.endswith(" = 0;") for line in lines)
+    return (verdict == "zero_divisors_to_bound: none") == (not zero_product)
+
+
+@pytest.mark.parametrize("name,argv,expected", GR_REPORTS, ids=[c[0] for c in GR_REPORTS])
+def test_gr_finds_no_zero_divisor_exactly_when_it_prints_no_zero_product(name, argv,
+                                                                         expected):
+    assert _zero_divisor_line_matches_the_table(expected)
+    assert _zero_divisor_line_matches_the_table(run_case(argv)[1])
+
+
+def test_gr_reports_include_both_verdicts():
+    assert {"\nzero_divisors_to_bound: none\n" in text for _, _, text in GR_REPORTS} == {
+        True, False}
 
 
 @pytest.mark.parametrize("name,argv,expected_code,expected", INPUT_ERROR_CASES,

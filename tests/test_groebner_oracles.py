@@ -37,6 +37,7 @@ from tropval.groebner import (
     classify_weights,
     contains_monomial,
     enumerate_fan,
+    initial_form,
     initial_ideal,
     integer_weights,
     leading_normal_exponent,
@@ -47,7 +48,7 @@ from tropval.groebner import _divisor, _in_cone, _saturate
 from tropval.poly import Polynomial, Presentation, RingContext, WeightVector
 from tropval.textio import parse_poly, parse_presentation
 from tropval.trop import BOTTOM, TropicalValue
-from tropval.valuation import make_weight_valuation, random_polynomial
+from tropval.valuation import check_trop_membership, make_weight_valuation, random_polynomial
 
 FIXTURES_WITH_RELATIONS = ("line.ideal", "hyperbola.ideal", "cubic.ideal",
                            "cone.ideal", "plane.ideal", "tadic.ideal")
@@ -634,6 +635,44 @@ def test_cone_inequalities_match_the_face_walk(monkeypatch):
                     checked += 1
                     inside += verdict
     assert inside > 3000 and checked - inside > 50000
+
+
+def ref_initial_form(f: Polynomial, w: WeightVector) -> Polynomial:
+    """The terms of f of largest `Fraction` weight, found in one pass."""
+    best, top = None, {}
+    for e, c in f.terms.items():
+        weight = w.dot(e)
+        if best is None or weight > best:
+            best, top = weight, {e: c}
+        elif weight == best:
+            top[e] = c
+    return Polynomial(f.ring, top)
+
+
+@pytest.mark.parametrize("name", [*FAN_PRESENTATIONS, "xyz_pair"])
+def test_initial_form_matches_the_fraction_loop(name):
+    """`initial_form` and prevariety membership split terms on integer
+    weights; the `Fraction` loop is the reference, on the generators and
+    random polynomials, at every grid weight (box 2, denominators 1 and 2)
+    and at its t-adic pinned form."""
+    P = _presentation(name)
+    rng = random.Random(5)
+    polys = [*P.ideal_gens, *(random_polynomial(rng, P.ring, 3, 5) for _ in range(6))]
+    splits = set()
+    for denominator in (1, 2):
+        for point in itertools.product(range(-2 * denominator, 2 * denominator + 1),
+                                       repeat=P.ring.dim):
+            w = W(*(Fraction(p, denominator) for p in point))
+            for weight in (w, P.effective_weights(w)):
+                for f in polys:
+                    got, expected = initial_form(f, weight), ref_initial_form(f, weight)
+                    assert list(got.terms.items()) == list(expected.terms.items())
+                    assert all(stored_coefficient(c) for c in got.terms.values())
+                    splits.add(len(got.terms) < len(f.terms))
+            member = all(len(ref_initial_form(g, P.effective_weights(w)).terms) >= 2
+                         for g in P.ideal_gens)
+            assert check_trop_membership(P, w, "prevariety").ok == member
+    assert splits == {True, False}
 
 
 # -- division memo ------------------------------------------------------------------
