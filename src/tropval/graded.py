@@ -33,17 +33,21 @@ lookup.  No normal form is computed: a non-standard product's expansion
 is summed from the expansions of its one-step rewrite targets, which the
 basis memoizes.
 
-Pairs with equal products share one expansion object: `_monomial_algebra`
-keeps one per product monomial, the file scanner one per distinct body
-text, and the constructor, `associated_graded` and `coarsen` pass the
-sharing on.  Every per-pair scan (the constructor, the associativity
-check, gr, the monoid-theorem hypotheses, the homogeneous-pair check and
-the printer) does its per-expansion work once per distinct object, in a
-memo keyed by ``id()`` of an object that the memo or the scanned table
-holds for the whole scan, so no id is reused while it runs.  Failures and
-witnesses are still reported per pair, in pair order.  Sharing only saves
-work: a table whose pairs hold equal but distinct expansions gives the
-same results.
+Pairs with equal products share one expansion object, under one rule:
+all pairs that hold one nonempty object have one grade sum.
+`_monomial_algebra` keeps one object per product monomial, the
+constructor one per input object and grade sum, and `associated_graded`
+and `coarsen` one per object of the table they derive from.  The empty
+product ``()`` is one object shared by every zero pair, whatever its
+grade sum, but it holds no term, so nothing computed from it depends on
+that sum.  Every scan that works per product (the associativity check,
+gr, the monoid-theorem hypotheses, the homogeneous-pair check, the
+override probe, `coarsen` and the printer) gets that work from one memo,
+`GradedAlgebra._per_product`, keyed by ``id()`` of objects the table
+holds, and may read the grade sum of the first pair that holds each.
+Failures and witnesses are still reported per pair, in pair order.
+Sharing only saves work: a table whose pairs hold equal but distinct
+expansions gives the same results.
 
 Structure constants take the one coefficient form of `poly`: an int when
 integral, otherwise a `Fraction`.  Inside the checks, element coefficients
@@ -172,18 +176,22 @@ class GradedAlgebra:
         # the full check and conversion.  Pair refs and expansion targets
         # are both stored canonical.
         canon = {ref: ref for ref in self.basis()}
-        # Each distinct expansion object is stored once, so pairs that
-        # share one share its stored form.  The memo holds every object it
-        # has seen: ``structure.items()`` may make each expansion afresh,
-        # and a freed one's id could be reused by the next.
+        # Each input object is stored once per grade sum of the pairs that
+        # hold it, which sets the sharing rule of the module docstring.  The
+        # memo holds every object it has seen: ``structure.items()`` may
+        # make each expansion afresh, and a freed one's id could be reused
+        # by the next.
         stored: dict[int, tuple] = {}
         for (b1, b2), expansion in structure.items():
             b1, b2 = self._canonical_ref(canon, b1), self._canonical_ref(canon, b2)
             hit = stored.get(id(expansion))
             if hit is None:
-                hit = stored[id(expansion)] = (
-                    expansion, self._canonical_expansion(canon, expansion))
-            table[_pair_key(b1, b2)] = hit[1]
+                hit = stored[id(expansion)] = (expansion, {})
+            grades = grade_sum(b1[0], b2[0])
+            canonical = hit[1].get(grades)
+            if canonical is None:
+                canonical = hit[1][grades] = self._canonical_expansion(canon, expansion)
+            table[_pair_key(b1, b2)] = canonical
         self.structure = dict(sorted(table.items()))
         if validate:
             self._validate_associativity()
@@ -260,6 +268,20 @@ class GradedAlgebra:
         return [(grade, i) for grade, size in self.components.items()
                 for i in range(size)]
 
+    def _per_product(self, f) -> dict:
+        """``{id(expansion): f(expansion, pair)}`` over the table's distinct
+        expansion objects, ``pair`` the first pair that holds each.
+
+        By the sharing rule (module docstring), f may read that pair's grade
+        sum for any nonempty expansion.  The table holds every object, so no
+        id is reused while the result is in use.
+        """
+        out = {}
+        for pair, expansion in self.structure.items():
+            if id(expansion) not in out:
+                out[id(expansion)] = f(expansion, pair)
+        return out
+
     # -- multiplication ----------------------------------------------------
 
     def basis_product(self, b1: BasisRef, b2: BasisRef):
@@ -311,9 +333,7 @@ class GradedAlgebra:
         # keeps the comparison exact with integer arithmetic only.
         refs = self.basis()
         number = {ref: i for i, ref in enumerate(refs)}
-        # each distinct expansion object is numbered and scaled once; the
-        # table holds them all, so no id is reused during the check
-        distinct = {id(exp): exp for exp in self.structure.values()}
+        distinct = self._per_product(lambda expansion, pair: expansion)
         scale = math.lcm(*{c.denominator for exp in distinct.values() for _, c in exp})
         rows = {key: tuple((number[t], c.numerator * (scale // c.denominator))
                            for t, c in exp)
@@ -483,11 +503,16 @@ class GradedValuation:
               overrides: dict | None = None) -> "GradedValuation":
         """The valuation of ``functional`` with ``overrides`` (element to value).
 
-        An overridden element must be inhomogeneous, and its value at most
-        the largest first-row value of its grades.
+        An element is given as `element_key` gives it: refs strictly
+        ascending, every coefficient nonzero.  It must be inhomogeneous, and
+        its value at most the largest first-row value of its grades.
         """
         items = []
         for element, value in (overrides or {}).items():
+            if element != element_key(dict(element)) or not all(c for _, c in element):
+                raise TropvalError(
+                    f"override key {element} is not an element key: its refs "
+                    f"must be strictly ascending and its coefficients nonzero")
             grades = {ref[0] for ref, _ in element}
             if len(grades) <= 1:
                 raise TropvalError(
@@ -652,14 +677,11 @@ def _homogeneous_pair_failures(A: GradedAlgebra, gv: GradedValuation) -> list:
     """Multiplicativity on every defined basis pair, failures in pair order."""
     key = gv.functional.key
     found = []
-    lhs_of: dict[int, object] = {}  # per distinct expansion object
+    lhs_of = A._per_product(lambda expansion, pair: _value_key(gv, dict(expansion)))
     for (b1, b2), expansion in A.structure.items():
         # overrides are inhomogeneous, so a basis element's value is its key
         rhs = key(b1[0])[0] + key(b2[0])[0]
-        if id(expansion) in lhs_of:
-            lhs = lhs_of[id(expansion)]
-        else:
-            lhs = lhs_of[id(expansion)] = _value_key(gv, dict(expansion))
+        lhs = lhs_of[id(expansion)]
         if lhs != rhs:
             found.append(_failure(gv, {b1: 1}, {b2: 1}, lhs, rhs))
     return found
@@ -712,11 +734,9 @@ def _override_factor_probe(A: GradedAlgebra, gv: GradedValuation) -> list:
     # an expansion share its column dict; `solve_linear` only reads them.
     partners: dict[BasisRef, list] = {ref: [] for ref in A.basis()}
     columns: dict[BasisRef, list] = {ref: [] for ref in partners}
-    column_of: dict[int, dict] = {}  # id of an expansion -> its column
+    column_of = A._per_product(lambda expansion, pair: dict(expansion))
     for (b1, b2), expansion in A.structure.items():
-        column = column_of.get(id(expansion))
-        if column is None:
-            column = column_of[id(expansion)] = dict(expansion)
+        column = column_of[id(expansion)]
         partners[b1].append(b2)
         columns[b1].append(column)
         if b1 != b2:
@@ -733,8 +753,6 @@ def _override_factor_probe(A: GradedAlgebra, gv: GradedValuation) -> list:
             if solution is None:
                 continue
             factor = {b: c for b, c in zip(candidates, solution) if c != 0}
-            if not factor:
-                continue
             # overrides are inhomogeneous, so a basis element's value is its key
             kf = _value_key(gv, factor)
             rhs = None if kf is None else key(a_ref[0])[0] + kf
@@ -776,33 +794,31 @@ def _gr_pass(A: GradedAlgebra, h: LexFunctional) -> tuple[dict, tuple | None]:
     a term above that key, and its first such term; the table is in
     ascending order, so that is the least pair.  None when every product is
     lower-triangular.  The products of gr come in A's order, and pairs that
-    share an expansion and a grade sum share one product of gr.
+    share an expansion share one product of gr.
     """
     key = h.key
+
+    def split(expansion, pair) -> tuple:
+        # A key is linear in the grade, so key(b1) + key(b2) is the key of
+        # the grade sum.
+        top = key(grade_sum(pair[0][0], pair[1][0]))
+        kept = []
+        above = None
+        for t, c in expansion:
+            k = key(t[0])
+            if k == top:
+                kept.append((t, c))
+            elif k > top and above is None:
+                above = t
+        return tuple(kept), above
+
+    split_of = A._per_product(split)
     structure = {}
     witness = None
-    # (id of an expansion, grade sum) -> (kept terms, first term above);
-    # A's table holds every expansion for the whole pass.  A key is linear
-    # in the grade, so key(b1) + key(b2) is the key of the grade sum.
-    seen: dict[tuple, tuple] = {}
     for pair, expansion in A.structure.items():
-        b1, b2 = pair
-        grades = grade_sum(b1[0], b2[0])
-        hit = seen.get((id(expansion), grades))
-        if hit is None:
-            top = key(grades)
-            kept = []
-            above = None
-            for t, c in expansion:
-                k = key(t[0])
-                if k == top:
-                    kept.append((t, c))
-                elif k > top and above is None:
-                    above = t
-            hit = seen[id(expansion), grades] = (tuple(kept), above)
-        kept, above = hit
+        kept, above = split_of[id(expansion)]
         if above is not None and witness is None:
-            witness = (b1, b2, above)
+            witness = (*pair, above)
         structure[pair] = kept
     return structure, witness
 
@@ -852,21 +868,19 @@ def check_monoid_theorem(A: GradedAlgebra, w: LexFunctional,
     key = w.key
     cartan_missing = []
     order_violations = []
-    # (id of an expansion, grade sum) -> (top component missing, the terms
-    # that violate the order); A's table holds every expansion for the
-    # whole scan.  Both are still reported once per pair, in pair order.
-    seen: dict[tuple, tuple] = {}
-    for (b1, b2), expansion in A.structure.items():
-        top_grade = grade_sum(b1[0], b2[0])
-        hit = seen.get((id(expansion), top_grade))
-        if hit is None:
-            top = key(top_grade)
-            hit = seen[id(expansion), top_grade] = (
-                not any(t[0] == top_grade for t, _ in expansion),
+
+    def hypotheses(expansion, pair) -> tuple:
+        """Is the top component missing, and the terms that violate the order."""
+        top_grade = grade_sum(pair[0][0], pair[1][0])
+        top = key(top_grade)
+        return (not any(t[0] == top_grade for t, _ in expansion),
                 tuple(t for t, _ in expansion if t[0] != top_grade and key(t[0]) >= top))
-        missing, violating = hit
-        if missing:
-            cartan_missing.append((b1, b2, top_grade))
+
+    hypotheses_of = A._per_product(hypotheses)
+    for (b1, b2), expansion in A.structure.items():
+        missing, violating = hypotheses_of[id(expansion)]
+        if missing:  # the pair's own sum: () is shared across grade sums
+            cartan_missing.append((b1, b2, grade_sum(b1[0], b2[0])))
         for t in violating:
             order_violations.append((b1, b2, t))
     collision = w.separates(A.components)
@@ -1069,14 +1083,10 @@ def coarsen(A: GradedAlgebra, matrix: tuple[tuple[int, ...], ...]) -> GradedAlge
         idx = components.get(new_grade, 0)
         components[new_grade] = idx + 1
         offsets[ref] = (new_grade, idx)
-    structure = {}
-    relabelled: dict[int, tuple] = {}  # per distinct expansion object of A
-    for (b1, b2), expansion in A.structure.items():
-        new_expansion = relabelled.get(id(expansion))
-        if new_expansion is None:
-            new_expansion = relabelled[id(expansion)] = tuple(sorted(
-                (offsets[t], c) for t, c in expansion))
-        structure[_pair_key(offsets[b1], offsets[b2])] = new_expansion
+    relabelled = A._per_product(
+        lambda expansion, pair: tuple(sorted((offsets[t], c) for t, c in expansion)))
+    structure = {_pair_key(offsets[b1], offsets[b2]): relabelled[id(expansion)]
+                 for (b1, b2), expansion in A.structure.items()}
     # the relabelling is one-to-one, so the table is as canonical and as
     # associative as A's, but it can change the order of grades and pairs
     return _derived(A, len(matrix), dict(sorted(components.items())),

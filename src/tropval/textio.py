@@ -489,12 +489,11 @@ def graded_algebra_to_str(algebra) -> str:
 
     The algebra's tables are ascending, so components and pairs are written
     in the order they are held, which is the file's sorted order.  Each
-    distinct expansion object is formatted once: the table holds every
-    expansion for the whole scan, so no id in the memo is reused.
+    distinct expansion object is formatted once.
     """
     names = {ref: _basis_str(ref) for ref in algebra.basis()}
 
-    def body(expansion) -> str:
+    def body(expansion, pair) -> str:
         if not expansion:
             return "0"
         # signs from numerators, so no term takes a `Fraction` abs or comparison
@@ -502,15 +501,12 @@ def graded_algebra_to_str(algebra) -> str:
                               f"{str(coeff).lstrip('-')}*{names[target]}")
                              for target, coeff in expansion])
 
-    bodies: dict[int, str] = {}
+    bodies = algebra._per_product(body)
     lines = [f"monoid dim {algebra.monoid_dim};", f"truncation {algebra.truncation};"]
     for grade, size in algebra.components.items():
         lines.append(f"component {_grade_str(grade)} size {size};")
     for (left, right), expansion in algebra.structure.items():
-        text = bodies.get(id(expansion))
-        if text is None:
-            text = bodies[id(expansion)] = body(expansion)
-        lines.append(f"mult {names[left]}*{names[right]} = {text};")
+        lines.append(f"mult {names[left]}*{names[right]} = {bodies[id(expansion)]};")
     return "\n".join(lines) + "\n"
 
 

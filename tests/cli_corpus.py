@@ -397,6 +397,27 @@ INPUT_ERROR_CASES = [
     )
 ]
 
+# Statements that no other case makes a parser read: a `coeffval trivial`
+# statement, and a `mult` ref whose grade is longer than the monoid dim,
+# which the graded-file scanner hands to the cursor loop to locate.  Each
+# entry is (name, argv, expected exit, expected stdout).
+STATEMENT_CASES = [
+    ("parse_coeffval_trivial",
+     ["parse", "--input", fixture("coeffval_trivial.ideal")], 0,
+     "check: parse\n"
+     "input: fixtures/coeffval_trivial.ideal\n"
+     "BEGIN-RESULT\n"
+     "normalized: \n"
+     "END-RESULT\n"
+     "ring x y;\n"
+     "ideal x*y - 1;\n"
+     "coeffval trivial;\n"),
+    ("mult_ref_grade_too_long",
+     ["monoid-check", "--algebra", fixture("grade_length/mult_ref.alg"),
+      "--functional", "1"], 2,
+     "parse_error: line 5, col 16: grade has 2 entries, monoid dim is 1\n"),
+]
+
 # Every case above whose exact stdout is spelled out here rather than in a
 # golden file, as (name, argv, expected exit, expected stdout); the cases
 # listed without an exit code end with exit 2.
@@ -404,5 +425,5 @@ STDOUT_CASES = [
     *((name, argv, 2, stdout) for name, argv, stdout
       in PARSE_ERROR_CASES + REPEATED_STATEMENT_CASES),
     *VACUOUS_CASES, *CANCELLING_CASES, *GRADE_SUM_CASES, *ZERO_PRODUCT_CASES,
-    *INPUT_ERROR_CASES,
+    *INPUT_ERROR_CASES, *STATEMENT_CASES,
 ]

@@ -17,6 +17,7 @@ from cli_corpus import (
     INPUT_ERROR_CASES,
     PARSE_ERROR_CASES,
     REPEATED_STATEMENT_CASES,
+    STATEMENT_CASES,
     STDOUT_CASES,
     STRICT_FUNCTIONAL,
     USAGE_CASES,
@@ -26,6 +27,8 @@ from cli_corpus import (
     run_case,
     run_case_streams,
 )
+from tropval.groebner import _extended_ring
+from tropval.poly import RingContext
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -90,6 +93,12 @@ def test_gr_names_a_zero_product_anywhere_in_its_table(name, argv, expected_code
     assert run_case(argv) == (expected_code, expected)
 
 
+@pytest.mark.parametrize("name,argv,expected_code,expected", STATEMENT_CASES,
+                         ids=[c[0] for c in STATEMENT_CASES])
+def test_statements_no_other_case_reads(name, argv, expected_code, expected):
+    assert run_case(argv) == (expected_code, expected)
+
+
 # Every gr report of the corpus, golden or spelled out: (name, argv, stdout).
 GR_REPORTS = [
     (name, argv, text) for name, argv, text in (
@@ -130,6 +139,23 @@ def test_non_utf8_file_is_one_input_error_line(tmp_path):
     assert run_case(["parse", "--input", str(path)]) == (
         2, "input_error: 'utf-8' codec can't decode byte 0xff in position 6: "
            "invalid start byte\n")
+
+
+def test_a_variable_named_like_the_homogenizing_one_changes_no_report(tmp_path):
+    """Homogenizing adds a variable named h0, renamed h0_ in a ring that
+    already has an h0, so `ring x h0` reads as `ring x y` does."""
+    assert _extended_ring(RingContext(("x", "h0"))).variables == ("x", "h0", "h0_")
+    reports = {}
+    for name in ("h0", "y"):
+        path = tmp_path / f"{name}.ideal"
+        path.write_text(f"ring x {name};\nideal x*{name} - 1;\n")
+        reports[name] = [(code, text.replace(str(path), "IDEAL"))
+                         for verb in ("val-check", "trop-check", "initial")
+                         for weight in ("1 -1", "1 1")
+                         for code, text in [run_case([verb, "--ideal", str(path),
+                                                      "--weight", weight])]]
+    assert [(code, text.replace("h0", "y")) for code, text in reports["h0"]] == reports["y"]
+    assert {code for code, _ in reports["y"]} == {0, 1}
 
 
 # (file name, file text, argv before the path, expected stdout); exit code 2

@@ -615,6 +615,18 @@ def test_override_validation():
         GradedValuation.build(degree, {element_key(homogeneous): trop(0)})
 
 
+@pytest.mark.parametrize("key", [
+    ((((0, 1), 0), F(0)), (((1, 0), 0), F(1))),  # x padded with a zero term
+    ((((0, 1), 0), F(0)), (((1, 0), 0), F(0))),  # all zero
+    ((((1, 0), 0), F(1)), (((0, 1), 0), F(1))),  # refs descending
+])
+def test_override_key_must_be_an_element_key(key):
+    # the padded key never applies to x, yet its factor probe made the
+    # full check report 2 failures on polyring:2:3
+    with pytest.raises(TropvalError, match="is not an element key"):
+        GradedValuation.build(LexFunctional.single((F(1), F(1))), {key: trop(0)})
+
+
 def test_override_counterexample_graded_vs_full():
     A = monomial_poly_ring(3, 4)
     degree = LexFunctional.single((F(1), F(1), F(1)))

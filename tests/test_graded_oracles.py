@@ -1055,6 +1055,50 @@ def test_oracle_tables_are_shared_and_unshared_as_named():
     assert shared > 2000, shared
 
 
+def _grade_sums_per_object(A):
+    """The grade sums of the pairs that hold each nonempty expansion object."""
+    sums = {}
+    for (b1, b2), expansion in A.structure.items():
+        if expansion:
+            sums.setdefault(id(expansion), set()).add(_plus(b1[0], b2[0]))
+    return sums
+
+
+def test_a_nonempty_expansion_object_has_one_grade_sum():
+    zero_pairs = 0
+    for spec in _oracle_algebras():
+        A = _load(spec)
+        assert all(len(s) == 1 for s in _grade_sums_per_object(A).values()), spec
+        zero_pairs += sum(not expansion for expansion in A.structure.values())
+    assert zero_pairs > 1
+
+
+def test_constructor_splits_an_input_expansion_held_at_two_grade_sums():
+    one = ((((1,), 0), 1),)
+    ref = {g: ((g,), 0) for g in range(3)}
+    A = GradedAlgebra(1, {(g,): 1 for g in range(3)}, {
+        (ref[0], ref[0]): ((ref[0], 1),),
+        (ref[0], ref[1]): one,
+        (ref[0], ref[2]): ((ref[2], 1),),
+        (ref[1], ref[1]): one,
+    }, 2)
+    assert A.structure[ref[0], ref[1]] == A.structure[ref[1], ref[1]] == one
+    assert A.structure[ref[0], ref[1]] is not A.structure[ref[1], ref[1]]
+    assert all(len(s) == 1 for s in _grade_sums_per_object(A).values())
+    grs = 0
+    for text in FUNCTIONALS[1]:
+        h = parse_functional(text, 1)
+        report = check_monoid_theorem(A, h, n_samples=5)
+        # (1:0)*(1:0) = (1:0) misses its top component (2:0) under every h
+        assert report.cartan_missing[-1] == (ref[1], ref[1], (2,))
+        assert (report.cartan_missing, report.order_violations) == \
+            ref_monoid_hypotheses(A, h)[:2]
+        if check_lower_triangular(A, h)[0]:
+            assert associated_graded(A, h).structure == ref_gr_structure(A, h)
+            grs += 1
+    assert grs > 0
+
+
 def _doubled_products():
     """Each one-line corruption of the emitted sl2-branching:3 that doubles
     a product of two degree-1 elements, as the benchmark makes them."""

@@ -720,6 +720,18 @@ def test_lead_memo_sums_a_target_equal_to_the_best_lead(c, lead):
     assert first == lead
 
 
+def test_lead_memo_skips_a_target_that_reduces_to_zero():
+    """The basis of (x^2, x*y - y^2) gains y^3, so x*y^2 rewrites to y^3,
+    whose lead entry says its normal form is zero, and so is NF(x^2*y)."""
+    P = parse_presentation("ring x y; ideal x^2, x*y - y^2;").presentation
+    gb = buchberger(P.ideal_gens, MonomialOrder.grevlex())
+    f = parse_poly(XY, "x^2*y + x*y^2")
+    assert leading_normal_exponent(f, gb) is None
+    assert normal_form(f, gb).is_zero
+    _check_warm_memo(gb, [f])
+    assert gb._memo[2][(0, 3)] is None
+
+
 @pytest.mark.parametrize("name", sorted(TOP_REDUCTION_WEIGHTS))
 def test_warm_memo_matches_memo_free_division_on_refined_bases(name):
     P = load(name)

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from tropval.graded import (
+    GradedAlgebra,
     LexFunctional,
     associated_graded,
     check_lower_triangular,
@@ -76,6 +77,16 @@ def test_branching_components_match_character_oracle():
     assert branching_dimension_report(B) == []
     # the standard monomial of grade (a, b, c, eta, d) has degree (a + b + c + d) / 2
     assert all((a + b + c + d) // 2 <= 4 for a, b, c, eta, d in B.components)
+
+
+def test_branching_dimension_report_lists_each_mismatch():
+    components = dict(sl2_branching_algebra(3).components)
+    del components[(0, 0, 1, 0, 1)]
+    # 1 x 1 = 0 + 2 has no eta = 1 part, so the characters predict nothing here
+    components[(1, 1, 1, 1, 1)] = 2
+    A = GradedAlgebra(5, components, {}, 3)
+    assert branching_dimension_report(A) == [((0, 0, 1, 0, 1), 0, 1),
+                                             ((1, 1, 1, 1, 1), 2, 0)]
 
 
 def test_lower_triangular_depends_on_root_sign():
