@@ -29,6 +29,7 @@ from .graded import (
     check_graded_axioms,
     check_monoid_theorem,
     check_valuation_axioms,
+    element_key,
     monomial_poly_ring,
     zero_divisor_search,
 )
@@ -260,7 +261,7 @@ def _cmd_graded_check(args) -> int:
         if not equals:
             raise TropvalError(f"an override has the form element=value, got {text!r}")
         element = textio.parse_graded_element(algebra, element_text.strip())
-        key = tuple(sorted(element.items()))
+        key = element_key(element)
         if key in overrides:
             raise TropvalError(f"override of {_element_str(element)} listed twice")
         overrides[key] = textio.parse_tropical_value(value_text.strip())

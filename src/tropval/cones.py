@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .errors import PreconditionError
 from .groebner import HomogenizedIdeal, _top_split, classify_weights
-from .poly import Polynomial, Presentation, WeightVector, integer_weights
+from .poly import Polynomial, Presentation, WeightVector, _rational, integer_weights
 from .valuation import (
     AxiomReport,
     CandidateValuation,
@@ -178,7 +178,7 @@ def cone_sum(v: CandidateValuation, w1: CandidateValuation, w2: CandidateValuati
 
 def scale(v: CandidateValuation, R: Fraction | int) -> CandidateValuation:
     """Scale a valuation by a positive rational; facet class is preserved."""
-    R = Fraction(R)
+    R = _rational(R)
     if R <= 0:
         raise ValueError("scaling factor must be positive")
     if isinstance(v, WeightValuation):

@@ -73,7 +73,7 @@ from operator import add, le, mul
 
 from .errors import PreconditionError, TropvalError
 from .linalg import solve_linear
-from .poly import _coefficient, integer_weights
+from .poly import _coefficient, _rational, integer_weights
 from .trop import BOTTOM, TropicalValue
 
 Grade = tuple[int, ...]
@@ -122,6 +122,45 @@ def _merge_like_terms(terms: list) -> list:
     return out
 
 
+def _basis_ref(canon: dict, ref) -> BasisRef:
+    """The basis element that a pair ref equals, as ``canon`` stores it."""
+    try:
+        stored = canon.get(ref)
+    except TypeError:  # unhashable, e.g. a list grade
+        stored = None
+    if stored is None:
+        raise TropvalError(f"unknown basis element {ref}")
+    return stored
+
+
+def _canonical_expansion(canon: dict, expansion) -> tuple:
+    """The stored form of an expansion: each coefficient as `_coefficient`
+    returns it (an int or a `Fraction`; anything else, a float or a
+    string included, is a `TypeError`), each target of a nonzero term as
+    the basis element it equals, sorted, like terms summed and zero sums
+    dropped.  A target that equals no basis element is unknown: an
+    unhashable one at once, otherwise the least unknown one is named."""
+    terms = []
+    misses = []
+    for target, c in expansion:
+        c = _coefficient(c)
+        if c:
+            try:
+                ref = canon.get(target)
+            except TypeError:  # unhashable, e.g. a list grade
+                raise TropvalError(f"unknown basis element {target}") from None
+            if ref is None:
+                misses.append(target)
+            else:
+                terms.append((ref, c))
+    if misses:
+        raise TropvalError(f"unknown basis element {min(misses)}")
+    terms.sort()
+    if len(terms) > 1:
+        terms = _merge_like_terms(terms)
+    return tuple(terms)
+
+
 def grade_sum(g1: Grade, g2: Grade) -> Grade:
     """The componentwise sum of two grades (or of two key or value tuples)."""
     return tuple(map(add, g1, g2))
@@ -132,14 +171,19 @@ class GradedAlgebra:
 
     Both tables are held in ascending order: ``components`` by grade,
     ``structure`` by pair ``(b1, b2)`` with ``b1 <= b2``, and each expansion
-    by ref.  The constructor converts and checks every grade, ref and
-    coefficient, sorts each expansion, sums like terms and drops zero sums
-    (a product that cancels is stored as zero), sorts both tables, then
-    checks associativity.  Parsed files take this path.  A table derived
-    from a parsed one (`associated_graded`, `coarsen`) is already
-    canonical, so it is stored as built and only takes the associativity
-    check.  ``validate=False`` skips only that check, and is for
-    hand-built tables in tests.
+    by ref.  The constructor converts and checks every grade and size.  A
+    pair ref, or the target of a nonzero term, is stored as the basis
+    element it equals, found by one dict lookup, so ``((1.0,), 0)`` is
+    stored as ``((1,), 0)``; a ref that equals none, or cannot be hashed
+    (a list grade), is an unknown basis element.  A coefficient is stored
+    as `_coefficient` returns it, so a float or a string is a `TypeError`.
+    The constructor then sorts each expansion, sums like terms and drops
+    zero sums (a product that cancels is stored as zero), sorts both
+    tables, then checks associativity.  Parsed files take this path.  A
+    table derived from a parsed one (`associated_graded`, `coarsen`) is
+    already canonical, so it is stored as built and only takes the
+    associativity check.  ``validate=False`` skips only that check, and is
+    for hand-built tables in tests.
 
     A *trusted* algebra is stored as its builder made it (`_trusted`): the
     built-ins of `_monomial_algebra`, whose tables are read off the
@@ -170,11 +214,9 @@ class GradedAlgebra:
         self.components = dict(sorted(sizes.items()))
         self.truncation = int(truncation)
         table = {}
-        # Every valid ref, keyed by itself in its stored int form: a ref
-        # that compares equal to a key is stored as that key, which is what
-        # converting its fields with int() would give.  Anything else takes
-        # the full check and conversion.  Pair refs and expansion targets
-        # are both stored canonical.
+        # Every basis element, keyed by itself in its stored int form: a ref
+        # that compares equal to one, such as ((1.0,), 0), is stored as it.
+        # A ref that finds no key is unknown; nothing is converted.
         canon = {ref: ref for ref in self.basis()}
         # Each input object is stored once per grade sum of the pairs that
         # hold it, which sets the sharing rule of the module docstring.  The
@@ -183,14 +225,14 @@ class GradedAlgebra:
         # by the next.
         stored: dict[int, tuple] = {}
         for (b1, b2), expansion in structure.items():
-            b1, b2 = self._canonical_ref(canon, b1), self._canonical_ref(canon, b2)
+            b1, b2 = _basis_ref(canon, b1), _basis_ref(canon, b2)
             hit = stored.get(id(expansion))
             if hit is None:
                 hit = stored[id(expansion)] = (expansion, {})
             grades = grade_sum(b1[0], b2[0])
             canonical = hit[1].get(grades)
             if canonical is None:
-                canonical = hit[1][grades] = self._canonical_expansion(canon, expansion)
+                canonical = hit[1][grades] = _canonical_expansion(canon, expansion)
             table[_pair_key(b1, b2)] = canonical
         self.structure = dict(sorted(table.items()))
         if validate:
@@ -214,47 +256,6 @@ class GradedAlgebra:
         A.truncation = truncation
         A.trusted = True
         return A
-
-    def _canonical_ref(self, canon: dict, ref) -> BasisRef:
-        """The stored form of a pair ref, after the check if it is not a key."""
-        try:
-            stored = canon.get(ref)
-        except TypeError:  # unhashable, e.g. a list grade
-            stored = None
-        if stored is None:
-            self._check_ref(ref)
-            grade, idx = ref
-            stored = (tuple(int(x) for x in grade), int(idx))
-        return stored
-
-    def _canonical_expansion(self, canon: dict, expansion) -> tuple:
-        """The stored form of an expansion: coefficients in the one form of
-        `poly`, canonical refs, sorted, like terms summed and zero sums
-        dropped.  A coefficient is an int, a `Fraction` or a string that
-        `Fraction` reads; anything else, a float included, is a `TypeError`."""
-        terms = []
-        misses = []
-        for target, c in expansion:
-            c = _coefficient(Fraction(c) if type(c) is str else c)
-            if c:
-                try:
-                    ref = canon.get(target)
-                except TypeError:  # unhashable, e.g. a list grade
-                    ref = None
-                if ref is None:
-                    g, k = target
-                    ref = (tuple(int(x) for x in g), int(k))
-                    if ref != (tuple(g), k):  # a field that is not an integer
-                        raise TropvalError(f"unknown basis element {target}")
-                    misses.append(ref)
-                terms.append((ref, c))
-        if misses:
-            for ref in sorted(misses):
-                self._check_ref(ref)
-        terms.sort()
-        if len(terms) > 1:
-            terms = _merge_like_terms(terms)
-        return tuple(terms)
 
     def _check_ref(self, ref: BasisRef) -> None:
         grade, idx = ref
@@ -446,7 +447,7 @@ class LexFunctional:
                         compare=False, hash=False)
 
     def __post_init__(self):
-        rows = tuple(tuple(Fraction(x) for x in row) for row in self.rows)
+        rows = tuple(tuple(map(_rational, row)) for row in self.rows)
         object.__setattr__(self, "rows", rows)
         if not rows:
             raise ValueError("a functional needs at least one row")

@@ -117,7 +117,6 @@ from .poly import (
     RingMismatchError,
     WeightVector,
     _coefficient,
-    integer_weights,  # defined in poly, still importable from here
 )
 
 GREVLEX = "grevlex"

@@ -68,6 +68,21 @@ def _coefficient(c):
         raise TypeError(f"coefficient {c!r} is not an int or a Fraction") from None
 
 
+def _rational(x) -> Fraction:
+    """A caller's number as a `Fraction`.
+
+    x is an int, a `Fraction` or a string that `Fraction` reads; a float is
+    a `TypeError`, because its binary value is rarely the number meant
+    (``0.1`` is 3602879701896397/36028797018963968).  Every public entry
+    point that turns a number it is given into a `Fraction` calls this.
+    """
+    if type(x) is Fraction:
+        return x
+    if isinstance(x, float):
+        raise TypeError(f"{x!r} is a float; give an int, a Fraction or a string")
+    return Fraction(x)
+
+
 def _check_same_ring(a: "Polynomial", b: "Polynomial") -> None:
     if a.ring != b.ring:
         raise RingMismatchError(
@@ -79,6 +94,8 @@ class Polynomial:
     """Sparse exact polynomial: exponent tuple -> nonzero coefficient.
 
     A coefficient is an int when it is integral, otherwise a `Fraction`.
+    An exponent is stored as an int; one that does not equal its int (1.5,
+    or the string "2") is a `ValueError`.
     """
 
     __slots__ = ("ring", "terms", "_key")
@@ -92,6 +109,8 @@ class Polynomial:
             if c == 0:
                 continue
             e = tuple(int(x) for x in exps)
+            if e != tuple(exps):
+                raise ValueError(f"exponent vector {exps!r} has a non-integer entry")
             if len(e) != n:
                 raise ValueError(f"exponent vector {e} has wrong length for {ring}")
             if any(x < 0 for x in e):
@@ -296,7 +315,7 @@ class WeightVector:
     int_scale: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        weights = tuple(w if type(w) is Fraction else Fraction(w) for w in self.weights)
+        weights = tuple(w if type(w) is Fraction else _rational(w) for w in self.weights)
         int_weights, int_scale = integer_weights(weights)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "int_weights", int_weights)
@@ -331,7 +350,7 @@ class WeightVector:
         return WeightVector(tuple(a + b for a, b in zip(self.weights, other.weights)))
 
     def scale(self, r: Fraction | int) -> "WeightVector":
-        r = Fraction(r)
+        r = _rational(r)
         return WeightVector(tuple(r * w for w in self.weights))
 
     @property
@@ -365,7 +384,7 @@ class CoeffValuation:
         if self.kind == T_ADIC:
             if self.t_index is None or self.t_weight is None:
                 raise ValueError("tadic valuation needs a variable and a weight")
-            object.__setattr__(self, "t_weight", Fraction(self.t_weight))
+            object.__setattr__(self, "t_weight", _rational(self.t_weight))
 
 
 TRIVIAL_COEFFS = CoeffValuation()

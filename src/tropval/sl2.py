@@ -33,7 +33,7 @@ from fractions import Fraction
 from .errors import TropvalError
 from .graded import GradedAlgebra, Grade, LexFunctional, _monomial_algebra, _times
 from .groebner import GroebnerBasis, MonomialOrder, buchberger
-from .poly import Polynomial, RingContext, WeightVector
+from .poly import Polynomial, RingContext, WeightVector, _rational
 
 # Positive-root direction: eta drops by 2, outer weights fixed.
 ROOT_DIRECTION = (0, 0, 0, -2, 0)
@@ -169,7 +169,7 @@ def root_direction_report(h: LexFunctional) -> RootDirectionReport:
 
 def root_functional(coeffs) -> tuple[LexFunctional, RootDirectionReport]:
     """Single-row functional on (a, b, c, eta, d) grades plus its root report."""
-    row = tuple(Fraction(x) for x in coeffs)
+    row = tuple(map(_rational, coeffs))
     if len(row) != 5:
         raise ValueError("expected coefficients for the five grade coordinates")
     h = LexFunctional((row,))

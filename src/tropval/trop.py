@@ -12,6 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import total_ordering
 
+from .poly import _rational
+
 
 @total_ordering
 class TropicalValue:
@@ -24,7 +26,7 @@ class TropicalValue:
         if value is None or type(value) is Fraction:
             self.value = value
         else:
-            self.value = Fraction(value)
+            self.value = _rational(value)
 
     @property
     def is_bottom(self) -> bool:

@@ -61,7 +61,7 @@ from .groebner import (
     initial_ideal,
     normal_form,
 )
-from .poly import Polynomial, Presentation, RingContext, WeightVector
+from .poly import Polynomial, Presentation, RingContext, WeightVector, _rational
 from .trop import BOTTOM, TropicalValue
 
 
@@ -196,7 +196,7 @@ class Scaled(CandidateValuation):
         super().__init__(source.presentation)
         self.source = source
         self.factor = factor
-        factor = Fraction(factor)
+        factor = _rational(factor)
         self._numerator = factor.numerator
         self.scale = source.scale * factor.denominator
 

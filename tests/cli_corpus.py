@@ -386,6 +386,15 @@ INPUT_ERROR_CASES = [
      ["graded-check", "--algebra", "polyring:2:3", "--functional", "1,1",
       "--override", "1*(1,0:0)+1*(0,1:0)=0", "--override", "1*(0,1:0)+1*(1,0:0)=1"], 2,
      "input_error: override of 1*(0,1:0) + 1*(1,0:0) listed twice\n"),
+    # a ref that is no basis element, as a target (the least of two is
+    # named) and in a pair; the files sit in a subdirectory because
+    # `_sampled_tables` parses every top-level fixtures/*.alg
+    ("unknown_target_ref",
+     ["monoid-check", "--algebra", fixture("unknown_ref/target.alg"), "--functional", "1"], 2,
+     "input_error: unknown basis element ((5,), 0)\n"),
+    ("unknown_pair_ref",
+     ["monoid-check", "--algebra", fixture("unknown_ref/pair.alg"), "--functional", "1"], 2,
+     "input_error: unknown basis element ((3,), 0)\n"),
 ] + [
     (name, ["monoid-check", "--algebra", spec, "--functional", "1"], 2,
      f"input_error: malformed built-in algebra {spec!r}; {BUILTIN_FORMS}\n")

@@ -15,6 +15,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import FIXTURE_WEIGHTS, W, load, stored_coefficient
+from tropval import cones
 from tropval.graded import GradedAlgebra, LexFunctional, associated_graded, coarsen
 from tropval.groebner import (
     GroebnerBasis,
@@ -25,9 +26,11 @@ from tropval.groebner import (
     initial_form,
     normal_form,
 )
-from tropval.poly import Polynomial, RingContext
+from tropval.poly import T_ADIC, CoeffValuation, Polynomial, RingContext, WeightVector
+from tropval.sl2 import root_functional
 from tropval.textio import graded_algebra_to_str, parse_graded_algebra, parse_poly
-from tropval.valuation import random_polynomial
+from tropval.trop import TropicalValue
+from tropval.valuation import Scaled, make_weight_valuation, random_polynomial
 
 XY = RingContext(("x", "y"))
 F = Fraction
@@ -158,3 +161,32 @@ def test_graded_tables_store_one_coefficient_form():
 def test_float_coefficients_are_rejected(make):
     with pytest.raises(TypeError, match=r"coefficient 0\.1 is not an int or a Fraction"):
         make(0.1)
+
+
+def _line_valuation():
+    return make_weight_valuation(load("line.ideal"), WeightVector((1, 1)))
+
+
+def _scaled(x):
+    v = Scaled(_line_valuation(), x)
+    return v._numerator, v.scale
+
+
+# Each entry point that turns a caller's number into a `Fraction`, returning
+# what it made of the number x.
+@pytest.mark.parametrize("make", [
+    lambda x: WeightVector((x, 1)).weights[0],
+    lambda x: WeightVector((1, 2)).scale(x).weights,
+    lambda x: CoeffValuation(T_ADIC, 0, x).t_weight,
+    lambda x: LexFunctional(((x,),)).rows,
+    lambda x: TropicalValue(x).value,
+    lambda x: cones.scale(_line_valuation(), x).weights,
+    _scaled,
+    lambda x: root_functional((x, 0, 0, 0, 0))[0].rows,
+], ids=["weight-vector", "weight-scale", "t-weight", "lex-functional",
+        "tropical-value", "cones-scale", "scaled-valuation", "root-functional"])
+def test_float_numbers_are_rejected(make):
+    # 0.1 would be read as 3602879701896397/36028797018963968
+    with pytest.raises(TypeError, match=r"0\.1 is a float"):
+        make(0.1)
+    assert make("1/10") == make(F(1, 10)) != make(1)

@@ -787,16 +787,18 @@ class _PairList:
         return iter(self._items)
 
 
-def test_list_grades_in_pair_refs_are_checked_and_stored_canonical():
-    # the same list grade is accepted as an expansion target, so a pair ref
-    # takes the same check and conversion
+def test_list_grades_in_refs_are_unknown_basis_elements():
+    # a list grade equals no basis element (it cannot be a dict key), in a
+    # pair ref and in an expansion target alike, even when its entries do
     one = ((0,), 0)
     for pair in ((([0], 0), one), (one, ([0], 0)), (([0], 0), ([0.0], False))):
-        A = GradedAlgebra(1, {(0,): 1}, _PairList([(pair, [(([0], 0), 1)])]), 0)
-        assert A.structure == {(one, one): ((one, F(1)),)}
-        assert all(_int_fields(b1) and _int_fields(b2) for b1, b2 in A.structure)
+        with pytest.raises(TropvalError, match=re.escape("unknown basis element ([0], 0)")):
+            GradedAlgebra(1, {(0,): 1}, _PairList([(pair, [(one, 1)])]), 0)
+    for target in (([0], 0), ([0.5], 0), ([1], 0)):
+        with pytest.raises(TropvalError, match=re.escape(f"unknown basis element {target}")):
+            GradedAlgebra(1, {(0,): 1}, _PairList([((one, one), [(target, 1)])]), 0)
     for bad in ([0.5], [1]):
-        with pytest.raises(TropvalError, match="unknown basis element"):
+        with pytest.raises(TropvalError, match=re.escape(f"unknown basis element ({bad}, 0)")):
             GradedAlgebra(1, {(0,): 1}, _PairList([(((bad, 0), one), ())]), 0)
 
 

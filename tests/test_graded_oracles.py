@@ -289,33 +289,34 @@ def test_functional_rows_with_ties_only_in_later_rows():
 
 
 def ref_structure(components, structure):
-    """The old constructor loop: convert every field, check every ref.
+    """The constructor's rules, written out: check every ref as given, then
+    store it with int fields.
 
-    Like terms are then summed and zero sums dropped, as the constructor
-    now does.
+    A ref is a basis element when its grade is a tuple equal to a
+    component's grade and its index lies in that component's range; a list
+    grade never is.  Refs in nonzero terms only are checked: an unknown
+    list-grade target is named first, else the least unknown target.  Like
+    terms are then summed and zero sums dropped, as the constructor does.
     """
     comps = {tuple(int(x) for x in g): int(s) for g, s in components.items() if s > 0}
 
-    def check(ref):
+    def known(ref):
         grade, idx = ref
-        size = comps.get(tuple(grade))
-        if size is None or not (0 <= idx < size):
-            raise ValueError(f"unknown basis element {ref}")
+        return type(grade) is tuple and idx in range(comps.get(grade, 0))
 
     out = {}
     for (b1, b2), expansion in structure.items():
-        check(b1)
-        check(b2)
-        terms = []
-        for (g, k), c in expansion:
-            c = F(c)
-            if c != 0:
-                terms.append(((tuple(int(x) for x in g), int(k)), c))
-        clean = tuple(sorted(terms))
-        for target, _ in clean:
-            check(target)
+        for ref in (b1, b2):
+            if not known(ref):
+                raise ValueError(f"unknown basis element {ref}")
+        nonzero = [(target, F(c)) for target, c in expansion if F(c) != 0]
+        unknown = [target for target, _ in nonzero if not known(target)]
+        if unknown:
+            lists = [target for target in unknown if type(target[0]) is list]
+            raise ValueError(f"unknown basis element {lists[0] if lists else min(unknown)}")
         sums = {}
-        for target, c in clean:
+        for (g, k), c in sorted(nonzero):
+            target = (tuple(int(x) for x in g), int(k))
             sums[target] = sums.get(target, 0) + c
         # stored as an int when integral
         out[(b1, b2) if b1 <= b2 else (b2, b1)] = tuple(
@@ -335,15 +336,11 @@ def _random_table(rng):
         expansion = []
         for _ in range(rng.randint(0, 4)):
             g, k = rng.choice(refs)
-            form = rng.randrange(4)
-            if form == 1:
-                g = list(g)  # a list grade
-            elif form == 2:
+            if rng.randrange(2):
                 g, k = tuple(F(x) for x in g), F(k)  # equal to the ints
             coeff = rng.choice((
-                rng.randint(-3, 3), str(rng.randint(-3, 3)),
-                f"{rng.randint(-5, 5)}/{rng.randint(1, 4)}",
-                F(rng.randint(-3, 3), rng.randint(1, 3)), 0, "0", F(0)))
+                rng.randint(-3, 3), F(rng.randint(-5, 5), rng.randint(1, 4)),
+                F(rng.randint(-3, 3), rng.randint(1, 3)), 0, F(0)))
             expansion.append(((g, k), coeff))
         structure[(b1, b2)] = tuple(expansion)
     return structure
@@ -368,7 +365,7 @@ GOOD = ((1, 0), 1)
 BAD_TABLES = (
     [{(bad, GOOD): ((((2, 0), 0), 1),)} for bad in BAD_REFS]
     + [{(GOOD, bad): ((((2, 0), 0), 1),)} for bad in BAD_REFS]
-    + [{(GOOD, GOOD): ((((2, 0), 0), 1), (bad, "1/2"))}
+    + [{(GOOD, GOOD): ((((2, 0), 0), 1), (bad, F(1, 2)))}
        for bad in BAD_REFS + [([1, 0], 5), ([1, 0, 0], 0)]])
 
 
@@ -950,7 +947,7 @@ def test_multiply_keeps_the_coefficient_type():
     A = GradedAlgebra(1, {(0,): 1, (1,): 1, (2,): 1},
                       {(((0,), 0), ((0,), 0)): ((((0,), 0), 1),),
                        (((0,), 0), ((1,), 0)): ((((1,), 0), 1),),
-                       (((1,), 0), ((1,), 0)): ((((2,), 0), "1/2"),)}, 2, validate=False)
+                       (((1,), 0), ((1,), 0)): ((((2,), 0), F(1, 2)),)}, 2, validate=False)
     got = A.multiply({((1,), 0): 3}, {((1,), 0): 1, ((0,), 0): 2})
     assert got == {((2,), 0): F(3, 2), ((1,), 0): 6}
     assert type(got[((2,), 0)]) is Fraction and type(got[((1,), 0)]) is int

@@ -39,13 +39,12 @@ from tropval.groebner import (
     enumerate_fan,
     initial_form,
     initial_ideal,
-    integer_weights,
     leading_normal_exponent,
     leading_term,
     normal_form,
 )
 from tropval.groebner import _divisor, _in_cone, _saturate
-from tropval.poly import Polynomial, Presentation, RingContext, WeightVector
+from tropval.poly import Polynomial, Presentation, RingContext, WeightVector, integer_weights
 from tropval.textio import parse_poly, parse_presentation
 from tropval.trop import BOTTOM, TropicalValue
 from tropval.valuation import check_trop_membership, make_weight_valuation, random_polynomial

@@ -83,6 +83,16 @@ def test_arithmetic_examples():
     assert s * s == parse_poly(XY, "x^2 + 2*x*y + y^2")
 
 
+def test_exponents_that_are_not_integers_are_rejected():
+    # int() would truncate 1.5 to 1 and read "2" as 2
+    for exps in ((1.5, 0), ("2", 0), (0, Fraction(1, 2))):
+        with pytest.raises(ValueError, match=re.escape(f"exponent vector {exps!r}")):
+            Polynomial(XY, {exps: 1})
+    p = Polynomial(XY, {(2.0, Fraction(1)): 3})
+    assert p.terms == {(2, 1): 3}
+    assert all(type(x) is int for x in next(iter(p.terms)))
+
+
 def test_ring_mismatch():
     with pytest.raises(RingMismatchError):
         parse_poly(XY, "x") + parse_poly(XYZ, "x")
