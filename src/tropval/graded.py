@@ -139,7 +139,9 @@ def _canonical_expansion(canon: dict, expansion) -> tuple:
     string included, is a `TypeError`), each target of a nonzero term as
     the basis element it equals, sorted, like terms summed and zero sums
     dropped.  A target that equals no basis element is unknown: an
-    unhashable one at once, otherwise the least unknown one is named."""
+    unhashable one at once, otherwise the least unknown one is named, or
+    the first when they cannot be ordered (a grade of strings and one of
+    ints)."""
     terms = []
     misses = []
     for target, c in expansion:
@@ -154,7 +156,11 @@ def _canonical_expansion(canon: dict, expansion) -> tuple:
             else:
                 terms.append((ref, c))
     if misses:
-        raise TropvalError(f"unknown basis element {min(misses)}")
+        try:
+            miss = min(misses)
+        except TypeError:
+            miss = misses[0]
+        raise TropvalError(f"unknown basis element {miss}")
     terms.sort()
     if len(terms) > 1:
         terms = _merge_like_terms(terms)
@@ -331,7 +337,11 @@ class GradedAlgebra:
         # check runs on a local copy of the table with basis elements
         # numbered in sorted order and every constant scaled by D, the lcm
         # of their denominators: every side is then scaled by D^2, which
-        # keeps the comparison exact with integer arithmetic only.
+        # keeps the comparison exact with integer arithmetic only.  `times`
+        # returns each side in the stored rows' canonical form (sorted by
+        # number, merged, no zeros), so equal tuples are equal sums: a
+        # one-term row (t, c) gives the stored row of t*b times c, the
+        # stored row itself when c is 1, and any other row is summed.
         refs = self.basis()
         number = {ref: i for i, ref in enumerate(refs)}
         distinct = self._per_product(lambda expansion, pair: expansion)
@@ -340,19 +350,20 @@ class GradedAlgebra:
                            for t, c in exp)
                 for key, exp in distinct.items()}
         table: list[dict[int, tuple]] = [{} for _ in refs]
-        # unit[i][j] = t when b_i * b_j = 1 * b_t.  The pairs come in
-        # ascending order, so each row of the table fills in ascending j:
-        # first the pairs (j, i) with j < i, then (i, j) with j >= i.
-        unit: list[dict[int, int]] = [{} for _ in refs]
+        # The pairs come in ascending order, so each row of the table fills
+        # in ascending j: first the pairs (j, i) with j < i, then (i, j).
         for (b1, b2), expansion in self.structure.items():
             i, j = number[b1], number[b2]
-            row = rows[id(expansion)]
-            table[i][j] = table[j][i] = row
-            if len(row) == 1 and row[0][1] == scale:
-                unit[i][j] = unit[j][i] = row[0][0]
+            table[i][j] = table[j][i] = rows[id(expansion)]
         partners = [list(row) for row in table]
 
-        def times(expansion: tuple, b: int) -> dict | None:
+        def times(expansion: tuple, b: int) -> tuple | None:
+            if len(expansion) == 1:
+                (t, c), = expansion
+                inner = table[t].get(b)
+                if inner is None or c == 1:
+                    return inner
+                return tuple((t2, c * c2) for t2, c2 in inner)
             out: dict[int, int] = {}
             for t, c in expansion:
                 inner = table[t].get(b)
@@ -360,15 +371,13 @@ class GradedAlgebra:
                     return None
                 for t2, c2 in inner:
                     out[t2] = out.get(t2, 0) + c * c2
-            return {t: c for t, c in out.items() if c}
+            return tuple(sorted(item for item in out.items() if item[1]))
 
         for b1, row1 in enumerate(table):
-            unit1 = unit[b1]
             p1 = partners[b1]
             for b2 in p1[bisect_left(p1, b1):]:
-                row2, unit2, p2 = table[b2], unit[b2], partners[b2]
+                row2, p2 = table[b2], partners[b2]
                 r12 = row1[b2]
-                t12 = unit1.get(b2)
                 if r12:  # b3 needs a product with r12's first term
                     p3 = partners[r12[0][0]]
                     walk = (b3 for b3 in islice(p3, bisect_left(p3, b2), None)
@@ -378,20 +387,6 @@ class GradedAlgebra:
                 for b3 in walk:
                     if b3 not in row1:
                         continue
-                    if t12 is not None:
-                        t23 = unit2.get(b3)
-                        t13 = unit1.get(b3)
-                        if t23 is not None and t13 is not None:
-                            # stored rows are canonical (sorted, merged, no
-                            # zeros), so equal rows are equal sums
-                            p12_3 = table[t12].get(b3)
-                            p23_1 = table[t23].get(b1)
-                            p13_2 = table[t13].get(b2)
-                            if p12_3 is None or p23_1 is None or p13_2 is None:
-                                continue
-                            if not p12_3 == p23_1 == p13_2:
-                                raise AssociativityError((refs[b1], refs[b2], refs[b3]))
-                            continue
                     p12_3 = times(r12, b3)
                     p23_1 = times(row2[b3], b1)
                     p13_2 = times(row1[b3], b2)

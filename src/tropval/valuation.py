@@ -42,6 +42,7 @@ the one case whose value it reads.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -195,10 +196,9 @@ class Scaled(CandidateValuation):
     def __init__(self, source: CandidateValuation, factor: Fraction):
         super().__init__(source.presentation)
         self.source = source
-        self.factor = factor
-        factor = _rational(factor)
-        self._numerator = factor.numerator
-        self.scale = source.scale * factor.denominator
+        self.factor = _rational(factor)
+        self._numerator = self.factor.numerator
+        self.scale = source.scale * self.factor.denominator
 
     def _key(self, f: Polynomial) -> int | None:
         inner = self.source._key(f)
@@ -228,6 +228,46 @@ class AxiomReport:
 _COEFFICIENTS = (-3, -2, -1, 1, 2, 3)
 
 
+@functools.lru_cache(maxsize=256)
+def _ranked_exponents(n: int, d: int) -> bool:
+    """Whether n coordinates drawn from 0..d, redrawn while their sum
+    exceeds d, are accepted less than 1/64 of the time (C(n+d, d) vectors
+    out of (d+1)^n), so that `random_polynomial` draws ranks instead."""
+    return 64 * math.comb(n + d, d) < (d + 1) ** n
+
+
+def _unrank_exponent(rank: int, n: int, d: int) -> tuple[int, ...]:
+    """The exponent vector of degree at most d in n variables that has this
+    rank, 0 <= rank < C(n+d, d), in lexicographic order.
+
+    By stars and bars, C(k+m, k) vectors in k variables have degree at most
+    m; each coordinate x skips the blocks of the smaller values before it.
+    """
+    e = []
+    for k in range(n - 1, -1, -1):  # variables after this one
+        x = 0
+        block = math.comb(k + d, k)
+        while rank >= block:
+            rank -= block
+            x += 1
+            block = math.comb(k + d - x, k)
+        e.append(x)
+        d -= x
+    return tuple(e)
+
+
+def _draw_ranked_exponent(bits, n: int, d: int) -> tuple[int, ...]:
+    """A uniform exponent vector of degree at most d in n variables: a rank
+    below C(n+d, d), drawn by the `getrandbits` rejection rule (accepted at
+    least half the time), unranked."""
+    count = math.comb(n + d, d)
+    k = count.bit_length()
+    rank = bits(k)
+    while rank >= count:
+        rank = bits(k)
+    return _unrank_exponent(rank, n, d)
+
+
 def random_polynomial(rng: random.Random, ring: RingContext,
                       degree_bound: int, max_terms: int = 3) -> Polynomial:
     """Nonzero polynomial with small int coefficients, seeded.
@@ -240,10 +280,17 @@ def random_polynomial(rng: random.Random, ring: RingContext,
     draw is below n.  So the polynomial and the generator's state afterwards
     are those of the calls themselves, one C call per draw instead of three
     Python calls.
+
+    Where that exponent draw is accepted less than 1/64 of the time (7 or
+    more variables at degree bound 3), its cost grows exponentially with
+    the number of variables; there each exponent vector is drawn by
+    `_draw_ranked_exponent` instead, from the same uniform distribution on
+    the same vectors.
     """
     if degree_bound < 0 or max_terms < 1:
         raise ValueError(f"a random polynomial needs degree_bound >= 0 and "
                          f"max_terms >= 1, got {degree_bound} and {max_terms}")
+    ranked = _ranked_exponents(ring.dim, degree_bound)
     bits = rng.getrandbits
     span = degree_bound + 1
     k_exp, k_terms = span.bit_length(), max_terms.bit_length()
@@ -256,19 +303,22 @@ def random_polynomial(rng: random.Random, ring: RingContext,
         while count >= max_terms:
             count = bits(k_terms)
         for _ in range(count + 1):
-            while True:
-                e = []
-                for _ in dims:
-                    x = bits(k_exp)
-                    while x >= span:
+            if ranked:
+                e = _draw_ranked_exponent(bits, ring.dim, degree_bound)
+            else:
+                while True:
+                    e = []
+                    for _ in dims:
                         x = bits(k_exp)
-                    e.append(x)
-                if sum(e) <= degree_bound:
-                    break
+                        while x >= span:
+                            x = bits(k_exp)
+                        e.append(x)
+                    if sum(e) <= degree_bound:
+                        break
+                e = tuple(e)
             i = bits(k_coeff)
             while i >= n_coeffs:
                 i = bits(k_coeff)
-            e = tuple(e)
             terms[e] = terms.get(e, 0) + _COEFFICIENTS[i]
         terms = {e: c for e, c in terms.items() if c}
         if terms:

@@ -169,7 +169,8 @@ def _line_valuation():
 
 def _scaled(x):
     v = Scaled(_line_valuation(), x)
-    return v._numerator, v.scale
+    assert type(v.factor) is F
+    return v.factor, v._numerator, v.scale
 
 
 # Each entry point that turns a caller's number into a `Fraction`, returning

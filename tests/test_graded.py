@@ -797,6 +797,10 @@ def test_list_grades_in_refs_are_unknown_basis_elements():
     for target in (([0], 0), ([0.5], 0), ([1], 0)):
         with pytest.raises(TropvalError, match=re.escape(f"unknown basis element {target}")):
             GradedAlgebra(1, {(0,): 1}, _PairList([((one, one), [(target, 1)])]), 0)
+    # unknown targets that cannot be ordered: the first one is named
+    for targets in ([(("a",), 0), ((5,), 0)], [((5,), 0), (("a",), 0)]):
+        with pytest.raises(TropvalError, match=re.escape(f"unknown basis element {targets[0]}")):
+            GradedAlgebra(1, {(0,): 1}, {(one, one): [(t, 1) for t in targets]}, 0)
     for bad in ([0.5], [1]):
         with pytest.raises(TropvalError, match=re.escape(f"unknown basis element ({bad}, 0)")):
             GradedAlgebra(1, {(0,): 1}, _PairList([(((bad, 0), one), ())]), 0)

@@ -1,9 +1,14 @@
+import itertools
+import math
 import random
+import time
+from collections import Counter
 from fractions import Fraction
 from operator import mul
 
 import pytest
 
+from cli_corpus import run_case
 from conftest import FIXTURE_WEIGHTS, W, _memo_free_terms, load, stored_coefficient
 from tropval.cones import (
     HOLDS_CERTIFIED,
@@ -26,6 +31,9 @@ from tropval.valuation import (
     Pullback,
     Scaled,
     WeightValuation,
+    _draw_ranked_exponent,
+    _ranked_exponents,
+    _unrank_exponent,
     check_axioms,
     check_trop_membership,
     cross_presentation_consistency,
@@ -282,6 +290,65 @@ def test_sampler_draws_the_randint_choice_stream():
 def test_sampler_rejects_empty_ranges(degree_bound, max_terms):
     with pytest.raises(ValueError, match="degree_bound >= 0 and max_terms >= 1"):
         random_polynomial(random.Random(0), T_RING, degree_bound, max_terms)
+
+
+def test_unranking_is_a_bijection_onto_the_bounded_exponent_vectors():
+    for n in range(1, 6):
+        for d in range(5):
+            vectors = sorted(e for e in itertools.product(range(d + 1), repeat=n)
+                             if sum(e) <= d)
+            assert len(vectors) == math.comb(n + d, d)
+            assert [_unrank_exponent(r, n, d) for r in range(len(vectors))] == vectors
+
+
+def test_ranked_draw_is_uniform():
+    rng = random.Random(11)
+    counts = Counter(_draw_ranked_exponent(rng.getrandbits, 2, 3) for _ in range(10_000))
+    # 10 vectors, each drawn with probability 1/10: within 5 standard deviations
+    assert len(counts) == 10
+    sd = math.sqrt(10_000 * 0.1 * 0.9)
+    assert all(abs(c - 1000) <= 5 * sd for c in counts.values()), counts
+
+
+class _CountingRandom(random.Random):
+    calls = 0
+
+    def getrandbits(self, k):
+        self.calls += 1
+        return super().getrandbits(k)
+
+
+def test_sampler_draws_ranks_where_coordinate_draws_are_rare():
+    # the coordinate draw is kept wherever it is accepted at least 1/64 of
+    # the time, every fixture ring (at most 3 variables) included
+    assert not any(_ranked_exponents(n, d) for n in range(1, 6) for d in range(7))
+    assert _ranked_exponents(7, 3) and not _ranked_exponents(6, 3)
+    ring = RingContext(tuple(f"v{i}" for i in range(15)))
+    rng = _CountingRandom(4)
+    for _ in range(200):
+        assert random_polynomial(rng, ring, 3).total_degree() <= 3
+    # about 6.5 draws a polynomial (term count, ranks, coefficients); the
+    # coordinate draw took tens of millions a term at this size
+    assert rng.calls < 200 * 20
+
+
+def test_val_check_on_fifteen_variables_finishes_in_seconds(tmp_path):
+    # Gr(2,6): the 15 three-term Plücker relations, under a caterpillar
+    # tree metric (leaves 1, 2 | 3 | 4 | 5, 6)
+    pairs = list(itertools.combinations(range(1, 7), 2))
+    relations = [f"p{i}{j}*p{k}{l} - p{i}{k}*p{j}{l} + p{i}{l}*p{j}{k}"
+                 for i, j, k, l in itertools.combinations(range(1, 7), 4)]
+    ideal = tmp_path / "gr26.ideal"
+    ideal.write_text("ring " + " ".join(f"p{i}{j}" for i, j in pairs) + ";\n"
+                     + "".join(f"ideal {r};\n" for r in relations))
+    position = {1: 1, 2: 1, 3: 2, 4: 3, 5: 4, 6: 4}
+    metric = " ".join(str(abs(position[i] - position[j]) + 2) for i, j in pairs)
+    start = time.perf_counter()
+    code, out = run_case(["val-check", "--ideal", str(ideal), "--weight", metric,
+                          "--seed", "1", "--samples", "50"])
+    assert time.perf_counter() - start < 30
+    assert code == 0
+    assert "pairs_checked: 50\n" in out and "verdict: valuation\n" in out
 
 
 # -- the int-coefficient checks against the Fraction-coefficient loop -----------------
