@@ -68,11 +68,21 @@ def _positive_int(text: str) -> int:
 
 
 def _read(path: str) -> str:
-    """The text of a UTF-8 file; a file that cannot be read is an input error."""
+    """The text of a UTF-8 file; a file that cannot be read is an input error.
+
+    The bytes are read in one unbuffered call and decoded at once, and
+    ``\\r\\n`` and ``\\r`` become ``\\n``: the text that reading in text mode
+    gives, at less cost.  A buffered reader would add a buffer that one
+    read of the whole file does not use.
+    """
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with Path(path).open("rb", buffering=0) as f:
+            text = f.read().decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise TropvalError(str(exc)) from None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
 
 
 def _load_presentation(path: str) -> textio.ParsedInput:

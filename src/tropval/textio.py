@@ -34,6 +34,27 @@ nest at most 200 levels deep, and a rational literal with denominator zero
 is a parse error at that literal, as is a `--functional` entry or an
 `--override` value that is not a rational.
 
+An expression is read into one term dict, with no `Polynomial` per atom.
+Each term is one coefficient and one exponent list: numbers multiply into
+the coefficient (an int while every number is integral) and variable
+powers add to the exponents.  The terms are summed into the dict by the
+rule of `Polynomial.__add__`: a sum that reaches 0 is deleted, so a later
+term with that exponent goes in again at the end.  The dict keeps the
+term order of summing one `Polynomial` per atom, and is wrapped once,
+by `Polynomial._trusted`.  Only a parenthesized factor is a `Polynomial`,
+raised to its power and multiplied with ``*``; the term's monomial then
+shifts its terms, which keeps their order.  The reader moves through
+the tokens only by the cursor's methods (`_Cursor.peek`, ``at_ident``,
+``rational``, ``expect_int`` and the like), never by its token list, so
+a test can run it on a reference cursor with other token objects.
+
+The CLI reads a file (`cli._read`) by one unbuffered read of ``Path(path)``
+in binary mode, decoded as UTF-8, with ``\\r\\n`` and a lone ``\\r``
+turned into ``\\n``: the text that reading in text mode gives, so a CRLF
+or CR file reads, and reports errors at the same line and column, as its
+LF copy.  ``Path`` also fixes the name an error line gives: ``a//b`` and
+``./x`` are named normalized, and ``""`` is ``.``.
+
 A number token is ``p`` or ``p/q``, each a run of decimal digits (any
 Unicode decimal digit, as in `int`).  The cursor reads it with `int` and
 builds ``Fraction(int(p), int(q))``, which is the value ``Fraction(tok)``
@@ -56,6 +77,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from .errors import TropvalError
 from .groebner import _Memo
@@ -67,6 +89,7 @@ from .poly import (
     TRIVIAL_COEFFS,
     WeightVector,
     _coefficient,
+    integer_weights,
 )
 from .trop import BOTTOM, TropicalValue
 
@@ -242,59 +265,85 @@ class _Cursor:
 
 def _parse_expr(cur: _Cursor, ring: RingContext) -> Polynomial:
     # expr := ['-'] term (('+'|'-') term)*
-    negate = False
-    if cur.at_sym("-"):
-        cur.next()
-        negate = True
-    acc = _parse_term(cur, ring)
+    # Each term is summed into one dict by `Polynomial.__add__`'s rule: a
+    # sum that reaches 0 is deleted, so a later like term goes in at the end.
+    terms: dict[tuple[int, ...], int | Fraction] = {}
+    negate = cur.at_sym("-")
     if negate:
-        acc = -acc
-    while cur.at_sym("+") or cur.at_sym("-"):
-        op = cur.next()
-        term = _parse_term(cur, ring)
-        acc = acc + (-term if op == "-" else term)
-    return acc
-
-
-def _parse_term(cur: _Cursor, ring: RingContext) -> Polynomial:
-    # term := factor ('*' factor)*
-    acc = _parse_factor(cur, ring)
-    while cur.at_sym("*"):
         cur.next()
-        acc = acc * _parse_factor(cur, ring)
-    return acc
-
-
-def _parse_factor(cur: _Cursor, ring: RingContext) -> Polynomial:
-    # factor := atom ('^' integer)?
-    base = _parse_atom(cur, ring)
-    if cur.at_sym("^"):
+    while True:
+        coeff, exps, group = _parse_term(cur, ring)
+        if coeff:  # a zero term adds nothing
+            if negate:
+                coeff = -coeff
+            if group is None:
+                product = ((tuple(exps), coeff),)
+            else:  # a monomial times a polynomial keeps its term order
+                product = [(tuple(map(add, e, exps)), _coefficient(c * coeff))
+                           for e, c in group.terms.items()]
+            for e, c in product:
+                old = terms.get(e)
+                if old is None:
+                    terms[e] = c
+                elif s := old + c:
+                    terms[e] = _coefficient(s)
+                else:
+                    del terms[e]
+        if cur.at_sym("+"):
+            negate = False
+        elif cur.at_sym("-"):
+            negate = True
+        else:
+            return Polynomial._trusted(ring, terms)
         cur.next()
-        base = base ** cur.expect_int("exponent must be a non-negative integer")
-    return base
 
 
-def _parse_atom(cur: _Cursor, ring: RingContext) -> Polynomial:
-    tok = cur.peek()
-    if cur.at_number():
-        return Polynomial.constant(ring, cur.rational())
-    if cur.at_ident():
-        if tok not in ring.variables:
-            raise cur.error(f"unknown variable {tok!r}", cls=UnknownVariableError)
+def _parse_term(cur: _Cursor, ring: RingContext
+                ) -> tuple[int | Fraction, list[int], Polynomial | None]:
+    """``(coefficient, exponents, group)``: a term is their product.
+
+    term := factor ('*' factor)*;  factor := atom ('^' integer)?
+    Numbers multiply into the coefficient (stored form) and variable
+    powers add to the exponent list.  ``group`` is the product of the
+    parenthesized factors, in their order, or None when there are none.
+    """
+    coeff: int | Fraction = 1
+    exps = [0] * ring.dim
+    group = None
+    while True:
+        tok = cur.peek()
+        if cur.at_ident():
+            if tok not in ring.variables:
+                raise cur.error(f"unknown variable {tok!r}", cls=UnknownVariableError)
+            cur.next()
+            exps[ring.variables.index(tok)] += _power(cur) if cur.at_sym("^") else 1
+        elif cur.at_number():
+            value = _coefficient(cur.rational())
+            coeff *= value ** _power(cur) if cur.at_sym("^") else value
+        elif tok == "(":
+            # Each level costs two stack frames; the bound keeps deep input
+            # a located parse error instead of a RecursionError.
+            if cur.depth == _MAX_NESTING:
+                raise cur.error(f"parentheses nested deeper than {_MAX_NESTING} levels")
+            cur.depth += 1
+            cur.next()
+            inner = _parse_expr(cur, ring)
+            cur.expect_sym(")")
+            cur.depth -= 1
+            if cur.at_sym("^"):
+                inner = inner ** _power(cur)
+            group = inner if group is None else group * inner
+        else:
+            raise cur.error(f"expected a polynomial atom, found {_found(tok)}")
+        if not cur.at_sym("*"):
+            return _coefficient(coeff), exps, group
         cur.next()
-        return Polynomial.variable(ring, tok)
-    if tok == "(":
-        # Each level costs four stack frames; the bound keeps deep input
-        # a located parse error instead of a RecursionError.
-        if cur.depth == _MAX_NESTING:
-            raise cur.error(f"parentheses nested deeper than {_MAX_NESTING} levels")
-        cur.depth += 1
-        cur.next()
-        inner = _parse_expr(cur, ring)
-        cur.expect_sym(")")
-        cur.depth -= 1
-        return inner
-    raise cur.error(f"expected a polynomial atom, found {_found(tok)}")
+
+
+def _power(cur: _Cursor) -> int:
+    """Consume ``'^' integer`` and return the integer."""
+    cur.next()
+    return cur.expect_int("exponent must be a non-negative integer")
 
 
 def parse_poly(ring: RingContext, text: str) -> Polynomial:
@@ -345,7 +394,8 @@ def parse_weights(text: str) -> WeightVector:
         ws.append(_parse_signed_rational(cur))
     if not ws:
         raise ParseError("empty weight vector", 1, 1)
-    return WeightVector(tuple(ws))
+    entries = tuple(ws)
+    return WeightVector._trusted(entries, *integer_weights(entries))
 
 
 @dataclass
@@ -396,7 +446,8 @@ def parse_presentation(text: str) -> ParsedInput:
             if len(ws) != ring.dim:
                 raise cur.error(
                     f"weight vector has {len(ws)} entries, ring has {ring.dim}", at)
-            weights.append(WeightVector(tuple(ws)))
+            entries = tuple(ws)
+            weights.append(WeightVector._trusted(entries, *integer_weights(entries)))
         elif tok == "coeffval":
             cur.next()
             head = cur.expect_ident()

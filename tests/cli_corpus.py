@@ -17,8 +17,9 @@ def fixture(name: str) -> str:
     return f"fixtures/{name}"
 
 
-def run_case_streams(argv) -> tuple[int, str, str]:
-    """Run one CLI invocation in-process from the tests directory.
+def run_case_streams(argv, directory: Path = HERE) -> tuple[int, str, str]:
+    """Run one CLI invocation in-process from ``directory``, by default the
+    tests directory.
 
     Returns the exit code, stdout and stderr.
     """
@@ -27,7 +28,7 @@ def run_case_streams(argv) -> tuple[int, str, str]:
     cwd = os.getcwd()
     out, err = io.StringIO(), io.StringIO()
     try:
-        os.chdir(HERE)
+        os.chdir(directory)
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = run(list(argv))
     finally:
@@ -35,9 +36,9 @@ def run_case_streams(argv) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-def run_case(argv) -> tuple[int, str]:
+def run_case(argv, directory: Path = HERE) -> tuple[int, str]:
     """The exit code and stdout of `run_case_streams`."""
-    return run_case_streams(argv)[:2]
+    return run_case_streams(argv, directory)[:2]
 
 
 STRICT_FUNCTIONAL = "0,0,0,1,0;1,0,0,0,0;0,1,0,0,0;0,0,1,0,0;0,0,0,0,1"

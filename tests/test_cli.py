@@ -141,6 +141,36 @@ def test_non_utf8_file_is_one_input_error_line(tmp_path):
            "invalid start byte\n")
 
 
+def test_crlf_and_cr_files_read_as_their_lf_copies(tmp_path):
+    """A file is read as text mode reads it: ``\\r\\n`` and a lone ``\\r``
+    end a line as ``\\n`` does, in error positions and comments too."""
+    from tropval.sl2 import sl2_branching_algebra
+    from tropval.textio import graded_algebra_to_str
+
+    files = {path.name: path.read_bytes()
+             for path in sorted((GOLDEN.parent / "fixtures").glob("*.ideal"))}
+    files["cr_comment.ideal"] = b"ring x y;\n# a comment\nideal x - y;\n"
+    branching = graded_algebra_to_str(sl2_branching_algebra(3)).encode()
+    endings = {"lf": b"\n", "crlf": b"\r\n", "cr": b"\r"}
+    for ending, newline in endings.items():
+        (tmp_path / ending).mkdir()
+        for name, data in [*files.items(), ("branching3.alg", branching)]:
+            (tmp_path / ending / name).write_bytes(data.replace(b"\n", newline))
+    argvs = [["parse", "--input", name] for name in files]
+    argvs.append(["monoid-check", "--algebra", "branching3.alg",
+                  "--functional", STRICT_FUNCTIONAL])
+    for argv in argvs:
+        expected = run_case(argv, tmp_path / "lf")
+        for ending in ("crlf", "cr"):
+            assert run_case(argv, tmp_path / ending) == expected, (ending, argv)
+    cr = tmp_path / "cr"
+    assert run_case(["parse", "--input", "bad.ideal"], cr) == (
+        2, "parse_error: line 2, col 11: expected a polynomial atom, found '*'\n")
+    comment = run_case(["parse", "--input", "cr_comment.ideal"], cr)
+    assert comment[0] == 0 and "ideal x - y;" in comment[1]
+    assert run_case(argvs[-1], cr)[0] == 0
+
+
 def test_a_variable_named_like_the_homogenizing_one_changes_no_report(tmp_path):
     """Homogenizing adds a variable named h0, renamed h0_ in a ring that
     already has an h0, so `ring x h0` reads as `ring x y` does."""

@@ -1,5 +1,6 @@
 import random
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -25,7 +26,7 @@ from tropval.graded import (
     monomial_poly_ring,
     zero_divisor_search,
 )
-from tropval.graded import _monomial_algebra, _times
+from tropval.graded import _PairSampler, _monomial_algebra, _times
 from tropval.groebner import MonomialOrder, _divides, buchberger, normal_form
 from tropval.linalg import solve_linear
 from tropval.poly import Polynomial, RingContext
@@ -585,6 +586,30 @@ def test_checks_over_nothing_raise():
     with pytest.raises(NothingCheckedError, match="conclusion is unchecked"):
         check_monoid_theorem(A, gv.functional, n_samples=0)
     assert check_monoid_theorem(A, gv.functional, n_samples=1).samples == 1
+
+
+class _CountingRandom(random.Random):
+    calls = 0
+
+    def getrandbits(self, k):
+        self.calls += 1
+        return super().getrandbits(k)
+
+
+def test_pair_sampler_draws_do_not_grow_with_the_grade_dimension():
+    """The sampler draws ranks into the pair list and the basis, and a
+    compatible partner is given up after 12 tries, so no rejection loop
+    grows with the number of variables (about 19 calls a sample at 16)."""
+    A = monomial_poly_ring(16, 2)
+    rng = _CountingRandom(1)
+    sampler = _PairSampler(A, rng)
+    for _ in range(200):
+        sampler.sample()
+    assert rng.calls <= 40 * 200
+    start = time.perf_counter()
+    report = check_monoid_theorem(A, LexFunctional.single((1,) * 16), seed=1, n_samples=200)
+    assert report.samples == 200 and time.perf_counter() - start < 2.0
+    assert zero_divisor_search(A) is None
 
 
 def test_polynomial_ring_needs_a_variable_and_a_truncation():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import tropval.textio as textio
 from tropval.graded import LexFunctional, associated_graded, monomial_poly_ring
-from tropval.poly import Polynomial, Presentation, RingContext, RingMismatchError
+from tropval.poly import Polynomial, Presentation, RingContext, RingMismatchError, WeightVector
 from tropval.sl2 import sl2_branching_algebra, sl2_rep_ring, strict_branching_functional
 from tropval.textio import (
     DuplicateVariableError,
@@ -557,3 +557,158 @@ def test_emitted_builtin_files_never_reach_the_cursor_loop(monkeypatch):
         B = parse_graded_algebra(text)
         assert B.key() == A.key() and B.truncation == A.truncation
         assert graded_algebra_to_str(B) == text
+
+
+# -- the per-atom expression reader, kept as the term-order reference ----------
+
+
+def _reference_expr(cur, ring: RingContext) -> Polynomial:
+    negate = False
+    if cur.at_sym("-"):
+        cur.next()
+        negate = True
+    acc = _reference_term(cur, ring)
+    if negate:
+        acc = -acc
+    while cur.at_sym("+") or cur.at_sym("-"):
+        op = cur.next()
+        term = _reference_term(cur, ring)
+        acc = acc + (-term if op == "-" else term)
+    return acc
+
+
+def _reference_term(cur, ring: RingContext) -> Polynomial:
+    acc = _reference_factor(cur, ring)
+    while cur.at_sym("*"):
+        cur.next()
+        acc = acc * _reference_factor(cur, ring)
+    return acc
+
+
+def _reference_factor(cur, ring: RingContext) -> Polynomial:
+    base = _reference_atom(cur, ring)
+    if cur.at_sym("^"):
+        cur.next()
+        base = base ** cur.expect_int("exponent must be a non-negative integer")
+    return base
+
+
+def _reference_atom(cur, ring: RingContext) -> Polynomial:
+    tok = cur.peek()
+    if cur.at_number():
+        return Polynomial.constant(ring, cur.rational())
+    if cur.at_ident():
+        if tok not in ring.variables:
+            raise cur.error(f"unknown variable {tok!r}", cls=UnknownVariableError)
+        cur.next()
+        return Polynomial.variable(ring, tok)
+    if tok == "(":
+        if cur.depth == textio._MAX_NESTING:
+            raise cur.error(f"parentheses nested deeper than {textio._MAX_NESTING} levels")
+        cur.depth += 1
+        cur.next()
+        inner = _reference_expr(cur, ring)
+        cur.expect_sym(")")
+        cur.depth -= 1
+        return inner
+    raise cur.error(f"expected a polynomial atom, found {textio._found(tok)}")
+
+
+_ATOM_NUMBERS = ("0", "1", "2", "3", "1/2", "2/3", "3/2", "4/2", "0/5", "6/3")
+# Edits that make an expression invalid, or valid in another way.
+_EXPR_EDITS = ("", "(", ")", "^", "*", "+", "-", "1/0", "^x", "w", "@", ";", "x^", "^2")
+
+
+def _random_expr(rng: random.Random, depth: int = 0) -> str:
+    """An expression over x and y with nested groups up to depth 4."""
+    parts = ["-"] if rng.random() < 0.3 else []
+    for k in range(rng.randint(1, 4 if depth == 0 else 2)):
+        if k:
+            parts.append(rng.choice((" + ", " - ", "+", "-")))
+        term = "*".join(_random_factor(rng, depth)
+                        for _ in range(rng.randint(1, 3 if depth == 0 else 2)))
+        if depth < 2 and rng.random() < 0.15:  # a term that cancels and comes back
+            term = f"{term} - {term} + {term}"
+        parts.append(term)
+    return "".join(parts)
+
+
+def _random_factor(rng: random.Random, depth: int) -> str:
+    r = rng.random()
+    if depth < 4 and r < 0.3:
+        atom = f"({_random_expr(rng, depth + 1)})"
+    elif r < 0.6:
+        atom = rng.choice(_ATOM_NUMBERS)
+    else:
+        atom = rng.choice("xy")
+    if rng.random() < 0.3:
+        atom += f"^{rng.randint(0, 3)}"
+    return atom
+
+
+def _term_lists(outcome):
+    """A parse outcome with each polynomial as its terms, in their order,
+    each coefficient with its type (an int when integral)."""
+    if isinstance(outcome, Polynomial):
+        return [(e, c, type(c)) for e, c in outcome.terms.items()]
+    if isinstance(outcome, ParsedInput):
+        return (outcome.ring, [_term_lists(g) for g in outcome.ideal_gens],
+                outcome.weights, outcome.coeff_valuation)
+    return outcome
+
+
+def test_expressions_keep_the_per_atom_readers_term_order(monkeypatch):
+    rng = random.Random(35)
+    expressions = ["x + y - x + x", "x*x*y - y*x^2 + x^2*y", "(x + y)^3 - (x - y)^3",
+                   "0*x + 0^0*y^0 - 1", "2*(x + y)*1/2*(x - y)*x", "-(x - y)^2 + y^2"]
+    while len(expressions) < 3000:
+        text = _random_expr(rng)
+        if rng.random() < 0.1:
+            pos = rng.randrange(len(text) + 1)
+            text = text[:pos] + rng.choice(_EXPR_EDITS) + text[pos + rng.randint(0, 2):]
+        expressions.append(text)
+    readers = [(lambda text: parse_poly(XY, text)),
+               (lambda text: parse_presentation(f"ring x y;\nideal {text}, y - ({text});\n"))]
+    inputs = [(read, text) for text in expressions for read in readers]
+    new = [_outcome(read, text) for read, text in inputs]
+    monkeypatch.setattr(textio, "_parse_expr", _reference_expr)
+    old = [_outcome(read, text) for read, text in inputs]
+    differences = [(inputs[i][1], old[i], new[i]) for i in range(len(inputs))
+                   if [_term_lists(x) for x in old[i]] != [_term_lists(x) for x in new[i]]]
+    assert differences == []
+    errors = sum(outcome[0] == "error" for outcome in new)
+    assert 300 < errors < 1000
+    polys = [outcome[1] for outcome in new
+             if outcome[0] == "ok" and isinstance(outcome[1], Polynomial)]
+    # term orders other than the printer's, zero sums and fractions occur
+    assert sum(list(p.terms) != [e for e, _ in p.sorted_terms()] for p in polys) > 1000
+    assert sum(p.is_zero for p in polys) > 50
+    assert sum(any(type(c) is Fraction for c in p.terms.values()) for p in polys) > 500
+    assert sum(_nesting(text) == 4 for text in expressions) > 300
+
+
+def _nesting(text: str) -> int:
+    depth = deepest = 0
+    for ch in text:
+        depth += (ch == "(") - (ch == ")")
+        deepest = max(deepest, depth)
+    return deepest
+
+
+def _weight_entries(rng: random.Random) -> tuple[Fraction, ...]:
+    return tuple(Fraction(rng.choice((-1, 0, 1)) * rng.randint(0, 40), rng.randint(1, 12))
+                 for _ in range(rng.choice((1, 1, 2, 3, 5, 8))))
+
+
+def test_parsed_weights_equal_the_constructed_vector():
+    rng = random.Random(35)
+    vectors = [(Fraction(0),), (Fraction(-3, 4),), (Fraction(0), Fraction(0))]
+    vectors += [_weight_entries(rng) for _ in range(500)]
+    for entries in vectors:
+        text = " ".join(str(w) for w in entries)
+        parsed, built = parse_weights(text), WeightVector(entries)
+        assert (parsed.weights, parsed.int_weights, parsed.int_scale) == (
+            built.weights, built.int_weights, built.int_scale), text
+        assert parsed == built and hash(parsed) == hash(built)
+        assert all(type(w) is Fraction for w in parsed.weights)
+    assert any(len(set(w.denominator for w in entries)) > 2 for entries in vectors)
