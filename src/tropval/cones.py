@@ -94,15 +94,15 @@ def _direction_to_pair(P: Presentation, d: tuple[int, ...]) -> tuple[Polynomial,
 
 def implies_check(v: CandidateValuation, w: CandidateValuation,
                   seed: int = 0, n_samples: int = 200,
-                  exact_mode: bool = False,
-                  degree_bound: int = 3) -> RelationVerdict:
+                  exact_mode: bool = False) -> RelationVerdict:
     """Does every v-inequality force the corresponding w-inequality?
 
     Certificates: identity, w a positive multiple of v, w the zero weight
     vector (its valuation is the trivial coarsening), and full half-space
     decision on free algebras in exact mode.  Otherwise the verdict comes
-    from seeded refutation search, on the samples of `check_axioms`, with
-    values compared as keys; a witness pair is reported as drawn.
+    from seeded refutation search, on the samples of `check_axioms` at its
+    default degree bound, 3, with values compared as keys; a witness pair
+    is reported as drawn.
     """
     if v.presentation.key() != w.presentation.key():
         raise ValueError("relation checks need valuations on the same algebra")
@@ -127,13 +127,11 @@ def implies_check(v: CandidateValuation, w: CandidateValuation,
             return RelationVerdict(
                 "implies", REFUTED, witness=(a, b),
                 note="half-space containment fails on a monomial pair")
-    if degree_bound < 1:
-        raise ValueError(f"refutation search needs degree_bound >= 1, got {degree_bound}")
     rng = random.Random(seed)
     v_key, w_key = v._key, w._key
     for _ in range(n_samples):
-        a = random_polynomial(rng, P.ring, degree_bound)
-        b = random_polynomial(rng, P.ring, degree_bound)
+        a = random_polynomial(rng, P.ring, 3)
+        b = random_polynomial(rng, P.ring, 3)
         # v(a) <= v(b) and w(a) > w(b), on each valuation's keys, with None
         # (bottom) the least key.
         va, vb = v_key(a), v_key(b)

@@ -42,12 +42,13 @@ product ``()`` is one object shared by every zero pair, whatever its
 grade sum, but it holds no term, so nothing computed from it depends on
 that sum.  Every scan that works per product (the associativity check,
 gr, the monoid-theorem hypotheses, the homogeneous-pair check, the
-override probe, `coarsen` and the printer) gets that work from one memo,
-`GradedAlgebra._per_product`, keyed by ``id()`` of objects the table
-holds, and may read the grade sum of the first pair that holds each.
-Failures and witnesses are still reported per pair, in pair order.
-Sharing only saves work: a table whose pairs hold equal but distinct
-expansions gives the same results.
+override probe, `coarsen` and the printer) is one walk of the table,
+`GradedAlgebra._per_product`, which does the work once per object and
+hands each pair its result in pair order; the work may read the grade sum
+of the first pair that holds the object.  Objects are told apart by
+their ids in `GradedAlgebra` alone.  Failures and witnesses are still
+reported per pair, in pair order.  Sharing only saves work: a table whose
+pairs hold equal but distinct expansions gives the same results.
 
 Structure constants take the one coefficient form of `poly`: an int when
 integral, otherwise a `Fraction`.  Inside the checks, element coefficients
@@ -226,21 +227,19 @@ class GradedAlgebra:
         canon = {ref: ref for ref in self.basis()}
         # Each input object is stored once per grade sum of the pairs that
         # hold it, which sets the sharing rule of the module docstring.  The
-        # memo holds every object it has seen: ``structure.items()`` may
-        # make each expansion afresh, and a freed one's id could be reused
-        # by the next.
-        stored: dict[int, tuple] = {}
+        # memo holds every object it has seen beside its stored form:
+        # ``structure.items()`` may make each expansion afresh, and a freed
+        # one's id could be reused by the next.
+        stored: dict[tuple, tuple] = {}
         for (b1, b2), expansion in structure.items():
             b1, b2 = _basis_ref(canon, b1), _basis_ref(canon, b2)
-            hit = stored.get(id(expansion))
+            memo_key = (id(expansion), grade_sum(b1[0], b2[0]))
+            hit = stored.get(memo_key)
             if hit is None:
-                hit = stored[id(expansion)] = (expansion, {})
-            grades = grade_sum(b1[0], b2[0])
-            canonical = hit[1].get(grades)
-            if canonical is None:
-                canonical = hit[1][grades] = _canonical_expansion(canon, expansion)
-            table[_pair_key(b1, b2)] = canonical
+                hit = stored[memo_key] = (expansion, _canonical_expansion(canon, expansion))
+            table[_pair_key(b1, b2)] = hit[1]
         self.structure = dict(sorted(table.items()))
+        del table, stored  # freed first: the check builds tables of its own
         if validate:
             self._validate_associativity()
 
@@ -275,19 +274,21 @@ class GradedAlgebra:
         return [(grade, i) for grade, size in self.components.items()
                 for i in range(size)]
 
-    def _per_product(self, f) -> dict:
-        """``{id(expansion): f(expansion, pair)}`` over the table's distinct
-        expansion objects, ``pair`` the first pair that holds each.
+    def _per_product(self, f):
+        """Yield ``(pair, f(expansion, first))`` for every pair of the table,
+        in table order, ``first`` the first pair that holds the pair's
+        expansion object; f runs once per distinct object.
 
-        By the sharing rule (module docstring), f may read that pair's grade
-        sum for any nonempty expansion.  The table holds every object, so no
-        id is reused while the result is in use.
+        By the sharing rule (module docstring), f may read the grade sum of
+        ``first`` for any nonempty expansion.  The table holds every object,
+        so no id is reused during the walk.
         """
-        out = {}
+        done = {}  # id -> f's value; f may return None, so done is the miss
         for pair, expansion in self.structure.items():
-            if id(expansion) not in out:
-                out[id(expansion)] = f(expansion, pair)
-        return out
+            value = done.get(id(expansion), done)
+            if value is done:
+                value = done[id(expansion)] = f(expansion, pair)
+            yield pair, value
 
     # -- multiplication ----------------------------------------------------
 
@@ -344,17 +345,16 @@ class GradedAlgebra:
         # stored row itself when c is 1, and any other row is summed.
         refs = self.basis()
         number = {ref: i for i, ref in enumerate(refs)}
-        distinct = self._per_product(lambda expansion, pair: expansion)
-        scale = math.lcm(*{c.denominator for exp in distinct.values() for _, c in exp})
-        rows = {key: tuple((number[t], c.numerator * (scale // c.denominator))
-                           for t, c in exp)
-                for key, exp in distinct.items()}
+        # D needs every distinct constant before the first row is scaled.
+        distinct = {id(exp): exp for exp in self.structure.values()}.values()
+        scale = math.lcm(*{c.denominator for exp in distinct for _, c in exp})
         table: list[dict[int, tuple]] = [{} for _ in refs]
         # The pairs come in ascending order, so each row of the table fills
         # in ascending j: first the pairs (j, i) with j < i, then (i, j).
-        for (b1, b2), expansion in self.structure.items():
+        for (b1, b2), row in self._per_product(lambda exp, pair: tuple(
+                (number[t], c.numerator * (scale // c.denominator)) for t, c in exp)):
             i, j = number[b1], number[b2]
-            table[i][j] = table[j][i] = rows[id(expansion)]
+            table[i][j] = table[j][i] = row
         partners = [list(row) for row in table]
 
         def times(expansion: tuple, b: int) -> tuple | None:
@@ -673,11 +673,10 @@ def _homogeneous_pair_failures(A: GradedAlgebra, gv: GradedValuation) -> list:
     """Multiplicativity on every defined basis pair, failures in pair order."""
     key = gv.functional.key
     found = []
-    lhs_of = A._per_product(lambda expansion, pair: _value_key(gv, dict(expansion)))
-    for (b1, b2), expansion in A.structure.items():
+    for (b1, b2), lhs in A._per_product(
+            lambda expansion, pair: _value_key(gv, dict(expansion))):
         # overrides are inhomogeneous, so a basis element's value is its key
         rhs = key(b1[0])[0] + key(b2[0])[0]
-        lhs = lhs_of[id(expansion)]
         if lhs != rhs:
             found.append(_failure(gv, {b1: 1}, {b2: 1}, lhs, rhs))
     return found
@@ -730,9 +729,7 @@ def _override_factor_probe(A: GradedAlgebra, gv: GradedValuation) -> list:
     # an expansion share its column dict; `solve_linear` only reads them.
     partners: dict[BasisRef, list] = {ref: [] for ref in A.basis()}
     columns: dict[BasisRef, list] = {ref: [] for ref in partners}
-    column_of = A._per_product(lambda expansion, pair: dict(expansion))
-    for (b1, b2), expansion in A.structure.items():
-        column = column_of[id(expansion)]
+    for (b1, b2), column in A._per_product(lambda expansion, pair: dict(expansion)):
         partners[b1].append(b2)
         columns[b1].append(column)
         if b1 != b2:
@@ -808,11 +805,9 @@ def _gr_pass(A: GradedAlgebra, h: LexFunctional) -> tuple[dict, tuple | None]:
                 above = t
         return tuple(kept), above
 
-    split_of = A._per_product(split)
     structure = {}
     witness = None
-    for pair, expansion in A.structure.items():
-        kept, above = split_of[id(expansion)]
+    for pair, (kept, above) in A._per_product(split):
         if above is not None and witness is None:
             witness = (*pair, above)
         structure[pair] = kept
@@ -872,9 +867,7 @@ def check_monoid_theorem(A: GradedAlgebra, w: LexFunctional,
         return (not any(t[0] == top_grade for t, _ in expansion),
                 tuple(t for t, _ in expansion if t[0] != top_grade and key(t[0]) >= top))
 
-    hypotheses_of = A._per_product(hypotheses)
-    for (b1, b2), expansion in A.structure.items():
-        missing, violating = hypotheses_of[id(expansion)]
+    for (b1, b2), (missing, violating) in A._per_product(hypotheses):
         if missing:  # the pair's own sum: () is shared across grade sums
             cartan_missing.append((b1, b2, grade_sum(b1[0], b2[0])))
         for t in violating:
@@ -1079,10 +1072,11 @@ def coarsen(A: GradedAlgebra, matrix: tuple[tuple[int, ...], ...]) -> GradedAlge
         idx = components.get(new_grade, 0)
         components[new_grade] = idx + 1
         offsets[ref] = (new_grade, idx)
-    relabelled = A._per_product(
-        lambda expansion, pair: tuple(sorted((offsets[t], c) for t, c in expansion)))
-    structure = {_pair_key(offsets[b1], offsets[b2]): relabelled[id(expansion)]
-                 for (b1, b2), expansion in A.structure.items()}
+    def relabel(expansion, pair) -> tuple:
+        return tuple(sorted((offsets[t], c) for t, c in expansion))
+
+    structure = {_pair_key(offsets[b1], offsets[b2]): expansion
+                 for (b1, b2), expansion in A._per_product(relabel)}
     # the relabelling is one-to-one, so the table is as canonical and as
     # associative as A's, but it can change the order of grades and pairs
     return _derived(A, len(matrix), dict(sorted(components.items())),

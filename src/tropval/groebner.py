@@ -88,13 +88,21 @@ x^si*(-tail_i) of a pair (i, j) goes straight into the work dict of
 `_remainder_terms`, whose first remainder term is the new element's lead,
 so a pair costs no leading-term scan and no `Polynomial` arithmetic.
 Repeated inputs are found on (lead, tail), and `Polynomial`s are built
-only for the result.  Division uses the plain key and rewrite, since each
-S-polynomial is reduced once.  The run checks once, at entry, that the
-generators share one ring and that it terminates (homogeneous input gives
-homogeneous S-polynomials and remainders), and interreduces the minimal
-basis in one pass: each remainder is monic, keeps its lead and has no term
-divisible by any lead, and the reduced-basis element with a given lead is
-unique.
+only for the result.  Pairs are taken by the total degree of their lcm
+first, then by the run's order on the lcm (Giovini, Mora, Niesi, Robbiano
+& Traverso, "One sugar cube, please", ISSAC 1991, without the sugar).  A
+non-global order runs only on homogeneous input, where the lcm's degree
+is the S-polynomial's degree, so each degree is finished before the next
+one starts; smallest lcm first alone lets an order with a negative
+weight rank a higher degree below a lower one, and the run could then
+climb through ever higher degrees without end (Gr(2,6) at a negated tree
+metric).  A global order ends under any selection.  Division uses the
+plain key and rewrite, since each S-polynomial is reduced once.  The run
+checks once, at entry, that the generators share one ring and that it
+terminates (homogeneous input gives homogeneous S-polynomials and
+remainders), and interreduces the minimal basis in one pass: each
+remainder is monic, keeps its lead and has no term divisible by any lead,
+and the reduced-basis element with a given lead is unique.
 """
 
 from __future__ import annotations
@@ -500,9 +508,10 @@ def leading_normal_exponent(f: Polynomial,
 def buchberger(gens: Sequence[Polynomial], order: MonomialOrder) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal the generators span.
 
-    Deterministic for a fixed input: pairs are processed in normal strategy
-    (smallest lcm first, ties by index), and the final basis is
-    interreduced, made monic, and sorted by descending leading monomial.
+    Deterministic for a fixed input: pairs are processed by the total
+    degree of their lcm first, then smallest lcm in the run's order, ties by
+    index, and the final basis is interreduced, made monic, and sorted by
+    descending leading monomial.
     The generators must be nonzero and live in one ring.  A single
     generator comes back made monic, in its own term insertion order; the
     elements of a run on several are written out largest term first.
@@ -533,13 +542,13 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder) -> GroebnerBasi
     # The run keeps each element only as its division-table entry (lead,
     # negated monic tail), as `_divisor` makes it.
     table: list[tuple] = []
-    pairs: list[tuple[tuple[int, ...], int, int]] = []
+    pairs: list[tuple[int, tuple[int, ...], int, int]] = []
     step = partial(_rewrite, table)  # no memo: each S-polynomial is reduced once
 
     def join(lm: ExponentVector, tail: list) -> None:
         for i, (ei, _) in enumerate(table):
-            heapq.heappush(pairs, (order.sort_key(tuple(map(max, ei, lm))),
-                                   i, len(table)))
+            lcm = tuple(map(max, ei, lm))
+            heapq.heappush(pairs, (sum(lcm), order.sort_key(lcm), i, len(table)))
         table.append((lm, tail))
 
     # An input generator that is a repeat once monic joins once.  A
@@ -549,7 +558,7 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder) -> GroebnerBasi
         if not any(ei == lm and dict(ti) == dict(tail) for ei, ti in table):
             join(lm, tail)
     while pairs:
-        _, i, j = heapq.heappop(pairs)
+        _, _, i, j = heapq.heappop(pairs)
         ei, tail_i = table[i]
         ej, tail_j = table[j]
         if all(a == 0 or b == 0 for a, b in zip(ei, ej)):

@@ -552,12 +552,11 @@ def graded_algebra_to_str(algebra) -> str:
                               f"{str(coeff).lstrip('-')}*{names[target]}")
                              for target, coeff in expansion])
 
-    bodies = algebra._per_product(body)
     lines = [f"monoid dim {algebra.monoid_dim};", f"truncation {algebra.truncation};"]
     for grade, size in algebra.components.items():
         lines.append(f"component {_grade_str(grade)} size {size};")
-    for (left, right), expansion in algebra.structure.items():
-        lines.append(f"mult {names[left]}*{names[right]} = {bodies[id(expansion)]};")
+    for (left, right), text in algebra._per_product(body):
+        lines.append(f"mult {names[left]}*{names[right]} = {text};")
     return "\n".join(lines) + "\n"
 
 

@@ -130,6 +130,12 @@ CASES = [
     # the first emitted branching table with non-standard products: 7
     # product monomials rewrite through the straightening relation
     ("sl2lab_branching3", ["sl2lab", "branching", "3"], 0),
+    # Gr(2,6) at the negated caterpillar metric (leaves 1, 2 | 3 | 4 | 5, 6):
+    # taken smallest lcm first in the refined order, the S-pairs climbed
+    # through ever higher degrees and the run never ended
+    ("trop_certified_gr26_negated",
+     ["trop-check", "--ideal", fixture("gr26.ideal"), "--weight",
+      "-2 -3 -4 -5 -5 -3 -4 -5 -5 -3 -4 -4 -3 -3 -2"], 1),
 ]
 
 # usage errors print to stderr only; stdout must stay empty

@@ -3,11 +3,14 @@
 This is the `buchberger` `tropval.groebner` used before its run kept each
 basis element only as a division-table entry: every S-polynomial is built
 with `Polynomial` products and a difference, reduced with `_reduce`, and
-made monic with `scale`.  Pairs, joins, minimalization and interreduction
-follow the same steps, so the two runs must agree term for term and in
-the leads.  Term order can differ: a lone surviving input keeps its own
-order here, while `buchberger` writes every element of a run on several
-generators largest term first.  `in_cone_by_faces` is the face walk the
+made monic with `scale`.  Joins, minimalization and interreduction
+follow the same steps.  The pair order differs: this run takes the
+smallest lcm in the run's order first, while `buchberger` takes the lcm's
+total degree first.  A reduced basis and its leads do not depend on the
+order pairs are taken in, so the two runs must still agree term for term
+and in the leads.  Term order can differ: a lone surviving input keeps its
+own order here, while `buchberger` writes every element of a run on
+several generators largest term first.  `in_cone_by_faces` is the face walk the
 Groebner-cone test used before cones were held as inequality vectors.
 """
 

@@ -38,6 +38,7 @@ from tropval.graded import (
     check_lower_triangular,
     check_monoid_theorem,
     check_valuation_axioms,
+    coarsen,
     graded_value,
     monomial_poly_ring,
     zero_divisor_search,
@@ -1128,3 +1129,52 @@ def test_doubled_products_raise_the_same_triple_shared_or_unshared():
         assert _triple(lambda: GradedAlgebra(dim, components, fresh, truncation)) == shared
         triples.add(shared)
     assert len(triples) > 5, triples
+
+
+def _assert_one_call_per_object_on_its_least_pair(A):
+    calls = []
+
+    def f(expansion, pair):
+        calls.append((id(expansion), pair))
+        return len(calls)
+
+    walked = list(A._per_product(f))
+    least = {}
+    for pair, expansion in sorted(A.structure.items()):
+        least.setdefault(id(expansion), pair)
+    assert sorted(calls) == sorted(least.items())
+    assert [pair for pair, _ in walked] == list(A.structure)
+    assert all(calls[value - 1][0] == id(A.structure[pair]) for pair, value in walked)
+
+
+@pytest.mark.parametrize("spec", ["sl2-branching:3", f"{PARSED}sl2-branching:3",
+                                  "sl2-rep-ring:4", "polyring:2:4", QUOTIENT])
+def test_every_scan_reads_the_same_shared_or_unshared(spec):
+    """Each scan does its work once per expansion object, so a table whose
+    pairs hold equal but distinct expansions must read as the shared one."""
+    shared = _load(spec)
+    fresh = _unshared(shared)
+    nonempty = [expansion for expansion in fresh.structure.values() if expansion]
+    assert len({id(x) for x in nonempty}) == len(nonempty)
+    assert len({id(x) for x in shared.structure.values()}) < len(shared.structure)
+    assert fresh.structure == shared.structure
+    assert graded_algebra_to_str(fresh) == graded_algebra_to_str(shared)
+    total = (tuple(1 for _ in range(shared.monoid_dim)),)
+    assert coarsen(fresh, total).structure == coarsen(shared, total).structure
+    grs = 0
+    for text in FUNCTIONALS[shared.monoid_dim]:
+        h = parse_functional(text, shared.monoid_dim)
+        triangular = check_lower_triangular(shared, h)
+        assert check_lower_triangular(fresh, h) == triangular
+        if triangular[0]:
+            assert associated_graded(fresh, h).structure == \
+                associated_graded(shared, h).structure
+            grs += 1
+        assert check_monoid_theorem(fresh, h, seed=1, n_samples=20) == \
+            check_monoid_theorem(shared, h, seed=1, n_samples=20)
+        for gv in _valuations(shared, h):
+            assert check_valuation_axioms(fresh, gv, seed=1, n_samples=10) == \
+                check_valuation_axioms(shared, gv, seed=1, n_samples=10)
+    assert grs > 0
+    for A in (shared, fresh):
+        _assert_one_call_per_object_on_its_least_pair(A)

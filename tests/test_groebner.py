@@ -1,10 +1,13 @@
+import heapq
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from conftest import W, load
 from oracle_macaulay import macaulay_member
+from tropval import groebner
 from tropval.groebner import (
     GroebnerBasis,
     MonomialOrder,
@@ -21,7 +24,7 @@ from tropval.groebner import (
 )
 from tropval.poly import Polynomial, Presentation, RingContext, RingMismatchError
 from tropval.textio import parse_poly, poly_to_str
-from tropval.valuation import random_polynomial
+from tropval.valuation import check_trop_membership, random_polynomial
 
 XY = RingContext(("x", "y"))
 XYZ = RingContext(("x", "y", "z"))
@@ -118,6 +121,37 @@ def test_nonglobal_order_needs_homogeneous_input():
     # homogeneous generators are fine
     gb = buchberger([parse_poly(XY, "x + y")], order)
     assert leading_term(gb.gens[0], order)[0] == (0, 1)
+
+
+PAIR_BOUND = 3000
+
+
+def test_gr26_at_a_negated_tree_metric_pops_a_bounded_number_of_pairs(monkeypatch):
+    """Gr(2,6) at the negated caterpillar metric: taken smallest lcm first
+    in the (w, 0)-refined order, the S-pairs climbed through ever higher
+    degrees, and the run did not end (over 100,000 pairs popped in 30 s).
+    Taken by the lcm's degree first, the whole certified check pops a few
+    hundred.  Pairs are counted, not timed: a division-heap entry is
+    (key, exponent), and every longer entry is a pair, such as
+    (degree, key, i, j).  The count stops the run once it passes the
+    bound."""
+    popped = 0
+
+    def heappop(heap):
+        nonlocal popped
+        item = heapq.heappop(heap)
+        if len(item) > 2:
+            popped += 1
+            if popped > PAIR_BOUND:
+                raise RuntimeError(f"more than {PAIR_BOUND} pairs popped")
+        return item
+
+    monkeypatch.setattr(groebner, "heapq", SimpleNamespace(
+        heapify=heapq.heapify, heappush=heapq.heappush, heappop=heappop))
+    metric = W(-2, -3, -4, -5, -5, -3, -4, -5, -5, -3, -4, -4, -3, -3, -2)
+    outcome = check_trop_membership(load("gr26.ideal"), metric)
+    assert not outcome.ok and poly_to_str(outcome.witness) == "p34*p56"
+    assert 0 < popped <= PAIR_BOUND
 
 
 def test_nonhomogeneous_basis_fails_at_reduction_not_construction():

@@ -629,30 +629,28 @@ def test_composites_reject_parts_on_another_ring(hyperbola):
 
 
 def test_int_sample_implies_verdicts_match_the_fraction_loop():
+    """`implies_check` samples at the fixed degree bound 3, so the oracle
+    varies the seed alone, over enough seeds that each verdict is met over
+    1,000 times (and each composite one over 500)."""
     statuses, composite_statuses = [], []
+    seeds, composite_seeds = range(60), range(9)
     for name, weights in _oracle_cases():
         P = load(name)
         vals = [make_weight_valuation(P, w) for w in weights]
         for v, w in zip(vals, vals[1:]):
-            for seed in ORACLE_SEEDS:
-                for degree_bound in ORACLE_DEGREE_BOUNDS:
-                    ours = implies_check(v, w, seed=seed, n_samples=ORACLE_PAIRS,
-                                         degree_bound=degree_bound)
-                    if ours.status == HOLDS_CERTIFIED:
-                        continue
-                    assert ours == _fraction_implies(v, w, seed, ORACLE_PAIRS,
-                                                     degree_bound), (name, seed)
-                    statuses.append(ours.status)
+            for seed in seeds:
+                ours = implies_check(v, w, seed=seed, n_samples=ORACLE_PAIRS)
+                if ours.status == HOLDS_CERTIFIED:
+                    continue
+                assert ours == _fraction_implies(v, w, seed, ORACLE_PAIRS, 3), (name, seed)
+                statuses.append(ours.status)
         # Neighbouring sums and multiples: keys over two different scales.
         comps = [c for c in _composites(P, vals) if not isinstance(c, Pullback)]
         for v, w in zip(comps, comps[1:]):
-            for seed in COMPOSITE_SEEDS:
-                for degree_bound in COMPOSITE_DEGREE_BOUNDS:
-                    ours = implies_check(v, w, seed=seed, n_samples=ORACLE_PAIRS,
-                                         degree_bound=degree_bound)
-                    assert ours == _fraction_implies(v, w, seed, ORACLE_PAIRS,
-                                                     degree_bound), (name, seed)
-                    composite_statuses.append(ours.status)
+            for seed in composite_seeds:
+                ours = implies_check(v, w, seed=seed, n_samples=ORACLE_PAIRS)
+                assert ours == _fraction_implies(v, w, seed, ORACLE_PAIRS, 3), (name, seed)
+                composite_statuses.append(ours.status)
     assert statuses.count(REFUTED) > 1000
     assert len(statuses) - statuses.count(REFUTED) > 1000
     assert composite_statuses.count(REFUTED) > 500
