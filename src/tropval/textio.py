@@ -63,6 +63,17 @@ gives but skips that constructor's string matching.  Two readers keep
 are each read once per file, and the `--functional` and `--override`
 fields, which accept whatever `Fraction` accepts.
 
+Two constructs each have one reader.  Weight entries, in a weight flag
+(``--weight``, ``--v``, ``--w``, ``--w1``, ``--w2``, a ``--weights``
+chunk) and in a ``weight`` statement, are read by `_weight_vector`, up to
+end of input or up to the statement's ``;``.  Signed ``c*(grade:index)``
+terms, in a mult body and in an ``--override`` element, are read by the
+generator `_signed_terms`; an element's coefficient may be left out, a
+mult body's may not.  Both move only by cursor methods (``peek``,
+``at_number``, ``rational``, ``expect_sym`` and the like) and read the
+token index as ``i``, so the test that swaps in a reference cursor with
+other token objects covers them too.
+
 Graded files are read one statement per regex match (`_scan_graded`),
 with each basis ref and coefficient literal converted once per file, and
 each distinct product body read once, so pairs with the same body share
@@ -386,16 +397,25 @@ def _parse_signed_rational(cur: _Cursor) -> Fraction:
     return -value if negate else value
 
 
+def _weight_vector(cur: _Cursor, end: str) -> WeightVector:
+    """Signed rationals up to the token ``end``, which is not consumed.
+
+    The one reader of weight entries: ``end`` is ``""`` for a weight flag
+    and ``";"`` for a ``weight`` statement.
+    """
+    ws: list[Fraction] = []
+    while cur.peek() != end:
+        ws.append(_parse_signed_rational(cur))
+    entries = tuple(ws)
+    return WeightVector._trusted(entries, *integer_weights(entries))
+
+
 def parse_weights(text: str) -> WeightVector:
     """Parse a bare whitespace-separated list of rationals."""
     cur = _Cursor(text)
-    ws: list[Fraction] = []
-    while cur.peek():
-        ws.append(_parse_signed_rational(cur))
-    if not ws:
+    if not cur.peek():
         raise ParseError("empty weight vector", 1, 1)
-    entries = tuple(ws)
-    return WeightVector._trusted(entries, *integer_weights(entries))
+    return _weight_vector(cur, "")
 
 
 @dataclass
@@ -439,15 +459,12 @@ def parse_presentation(text: str) -> ParsedInput:
             cur.expect_sym(";")
         elif tok == "weight":
             cur.next()
-            ws: list[Fraction] = []
-            while not cur.at_sym(";"):
-                ws.append(_parse_signed_rational(cur))
+            w = _weight_vector(cur, ";")
             cur.expect_sym(";")
-            if len(ws) != ring.dim:
+            if len(w.weights) != ring.dim:
                 raise cur.error(
-                    f"weight vector has {len(ws)} entries, ring has {ring.dim}", at)
-            entries = tuple(ws)
-            weights.append(WeightVector._trusted(entries, *integer_weights(entries)))
+                    f"weight vector has {len(w.weights)} entries, ring has {ring.dim}", at)
+            weights.append(w)
         elif tok == "coeffval":
             cur.next()
             head = cur.expect_ident()
@@ -686,6 +703,37 @@ def _parse_basis_ref(cur: _Cursor, dim: int):
     return (grade, idx)
 
 
+def _signed_terms(cur: _Cursor, dim: int, bare: bool):
+    """Yield ``(token index, coefficient, ref)`` for each signed term.
+
+    terms := ['-'] [c '*'] ref (('+'|'-') [c '*'] ref)*
+    Each term is yielded as soon as it is read, so a caller can reject it
+    before the next one.  With ``bare``, a ref without a coefficient takes
+    its sign as the coefficient; without, a missing coefficient is an error.
+    """
+    sign = 1
+    if cur.at_sym("-"):
+        cur.next()
+        sign = -1
+    while True:
+        at = cur.i
+        if cur.at_number():
+            coeff = sign * cur.rational()
+            cur.expect_sym("*")
+        elif bare:
+            coeff = Fraction(sign)
+        else:
+            raise cur.error("expected a coefficient")
+        yield at, coeff, _parse_basis_ref(cur, dim)
+        if cur.at_sym("+"):
+            sign = 1
+        elif cur.at_sym("-"):
+            sign = -1
+        else:
+            return
+        cur.next()
+
+
 def parse_graded_algebra(text: str):
     """Parse the graded-algebra file format and validate the result.
 
@@ -745,30 +793,11 @@ def _parse_graded_cursor(text: str):
             cur.expect_sym("*")
             right = _parse_basis_ref(cur, dim)
             cur.expect_sym("=")
-            expansion: list = []
             if cur.peek() == "0" and cur.lookahead() == ";":
                 cur.next()
+                expansion = []
             else:
-                sign = 1
-                if cur.at_sym("-"):
-                    cur.next()
-                    sign = -1
-                while True:
-                    if not cur.at_number():
-                        raise cur.error("expected a coefficient")
-                    coeff = sign * cur.rational()
-                    cur.expect_sym("*")
-                    target = _parse_basis_ref(cur, dim)
-                    expansion.append((target, coeff))
-                    if cur.at_sym("+"):
-                        cur.next()
-                        sign = 1
-                        continue
-                    if cur.at_sym("-"):
-                        cur.next()
-                        sign = -1
-                        continue
-                    break
+                expansion = [(ref, c) for _, c, ref in _signed_terms(cur, dim, False)]
             cur.expect_sym(";")
             key = (left, right) if left <= right else (right, left)
             if key in structure:
@@ -813,32 +842,16 @@ def parse_tropical_value(text: str) -> TropicalValue:
 
 
 def parse_graded_element(algebra, text: str):
-    """Parse ``c*(g1,..,gk:i) + ...`` into an element mapping of the algebra."""
+    """Parse ``c*(g1,..,gk:i) + ...`` into an element mapping of the algebra.
+
+    A term's coefficient may be left out: ``(1,0:0) - (0,1:0)``.  An unknown
+    basis element is reported before the text after it is read.
+    """
     cur = _Cursor(text)
     element: dict = {}
-    sign = 1
-    if cur.at_sym("-"):
-        cur.next()
-        sign = -1
-    while True:
-        at = cur.i
-        if cur.at_number():
-            coeff = sign * cur.rational()
-            cur.expect_sym("*")
-        else:
-            coeff = Fraction(sign)
-        ref = _parse_basis_ref(cur, algebra.monoid_dim)
+    for at, coeff, ref in _signed_terms(cur, algebra.monoid_dim, True):
         if ref[0] not in algebra.components or not (0 <= ref[1] < algebra.components[ref[0]]):
             raise cur.error(f"unknown basis element {_basis_str(ref)}", at)
         element[ref] = element.get(ref, Fraction(0)) + coeff
-        if cur.at_sym("+"):
-            cur.next()
-            sign = 1
-            continue
-        if cur.at_sym("-"):
-            cur.next()
-            sign = -1
-            continue
-        break
     cur.expect_eof()
     return {k: v for k, v in element.items() if v != 0}

@@ -413,10 +413,16 @@ INPUT_ERROR_CASES = [
     )
 ]
 
-# Statements that no other case makes a parser read: a `coeffval trivial`
+# Inputs that no other case makes a parser read: a `coeffval trivial`
 # statement, and a `mult` ref whose grade is longer than the monoid dim,
-# which the graded-file scanner hands to the cursor loop to locate.  Each
-# entry is (name, argv, expected exit, expected stdout).
+# which the graded-file scanner hands to the cursor loop to locate.  Then
+# signed `c*(grade:index)` terms, which a mult body and an --override
+# element read with one reader: a mult body needs every coefficient, an
+# element's coefficient may be left out and is then the term's sign, an
+# unknown basis element is reported before the text after it is read, and
+# no term starts with '+'.  The files sit in subdirectories because
+# `_sampled_tables` parses every top-level fixtures/*.alg.  Each entry is
+# (name, argv, expected exit, expected stdout).
 STATEMENT_CASES = [
     ("parse_coeffval_trivial",
      ["parse", "--input", fixture("coeffval_trivial.ideal")], 0,
@@ -432,6 +438,31 @@ STATEMENT_CASES = [
      ["monoid-check", "--algebra", fixture("grade_length/mult_ref.alg"),
       "--functional", "1"], 2,
      "parse_error: line 5, col 16: grade has 2 entries, monoid dim is 1\n"),
+    ("mult_body_bare_ref",
+     ["monoid-check", "--algebra", fixture("term_reader/bare_ref.alg"),
+      "--functional", "1"], 2,
+     "parse_error: line 4, col 20: expected a coefficient\n"),
+    ("override_unknown_ref_before_syntax_error",
+     ["graded-check", "--algebra", "polyring:2:3", "--functional", "1,1",
+      "--override", "1*(9,9:0) + junk = 1"], 2,
+     "parse_error: line 1, col 1: unknown basis element (9,9:0)\n"),
+    ("override_leading_plus",
+     ["graded-check", "--algebra", "polyring:2:3", "--functional", "1,1",
+      "--override", "+1*(1,0:0) + 1*(0,1:0) = 1"], 2,
+     "parse_error: line 1, col 1: expected '(', found '+'\n"),
+    ("override_bare_refs",
+     ["graded-check", "--algebra", "polyring:2:3", "--functional", "1,1",
+      "--override", "(1,0:0) - (0,1:0) = 0"], 0,
+     "check: graded-valuation-axioms\n"
+     "algebra: polyring:2:3\n"
+     "functional: 1,1\n"
+     "seed: 0\n"
+     "BEGIN-RESULT\n"
+     "mode: graded\n"
+     "multiplicativity_failures: 0\n"
+     "subadditivity_failures: 0\n"
+     "verdict: passes\n"
+     "END-RESULT\n"),
 ]
 
 # Every case above whose exact stdout is spelled out here rather than in a

@@ -195,6 +195,52 @@ def test_zero_denominator_literals_are_located_parse_errors(text, tok, col):
         f"line 2, col {col + 7}: zero denominator in {tok!r}")
 
 
+def _weight_statement(text: str, dim: int) -> ParsedInput:
+    names = " ".join(f"v{i}" for i in range(dim))
+    return parse_presentation(f"ring {names};\nweight {text};\n")
+
+
+def test_weight_flag_and_statement_read_one_grammar():
+    """Seeded token strings read alike as a weight flag and as the entries
+    of a ``weight`` statement: the same vector and integer form, or the same
+    error at the column shifted by the statement's ``weight `` prefix.  The
+    statement's closing ``;`` stands where the flag's text ends.  A ``;``
+    where an entry could start ends the statement's entries, where the flag
+    reports it: the text before it reads alike, and a blank one leaves the
+    statement with no entries."""
+    rng = random.Random(37)
+    pieces = ["-", "+", "0", "7", "12", "007", "3/4", "10/4", "/0", "5/0", "\u0663",
+              "1\u0663/\u06632", "x", ";", "-2", "+1/3", "-0/5"]
+    outcomes = {"ok": 0, "error": 0, "semicolon": 0}
+    for _ in range(3000):
+        text = "".join(rng.choice(["", " ", " ", "  "]) + rng.choice(pieces)
+                       for _ in range(rng.randint(1, 5)))
+        try:
+            w = parse_weights(text)
+            outcomes["ok"] += 1
+        except ParseError as exc:
+            message = str(exc).split(": ", 1)[1]
+            before = text[:exc.col - 1]
+            if message.endswith("found ';'") and before.rstrip()[-1:] not in ("-", "+"):
+                outcomes["semicolon"] += 1
+                if not before.strip():
+                    with pytest.raises(ParseError, match="weight vector has 0 entries"):
+                        _weight_statement(text, 1)
+                    continue
+                text, w = before, parse_weights(before)
+            else:
+                with pytest.raises(ParseError) as statement_error:
+                    _weight_statement(text, 1)
+                message = message.replace("'end of input'", "';'")
+                assert str(statement_error.value) == f"line 2, col {exc.col + 7}: {message}"
+                outcomes["error"] += 1
+                continue
+        got = _weight_statement(text, len(w.weights)).weights[0]
+        assert (got.weights, got.int_weights, got.int_scale) == (
+            w.weights, w.int_weights, w.int_scale)
+    assert min(outcomes.values()) > 200, outcomes
+
+
 def test_zero_denominators_raise_the_pinned_parse_errors():
     """The `PARSE_ERROR_CASES` that reach the cursor, read by the parsers
     directly: the same located error, message for message."""
