@@ -231,7 +231,7 @@ def _cmd_arrow(args) -> int:
 
 def _cmd_facets(args) -> int:
     parsed = _load_presentation(args.ideal)
-    ws = [textio.parse_weights(chunk) for chunk in args.weights.split(";") if chunk.strip()]
+    ws = textio._parse_weight_list(args.weights)
     if not ws:
         raise TropvalError("--weights lists no weight vector; there is nothing to classify")
     partition = facet_classes(parsed.presentation, ws)

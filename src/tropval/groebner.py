@@ -39,15 +39,20 @@ Steps 1-4 yield generators of the initial ideal of the original ideal for
 the given weights.  Steps 1-2 do not depend on the weight:
 `HomogenizedIdeal` does them once for its owner, an entry-point call or
 the weight valuations that hold it; nothing is cached at module level.
-Monomial containment is decided with the same `_saturate`: the
-homogenized ideal is saturated at h and then at x_n, ..., x_1, one
-graded-reverse-lex run each and no extra variable, until one saturation
-holds a monomial (then the original ideal does) or all of them are done
-(then it holds none).  A single non-monomial generator needs no
+Monomial containment starts from the same steps: `HomogenizedIdeal`
+saturates the homogenized ideal at h, and `_saturate` goes on at x_n,
+..., x_1, one graded-reverse-lex run each and no extra variable, until one
+saturation holds a monomial (then the original ideal does) or all of them
+are done (then it holds none).  A single non-monomial generator needs no
 saturation: Q[x] is a UFD, so a divisor of a monomial is a monomial times
 a constant, and a principal ideal on a non-monomial holds no monomial.
 The witness power is found by reducing powers of the product one
-multiplication at a time, with no bound on the exponent.
+multiplication at a time, with no bound on the exponent, against the
+basis saturated at h with h set to 1.  That basis is a grevlex Groebner
+basis of the original ideal, since h is last in the grevlex order of the
+extended ring (Cox, Little & O'Shea, "Ideals, Varieties, and Algorithms",
+ch. 8 sec. 4); it need not be reduced, but normal forms do not depend on
+the basis, so no second Buchberger run is needed.
 
 Orders compare monomials by flat integer keys: rational weights are scaled
 by the LCM of their denominators (`integer_weights`), once per weight
@@ -695,8 +700,6 @@ def _in_cone(cone: _Cone, ws: tuple[int, ...]) -> bool:
 
 def _canonical_basis(gens: list[Polynomial]) -> tuple[Polynomial, ...]:
     """Reduced grevlex basis of an initial ideal: its canonical form."""
-    if not gens:
-        return ()
     return buchberger(gens, MonomialOrder.grevlex()).gens
 
 
@@ -727,10 +730,7 @@ class HomogenizedIdeal:
 
     def refined_basis(self, w: WeightVector) -> GroebnerBasis:
         """Step 3: the reduced basis for the (w, 0)-refined order."""
-        order = self.order(w)
-        if not self.saturated:
-            return GroebnerBasis((), order)
-        return buchberger(self.saturated, order)
+        return buchberger(self.saturated, self.order(w))
 
     def initial(self, w: WeightVector) -> tuple[list[Polynomial], _Cone]:
         """Step 4: generators of the initial ideal at w, sorted by key.
@@ -781,9 +781,10 @@ def contains_monomial(gens: list[Polynomial], ring: RingContext) -> tuple[bool, 
     """Does the ideal spanned by the generators contain a monomial?
 
     Decided on the homogenized ideal J, saturated one variable at a time
-    with `_saturate`, at h and then at x_n, ..., x_1: I holds a monomial
-    exactly when J : (x_1*...*x_n*h)^inf is the unit ideal, and it does as
-    soon as one of the saturations holds a monomial.  The witness is a
+    with `_saturate`, at h (`HomogenizedIdeal.saturated`) and then at
+    x_n, ..., x_1: I holds a monomial exactly when J : (x_1*...*x_n*h)^inf
+    is the unit ideal, and it does as soon as one of the saturations holds
+    a monomial.  The witness is a
     generator that is itself a monomial when one exists, otherwise the
     smallest power of the product of all variables that lies in the ideal.
     """
@@ -800,18 +801,19 @@ def contains_monomial(gens: list[Polynomial], ring: RingContext) -> tuple[bool, 
         # Q[x] is a UFD: a divisor of a monomial is a monomial times a
         # constant, so a principal ideal on a non-monomial holds none.
         return False, None
-    ext = _extended_ring(ring)
-    saturated = [_homogenize(g, ext) for g in gens]
-    for i in range(ring.dim, -1, -1):
-        saturated = _saturate(saturated, i)
-        if any(g.is_monomial() for g in saturated):
-            break
-    else:
+    H = HomogenizedIdeal(Presentation(ring, gens))
+    # Saturated at h, then at x_n, ..., x_1, each run only while no
+    # saturation so far holds a monomial.
+    chain = itertools.accumulate(range(ring.dim - 1, -1, -1), _saturate, initial=H.saturated)
+    if not any(g.is_monomial() for saturated in chain for g in saturated):
         return False, None
-    # Some power of the product lies in the ideal.  Normal forms are unique
-    # modulo the ideal, so reducing r * product keeps r the normal form of
-    # product^k, which is zero exactly when product^k lies in the ideal.
-    base = buchberger(gens, MonomialOrder.grevlex())
+    # Some power of the product lies in the ideal.  The basis saturated at
+    # h, dehomogenized, is a grevlex basis of the ideal, and normal forms
+    # are unique modulo the ideal, so reducing r * product keeps r the
+    # normal form of product^k, which is zero exactly when product^k lies
+    # in the ideal.
+    base = GroebnerBasis(tuple(_dehomogenize(g, ring) for g in H.saturated),
+                         MonomialOrder.grevlex())
     product = Polynomial.monomial(ring, (1,) * ring.dim)
     r, k = normal_form(Polynomial.constant(ring, 1), base), 0
     while not r.is_zero:

@@ -7,11 +7,15 @@ graded by degree, with the degree-n component the (n+1)-dimensional space
 of binary forms.  The triple-tensor branching algebra is realized
 concretely as the unipotent-invariant algebra of three planar vectors: six
 generators x1, x2, x3, z12, z13, z23 subject to the single straightening
-relation
+relation x1*z23 - x2*z13 + x3*z12 = 0.  The quotient is held as the text of
+a presentation file, `BRANCHING_PRESENTATION`::
 
-    x1*z23 - x2*z13 + x3*z12 = 0,
+    ring x1 x2 x3 z12 z13 z23;
+    ideal x1*z23 - x2*z13 + x3*z12;
+    weight 0 1 0 0 1 0;
 
-rewritten with x2*z13 as the leading monomial.  Grades are five-tuples,
+read once, at import, by `textio.parse_presentation`: the weight makes
+x2*z13 the relation's leading monomial.  Grades are five-tuples,
 `GRADE_ROWS` times the exponent vector,
 
     (a, b, c, eta, d)
@@ -33,20 +37,28 @@ from fractions import Fraction
 from .errors import TropvalError
 from .graded import GradedAlgebra, Grade, LexFunctional, _monomial_algebra, _times
 from .groebner import GroebnerBasis, MonomialOrder, buchberger
-from .poly import Polynomial, RingContext, WeightVector, _rational
+from .poly import _rational
+from .textio import parse_presentation
 
 # Positive-root direction: eta drops by 2, outer weights fixed.
 ROOT_DIRECTION = (0, 0, 0, -2, 0)
 
-AMBIENT_RING = RingContext(("x1", "x2", "x3", "z12", "z13", "z23"))
+BRANCHING_PRESENTATION = """\
+ring x1 x2 x3 z12 z13 z23;
+ideal x1*z23 - x2*z13 + x3*z12;
+weight 0 1 0 0 1 0;
+"""
+_BRANCHING = parse_presentation(BRANCHING_PRESENTATION)
+AMBIENT_RING = _BRANCHING.ring
 # Grade (a, b, c, eta, d) of a monomial: these rows times its exponents in
-# AMBIENT_RING's variable order.
+# AMBIENT_RING's variable order; the comments write each exponent as the
+# name of its variable.
 GRADE_ROWS = (
-    (1, 0, 0, 1, 1, 0),  # a = p1 + q12 + q13
-    (0, 1, 0, 1, 0, 1),  # b = p2 + q12 + q23
-    (0, 0, 1, 0, 1, 1),  # c = p3 + q13 + q23
-    (1, 1, 0, 0, 1, 1),  # eta = a + b - 2*q12
-    (1, 1, 1, 0, 0, 0),  # d = p1 + p2 + p3
+    (1, 0, 0, 1, 1, 0),  # a = x1 + z12 + z13
+    (0, 1, 0, 1, 0, 1),  # b = x2 + z12 + z23
+    (0, 0, 1, 0, 1, 1),  # c = x3 + z13 + z23
+    (1, 1, 0, 0, 1, 1),  # eta = a + b - 2*z12
+    (1, 1, 1, 0, 0, 0),  # d = x1 + x2 + x3
 )
 
 
@@ -64,15 +76,7 @@ def sl2_rep_ring(truncation: int) -> GradedAlgebra:
 
 def straightening_basis() -> GroebnerBasis:
     """The single relation, monic with leading monomial x2*z13."""
-    relation = (
-        Polynomial.variable(AMBIENT_RING, "x1") * Polynomial.variable(AMBIENT_RING, "z23")
-        - Polynomial.variable(AMBIENT_RING, "x2") * Polynomial.variable(AMBIENT_RING, "z13")
-        + Polynomial.variable(AMBIENT_RING, "x3") * Polynomial.variable(AMBIENT_RING, "z12")
-    )
-    weights = WeightVector(tuple(
-        Fraction(1 if name in ("x2", "z13") else 0) for name in AMBIENT_RING.variables
-    ))
-    return buchberger([relation], MonomialOrder.weighted(weights))
+    return buchberger(_BRANCHING.ideal_gens, MonomialOrder.weighted(_BRANCHING.weights[0]))
 
 
 def grade_of_exponents(e: tuple[int, ...]) -> Grade:
@@ -159,11 +163,8 @@ class RootDirectionReport:
 
 
 def root_direction_report(h: LexFunctional) -> RootDirectionReport:
-    change = tuple(
-        sum((r * x for r, x in zip(row, ROOT_DIRECTION)), Fraction(0))
-        for row in h.rows
-    )
-    zero = tuple(Fraction(0) for _ in change)
+    change = h.value(ROOT_DIRECTION)
+    zero = (0,) * len(change)
     return RootDirectionReport(change <= zero, change < zero, change)
 
 
@@ -181,7 +182,7 @@ def collapse_functional(h: LexFunctional, stage_index: int) -> tuple[LexFunction
     if not (0 <= stage_index < len(h.rows)):
         raise IndexError(f"no functional row at index {stage_index}")
     rows = list(h.rows)
-    rows[stage_index] = tuple(Fraction(0) for _ in rows[stage_index])
+    rows[stage_index] = (0,) * len(rows[stage_index])
     collapsed = LexFunctional(tuple(rows))
     return collapsed, root_direction_report(collapsed)
 
@@ -189,9 +190,9 @@ def collapse_functional(h: LexFunctional, stage_index: int) -> tuple[LexFunction
 def strict_branching_functional() -> LexFunctional:
     """Strict on the root direction and totally ordering the grades."""
     return LexFunctional((
-        (Fraction(0), Fraction(0), Fraction(0), Fraction(1), Fraction(0)),
-        (Fraction(1), Fraction(0), Fraction(0), Fraction(0), Fraction(0)),
-        (Fraction(0), Fraction(1), Fraction(0), Fraction(0), Fraction(0)),
-        (Fraction(0), Fraction(0), Fraction(1), Fraction(0), Fraction(0)),
-        (Fraction(0), Fraction(0), Fraction(0), Fraction(0), Fraction(1)),
+        (0, 0, 0, 1, 0),
+        (1, 0, 0, 0, 0),
+        (0, 1, 0, 0, 0),
+        (0, 0, 1, 0, 0),
+        (0, 0, 0, 0, 1),
     ))

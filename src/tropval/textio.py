@@ -64,12 +64,14 @@ are each read once per file, and the `--functional` and `--override`
 fields, which accept whatever `Fraction` accepts.
 
 Two constructs each have one reader.  Weight entries, in a weight flag
-(``--weight``, ``--v``, ``--w``, ``--w1``, ``--w2``, a ``--weights``
-chunk) and in a ``weight`` statement, are read by `_weight_vector`, up to
-end of input or up to the statement's ``;``.  Signed ``c*(grade:index)``
-terms, in a mult body and in an ``--override`` element, are read by the
-generator `_signed_terms`; an element's coefficient may be left out, a
-mult body's may not.  Both move only by cursor methods (``peek``,
+(``--weight``, ``--v``, ``--w``, ``--w1``, ``--w2``), in each vector of
+a ``--weights`` flag and in a ``weight`` statement, are read by
+`_weight_vector`, up to end of input, up to the next ``;`` of
+``--weights``, or up to the statement's ``;``.  One cursor reads a whole
+``--weights`` flag (`_parse_weight_list`), so its errors are located in
+the flag as typed.  Signed ``c*(grade:index)`` terms, in a mult body and
+in an ``--override`` element, are read by the generator `_signed_terms`;
+an element's coefficient may be left out, a mult body's may not.  Both move only by cursor methods (``peek``,
 ``at_number``, ``rational``, ``expect_sym`` and the like) and read the
 token index as ``i``, so the test that swaps in a reference cursor with
 other token objects covers them too.
@@ -397,14 +399,15 @@ def _parse_signed_rational(cur: _Cursor) -> Fraction:
     return -value if negate else value
 
 
-def _weight_vector(cur: _Cursor, end: str) -> WeightVector:
-    """Signed rationals up to the token ``end``, which is not consumed.
+def _weight_vector(cur: _Cursor, ends: tuple[str, ...]) -> WeightVector:
+    """Signed rationals up to a token in ``ends``, which is not consumed.
 
-    The one reader of weight entries: ``end`` is ``""`` for a weight flag
-    and ``";"`` for a ``weight`` statement.
+    The one reader of weight entries: ``ends`` holds ``""`` for a weight
+    flag, ``";"`` for a ``weight`` statement, and both for one vector of
+    a ``--weights`` flag.
     """
     ws: list[Fraction] = []
-    while cur.peek() != end:
+    while cur.peek() not in ends:
         ws.append(_parse_signed_rational(cur))
     entries = tuple(ws)
     return WeightVector._trusted(entries, *integer_weights(entries))
@@ -415,7 +418,23 @@ def parse_weights(text: str) -> WeightVector:
     cur = _Cursor(text)
     if not cur.peek():
         raise ParseError("empty weight vector", 1, 1)
-    return _weight_vector(cur, "")
+    return _weight_vector(cur, ("",))
+
+
+def _parse_weight_list(text: str) -> list[WeightVector]:
+    """The ``;``-separated weight vectors of a ``--weights`` flag.
+
+    One cursor reads the whole flag, so an error is located in it; an
+    empty vector between two ``;`` is skipped.
+    """
+    cur = _Cursor(text)
+    ws = []
+    while cur.peek():
+        if cur.at_sym(";"):
+            cur.next()
+        else:
+            ws.append(_weight_vector(cur, (";", "")))
+    return ws
 
 
 @dataclass
@@ -459,7 +478,7 @@ def parse_presentation(text: str) -> ParsedInput:
             cur.expect_sym(";")
         elif tok == "weight":
             cur.next()
-            w = _weight_vector(cur, ";")
+            w = _weight_vector(cur, (";",))
             cur.expect_sym(";")
             if len(w.weights) != ring.dim:
                 raise cur.error(

@@ -421,8 +421,9 @@ INPUT_ERROR_CASES = [
 # element's coefficient may be left out and is then the term's sign, an
 # unknown basis element is reported before the text after it is read, and
 # no term starts with '+'.  The files sit in subdirectories because
-# `_sampled_tables` parses every top-level fixtures/*.alg.  Each entry is
-# (name, argv, expected exit, expected stdout).
+# `_sampled_tables` parses every top-level fixtures/*.alg.  Last, a bad
+# entry after the first ';' of --weights, reported at its column in the
+# whole flag.  Each entry is (name, argv, expected exit, expected stdout).
 STATEMENT_CASES = [
     ("parse_coeffval_trivial",
      ["parse", "--input", fixture("coeffval_trivial.ideal")], 0,
@@ -463,6 +464,9 @@ STATEMENT_CASES = [
      "subadditivity_failures: 0\n"
      "verdict: passes\n"
      "END-RESULT\n"),
+    ("facets_weights_error_column",
+     ["facets", "--ideal", fixture("line.ideal"), "--weights", "1 1; 2 x"], 2,
+     "parse_error: line 1, col 8: expected a rational number, found 'x'\n"),
 ]
 
 # Every case above whose exact stdout is spelled out here rather than in a

@@ -26,6 +26,7 @@ from cli_corpus import run_case
 from oracle_buchberger import in_cone_by_faces, oracle_buchberger, top_split
 from oracle_lifted import lifted_contains_monomial, lifted_saturation
 from oracle_macaulay import macaulay_member
+from tropval import groebner
 from tropval.cones import facet_classes
 from tropval.groebner import (
     GREVLEX,
@@ -570,8 +571,6 @@ def test_buchberger_matches_the_polynomial_run_on_pipeline_inputs(name, monkeypa
     """Every input that `classify_weights`, `_saturate`, `contains_monomial`
     and `_canonical_basis` hand to `buchberger` on the fixture (a fixture
     with no relations hands it none)."""
-    from tropval import groebner
-
     P = _presentation(name)
     inputs = []
     run = groebner.buchberger
@@ -901,6 +900,55 @@ def _check_witness(gens: list[Polynomial], ring: RingContext, witness: Polynomia
     if k > 0:
         below = Polynomial.monomial(ring, (k - 1,) * ring.dim)
         assert not normal_form(below, base).is_zero
+
+
+def _reference_contains_monomial(gens: list[Polynomial], ring: RingContext):
+    """`contains_monomial` as it was before it started from
+    `HomogenizedIdeal`: its own homogenization and chain of saturations,
+    then a grevlex run on the generators to find the witness power.  It
+    calls `buchberger` through the module, so a patched one counts it."""
+    for g in gens:
+        if g.is_monomial():
+            return True, Polynomial.monomial(ring, next(iter(g.terms)))
+    if len(gens) < 2:
+        return False, None
+    ext = groebner._extended_ring(ring)
+    saturated = [groebner._homogenize(g, ext) for g in gens]
+    for i in range(ring.dim, -1, -1):
+        saturated = _saturate(saturated, i)
+        if any(g.is_monomial() for g in saturated):
+            break
+    else:
+        return False, None
+    base = groebner.buchberger(gens, MonomialOrder.grevlex())
+    product = Polynomial.monomial(ring, (1,) * ring.dim)
+    r, k = normal_form(Polynomial.constant(ring, 1), base), 0
+    while not r.is_zero:
+        r, k = normal_form(r * product, base), k + 1
+    return True, Polynomial.monomial(ring, (k,) * ring.dim)
+
+
+def test_contains_monomial_matches_the_earlier_route():
+    cases = _fixture_ideals() + _principal_shortcut_ideals() + _seeded_ideals(520)
+    found = 0
+    for gens, ring in cases:
+        got = contains_monomial(gens, ring)
+        assert got == _reference_contains_monomial(gens, ring), [str(g) for g in gens]
+        found += got[0]
+    assert found > 60
+
+
+def test_witness_power_needs_no_second_grevlex_run(buchberger_calls):
+    # The ideal of test_contains_monomial_witness_beyond_power_500: its
+    # saturation at h already holds x^501, so the chain is one run.
+    ring = RingContext(("x", "y"))
+    gens = [parse_poly(ring, "x^501*y + x^501"), parse_poly(ring, "x^501*y + 2*x^501")]
+    got = contains_monomial(gens, ring)
+    runs = len(buchberger_calls)
+    del buchberger_calls[:]
+    assert got == _reference_contains_monomial(gens, ring)
+    assert got == (True, Polynomial.monomial(ring, (501, 501)))
+    assert runs == len(buchberger_calls) - 1 == 1
 
 
 def test_contains_monomial_matches_the_lifted_run():

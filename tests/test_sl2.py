@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,14 @@ from tropval.graded import (
     check_monoid_theorem,
     grade_sum,
 )
+from tropval.graded import _monomial_algebra
+from tropval.groebner import MonomialOrder, buchberger, leading_term
+from tropval.poly import Polynomial, RingContext, WeightVector
 from tropval.sl2 import (
+    AMBIENT_RING,
+    GRADE_ROWS,
+    ROOT_DIRECTION,
+    RootDirectionReport,
     branching_dimension_report,
     clebsch_gordan_multiplicity,
     collapse_functional,
@@ -19,6 +27,7 @@ from tropval.sl2 import (
     root_functional,
     sl2_branching_algebra,
     sl2_rep_ring,
+    straightening_basis,
     strict_branching_functional,
 )
 
@@ -142,3 +151,78 @@ def test_strict_functional_orders_grades():
     assert h.separates(B.components) is None
     report = root_direction_report(h)
     assert report.strict
+
+
+# -- the presentation text against the quotient built by hand ----------------
+
+# The relation, its order weight and the strict functional as they were
+# built before `sl2.BRANCHING_PRESENTATION` held them: Polynomial products
+# and Fraction rows.
+
+
+def _hand_built_basis():
+    ring = RingContext(("x1", "x2", "x3", "z12", "z13", "z23"))
+    relation = (
+        Polynomial.variable(ring, "x1") * Polynomial.variable(ring, "z23")
+        - Polynomial.variable(ring, "x2") * Polynomial.variable(ring, "z13")
+        + Polynomial.variable(ring, "x3") * Polynomial.variable(ring, "z12")
+    )
+    weights = WeightVector(tuple(
+        Fraction(1 if name in ("x2", "z13") else 0) for name in ring.variables))
+    return buchberger([relation], MonomialOrder.weighted(weights))
+
+
+HAND_BUILT_STRICT = LexFunctional((
+    (F(0), F(0), F(0), F(1), F(0)),
+    (F(1), F(0), F(0), F(0), F(0)),
+    (F(0), F(1), F(0), F(0), F(0)),
+    (F(0), F(0), F(1), F(0), F(0)),
+    (F(0), F(0), F(0), F(0), F(1)),
+))
+
+
+def _summed_root_report(h: LexFunctional) -> RootDirectionReport:
+    change = tuple(sum((r * x for r, x in zip(row, ROOT_DIRECTION)), F(0))
+                   for row in h.rows)
+    zero = tuple(F(0) for _ in change)
+    return RootDirectionReport(change <= zero, change < zero, change)
+
+
+def test_straightening_basis_matches_the_hand_built_relation():
+    gb, reference = straightening_basis(), _hand_built_basis()
+    assert AMBIENT_RING == reference.gens[0].ring
+    assert gb.gens == reference.gens
+    assert ([leading_term(g, gb.order)[0] for g in gb.gens]
+            == [leading_term(g, reference.order)[0] for g in reference.gens]
+            == [(0, 1, 0, 0, 1, 0)])
+    assert gb.order.weights == reference.order.weights
+
+
+def test_strict_functional_matches_the_fraction_rows():
+    h = strict_branching_functional()
+    assert h == HAND_BUILT_STRICT
+    assert all(type(x) is F for row in h.rows for x in row)
+
+
+def test_root_report_matches_the_summed_rows():
+    rng = random.Random(38)
+    functionals = [strict_branching_functional(), HAND_BUILT_STRICT,
+                   collapse_functional(HAND_BUILT_STRICT, 0)[0]]
+    entries = (0, 1, -1, 2, F(1, 2), F(-3, 4), F(5, 3))
+    while len(functionals) < 300:
+        rows = tuple(tuple(rng.choice(entries) for _ in range(5))
+                     for _ in range(rng.randint(1, 4)))
+        functionals.append(LexFunctional(rows))
+    outcomes = set()
+    for h in functionals:
+        report = root_direction_report(h)
+        assert report == _summed_root_report(h)
+        assert all(type(x) is F for x in report.change)
+        outcomes.add((report.nonnegative, report.strict))
+    assert outcomes == {(True, True), (True, False), (False, False)}
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_branching_table_matches_the_hand_built_basis(n):
+    reference = _monomial_algebra(GRADE_ROWS, n, _hand_built_basis())
+    assert sl2_branching_algebra(n).key() == reference.key()
