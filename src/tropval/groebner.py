@@ -30,9 +30,16 @@ homogenization pipeline:
      inequality t_0 - e (dot product > 0).  It tests each weight against
      the cones found so far with integer dot products on the integer form
      that every `WeightVector` holds (`poly.integer_weights`), building no
-     order, and runs steps 3-4 (and builds the refined order) only for a
-     weight outside all of them.
-     The test is sufficient, not necessary: a weight that misses every cone
+     order.  It also keeps each refined basis G with its term-order region,
+     the closed Groebner cone of the refined order: for every g in G with
+     lead l and every other exponent e, w'.(l - e) >= 0 where grevlex
+     already ranks l above e, and > 0 elsewhere, so that the (w',0)-refined
+     order gives every g its lead.  By the dimension count above, G is then
+     the reduced basis for w' too, listed in another order.  A weight that
+     misses every cone but lies in a stored region reads its initial forms
+     and its cone off G at its own integer weights; only a weight outside
+     every region runs step 3 (and builds the refined order).
+     Both tests are sufficient, not necessary: a weight that misses them
      takes the full path, and equal initial ideals still merge classes.
 
 Steps 1-4 yield generators of the initial ideal of the original ideal for
@@ -46,6 +53,14 @@ saturation holds a monomial (then the original ideal does) or all of them
 are done (then it holds none).  A single non-monomial generator needs no
 saturation: Q[x] is a UFD, so a divisor of a monomial is a monomial times
 a constant, and a principal ideal on a non-monomial holds no monomial.
+Nor do binomials x^a - l*x^b whose relation lattice carries the trivial
+character: in the Laurent ring they generate the lattice ideal of the
+character that sends each a - b to its l, a proper ideal (Eisenbud &
+Sturmfels, "Binomial ideals", Duke Math. J. 84, 1996, Thm 2.1 and Cor
+2.5).  `linalg.integer_echelon` finds the relations, each row carrying its
+product of l's, with no Buchberger run; a relation with a product other
+than 1 puts a monomial in the ideal, and then the chain runs as before to
+find the witness.
 The witness power is found by reducing powers of the product one
 multiplication at a time, with no bound on the exponent, against the
 basis saturated at h with h set to 1.  That basis is a grevlex Groebner
@@ -122,6 +137,7 @@ from functools import partial
 from operator import add, le, mul, neg, sub
 
 from .errors import TropvalError
+from .linalg import integer_echelon
 from .poly import (
     ExponentVector,
     Polynomial,
@@ -698,6 +714,37 @@ def _in_cone(cone: _Cone, ws: tuple[int, ...]) -> bool:
     return True
 
 
+# The weights whose refined order gives a basis the leads it has, as integer
+# difference vectors lead - e over every element and each of its other
+# exponents e: weak ones, whose dot product with such a weight is >= 0
+# (grevlex already ranks the lead above e), and strict ones (> 0).
+_Region = tuple[tuple[ExponentVector, ...], tuple[ExponentVector, ...]]
+
+
+def _order_region(gb: GroebnerBasis) -> _Region:
+    """The weights whose (w, 0)-refined order gives gb's elements their leads."""
+    tie = MonomialOrder.grevlex()._descending_key
+    weak: dict[ExponentVector, None] = {}
+    strict: dict[ExponentVector, None] = {}
+    for g, lead in zip(gb.gens, gb._leads):
+        for e in g.terms:
+            if e != lead:
+                (weak if tie(lead) < tie(e) else strict)[tuple(map(sub, lead, e))] = None
+    return tuple(weak), tuple(strict)
+
+
+def _in_region(region: _Region, ws: tuple[int, ...]) -> bool:
+    """Do the integer weights ws give the region's basis its leads?"""
+    weak, strict = region
+    for v in weak:
+        if sum(map(mul, ws, v)) < 0:
+            return False
+    for v in strict:
+        if sum(map(mul, ws, v)) <= 0:
+            return False
+    return True
+
+
 def _canonical_basis(gens: list[Polynomial]) -> tuple[Polynomial, ...]:
     """Reduced grevlex basis of an initial ideal: its canonical form."""
     return buchberger(gens, MonomialOrder.grevlex()).gens
@@ -742,9 +789,16 @@ class HomogenizedIdeal:
         """
         return self.initial_of(self.refined_basis(w))
 
-    def initial_of(self, gb: GroebnerBasis) -> tuple[list[Polynomial], _Cone]:
-        """`initial` at the weight of ``gb``, a basis from `refined_basis`."""
-        ws = gb.order.int_weights
+    def initial_of(self, gb: GroebnerBasis,
+                   ws: tuple[int, ...] | None = None) -> tuple[list[Polynomial], _Cone]:
+        """`initial` at the weight of ``gb``, a basis from `refined_basis`.
+
+        Or at the integer weights ``ws`` of `order`, when that order gives
+        gb's elements the same leads (`_order_region`): gb is then its
+        reduced basis too, listed in another order.
+        """
+        if ws is None:
+            ws = gb.order.int_weights
         gens = []
         equalities: dict[ExponentVector, None] = {}
         inequalities: dict[ExponentVector, None] = {}
@@ -780,13 +834,15 @@ def initial_ideal(P: Presentation, w: WeightVector) -> list[Polynomial]:
 def contains_monomial(gens: list[Polynomial], ring: RingContext) -> tuple[bool, Polynomial | None]:
     """Does the ideal spanned by the generators contain a monomial?
 
-    Decided on the homogenized ideal J, saturated one variable at a time
-    with `_saturate`, at h (`HomogenizedIdeal.saturated`) and then at
-    x_n, ..., x_1: I holds a monomial exactly when J : (x_1*...*x_n*h)^inf
-    is the unit ideal, and it does as soon as one of the saturations holds
-    a monomial.  The witness is a
-    generator that is itself a monomial when one exists, otherwise the
-    smallest power of the product of all variables that lies in the ideal.
+    Binomials whose relation lattice carries the trivial character hold
+    none (`_binomials_hold_no_monomial`).  Anything else is decided on the
+    homogenized ideal J, saturated one variable at a time with
+    `_saturate`, at h (`HomogenizedIdeal.saturated`) and then at x_n, ...,
+    x_1: I holds a monomial exactly when J : (x_1*...*x_n*h)^inf is the
+    unit ideal, and it does as soon as one of the saturations holds a
+    monomial.  The witness is a generator that is itself a monomial when
+    one exists, otherwise the smallest power of the product of all
+    variables that lies in the ideal.
     """
     for g in gens:
         if g.is_zero:
@@ -800,6 +856,8 @@ def contains_monomial(gens: list[Polynomial], ring: RingContext) -> tuple[bool, 
     if len(gens) == 1:
         # Q[x] is a UFD: a divisor of a monomial is a monomial times a
         # constant, so a principal ideal on a non-monomial holds none.
+        return False, None
+    if all(len(g.terms) == 2 for g in gens) and _binomials_hold_no_monomial(gens):
         return False, None
     H = HomogenizedIdeal(Presentation(ring, gens))
     # Saturated at h, then at x_n, ..., x_1, each run only while no
@@ -821,6 +879,29 @@ def contains_monomial(gens: list[Polynomial], ring: RingContext) -> tuple[bool, 
     return True, Polynomial.monomial(ring, (k,) * ring.dim)
 
 
+def _binomials_hold_no_monomial(gens: list[Polynomial]) -> bool:
+    """Is the character of the binomials' relation lattice trivial?
+
+    Each generator c_a*x^a + c_b*x^b is x^(a-b) - l in the Laurent ring,
+    with l = -c_b/c_a.  `integer_echelon` reduces the rows a - b, each
+    carrying its l; every zero row is an integer relation among them,
+    carrying the product of the l's to the same powers, and the zero rows
+    span all relations.  When every such product is 1, the l's define a
+    character on the lattice the rows span, the Laurent ideal is that
+    character's lattice ideal, which is proper, and so the ideal holds no
+    monomial (Eisenbud & Sturmfels, "Binomial ideals", Duke Math. J. 84,
+    1996, Thm 2.1 and Cor 2.5).  Otherwise x^0 - p with p != 1 lies in the
+    Laurent ideal, and the ideal holds a monomial.
+    """
+    rows, values = [], []
+    for g in gens:
+        (a, c_a), (b, c_b) = g.terms.items()
+        rows.append(list(map(sub, a, b)))
+        values.append(Fraction(-c_b) / c_a)
+    rank = integer_echelon(rows, values)
+    return all(value == 1 for value in values[rank:])
+
+
 def same_initial_ideal(P: Presentation, w1: WeightVector, w2: WeightVector) -> bool:
     """Equality of initial ideals, via reduced bases under a fixed order."""
     H = HomogenizedIdeal(P)
@@ -830,22 +911,29 @@ def same_initial_ideal(P: Presentation, w1: WeightVector, w2: WeightVector) -> b
 def classify_weights(
     P: Presentation, ws: list[WeightVector],
 ) -> list[tuple[tuple[Polynomial, ...], list[WeightVector]]]:
-    """Group weight vectors by their initial ideal, one Buchberger run per cone.
+    """Group weight vectors by their initial ideal, one refined run per region.
 
     Returns one (initial-ideal generators, members) pair per class, in order
     of first appearance; members keep input order, and the generators are
     those of the class's first member.  A weight inside a Groebner cone
-    already found joins that cone's class without a Buchberger run (step 5).
+    already found joins that cone's class without a Buchberger run, and a
+    weight inside a stored term-order region reads its cone off that
+    region's basis without a refined run (step 5).
     """
     H = HomogenizedIdeal(P)
     cones: list[tuple[tuple, _Cone]] = []
+    regions: list[tuple[_Region, GroebnerBasis]] = []
     classes: dict[tuple, tuple[tuple[Polynomial, ...], list[WeightVector]]] = {}
     for w in ws:
         # `H.order(w).int_weights`, read without building the order.
         ws_int = P.effective_weights(w).int_weights + (0,)
         key = next((k for k, cone in cones if _in_cone(cone, ws_int)), None)
         if key is None:
-            gens, cone = H.initial(w)
+            gb = next((gb for region, gb in regions if _in_region(region, ws_int)), None)
+            if gb is None:
+                gb = H.refined_basis(w)
+                regions.append((_order_region(gb), gb))
+            gens, cone = H.initial_of(gb, ws_int)
             key = tuple(g.key() for g in _canonical_basis(gens))
             cones.append((key, cone))
             classes.setdefault(key, (tuple(gens), []))

@@ -136,6 +136,12 @@ CASES = [
     ("trop_certified_gr26_negated",
      ["trop-check", "--ideal", fixture("gr26.ideal"), "--weight",
       "-2 -3 -4 -5 -5 -3 -4 -5 -5 -3 -4 -4 -3 -3 -2"], 1),
+    # Gr(2,6) at the caterpillar metric itself: every generator of the
+    # initial ideal is a binomial, and their relation lattice decides that
+    # it holds no monomial
+    ("trop_certified_gr26_caterpillar",
+     ["trop-check", "--ideal", fixture("gr26.ideal"), "--weight",
+      "2 3 4 5 5 3 4 5 5 3 4 4 3 3 2", "--mode", "certified"], 0),
 ]
 
 # usage errors print to stderr only; stdout must stay empty

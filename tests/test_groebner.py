@@ -7,7 +7,7 @@ import pytest
 
 from conftest import W, load
 from oracle_macaulay import macaulay_member
-from tropval import groebner
+from tropval import groebner, valuation
 from tropval.groebner import (
     GroebnerBasis,
     MonomialOrder,
@@ -152,6 +152,27 @@ def test_gr26_at_a_negated_tree_metric_pops_a_bounded_number_of_pairs(monkeypatc
     outcome = check_trop_membership(load("gr26.ideal"), metric)
     assert not outcome.ok and poly_to_str(outcome.witness) == "p34*p56"
     assert 0 < popped <= PAIR_BOUND
+
+
+def test_gr26_at_its_caterpillar_metric_runs_no_saturation(buchberger_calls, monkeypatch):
+    """Certified membership of the caterpillar metric itself on Gr(2,6):
+    every generator of the initial ideal is a binomial, and their relation
+    lattice shows it holds no monomial, with no Buchberger run inside
+    `contains_monomial` (the saturation chain made 16)."""
+    runs = []
+    run = valuation.contains_monomial
+
+    def counting(gens, ring):
+        before = len(buchberger_calls)
+        got = run(gens, ring)
+        runs.append(len(buchberger_calls) - before)
+        return got
+
+    monkeypatch.setattr(valuation, "contains_monomial", counting)
+    metric = W(2, 3, 4, 5, 5, 3, 4, 5, 5, 3, 4, 4, 3, 3, 2)
+    outcome = check_trop_membership(load("gr26.ideal"), metric)
+    assert outcome.ok and outcome.witness is None
+    assert runs == [0]
 
 
 def test_nonhomogeneous_basis_fails_at_reduction_not_construction():

@@ -12,12 +12,18 @@ so it checks that the Groebner-cone cover only skips work.  The lifted
 saturation of `oracle_lifted` checks Bayer's saturation and monomial
 containment.  `oracle_buchberger` keeps the Buchberger run on `Polynomial`s
 and the face walk of the cone test, so it checks the run on division-table
-entries term for term and the cone test as integer inequalities.
+entries term for term and the cone test as integer inequalities.  The
+saturation chain is the reference for the lattice test on binomials, and
+a fresh `refined_basis` for every basis reused across its term-order
+region.
 """
 
+import importlib.util
 import itertools
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -26,7 +32,7 @@ from cli_corpus import run_case
 from oracle_buchberger import in_cone_by_faces, oracle_buchberger, top_split
 from oracle_lifted import lifted_contains_monomial, lifted_saturation
 from oracle_macaulay import macaulay_member
-from tropval import groebner
+from tropval import groebner, valuation
 from tropval.cones import facet_classes
 from tropval.groebner import (
     GREVLEX,
@@ -44,7 +50,7 @@ from tropval.groebner import (
     leading_term,
     normal_form,
 )
-from tropval.groebner import _divisor, _in_cone, _saturate
+from tropval.groebner import _divisor, _in_cone, _in_region, _saturate
 from tropval.poly import Polynomial, Presentation, RingContext, WeightVector, integer_weights
 from tropval.textio import parse_poly, parse_presentation
 from tropval.trop import BOTTOM, TropicalValue
@@ -456,7 +462,8 @@ def test_fan_builds_a_weighted_order_per_refined_run_only(
     monkeypatch.setattr(MonomialOrder, "__post_init__", counting)
     enumerate_fan(cubic, 2, 1)
     refined = [order for order in buchberger_calls if order.weights is not None]
-    assert len(built) == len(refined) == 17
+    # 17 before refined bases were reused across their term-order regions
+    assert len(built) == len(refined) == 8
 
 
 @pytest.mark.parametrize("name", ["tadic.ideal", "cubic.ideal"])
@@ -641,13 +648,14 @@ def test_buchberger_matches_the_polynomial_run_on_edge_inputs():
 def test_cone_inequalities_match_the_face_walk(monkeypatch):
     """Every cone `classify_weights` finds on every fixture, against every
     grid weight (box 2, denominators 1 and 2): the inequality vectors and
-    the faces of the refined basis give the same verdict."""
+    the faces of the refined basis, at the weights the cone was read at,
+    give the same verdict."""
     found = []
     initial_of = HomogenizedIdeal.initial_of
 
-    def recording(self, gb):
-        gens, cone = initial_of(self, gb)
-        found.append((gb, cone))
+    def recording(self, gb, ws=None):
+        gens, cone = initial_of(self, gb, ws)
+        found.append((gb, ws or gb.order.int_weights, cone))
         return gens, cone
 
     monkeypatch.setattr(HomogenizedIdeal, "initial_of", recording)
@@ -661,8 +669,8 @@ def test_cone_inequalities_match_the_face_walk(monkeypatch):
                                                          2 * denominator + 1),
                                                    repeat=P.ring.dim)]
             classify_weights(P, grid)
-            for gb, cone in found:
-                faces = [top_split(g, gb.order.int_weights) for g in gb.gens]
+            for gb, at, cone in found:
+                faces = [top_split(g, at) for g in gb.gens]
                 for w in grid:
                     ws = integer_weights(P.effective_weights(w).weights)[0] + (0,)
                     verdict = _in_cone(cone, ws)
@@ -670,6 +678,47 @@ def test_cone_inequalities_match_the_face_walk(monkeypatch):
                     checked += 1
                     inside += verdict
     assert inside > 3000 and checked - inside > 50000
+
+
+def test_stored_regions_hold_the_refined_basis(monkeypatch):
+    """Every term-order region `classify_weights` stores on every fixture,
+    against every grid weight (box 2, denominators 1 and 2) it admits: the
+    stored basis, listed by its leads in that weight's order, is
+    `refined_basis` there, element by element."""
+    stored = []
+    order_region = groebner._order_region
+
+    def recording(gb):
+        region = order_region(gb)
+        stored.append((region, gb))
+        return region
+
+    monkeypatch.setattr(groebner, "_order_region", recording)
+    admitted = reused = 0
+    for name in FAN_PRESENTATIONS:
+        P = load(name)
+        H = HomogenizedIdeal(P)
+        for denominator in (1, 2):
+            stored.clear()
+            grid = [W(*(Fraction(p, denominator) for p in point))
+                    for point in itertools.product(range(-2 * denominator,
+                                                         2 * denominator + 1),
+                                                   repeat=P.ring.dim)]
+            classify_weights(P, grid)
+            for w in grid:
+                ws = H.order(w).int_weights
+                regions = [gb for region, gb in stored if _in_region(region, ws)]
+                if not regions:
+                    continue
+                refined = H.refined_basis(w)
+                key = H.order(w)._descending_key
+                for gb in regions:
+                    leads = dict(zip(gb.gens, gb._leads))
+                    listed = tuple(sorted(gb.gens, key=lambda g: key(leads[g])))
+                    assert listed == refined.gens, (name, w)
+                    admitted += 1
+                    reused += gb.order.int_weights != ws  # built at another weight
+    assert admitted > 3000 and reused > 2000
 
 
 def ref_initial_form(f: Polynomial, w: WeightVector) -> Polynomial:
@@ -963,3 +1012,150 @@ def test_contains_monomial_matches_the_lifted_run():
         else:
             assert witness is None
     assert found > 60
+
+
+# -- the lattice route for binomials -------------------------------------------------
+
+# `contains_monomial` decides a set of binomials whose relation lattice
+# carries the trivial character without the saturation chain; the chain of
+# `_reference_contains_monomial` is the reference, verdict and witness.
+
+
+def _check_against_the_chain(cases, calls) -> int:
+    """Compare every case with the chain; count those the lattice decided.
+
+    ``calls`` is the `buchberger_calls` fixture's list: a set of binomials
+    found monomial-free must have been decided with no run."""
+    decided = 0
+    for gens, ring in cases:
+        before = len(calls)
+        got = contains_monomial(gens, ring)
+        runs = len(calls) - before
+        assert got == _reference_contains_monomial(gens, ring), [str(g) for g in gens]
+        if len(gens) > 1 and all(len(g.terms) == 2 for g in gens) and not got[0]:
+            assert runs == 0, [str(g) for g in gens]
+            decided += 1
+    return decided
+
+
+def _weight_fan_pass_inputs(tmp_path, monkeypatch) -> list[tuple[list[Polynomial], RingContext]]:
+    """Every distinct input of `contains_monomial` in one pass (seed 1) of
+    the benchmark's weight-fan workload, run in process."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("weight_fan_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    inputs: dict[tuple, tuple[list[Polynomial], RingContext]] = {}
+    run = groebner.contains_monomial
+
+    def recording(gens, ring):
+        inputs.setdefault(tuple(g.key() for g in gens), (list(gens), ring))
+        return run(gens, ring)
+
+    monkeypatch.setattr(groebner, "contains_monomial", recording)
+    monkeypatch.setattr(valuation, "contains_monomial", recording)
+    for job in workloads.build("weight-fan", 1, tmp_path):
+        code, out = run_case(job.argv, tmp_path)
+        assert job.check(code, out) is None, job.argv
+    monkeypatch.setattr(groebner, "contains_monomial", run)
+    monkeypatch.setattr(valuation, "contains_monomial", run)
+    return list(inputs.values())
+
+
+def test_lattice_route_matches_the_chain_on_a_weight_fan_pass(
+        tmp_path, monkeypatch, buchberger_calls):
+    cases = _weight_fan_pass_inputs(tmp_path, monkeypatch)
+    assert len(cases) > 30
+    # the cubic's initial ideal along t(1, 2, 3), (x*y - z, x^2 - y, y^2 -
+    # x*z), is the pass's one set of several binomials, met 6 times; the
+    # chain made 4 runs on each
+    assert _check_against_the_chain(cases, buchberger_calls) >= 1
+
+
+def _grassmannian(n: int) -> Presentation:
+    ring = RingContext(tuple(f"p{i}{j}" for i, j in itertools.combinations(range(1, n + 1), 2)))
+    return Presentation(ring, tuple(
+        parse_poly(ring, f"p{i}{j}*p{k}{l} - p{i}{k}*p{j}{l} + p{i}{l}*p{j}{k}")
+        for i, j, k, l in itertools.combinations(range(1, n + 1), 4)))
+
+
+def _gr26_tree_metrics() -> list[WeightVector]:
+    """Caterpillar and snowflake metrics on 6 leaves, on p12, ..., p56: a
+    caterpillar's leaves sit at positions 1, 1, 2, 3, 4, 4 along its spine,
+    |difference| + 2 apart; a snowflake's cherries are 2 apart inside and 4
+    across."""
+    pairs = list(itertools.combinations(range(1, 7), 2))
+    metrics = []
+    for order in ((1, 2, 3, 4, 5, 6), (1, 3, 2, 5, 4, 6), (6, 4, 1, 5, 2, 3)):
+        position = dict(zip(order, (1, 1, 2, 3, 4, 4)))
+        metrics.append(W(*(abs(position[i] - position[j]) + 2 for i, j in pairs)))
+    for cherries in (((1, 2), (3, 4), (5, 6)), ((1, 4), (2, 6), (3, 5))):
+        cherry = {leaf: k for k, pair in enumerate(cherries) for leaf in pair}
+        metrics.append(W(*(2 if cherry[i] == cherry[j] else 4 for i, j in pairs)))
+    return metrics
+
+
+def test_lattice_route_matches_the_chain_on_grassmannian_tree_metrics(buchberger_calls):
+    """Gr(2,5) at its 15 tree metrics and Gr(2,6) at five, each with both
+    signs: a tree metric's initial ideal is binomial and monomial-free, a
+    negated one holds a monomial."""
+    cases = []
+    for P, metrics in ((_grassmannian(5), _gr25_tree_metrics()),
+                       (_grassmannian(6), _gr26_tree_metrics())):
+        for metric in metrics:
+            for w in (metric, W(*(-x for x in metric.weights))):
+                cases.append((initial_ideal(P, w), P.ring))
+    assert _check_against_the_chain(cases, buchberger_calls) == 20
+
+
+_BINOMIAL_COEFFICIENTS = (1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2))
+
+
+def _seeded_binomial_ideals(count: int) -> list[tuple[list[Polynomial], RingContext]]:
+    """Two to four binomials in 2 to 5 variables, coefficients in {+-1, +-2,
+    +-1/2}; some add the product of the first two, shifted, with its
+    coefficient multiplied through (a relation whose product is 1) or not."""
+    rng = random.Random(97)
+    out = []
+    while len(out) < count:
+        ring = RingContext(("x", "y", "z", "u", "v")[:rng.randint(2, 5)])
+        terms = []
+        while len(terms) < rng.randint(2, 4):
+            a, b = (tuple(rng.randint(0, 2) for _ in range(ring.dim)) for _ in range(2))
+            if a != b:
+                terms.append((a, rng.choice(_BINOMIAL_COEFFICIENTS),
+                               b, rng.choice(_BINOMIAL_COEFFICIENTS)))
+        if rng.random() < 0.4:
+            (a1, c1, b1, d1), (a2, c2, b2, d2) = terms[:2]
+            a, b = tuple(map(sum, zip(a1, a2))), tuple(map(sum, zip(b1, b2)))
+            if a != b:
+                # x^a1 - l1*x^b1 and x^a2 - l2*x^b2 give x^(a1+a2) - l1*l2*x^(b1+b2)
+                ratio = -Fraction(d1) / c1 * d2 / c2
+                if rng.random() < 0.3:
+                    ratio *= rng.choice((2, -1))
+                terms.append((a, 1, b, ratio))
+        out.append(([Polynomial(ring, {a: c, b: d}) for a, c, b, d in terms], ring))
+    return out
+
+
+def test_lattice_route_matches_the_chain_on_seeded_binomials(buchberger_calls):
+    cases = _seeded_binomial_ideals(160)
+    decided = _check_against_the_chain(cases, buchberger_calls)
+    found = sum(contains_monomial(gens, ring)[0] for gens, ring in cases)
+    assert decided > 60 and found > 40
+
+
+def test_lattice_route_on_two_hand_cases():
+    ring = RingContext(("x", "y"))
+    y = parse_poly(ring, "y")
+    for text in (("x - y", "x - 2*y"), ("x - y", "x + y")):
+        gens = [parse_poly(ring, g) for g in text]
+        # one relation, the difference of the two rows, with product 2 and
+        # -1: both ideals hold y
+        got = contains_monomial(gens, ring)
+        assert got == _reference_contains_monomial(gens, ring)
+        assert got == (True, parse_poly(ring, "x*y"))
+        assert normal_form(y, buchberger(gens, MonomialOrder.grevlex())).is_zero
+    gens = [parse_poly(ring, "x - y"), parse_poly(ring, "2*x - 2*y")]
+    assert contains_monomial(gens, ring) == (False, None)
